@@ -49,19 +49,20 @@ fn bench_multires(c: &mut Criterion) {
 
     // The ensemble's access pattern: for one window, symbols under *all*
     // alphabet sizes. Merged table: one PAA pass + one binary search per
-    // coefficient, whose column yields every resolution at once.
+    // coefficient, whose cell yields every resolution at once.
     group.bench_function("merged_table", |b| {
         let fast = FastSax::new(&series);
         let multi = MultiResBreakpoints::new(10);
+        let lookups: Vec<&[u8]> = alphabets.iter().map(|&a| multi.lookup(a)).collect();
         let mut coeffs = vec![0.0; w];
         b.iter(|| {
             let mut total = 0usize;
             for start in 0..series.len() - n {
                 fast.paa_znorm_into(start, n, &mut coeffs);
                 for &cst in &coeffs {
-                    let col = multi.column(cst);
-                    for &a in &alphabets {
-                        total += col.symbol(a) as usize;
+                    let cell = usize::from(multi.cell(cst));
+                    for lookup in &lookups {
+                        total += lookup[cell] as usize;
                     }
                 }
             }

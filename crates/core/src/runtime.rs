@@ -9,7 +9,11 @@
 //!    coefficient streams; with the paper's `wmax = amax = 10` parameter
 //!    space, an `N = 50` ensemble has ~9 distinct `w` values for 50
 //!    members, so ~80% of PAA work is duplicated. The runtime computes
-//!    one [`PaaStream`] per distinct `(window, w)` and shares it.
+//!    one [`PaaStream`] per distinct `(window, w)` and shares it. So is
+//!    the breakpoint search: the stream stores each coefficient's cell
+//!    in the all-alphabet table, and every member maps those cells
+//!    through its alphabet's lookup ([`PaaStream::reduce_into`]), one
+//!    table read per coefficient instead of one search per member.
 //! 2. **Members are independent.** Every stage (streams, then member
 //!    discretize→Sequitur→density runs) is executed with rayon-style
 //!    `par_iter().map().collect()`, which preserves input order, so

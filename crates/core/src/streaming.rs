@@ -20,12 +20,16 @@
 //! * **Sliding PAA** ([`egi_sax::stream::PaaStream`]) appends the
 //!   coefficient rows of every window the new points completed, via
 //!   the one shared FastPAA kernel
-//!   ([`egi_sax::paa_znorm_from_stats`]). Streams are shared across
-//!   members with equal PAA size `w` (the runtime's deduplication).
+//!   ([`egi_sax::paa_znorm_from_stats`]), and each coefficient's cell
+//!   in the all-alphabet breakpoint table — one binary search per
+//!   coefficient, whatever the members' alphabets. Streams are shared
+//!   across members with equal PAA size `w` (the runtime's
+//!   deduplication).
 //! * **SAX word emission + numerosity reduction**
-//!   ([`egi_sax::NumerosityReduced::push_word`]) fold new windows into
-//!   the token sequence online — the batch reducer is literally this
-//!   fold.
+//!   ([`PaaStream::reduce_into`]) fold new windows into the token
+//!   sequence online by mapping each coefficient's stored cell through
+//!   the member's alphabet lookup — the batch discretizer runs the same
+//!   kernel over the whole stream.
 //! * **Interning + grammar induction**
 //!   ([`crate::intern::OnlineInterner`], [`egi_sequitur::Sequitur::push`])
 //!   feed each retained token to the inherently online Sequitur engine.
@@ -169,8 +173,9 @@
 //!   every append schedule, chunk size (including 1-point appends),
 //!   seed, and rayon worker count (property-tested, the PR 3 contract).
 //! * One **unit of work** is one member refresh
-//!   ([`StreamingEnsembleDetector::step`]): discretize that member's
-//!   backlog of fresh windows and rebuild its density curve.
+//!   ([`StreamingEnsembleDetector::step`]): fold that member's backlog
+//!   of fresh windows into its tokens and grammar, and fold the
+//!   resulting occurrence deltas into its density curve.
 //!   [`StreamingEnsembleDetector::run_until`] checks the shared
 //!   [`Deadline`] before each unit, so a wall-clock deadline is
 //!   overshot by at most one member refresh (regression-tested).
@@ -189,7 +194,7 @@ use std::io::{Read, Write};
 pub use egi_obs::SessionStats;
 use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
 use egi_sax::stream::PaaStream;
-use egi_sax::{MultiResBreakpoints, NumerosityReduced, SaxConfig, SaxWord};
+use egi_sax::{NumerosityReduced, SaxConfig};
 use egi_sequitur::Sequitur;
 /// The persistence contract implemented by the detector, re-exported
 /// from [`egi_tskit::checkpoint`]: save at any point of an
@@ -220,9 +225,8 @@ struct MemberState {
     sax: SaxConfig,
     /// Index of the shared PAA stream for this member's `w`.
     stream: usize,
-    /// Sliding windows already folded into the token pipeline.
-    consumed: usize,
-    /// Online numerosity-reduced token sequence.
+    /// Online numerosity-reduced token sequence; its `end_offset`
+    /// counts the sliding windows already folded into the pipeline.
     nr: NumerosityReduced,
     /// Online SAX-word interning table.
     interner: OnlineInterner,
@@ -246,7 +250,6 @@ fn empty_member(sax: SaxConfig, stream: usize, window: usize) -> MemberState {
     MemberState {
         sax,
         stream,
-        consumed: 0,
         nr: NumerosityReduced::empty(window),
         interner: OnlineInterner::new(),
         seq,
@@ -255,7 +258,7 @@ fn empty_member(sax: SaxConfig, stream: usize, window: usize) -> MemberState {
     }
 }
 
-/// Advances one member through every window in `consumed..target` and
+/// Advances one member through every window in `nr.end_offset..target` and
 /// folds the resulting occurrence deltas into its density curve at
 /// `series_len` points — `O(new windows + changed coverage)`, never
 /// `O(series)` (see the module docs' *Delta maintenance vs. rebuild*).
@@ -264,13 +267,7 @@ fn empty_member(sax: SaxConfig, stream: usize, window: usize) -> MemberState {
 /// serial [`StreamingEnsembleDetector::step`] path and the parallel
 /// catch-up — members are independent, so running units in any order or
 /// on any worker count yields identical member states.
-fn refresh_member(
-    member: &mut MemberState,
-    stream: &PaaStream,
-    multi: &MultiResBreakpoints,
-    target: usize,
-    series_len: usize,
-) {
+fn refresh_member(member: &mut MemberState, stream: &PaaStream, target: usize, series_len: usize) {
     if !member.delta_base {
         // Eviction rebase: the cached curve is a shifted carry, not a
         // delta base. The engine restarted at token zero alongside
@@ -287,16 +284,12 @@ fn refresh_member(
     // Appends extend coverage with zeros until a rule covers them; the
     // curve never shrinks between evictions (which reset it above).
     member.curve.values.resize(series_len, 0.0);
-    for start in member.consumed..target {
-        let row = stream.row(start);
-        let word = SaxWord(row.iter().map(|&c| multi.symbol(c, member.sax.a)).collect());
-        if member.nr.push_word(word) {
-            let word = &member.nr.tokens.last().expect("word just retained").word;
-            let id = member.interner.intern(word);
-            member.seq.push(id);
-        }
+    let retained = member.nr.len();
+    stream.reduce_into(&mut member.nr, member.sax.a, target);
+    for token in &member.nr.tokens[retained..] {
+        let id = member.interner.intern(&token.word);
+        member.seq.push(id);
     }
-    member.consumed = target;
     let deltas = member.seq.take_deltas();
     let mut touched = 0usize;
     for delta in &deltas {
@@ -351,7 +344,6 @@ fn refresh_member(
 pub struct StreamingEnsembleDetector {
     detector: EnsembleDetector,
     seed: u64,
-    multi: MultiResBreakpoints,
     series: Vec<f64>,
     stats: PrefixStats,
     /// One shared PAA stream per distinct member PAA size `w`
@@ -402,7 +394,6 @@ impl StreamingEnsembleDetector {
         Self {
             detector,
             seed,
-            multi: MultiResBreakpoints::new(config.amax),
             series: Vec::new(),
             stats: PrefixStats::new(&[]),
             streams,
@@ -468,9 +459,9 @@ impl StreamingEnsembleDetector {
         self.clock.retention()
     }
 
-    /// Total capacity (in `f64`s) retained by the shared PAA coefficient
-    /// streams — cheap accessor for memory-bound assertions on eviction
-    /// workloads.
+    /// Total bytes retained by the shared PAA streams' coefficient and
+    /// cell buffers — cheap accessor for memory-bound assertions on
+    /// eviction workloads.
     pub fn paa_capacity(&self) -> usize {
         self.streams.iter().map(PaaStream::capacity).sum()
     }
@@ -633,7 +624,6 @@ impl StreamingEnsembleDetector {
         }
         let windowless = window_count(self.series.len(), self.config().window) == 0;
         for member in &mut self.members {
-            member.consumed = 0;
             member.nr.clear();
             member.interner.clear();
             // Drops pending deltas too (the eviction rebase rule).
@@ -735,9 +725,11 @@ impl StreamingEnsembleDetector {
 
     /// Refreshes the next stale member (one unit of work): advances the
     /// shared PAA stream, folds the member's backlog of fresh windows
-    /// through discretization → numerosity reduction → interning →
-    /// [`Sequitur::push`], and rebuilds its density curve at the
-    /// current series length. Returns `false` when no member is stale.
+    /// through cell lookup + numerosity reduction
+    /// ([`PaaStream::reduce_into`]) → interning → [`Sequitur::push`],
+    /// and folds the resulting occurrence deltas into its density curve
+    /// at the current series length. Returns `false` when no member is
+    /// stale.
     pub fn step(&mut self) -> bool {
         let Some(i) = self.stale.pop_front() else {
             return false;
@@ -746,13 +738,7 @@ impl StreamingEnsembleDetector {
         let len = self.series.len();
         let si = self.members[i].stream;
         self.streams[si].extend_from_stats(&self.stats);
-        refresh_member(
-            &mut self.members[i],
-            &self.streams[si],
-            &self.multi,
-            target,
-            len,
-        );
+        refresh_member(&mut self.members[i], &self.streams[si], target, len);
         self.telemetry.record_step(self.stale.is_empty());
         self.telemetry
             .set_structural_staleness(self.structural_staleness() as u64);
@@ -825,11 +811,9 @@ impl StreamingEnsembleDetector {
             stream.extend_from_stats(&self.stats);
         }
         let streams = &self.streams;
-        let multi = &self.multi;
         self.members.par_iter_mut().for_each(|member| {
-            if member.consumed < target || member.curve.len() != len || !member.delta_base {
-                let stream = &streams[member.stream];
-                refresh_member(member, stream, multi, target, len);
+            if member.nr.end_offset < target || member.curve.len() != len || !member.delta_base {
+                refresh_member(member, &streams[member.stream], target, len);
             }
         });
         self.telemetry
@@ -895,7 +879,7 @@ impl Checkpoint for StreamingEnsembleDetector {
         )?;
         for member in &self.members {
             let mut f = FieldWriter::new();
-            f.usize(member.consumed);
+            f.usize(member.nr.end_offset);
             f.bool(member.delta_base);
             f.f64_slice(&member.curve.values);
             f.value(&member.nr.to_value());
@@ -1038,7 +1022,6 @@ impl Checkpoint for StreamingEnsembleDetector {
                     "member {i} carries a non-base curve with a live grammar"
                 )));
             }
-            member.consumed = consumed;
             member.delta_base = delta_base;
             member.curve = RuleDensityCurve { values: curve };
             member.nr = nr;
@@ -1128,7 +1111,7 @@ mod tests {
         assert_eq!(streaming.epochs(), 1);
         assert!(!streaming.is_current());
         // Members are untouched until stepped.
-        assert!(streaming.members.iter().all(|m| m.consumed == 0));
+        assert!(streaming.members.iter().all(|m| m.nr.end_offset == 0));
         assert_eq!(streaming.run_for(usize::MAX), 6);
         assert!(streaming.is_current());
     }

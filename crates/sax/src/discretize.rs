@@ -2,8 +2,9 @@
 //!
 //! [`FastSax`] is the production path: prefix-sum statistics make each
 //! window's z-normalized PAA cost `O(w)` instead of `O(n)` (paper
-//! Algorithm 2), and the merged breakpoint table resolves symbols for any
-//! alphabet with one binary search. [`discretize_series_naive`] is the
+//! Algorithm 2), and [`discretize_series`] runs the shared stream kernel
+//! ([`PaaStream::reduce_into`]), whose cells resolve symbols for any
+//! alphabet without a search. [`discretize_series_naive`] is the
 //! executable specification the fast path is tested against.
 
 use egi_tskit::stats::{is_flat, PrefixStats};
@@ -13,6 +14,7 @@ use crate::breakpoints::BreakpointTable;
 use crate::multires::MultiResBreakpoints;
 use crate::numerosity::{numerosity_reduce, NumerosityReduced};
 use crate::paa::segment_bound;
+use crate::stream::{discretize_from_stream, PaaStream};
 use crate::word::{sax_word, SaxConfig, SaxWord};
 
 /// Prefix-sum-accelerated SAX over one series (paper Algorithm 2).
@@ -144,23 +146,22 @@ pub fn paa_znorm_from_stats(stats: &PrefixStats, start: usize, n: usize, out: &m
     }
 }
 
-/// Discretizes the whole series with the fast path and numerosity-reduces.
+/// Discretizes the whole series with the fast path and numerosity-reduces:
+/// [`discretize_from_stream`] over the series' [`PaaStream`].
 ///
 /// `n` is the sliding-window length. Returns an empty token sequence when
 /// the series is shorter than the window.
+///
+/// # Panics
+///
+/// Panics if `cfg.w > n` or `cfg.a > multi.amax()`.
 pub fn discretize_series(
     fast: &FastSax<'_>,
     n: usize,
     cfg: SaxConfig,
     multi: &MultiResBreakpoints,
 ) -> NumerosityReduced {
-    let count = window_count(fast.len(), n);
-    let mut words = Vec::with_capacity(count);
-    let mut scratch = Vec::with_capacity(cfg.w);
-    for start in 0..count {
-        words.push(fast.word_multires(start, n, cfg, multi, &mut scratch));
-    }
-    numerosity_reduce(words, n)
+    discretize_from_stream(&PaaStream::new(fast, n, cfg.w), cfg, multi)
 }
 
 /// Reference implementation: per-window copy, z-normalize, PAA, per-`a`

@@ -14,13 +14,15 @@
 //! * [`mindist`] — the classic SAX lower-bounding distance (MINDIST),
 //!   for downstream similarity-search users of this crate.
 //! * [`multires`] — the multi-resolution symbol matrix of Section 6.2:
-//!   one binary search per PAA coefficient yields its symbol under *every*
-//!   alphabet size `2..=amax` at once.
+//!   one binary search per PAA coefficient finds its cell in the merged
+//!   breakpoint table, and the cell yields its symbol under *every*
+//!   alphabet size at once.
 //! * [`stream`] — shared PAA coefficient streams: compute each `(n, w)`
-//!   stream once, reuse it for every alphabet (the ensemble's PAA
-//!   deduplication); streams also grow incrementally
-//!   ([`PaaStream::extend_from_stats`]) for the streaming detector,
-//!   bit-identical to the batch build.
+//!   stream and its coefficients' cells once, reuse them for every
+//!   alphabet (the ensemble's PAA deduplication), and numerosity-reduce
+//!   any alphabet by cell lookup ([`PaaStream::reduce_into`]); streams
+//!   also grow incrementally ([`PaaStream::extend_from_stats`]) for the
+//!   streaming detector, bit-identical to the batch build.
 //!
 //! The naive and fast paths are intentionally both kept public: the naive
 //! implementations are the executable specification, the fast ones are what
@@ -59,7 +61,7 @@ pub mod word;
 pub use breakpoints::BreakpointTable;
 pub use discretize::{discretize_series, discretize_series_naive, paa_znorm_from_stats, FastSax};
 pub use mindist::MindistTable;
-pub use multires::{MultiResBreakpoints, SymbolColumn};
+pub use multires::MultiResBreakpoints;
 pub use numerosity::{numerosity_reduce, NumerosityReduced, Token};
 pub use paa::{paa, paa_into};
 pub use stream::{discretize_from_stream, PaaStream};

@@ -3,44 +3,42 @@
 //! The ensemble repeatedly discretizes the same subsequence under many
 //! alphabet sizes. Rather than one breakpoint search per alphabet, we merge
 //! the breakpoints of *all* alphabet sizes `2..=amax` into one sorted list.
-//! The merged cuts partition the real line into intervals; for each
-//! interval we precompute the symbol the interval maps to under every
-//! alphabet size (a [`SymbolColumn`] — one column of the paper's "symbol
-//! matrix"). A single binary search (`O(log Σ(a−1)) = O(log amax²) =
-//! O(2 log amax)`, matching the paper's bound) then yields the symbol at
-//! every resolution simultaneously.
+//! The merged cuts partition the real line into intervals ("cells"); for
+//! each cell we precompute the symbol it maps to under every alphabet size
+//! (the paper's "symbol matrix", stored one row per alphabet). A single
+//! binary search (`O(log Σ(a−1)) = O(log amax²) = O(2 log amax)`,
+//! matching the paper's bound) then yields the symbol at every resolution
+//! simultaneously.
+//!
+//! **Why a cell fixes every symbol exactly.** Merged cuts are deduplicated
+//! only when they are equal, and equal fractions `i/a = j/b` round to the
+//! same `f64` and so give bit-equal probits. Every alphabet's cuts
+//! therefore survive the merge unchanged, the merged partition refines
+//! each alphabet's partition, and the count of an alphabet's cuts `≤ v`
+//! (its symbol for `v`) is the same for every `v` in one cell — NaN and
+//! ±∞ included, which land in the end cells as they land in the end
+//! symbols of [`BreakpointTable::symbol`]. The all-alphabet table
+//! ([`MultiResBreakpoints::all`], 211 cuts and 212 cells at
+//! `amax = MAX_ALPHABET`) is what [`PaaStream`](crate::stream::PaaStream)
+//! searches once per coefficient; every member then maps the stored cell
+//! through the per-alphabet [`lookup`](MultiResBreakpoints::lookup) table
+//! instead of searching again.
+
+use std::sync::OnceLock;
 
 use crate::breakpoints::{BreakpointTable, MAX_ALPHABET, MIN_ALPHABET};
-
-/// Symbols of one merged-breakpoint interval under every alphabet size.
-///
-/// `symbols[a - 2]` is the symbol index assigned by alphabet size `a`
-/// (the `i`-th entry of a column corresponds to `a = i + 2`, exactly the
-/// layout of Figure 6's symbol sequences).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymbolColumn {
-    /// Per-alphabet symbol indices, for `a = 2..=amax`.
-    pub symbols: Vec<u8>,
-}
-
-impl SymbolColumn {
-    /// Symbol under alphabet size `a`.
-    #[inline]
-    pub fn symbol(&self, a: usize) -> u8 {
-        self.symbols[a - MIN_ALPHABET]
-    }
-}
 
 /// Merged breakpoints of all alphabet sizes `2..=amax` plus the
 /// precomputed symbol matrix.
 #[derive(Debug, Clone)]
 pub struct MultiResBreakpoints {
     amax: usize,
-    /// Distinct breakpoints, ascending.
-    merged: Vec<f64>,
-    /// `merged.len() + 1` columns; column `i` covers
+    /// Distinct breakpoints, ascending; cell `i` covers
     /// `[merged[i-1], merged[i])` with the usual ±∞ ends.
-    columns: Vec<SymbolColumn>,
+    merged: Vec<f64>,
+    /// The symbol matrix by rows: `lookups[a - 2][cell]` is the symbol of
+    /// `cell` under alphabet size `a`.
+    lookups: Vec<Vec<u8>>,
 }
 
 impl MultiResBreakpoints {
@@ -62,23 +60,35 @@ impl MultiResBreakpoints {
             .flat_map(|t| t.cuts().iter().copied())
             .collect();
         merged.sort_by(|x, y| x.partial_cmp(y).expect("breakpoints are finite"));
-        merged.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
+        // Exact dedup only: a cut dropped as "close enough" would leave its
+        // alphabet's partition unrefined (see the module docs).
+        merged.dedup();
+        assert!(
+            merged.len() <= usize::from(u8::MAX),
+            "cell indices must fit a u8"
+        );
 
         // Representative value inside each interval → symbol per alphabet.
-        let columns = (0..=merged.len())
-            .map(|i| {
-                let rep = interval_representative(&merged, i);
-                SymbolColumn {
-                    symbols: tables.iter().map(|t| t.symbol(rep)).collect(),
-                }
-            })
+        let reps: Vec<f64> = (0..=merged.len())
+            .map(|i| interval_representative(&merged, i))
+            .collect();
+        let lookups = tables
+            .iter()
+            .map(|t| reps.iter().map(|&rep| t.symbol(rep)).collect())
             .collect();
 
         Self {
             amax,
             merged,
-            columns,
+            lookups,
         }
+    }
+
+    /// The table for every supported alphabet size
+    /// (`amax = MAX_ALPHABET`), built once per process.
+    pub fn all() -> &'static Self {
+        static ALL: OnceLock<MultiResBreakpoints> = OnceLock::new();
+        ALL.get_or_init(|| Self::new(MAX_ALPHABET))
     }
 
     /// Largest alphabet size covered.
@@ -88,7 +98,7 @@ impl MultiResBreakpoints {
 
     /// Number of merged intervals (`distinct breakpoints + 1`).
     pub fn interval_count(&self) -> usize {
-        self.columns.len()
+        self.merged.len() + 1
     }
 
     /// The distinct merged breakpoints.
@@ -96,21 +106,37 @@ impl MultiResBreakpoints {
         &self.merged
     }
 
-    /// Locates the interval containing `value` and returns its column.
+    /// Index of the cell (merged interval) containing `value`: the number
+    /// of merged cuts `≤ value`, so NaN lands in cell 0.
     ///
     /// One binary search over the merged cuts — this is the whole point of
     /// the structure.
     #[inline]
-    pub fn column(&self, value: f64) -> &SymbolColumn {
-        let idx = self.merged.partition_point(|&c| c <= value);
-        &self.columns[idx]
+    pub fn cell(&self, value: f64) -> u8 {
+        // `new` keeps the cut count within u8 (211 at MAX_ALPHABET).
+        self.merged.partition_point(|&c| c <= value) as u8
+    }
+
+    /// The symbol of every cell under alphabet size `a`, indexed by
+    /// [`cell`](Self::cell).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 ≤ a ≤ amax`.
+    #[inline]
+    pub fn lookup(&self, a: usize) -> &[u8] {
+        assert!(
+            (MIN_ALPHABET..=self.amax).contains(&a),
+            "alphabet {a} outside [{MIN_ALPHABET}, {}]",
+            self.amax
+        );
+        &self.lookups[a - MIN_ALPHABET]
     }
 
     /// Symbol of `value` under alphabet size `a` (`2 ≤ a ≤ amax`).
     #[inline]
     pub fn symbol(&self, value: f64, a: usize) -> u8 {
-        debug_assert!((MIN_ALPHABET..=self.amax).contains(&a));
-        self.column(value).symbol(a)
+        self.lookup(a)[usize::from(self.cell(value))]
     }
 }
 
@@ -155,14 +181,15 @@ mod tests {
     #[test]
     fn figure6_symbol_sequences() {
         let m = MultiResBreakpoints::new(4);
+        let column = |v: f64| (2..=4).map(|a| m.symbol(v, a)).collect::<Vec<u8>>();
         // PAA value −1.0 lies in (−∞, −0.6745): column "aaa" (a per res).
-        assert_eq!(m.column(-1.0).symbols, vec![0, 0, 0]);
+        assert_eq!(column(-1.0), vec![0, 0, 0]);
         // PAA value −0.2 lies in (−0.43, 0]: a=2 → 'a', a=3 → 'b', a=4 → 'b'
         // (paper's yellow dot example "abb").
-        assert_eq!(m.column(-0.2).symbols, vec![0, 1, 1]);
+        assert_eq!(column(-0.2), vec![0, 1, 1]);
         // PAA value 1.0 lies in (0.6745, ∞): a=2 → 'b', a=3 → 'c', a=4 → 'd'
         // ("bcd" in the paper).
-        assert_eq!(m.column(1.0).symbols, vec![1, 2, 3]);
+        assert_eq!(column(1.0), vec![1, 2, 3]);
     }
 
     #[test]
@@ -200,6 +227,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn all_alphabet_cells_fix_every_symbol_at_the_edges() {
+        // Every cut of every alphabet, both float neighbours of each, the
+        // signed zeros, the infinities and NaN: the values where a merged
+        // cut that refined no partition, or a cell off by one, would show.
+        let all = MultiResBreakpoints::all();
+        assert_eq!(all.merged_cuts().len(), 211);
+        assert_eq!(all.interval_count(), 212);
+        let mut values = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for &cut in all.merged_cuts() {
+            values.extend([cut, cut.next_up(), cut.next_down()]);
+        }
+        for a in MIN_ALPHABET..=MAX_ALPHABET {
+            let table = BreakpointTable::new(a);
+            let lookup = all.lookup(a);
+            for &v in &values {
+                let cell = usize::from(all.cell(v));
+                assert_eq!(lookup[cell], table.symbol(v), "v={v:e} a={a}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "alphabet 11 outside")]
+    fn lookup_rejects_alphabet_above_amax() {
+        MultiResBreakpoints::new(10).lookup(11);
     }
 
     #[test]

@@ -55,9 +55,9 @@ impl NumerosityReduced {
     ///
     /// Folding a word sequence through `push_word` is exactly
     /// [`numerosity_reduce`] — the batch function is implemented as
-    /// this fold — so an online consumer (the streaming ensemble
-    /// detector) sees the identical token sequence for every append
-    /// schedule.
+    /// this fold. The detectors fold PAA streams through
+    /// [`PaaStream::reduce_into`](crate::stream::PaaStream::reduce_into),
+    /// the same fold without a word per window.
     pub fn push_word(&mut self, word: SaxWord) -> bool {
         let offset = self.end_offset;
         self.end_offset += 1;
@@ -95,10 +95,9 @@ impl NumerosityReduced {
     /// statistics (as the streaming ensemble detector's does), surviving
     /// windows can re-discretize to different words near breakpoint
     /// boundaries, so the bit-parity path there replays the suffix
-    /// through [`NumerosityReduced::clear`] + fresh
-    /// [`push_word`](NumerosityReduced::push_word)s instead; this
-    /// method is the cheap retirement for pipelines whose words are
-    /// stable across the cut.
+    /// through [`NumerosityReduced::clear`] + a fresh fold instead;
+    /// this method is the cheap retirement for pipelines whose words
+    /// are stable across the cut.
     pub fn retire_front(&mut self, windows: usize) {
         if windows == 0 {
             return;

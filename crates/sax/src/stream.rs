@@ -2,13 +2,17 @@
 //!
 //! A window's PAA coefficients depend only on the window length `n` and
 //! the PAA size `w` — **not** on the alphabet size `a`. Ensemble members
-//! that share `w` and differ only in `a` therefore recompute identical
-//! coefficient streams under [`discretize_series`]. [`PaaStream`]
-//! materializes the coefficients of every sliding window once
-//! (`O(N·w)`), and [`discretize_from_stream`] turns one stream into a
-//! numerosity-reduced token sequence for any alphabet in `O(N·w·log a)`
-//! symbol lookups with no PAA recomputation — the ensemble runtime's PAA
-//! deduplication.
+//! that share `w` and differ only in `a` would therefore recompute
+//! identical coefficient streams. [`PaaStream`] materializes the
+//! coefficients of every sliding window once (`O(N·w)`), together with
+//! each coefficient's *cell*: its interval in the all-alphabet merged
+//! breakpoint table ([`MultiResBreakpoints::all`]), found by one binary
+//! search per coefficient. A cell fixes the coefficient's symbol under
+//! every alphabet size, so [`PaaStream::reduce_into`] — the one
+//! discretization kernel every detector runs — turns a stream into a
+//! numerosity-reduced token sequence for any alphabet with one table
+//! lookup per coefficient, no search and no PAA recomputation, and
+//! allocates a word only when a new run opens.
 //!
 //! For append-only workloads (the streaming ensemble detector), a
 //! stream also grows incrementally: [`PaaStream::empty`] starts with no
@@ -17,20 +21,21 @@
 //! exact batch kernel ([`paa_znorm_from_stats`]) on prefix-sum
 //! statistics the caller extends per append — so an incrementally grown
 //! stream is **bit-identical** to [`PaaStream::new`] over the full
-//! series, for every append schedule (property-tested).
-//!
-//! [`discretize_series`]: crate::discretize::discretize_series
+//! series, for every append schedule (property-tested), and
+//! [`PaaStream::reduce_into`] folds just the fresh windows into the
+//! token sequence built so far.
 
 use egi_tskit::stats::PrefixStats;
 use egi_tskit::window::window_count;
 
 use crate::discretize::{paa_znorm_from_stats, FastSax};
 use crate::multires::MultiResBreakpoints;
-use crate::numerosity::{numerosity_reduce, NumerosityReduced};
+use crate::numerosity::{NumerosityReduced, Token};
 use crate::word::{SaxConfig, SaxWord};
 
 /// The PAA coefficients of every sliding window of one series, for one
-/// `(n, w)` pair, row-major (`count × w`).
+/// `(n, w)` pair, row-major (`count × w`), with each coefficient's cell
+/// in the all-alphabet breakpoint table.
 #[derive(Debug, Clone)]
 pub struct PaaStream {
     /// Sliding-window length the stream was computed with.
@@ -41,6 +46,8 @@ pub struct PaaStream {
     pub count: usize,
     /// Row-major coefficients: window `i` occupies `[i·w, (i+1)·w)`.
     pub coeffs: Vec<f64>,
+    /// `cells[i]` is [`MultiResBreakpoints::all`]`.cell(coeffs[i])`.
+    cells: Vec<u8>,
 }
 
 impl PaaStream {
@@ -69,6 +76,7 @@ impl PaaStream {
             w,
             count: 0,
             coeffs: Vec::new(),
+            cells: Vec::new(),
         }
     }
 
@@ -97,12 +105,19 @@ impl PaaStream {
             self.count
         );
         let fresh = target - self.count;
+        let from = self.count * self.w;
         self.coeffs.resize(target * self.w, 0.0);
-        for (row, start) in self.coeffs[self.count * self.w..]
+        self.cells.resize(target * self.w, 0);
+        let all = MultiResBreakpoints::all();
+        for ((row, cells), start) in self.coeffs[from..]
             .chunks_exact_mut(self.w)
+            .zip(self.cells[from..].chunks_exact_mut(self.w))
             .zip(self.count..target)
         {
             paa_znorm_from_stats(stats, start, self.n, row);
+            for (cell, &c) in cells.iter_mut().zip(row.iter()) {
+                *cell = all.cell(c);
+            }
         }
         self.count = target;
         fresh
@@ -148,50 +163,101 @@ impl PaaStream {
         );
         self.count = 0;
         self.coeffs.clear();
+        self.cells.clear();
         self.extend_from_stats(stats)
     }
 
-    /// Capacity (in `f64`s) retained by the coefficient buffer — cheap
+    /// Bytes retained by the coefficient and cell buffers — cheap
     /// accessor for memory-bound assertions on eviction workloads.
     pub fn capacity(&self) -> usize {
-        self.coeffs.capacity()
+        self.coeffs.capacity() * std::mem::size_of::<f64>() + self.cells.capacity()
     }
 
     /// The coefficient row of window `start`.
     pub fn row(&self, start: usize) -> &[f64] {
         &self.coeffs[start * self.w..(start + 1) * self.w]
     }
+
+    /// Folds windows `nr.end_offset..upto` into `nr` under alphabet `a`:
+    /// each coefficient's cell maps through the all-alphabet table's
+    /// [`lookup`](MultiResBreakpoints::lookup) for `a`, a window whose
+    /// symbols equal the current run's word only extends the run, and a
+    /// new [`SaxWord`] is allocated only when a run opens.
+    ///
+    /// This is numerosity reduction ([`NumerosityReduced::push_word`])
+    /// over the stream's words without materializing a word per window:
+    /// folding a stream in any sequence of `upto` steps yields the same
+    /// tokens as folding it in one, and as [`discretize_series_naive`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nr` was built for another window length, `upto`
+    /// exceeds the stream's window count or lies before
+    /// `nr.end_offset`, or `a` is outside `2..=MAX_ALPHABET`.
+    ///
+    /// [`discretize_series_naive`]: crate::discretize::discretize_series_naive
+    pub fn reduce_into(&self, nr: &mut NumerosityReduced, a: usize, upto: usize) {
+        assert_eq!(nr.window, self.n, "token window does not match stream");
+        assert!(
+            nr.end_offset <= upto && upto <= self.count,
+            "cannot fold windows {}..{upto} of a {}-window stream",
+            nr.end_offset,
+            self.count
+        );
+        let lookup = MultiResBreakpoints::all().lookup(a);
+        let rows = self.cells[nr.end_offset * self.w..upto * self.w].chunks_exact(self.w);
+        for (offset, cells) in (nr.end_offset..).zip(rows) {
+            let extends_run = nr.tokens.last().is_some_and(|last| {
+                last.word
+                    .0
+                    .iter()
+                    .zip(cells)
+                    .all(|(&s, &c)| s == lookup[usize::from(c)])
+            });
+            if !extends_run {
+                let word = SaxWord(cells.iter().map(|&c| lookup[usize::from(c)]).collect());
+                nr.tokens.push(Token { word, offset });
+            }
+        }
+        nr.end_offset = upto;
+    }
 }
 
-/// Discretizes from a precomputed coefficient stream: per-coefficient
-/// symbol lookup under alphabet `cfg.a`, then numerosity reduction.
+/// Discretizes a whole coefficient stream under alphabet `cfg.a` and
+/// numerosity-reduces it ([`PaaStream::reduce_into`] over every window).
 ///
-/// Equivalent to [`discretize_series`] for the same `(n, w, a)` — the
-/// property tests pin the two paths to agree exactly.
+/// `multi` is the caller's table for its alphabet range; the symbols
+/// themselves come from the stream's cells. Equals
+/// [`discretize_series_naive`] for the same `(n, w, a)` — the property
+/// tests pin the two paths to agree exactly.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.w` differs from the stream's `w`.
+/// Panics if `cfg.w` differs from the stream's `w`, or `cfg.a` exceeds
+/// `multi.amax()`.
 ///
-/// [`discretize_series`]: crate::discretize::discretize_series
+/// [`discretize_series_naive`]: crate::discretize::discretize_series_naive
 pub fn discretize_from_stream(
     stream: &PaaStream,
     cfg: SaxConfig,
     multi: &MultiResBreakpoints,
 ) -> NumerosityReduced {
     assert_eq!(cfg.w, stream.w, "config w does not match stream");
-    let words: Vec<SaxWord> = stream
-        .coeffs
-        .chunks_exact(stream.w)
-        .map(|row| SaxWord(row.iter().map(|&c| multi.symbol(c, cfg.a)).collect()))
-        .collect();
-    numerosity_reduce(words, stream.n)
+    assert!(
+        cfg.a <= multi.amax(),
+        "alphabet {} exceeds the table's amax {}",
+        cfg.a,
+        multi.amax()
+    );
+    let mut nr = NumerosityReduced::empty(stream.n);
+    stream.reduce_into(&mut nr, cfg.a, stream.count);
+    nr
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discretize::discretize_series;
+    use crate::discretize::discretize_series_naive;
 
     fn wave(len: usize) -> Vec<f64> {
         (0..len)
@@ -210,7 +276,7 @@ mod tests {
             for a in 2..=10 {
                 let cfg = SaxConfig::new(w, a);
                 let from_stream = discretize_from_stream(&stream, cfg, &multi);
-                let direct = discretize_series(&fast, n, cfg, &multi);
+                let direct = discretize_series_naive(&data, n, cfg);
                 assert_eq!(from_stream, direct, "divergence at w={w} a={a}");
             }
         }
@@ -352,5 +418,15 @@ mod tests {
         let stream = PaaStream::new(&fast, 12, 4);
         let multi = MultiResBreakpoints::new(4);
         discretize_from_stream(&stream, SaxConfig::new(3, 3), &multi);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the table's amax")]
+    fn alphabet_above_amax_panics() {
+        let data = wave(60);
+        let fast = FastSax::new(&data);
+        let stream = PaaStream::new(&fast, 12, 4);
+        let multi = MultiResBreakpoints::new(4);
+        discretize_from_stream(&stream, SaxConfig::new(4, 5), &multi);
     }
 }

@@ -75,13 +75,20 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Multi-resolution symbol lookup agrees with each single table.
+    /// Multi-resolution symbol lookup agrees with each single table, and
+    /// so does the cell path: the all-alphabet cell of `v`, mapped
+    /// through the lookup for `a`, for every supported `a`.
     #[test]
     fn multires_symbols_agree(v in -5.0f64..5.0, amax in 2usize..21) {
         let multi = MultiResBreakpoints::new(amax);
         for a in 2..=amax {
             let table = BreakpointTable::new(a);
             prop_assert_eq!(multi.symbol(v, a), table.symbol(v));
+        }
+        let all = MultiResBreakpoints::all();
+        let cell = usize::from(all.cell(v));
+        for a in 2..=26 {
+            prop_assert_eq!(all.lookup(a)[cell], BreakpointTable::new(a).symbol(v));
         }
     }
 
@@ -113,11 +120,11 @@ proptest! {
         prop_assert_eq!(rebuilt, words);
     }
 
-    /// Streaming/batch parity, SAX layer (PR 4): a PAA stream grown
-    /// through any randomized append schedule (including 1-point
-    /// appends) is bit-identical to the batch stream, and therefore the
-    /// full SAX word sequences and numerosity-reduced token sequences
-    /// it induces are identical too.
+    /// Streaming/batch parity, SAX layer: a PAA stream grown through any
+    /// randomized append schedule (including 1-point appends) is
+    /// bit-identical to the batch stream, and folding its fresh windows
+    /// after every append, as the streaming detector does, yields the
+    /// token sequence of the naive specification.
     #[test]
     fn incrementally_grown_stream_matches_batch_for_any_schedule(
         data in series_strategy(180),
@@ -129,21 +136,23 @@ proptest! {
         prop_assume!(w <= n);
         let mut stats = PrefixStats::new(&[]);
         let mut grown = PaaStream::empty(n, w);
+        let mut online = NumerosityReduced::empty(n);
         for part in append_schedule(&data, &cuts) {
             stats.extend(part);
             grown.extend_from_stats(&stats);
+            grown.reduce_into(&mut online, a, grown.count);
         }
         let fast = FastSax::new(&data);
         let batch = PaaStream::new(&fast, n, w);
         prop_assert_eq!(grown.count, batch.count);
         prop_assert_eq!(&grown.coeffs, &batch.coeffs);
-        // Word + numerosity level: the grown stream discretizes to the
-        // exact batch token sequence.
-        let multi = MultiResBreakpoints::new(10);
+        // Word + numerosity level: the online fold and the whole-stream
+        // pass both equal the naive specification.
         let cfg = SaxConfig::new(w, a);
-        let from_grown = discretize_from_stream(&grown, cfg, &multi);
-        let direct = discretize_series(&fast, n, cfg, &multi);
-        prop_assert_eq!(from_grown, direct);
+        let naive = discretize_series_naive(&data, n, cfg);
+        let from_grown = discretize_from_stream(&grown, cfg, &MultiResBreakpoints::new(10));
+        prop_assert_eq!(&online, &naive);
+        prop_assert_eq!(from_grown, naive);
     }
 
     /// Online numerosity reduction (word-at-a-time fold) equals the
