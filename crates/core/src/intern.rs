@@ -72,36 +72,6 @@ impl OnlineInterner {
     }
 }
 
-impl serde::Serialize for OnlineInterner {
-    fn to_value(&self) -> serde::Value {
-        // Emit (word, id) pairs sorted by id so checkpoints are
-        // byte-deterministic; the table itself is order-insensitive.
-        let mut pairs: Vec<(&SaxWord, u32)> = self.table.iter().map(|(w, &id)| (w, id)).collect();
-        pairs.sort_unstable_by_key(|&(_, id)| id);
-        pairs.to_value()
-    }
-}
-
-impl serde::Deserialize for OnlineInterner {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let pairs: Vec<(SaxWord, u32)> = serde::Deserialize::from_value(value)?;
-        // Ids are dense and first-seen-ordered by construction; a table
-        // violating that would desynchronize a restored replay.
-        let mut table = HashMap::with_capacity(pairs.len());
-        for (i, (word, id)) in pairs.into_iter().enumerate() {
-            if id as usize != i {
-                return Err(serde::DeserializeError(format!(
-                    "interner ids not dense: expected {i}, found {id}"
-                )));
-            }
-            if table.insert(word, id).is_some() {
-                return Err(serde::DeserializeError("duplicate interned word".into()));
-            }
-        }
-        Ok(OnlineInterner { table })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,31 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_assignments() {
-        use serde::{Deserialize, Serialize};
-        let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd"]);
-        let mut original = OnlineInterner::new();
-        for t in &nr.tokens {
-            original.intern(&t.word);
-        }
-        let mut restored = OnlineInterner::from_value(&original.to_value()).unwrap();
-        assert_eq!(restored.len(), original.len());
-        // Existing words keep their ids; new words continue the dense
-        // numbering exactly where the original would.
-        assert_eq!(restored.intern(&SaxWord(b"cd".to_vec())), 1);
-        assert_eq!(
-            restored.intern(&SaxWord(b"zz".to_vec())),
-            original.len() as u32
-        );
-
-        // Non-dense ids and duplicate words are rejected.
-        let sparse = vec![(SaxWord(b"a".to_vec()), 0u32), (SaxWord(b"b".to_vec()), 2)];
-        assert!(OnlineInterner::from_value(&sparse.to_value()).is_err());
-        let dup = vec![(SaxWord(b"a".to_vec()), 0u32), (SaxWord(b"a".to_vec()), 1)];
-        assert!(OnlineInterner::from_value(&dup.to_value()).is_err());
-    }
-
-    #[test]
     fn online_interner_matches_batch() {
         let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd", b"ff", b"ab"]);
         let batch = intern_tokens(&nr);
@@ -170,5 +115,28 @@ mod tests {
         assert_eq!(incremental, batch);
         assert_eq!(online.len(), 4);
         assert!(!online.is_empty());
+    }
+
+    #[test]
+    fn cleared_table_replays_to_the_live_ids() {
+        // A checkpoint restore and an eviction replay both rebuild the
+        // table by interning the same words again; first-seen order
+        // alone must land every word, and the next new one, on the ids
+        // the live table holds.
+        let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd", b"ff", b"ab"]);
+        let mut live = OnlineInterner::new();
+        let live_ids: Vec<u32> = nr.tokens.iter().map(|t| live.intern(&t.word)).collect();
+        let mut replay = OnlineInterner::new();
+        for word in [b"zz", b"ee", b"yy"] {
+            replay.intern(&SaxWord(word.to_vec()));
+        }
+        replay.clear();
+        assert!(replay.is_empty());
+        let replay_ids: Vec<u32> = nr.tokens.iter().map(|t| replay.intern(&t.word)).collect();
+        assert_eq!(replay_ids, live_ids);
+        assert_eq!(replay.len(), live.len());
+        let next = SaxWord(b"qq".to_vec());
+        assert_eq!(replay.intern(&next), live.intern(&next));
+        assert_eq!(replay.intern(&next), 4);
     }
 }

@@ -89,8 +89,10 @@
 //! snapshots — is *not* a valid delta base; the member is flagged and
 //! the next refresh zeroes the curve first, letting the replay's
 //! deltas rebuild it from the empty baseline (delta-applied and
-//! rebuilt curves coincide exactly on a cleared engine). The flag
-//! round-trips through checkpoints (member payload v2).
+//! rebuilt curves coincide exactly on a cleared engine). A checkpoint
+//! (member payload v3) stores such a member's carry curve and nothing
+//! else; every other member is stored as its refresh length, and
+//! restore replays it through the same refresh path.
 //!
 //! # Why streaming SAX is *exactly* incremental here
 //!
@@ -827,28 +829,36 @@ const CKPT_SECTION_DETECTOR: u32 = u32::from_le_bytes(*b"ENS1");
 /// member in draw order.
 const CKPT_SECTION_MEMBER: u32 = u32::from_le_bytes(*b"MEM1");
 const CKPT_DETECTOR_VERSION: u32 = 1;
-/// Member payload v2 (the incremental density layer): the Sequitur
-/// node record gained per-node position/owner fields and the engine its
-/// delta-tracking state, and the member record gained the
-/// `delta_base` flag — none of which a v1 payload carries, so v1
-/// members are rejected as [`CheckpointError::UnsupportedSection`]
-/// rather than restored with a silently unmaintainable curve.
-const CKPT_MEMBER_VERSION: u32 = 2;
+/// Member payload v3: a flag saying whether the member's curve is an
+/// eviction carry, then either that carry curve or the series length
+/// at the member's last refresh. Everything else a member holds is a
+/// pure function of the series and its `(w, a)` draw, so the loader
+/// replays it through [`refresh_member`]. v1 and v2 payloads (which
+/// encoded token sequences, interning tables, and grammar slabs) are
+/// rejected as [`CheckpointError::UnsupportedSection`].
+const CKPT_MEMBER_VERSION: u32 = 3;
 
 fn corrupt(what: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(what.into())
 }
 
 /// Persistence for the detector (see [`Checkpoint`] for the container
-/// format). The checkpoint holds the series, the clock, and each
-/// member's token pipeline (numerosity-reduced sequence, interning
-/// table, live Sequitur grammar slab, cached density curve); the prefix
-/// statistics, shared PAA streams, breakpoint tables, and the batch
-/// combiner are re-derived on load — each is a pure function of the
-/// series and configuration, bit-identical to the evolved originals.
+/// format). The checkpoint holds the series, the clock, the stale
+/// queue, and per member only what the series cannot reproduce: an
+/// eviction carry's curve, or else the series length of the member's
+/// last refresh (member payload v3). Load re-derives the prefix
+/// statistics and shared PAA streams, then replays every member that
+/// is not a carry up to its refresh length through the member refresh
+/// of [`step`](StreamingEnsembleDetector::step), the path a
+/// post-eviction replay runs, so a restore costs a replay of the live
+/// series. The replay is exact: a non-carry member always sits at
+/// `window_count(curve.len(), window)` windows, its tokens come from
+/// the re-derived PAA cells, interner ids follow first-seen order, a
+/// Sequitur fed the same tokens evolves identically, a delta-folded
+/// curve equals the rebuild at its length, and no deltas are pending
+/// between units.
 impl Checkpoint for StreamingEnsembleDetector {
     fn save_checkpoint(&self, writer: &mut impl Write) -> Result<(), CheckpointError> {
-        use serde::Serialize;
         let config = self.config();
         let mut out = CheckpointWriter::begin(writer, 1 + self.members.len() as u32)?;
         let mut f = FieldWriter::new();
@@ -879,19 +889,19 @@ impl Checkpoint for StreamingEnsembleDetector {
         )?;
         for member in &self.members {
             let mut f = FieldWriter::new();
-            f.usize(member.nr.end_offset);
-            f.bool(member.delta_base);
-            f.f64_slice(&member.curve.values);
-            f.value(&member.nr.to_value());
-            f.value(&member.interner.to_value());
-            f.value(&member.seq.to_value());
+            let carry = !member.delta_base;
+            f.bool(carry);
+            if carry {
+                f.f64_slice(&member.curve.values);
+            } else {
+                f.usize(member.curve.len());
+            }
             out.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION, &f.into_bytes())?;
         }
         Ok(())
     }
 
     fn load_checkpoint(reader: &mut impl Read) -> Result<Self, CheckpointError> {
-        use serde::Deserialize;
         let mut input = CheckpointReader::begin(reader)?;
         let (_, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
         let mut f = FieldReader::new(&payload);
@@ -972,13 +982,12 @@ impl Checkpoint for StreamingEnsembleDetector {
         for stream in &mut detector.streams {
             stream.extend_from_stats(&detector.stats);
         }
-        let count = detector.window_count();
         let len = detector.series.len();
         for (i, member) in detector.members.iter_mut().enumerate() {
             let (version, payload) = input.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION)?;
             if version != CKPT_MEMBER_VERSION {
-                // v1 members predate the delta-maintained curve (no
-                // per-node position/owner state to resume from).
+                // v1 and v2 members encode the whole pipeline state,
+                // which v3 replays instead.
                 return Err(CheckpointError::UnsupportedSection {
                     tag: CKPT_SECTION_MEMBER,
                     found: version,
@@ -986,47 +995,32 @@ impl Checkpoint for StreamingEnsembleDetector {
                 });
             }
             let mut f = FieldReader::new(&payload);
-            let consumed = f.usize()?;
-            let delta_base = f.bool()?;
-            let curve = f.f64_vec()?;
-            let nr = NumerosityReduced::from_value(&f.value()?)?;
-            let interner = OnlineInterner::from_value(&f.value()?)?;
-            let mut seq = Sequitur::from_value(&f.value()?)?;
-            // Tracking is structural for the detector (enabling is a
-            // no-op on the already-tracking engines we write, and
-            // never discards restored pending deltas).
-            seq.set_delta_tracking(true);
-            f.finish()?;
-            if consumed > count {
-                return Err(corrupt(format!("member {i} consumed beyond the series")));
+            let carry = f.bool()?;
+            let current = if carry {
+                let curve = f.f64_vec()?;
+                f.finish()?;
+                if curve.len() > len || !curve.iter().all(|v| v.is_finite()) {
+                    return Err(corrupt(format!("member {i} carries a malformed curve")));
+                }
+                member.delta_base = false;
+                member.curve = RuleDensityCurve { values: curve };
+                false
+            } else {
+                let refreshed = f.usize()?;
+                f.finish()?;
+                if refreshed > len {
+                    return Err(corrupt(format!("member {i} refreshed beyond the series")));
+                }
+                let stream = &detector.streams[member.stream];
+                refresh_member(member, stream, window_count(refreshed, window), refreshed);
+                refreshed == len
+            };
+            // Only a queued member may lag the series: one outside the
+            // queue would never be refreshed, and finish would serve
+            // its stale curve as the batch answer.
+            if !current && !seen[i] {
+                return Err(corrupt(format!("member {i} is out of date but not queued")));
             }
-            if curve.len() > len || !curve.iter().all(|v| v.is_finite()) {
-                return Err(corrupt(format!("member {i} carries a malformed curve")));
-            }
-            if nr.window != config.window {
-                return Err(corrupt(format!("member {i} tokens use a foreign window")));
-            }
-            if nr.end_offset != consumed {
-                return Err(corrupt(format!("member {i} tokens desync its windows")));
-            }
-            // Every retained token was pushed into the grammar; a count
-            // mismatch would let occurrence spans index out of range.
-            if seq.token_count() != nr.len() {
-                return Err(corrupt(format!("member {i} grammar/token desync")));
-            }
-            // A non-base curve is the post-eviction carry; the engine
-            // must have been cleared alongside or the next refresh
-            // would zero the curve under a live grammar.
-            if !delta_base && seq.token_count() != 0 {
-                return Err(corrupt(format!(
-                    "member {i} carries a non-base curve with a live grammar"
-                )));
-            }
-            member.delta_base = delta_base;
-            member.curve = RuleDensityCurve { values: curve };
-            member.nr = nr;
-            member.interner = interner;
-            member.seq = seq;
         }
         detector.stale = stale.into();
         detector.clock = StreamClock::with_state(epochs, offset, retention);
@@ -1520,6 +1514,37 @@ mod tests {
         assert_eq!(restored.finish(2), batch);
     }
 
+    /// Every section payload of a detector checkpoint, detector first.
+    fn payloads(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut cursor = bytes;
+        let mut input = CheckpointReader::begin(&mut cursor).unwrap();
+        let (_, detector) = input
+            .section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)
+            .unwrap();
+        let mut out = vec![detector];
+        while input.sections_remaining() > 0 {
+            let (_, member) = input
+                .section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION)
+                .unwrap();
+            out.push(member);
+        }
+        out
+    }
+
+    /// Frames a detector payload and member payloads as a checkpoint
+    /// with valid checksums.
+    fn assemble(detector: &[u8], members: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut out = CheckpointWriter::begin(&mut bytes, 1 + members.len() as u32).unwrap();
+        out.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION, detector)
+            .unwrap();
+        for member in members {
+            out.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION, member)
+                .unwrap();
+        }
+        bytes
+    }
+
     #[test]
     fn checkpoint_rejects_malformed_input_with_typed_errors() {
         let series = test_series(200);
@@ -1556,6 +1581,58 @@ mod tests {
             StreamingEnsembleDetector::from_checkpoint_bytes(&alien),
             Err(CheckpointError::UnexpectedSection { .. })
         ));
+
+        // Well-framed member payloads whose contents cannot hold.
+        // Member 3 is still queued, so each is rejected for its own
+        // field, not for lagging the series.
+        let sections = payloads(&bytes);
+        let (head, members) = sections.split_first().unwrap();
+        assert!(StreamingEnsembleDetector::from_checkpoint_bytes(&assemble(head, members)).is_ok());
+        let refreshed_beyond = {
+            let mut f = FieldWriter::new();
+            f.bool(false);
+            f.usize(series.len() + 1);
+            f
+        };
+        let non_finite_carry = {
+            let mut f = FieldWriter::new();
+            f.bool(true);
+            f.f64_slice(&[0.0, f64::NAN]);
+            f
+        };
+        let carry_beyond = {
+            let mut f = FieldWriter::new();
+            f.bool(true);
+            f.f64_slice(&vec![0.0; series.len() + 1]);
+            f
+        };
+        for bad in [refreshed_beyond, non_finite_carry, carry_beyond] {
+            let mut members = members.to_vec();
+            members[3] = bad.into_bytes();
+            assert!(matches!(
+                StreamingEnsembleDetector::from_checkpoint_bytes(&assemble(head, &members)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
+
+        // A stale queue that hides out-of-date members: the detector
+        // section of a caught-up session, which queues no member,
+        // framed with members refreshed 100 points behind its series.
+        let mut current = StreamingEnsembleDetector::new(config(18, 5), 1);
+        current.append(&series);
+        current.run_for(usize::MAX);
+        let mut behind = StreamingEnsembleDetector::new(config(18, 5), 1);
+        behind.append(&series[..100]);
+        behind.run_for(usize::MAX);
+        behind.append(&series[100..]);
+        let hidden = assemble(
+            &payloads(&current.checkpoint_bytes().unwrap())[0],
+            &payloads(&behind.checkpoint_bytes().unwrap())[1..],
+        );
+        assert!(matches!(
+            StreamingEnsembleDetector::from_checkpoint_bytes(&hidden),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1563,17 +1640,181 @@ mod tests {
         let series = test_series(320);
         let cfg = config(16, 7);
         let batch = EnsembleDetector::new(cfg).detect(&series[40..], 2, 13);
-        let mut streaming = StreamingEnsembleDetector::new(cfg, 13);
-        for (i, part) in series.chunks(64).enumerate() {
-            streaming.append(part);
-            streaming.run_for(3);
-            if i % 2 == 0 {
+        let run = |compact: bool| {
+            let mut streaming = StreamingEnsembleDetector::new(cfg, 13);
+            for (i, part) in series.chunks(64).enumerate() {
+                streaming.append(part);
+                streaming.run_for(3);
+                if compact && i % 2 == 0 {
+                    streaming.compact();
+                }
+            }
+            streaming.evict(40).unwrap();
+            streaming.run_for(2);
+            if compact {
                 streaming.compact();
             }
-        }
-        streaming.evict(40).unwrap();
-        streaming.run_for(2);
-        streaming.compact();
+            streaming
+        };
+        let mut streaming = run(true);
+        // Checkpoints store no slab layout, so compaction leaves no
+        // trace in them either.
+        let bytes = streaming.checkpoint_bytes().unwrap();
+        assert_eq!(bytes, run(false).checkpoint_bytes().unwrap());
+        let mut restored = StreamingEnsembleDetector::from_checkpoint_bytes(&bytes).unwrap();
         assert_eq!(streaming.finish(2), batch);
+        assert_eq!(restored.finish(2), batch);
+    }
+
+    // ------------------------------------------------------------------
+    // Member payload v3: what a checkpoint keeps of a member, and why
+    // replaying the rest is exact.
+    // ------------------------------------------------------------------
+
+    /// One op of the pinned schedules below.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Append(usize, usize),
+        Run(usize),
+        Evict(usize),
+        Compact,
+    }
+
+    /// Appends, partial refreshes, an eviction whose carries are only
+    /// partly replayed, one-point appends and compaction.
+    const SCHEDULE: [Op; 12] = [
+        Op::Append(0, 180),
+        Op::Run(3),
+        Op::Compact,
+        Op::Append(180, 181),
+        Op::Run(2),
+        Op::Evict(40),
+        Op::Run(2),
+        Op::Append(181, 260),
+        Op::Evict(1),
+        Op::Run(9),
+        Op::Append(260, 300),
+        Op::Run(1),
+    ];
+
+    fn apply(detector: &mut StreamingEnsembleDetector, series: &[f64], op: Op) {
+        match op {
+            Op::Append(from, to) => detector.append(&series[from..to]),
+            Op::Run(units) => {
+                detector.run_for(units);
+            }
+            Op::Evict(count) => detector.evict(count).unwrap(),
+            Op::Compact => detector.compact(),
+        }
+    }
+
+    /// Bit patterns of a curve, so equality means bit-identical.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn members_sit_at_their_refresh_window_count_or_carry_an_empty_pipeline() {
+        // What lets v3 store a member as one length: a non-carry member
+        // has folded exactly the windows of its curve's length, and a
+        // carry holds no tokens to replay.
+        let series = test_series(300);
+        let cfg = config(20, 6);
+        let mut detector = StreamingEnsembleDetector::new(cfg, 5);
+        let (mut carries, mut bases) = (0, 0);
+        for (step, op) in SCHEDULE.into_iter().enumerate() {
+            apply(&mut detector, &series, op);
+            for (i, m) in detector.members.iter().enumerate() {
+                if m.delta_base {
+                    bases += 1;
+                    assert_eq!(
+                        m.nr.end_offset,
+                        window_count(m.curve.len(), cfg.window),
+                        "step {step} ({op:?}), member {i}"
+                    );
+                    assert_eq!(m.seq.token_count(), m.nr.len(), "step {step}, member {i}");
+                } else {
+                    carries += 1;
+                    assert_eq!(m.nr.end_offset, 0, "step {step}, member {i}");
+                    assert_eq!(m.seq.token_count(), 0, "step {step}, member {i}");
+                    assert!(m.interner.is_empty(), "step {step}, member {i}");
+                }
+            }
+        }
+        assert!(
+            carries > 0 && bases > 0,
+            "schedule never mixed carries and bases"
+        );
+    }
+
+    #[test]
+    fn restore_replays_every_member_to_its_live_state() {
+        let series = test_series(300);
+        let cfg = config(20, 6);
+        let mut live = StreamingEnsembleDetector::new(cfg, 5);
+        for (step, op) in SCHEDULE.into_iter().enumerate() {
+            apply(&mut live, &series, op);
+            let bytes = live.checkpoint_bytes().unwrap();
+            let mut restored = StreamingEnsembleDetector::from_checkpoint_bytes(&bytes).unwrap();
+            assert_eq!(restored.stale, live.stale, "step {step} ({op:?})");
+            for (i, (r, l)) in restored
+                .members
+                .iter_mut()
+                .zip(live.members.iter_mut())
+                .enumerate()
+            {
+                let at = format!("step {step} ({op:?}), member {i}");
+                assert_eq!(r.delta_base, l.delta_base, "{at}");
+                assert_eq!(bits(&r.curve.values), bits(&l.curve.values), "{at}");
+                assert_eq!(r.nr, l.nr, "{at}");
+                let ids = |interner: &OnlineInterner, nr: &NumerosityReduced| {
+                    let mut table = interner.clone();
+                    let ids: Vec<u32> = nr.tokens.iter().map(|t| table.intern(&t.word)).collect();
+                    (ids, table.len())
+                };
+                assert_eq!(ids(&r.interner, &r.nr), ids(&l.interner, &l.nr), "{at}");
+                assert_eq!(r.interner.len(), l.interner.len(), "{at}");
+                assert_eq!(r.seq.token_count(), l.seq.token_count(), "{at}");
+                assert_eq!(r.seq.to_grammar(), l.seq.to_grammar(), "{at}");
+                assert!(r.seq.delta_tracking(), "{at}");
+                assert!(r.seq.take_deltas().is_empty(), "{at}");
+                assert!(l.seq.take_deltas().is_empty(), "{at}");
+            }
+            // A restored session checkpoints back to the same bytes.
+            assert_eq!(restored.checkpoint_bytes().unwrap(), bytes, "step {step}");
+        }
+    }
+
+    #[test]
+    fn member_payloads_hold_only_a_refresh_length_or_a_carry() {
+        let series = test_series(300);
+        let mut detector = StreamingEnsembleDetector::new(config(20, 6), 5);
+        for op in &SCHEDULE[..7] {
+            apply(&mut detector, &series, *op);
+        }
+        let bytes = detector.checkpoint_bytes().unwrap();
+        let sections = payloads(&bytes);
+        assert_eq!(sections.len(), 1 + detector.members.len());
+        let (mut carries, mut bases) = (0, 0);
+        for (i, (payload, m)) in sections[1..].iter().zip(&detector.members).enumerate() {
+            let mut f = FieldReader::new(payload);
+            if f.bool().unwrap() {
+                carries += 1;
+                assert!(!m.delta_base, "member {i}");
+                assert_eq!(
+                    bits(&f.f64_vec().unwrap()),
+                    bits(&m.curve.values),
+                    "member {i}"
+                );
+            } else {
+                bases += 1;
+                assert!(m.delta_base, "member {i}");
+                assert_eq!(f.usize().unwrap(), m.curve.len(), "member {i}");
+                // A flag and a length, however long the series.
+                assert_eq!(payload.len(), 1 + 8, "member {i}");
+            }
+            f.finish().unwrap();
+        }
+        assert!(carries > 0 && bases > 0, "expected both payload kinds");
     }
 }

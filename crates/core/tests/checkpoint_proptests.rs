@@ -111,6 +111,35 @@ proptest! {
         }
     }
 
+    /// Restore rebuilds the session rather than decoding it, yet lands
+    /// on the saved state: at every prefix the restored detector serves
+    /// the same snapshot, queues the same members, and checkpoints back
+    /// to the very bytes it was loaded from.
+    #[test]
+    fn restore_is_a_fixed_point_of_checkpointing(
+        window in 8usize..16,
+        members in 3usize..7,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..40), 2..7),
+    ) {
+        let gen = PointGen::ensemble();
+        let ops: Vec<ScheduleOp> =
+            raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
+        let mut detector = StreamingEnsembleDetector::new(config(window, members), seed);
+        let mut shadow = ShadowSuffix::new();
+        for (cut, &op) in ops.iter().enumerate() {
+            drive(&mut detector, &mut shadow, &gen, window, members, op);
+            let bytes = detector.checkpoint_bytes().unwrap();
+            let restored = StreamingEnsembleDetector::from_checkpoint_bytes(&bytes).unwrap();
+            prop_assert_eq!(restored.pending_members(), detector.pending_members(),
+                "queue differs after op {}", cut);
+            prop_assert_eq!(restored.snapshot(), detector.snapshot(),
+                "snapshot differs after op {}", cut);
+            prop_assert!(restored.checkpoint_bytes().unwrap() == bytes,
+                "restored session re-saved different bytes after op {}", cut);
+        }
+    }
+
     /// Truncation at every section boundary is a typed error; a bit
     /// flip is a typed error or an identical session — never a panic.
     #[test]
@@ -176,12 +205,11 @@ proptest! {
         ));
     }
 
-    /// v1 member payloads predate the delta-maintenance node layout
-    /// (no `pos`/`owner` bookkeeping, no `delta_base` flag) and cannot
-    /// be reinterpreted; downgrading any member section's version must
-    /// be a typed [`CheckpointError::UnsupportedSection`], never a
-    /// misparse. Pending delta buffers round-trip alongside (covered
-    /// structurally here, behaviorally by the density-delta harness).
+    /// v1 and v2 member payloads encode the pipeline state (token
+    /// sequence, interning table, grammar slab) that v3 replays from
+    /// the series instead, and cannot be reinterpreted; downgrading any
+    /// member section's version to either must be a typed
+    /// [`CheckpointError::UnsupportedSection`], never a misparse.
     #[test]
     fn v1_member_sections_are_rejected_with_a_typed_error(
         window in 8usize..16,
@@ -203,21 +231,23 @@ proptest! {
             .collect();
         prop_assert_eq!(member_sections.len(), members);
         for s in &member_sections {
-            prop_assert_eq!(s.payload_version, 2);
-            // The payload version lives right after the 4-byte tag;
-            // the checksum covers only the payload, so this is a
-            // clean format downgrade, not corruption.
-            let mut v1 = bytes.clone();
-            v1[s.start + 4..s.start + 8].copy_from_slice(&1u32.to_le_bytes());
-            match StreamingEnsembleDetector::from_checkpoint_bytes(&v1) {
-                Err(CheckpointError::UnsupportedSection { tag, found, supported }) => {
-                    prop_assert_eq!(tag, MEMBER_TAG);
-                    prop_assert_eq!(found, 1);
-                    prop_assert_eq!(supported, 2);
+            prop_assert_eq!(s.payload_version, 3);
+            for old in [1u32, 2] {
+                // The payload version lives right after the 4-byte tag;
+                // the checksum covers only the payload, so this is a
+                // clean format downgrade, not corruption.
+                let mut downgraded = bytes.clone();
+                downgraded[s.start + 4..s.start + 8].copy_from_slice(&old.to_le_bytes());
+                match StreamingEnsembleDetector::from_checkpoint_bytes(&downgraded) {
+                    Err(CheckpointError::UnsupportedSection { tag, found, supported }) => {
+                        prop_assert_eq!(tag, MEMBER_TAG);
+                        prop_assert_eq!(found, old);
+                        prop_assert_eq!(supported, 3);
+                    }
+                    other => prop_assert!(false,
+                        "v{} member section produced {:?} instead of UnsupportedSection",
+                        old, other.map(|_| "a loaded detector")),
                 }
-                other => prop_assert!(false,
-                    "v1 member section produced {:?} instead of UnsupportedSection",
-                    other.map(|_| "a loaded detector")),
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Golden-fixture test for the ensemble-detector checkpoint format.
 //!
-//! `tests/fixtures/ensemble_v2.ckpt` holds committed bytes written
+//! `tests/fixtures/ensemble_v3.ckpt` holds committed bytes written
 //! when the format was introduced; this proves today's code still
 //! loads them and resumes onto the same bit-identical report. A
 //! failure means the on-disk format changed without a version bump.
@@ -50,7 +50,7 @@ fn canonical_detector() -> StreamingEnsembleDetector {
 #[test]
 fn golden_ensemble_checkpoint_still_loads() {
     let gen = PointGen::ensemble();
-    let bytes = std::fs::read(fixture_path("ensemble_v2.ckpt"))
+    let bytes = std::fs::read(fixture_path("ensemble_v3.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
     let mut restored = StreamingEnsembleDetector::from_checkpoint_bytes(&bytes)
         .expect("golden ensemble checkpoint no longer loads: format broke without a version bump");
@@ -68,7 +68,7 @@ fn golden_ensemble_checkpoint_still_loads() {
 /// session today reproduces the committed fixture exactly.
 #[test]
 fn canonical_checkpoint_bytes_are_stable() {
-    let committed = std::fs::read(fixture_path("ensemble_v2.ckpt"))
+    let committed = std::fs::read(fixture_path("ensemble_v3.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
     let fresh = canonical_detector().checkpoint_bytes().unwrap();
     assert_eq!(
@@ -82,5 +82,5 @@ fn canonical_checkpoint_bytes_are_stable() {
 fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
     let bytes = canonical_detector().checkpoint_bytes().unwrap();
-    std::fs::write(fixture_path("ensemble_v2.ckpt"), &bytes).unwrap();
+    std::fs::write(fixture_path("ensemble_v3.ckpt"), &bytes).unwrap();
 }

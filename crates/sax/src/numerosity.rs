@@ -151,64 +151,6 @@ impl NumerosityReduced {
     }
 }
 
-impl serde::Serialize for Token {
-    fn to_value(&self) -> serde::Value {
-        (&self.word, self.offset).to_value()
-    }
-}
-
-impl serde::Deserialize for Token {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let (word, offset): (SaxWord, usize) = serde::Deserialize::from_value(value)?;
-        Ok(Token { word, offset })
-    }
-}
-
-impl serde::Serialize for NumerosityReduced {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("tokens".into(), self.tokens.to_value()),
-            ("end_offset".into(), self.end_offset.to_value()),
-            ("window".into(), self.window.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for NumerosityReduced {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let tokens: Vec<Token> = value.field("tokens")?;
-        let end_offset: usize = value.field("end_offset")?;
-        let window: usize = value.field("window")?;
-        // Structural invariants push_word maintains: offsets strictly
-        // increase and stay inside the examined-window range, and
-        // adjacent tokens differ (they would have been collapsed).
-        for pair in tokens.windows(2) {
-            if pair[1].offset <= pair[0].offset {
-                return Err(serde::DeserializeError(
-                    "token offsets not strictly increasing".into(),
-                ));
-            }
-            if pair[1].word == pair[0].word {
-                return Err(serde::DeserializeError(
-                    "adjacent tokens carry the same word".into(),
-                ));
-            }
-        }
-        if let Some(last) = tokens.last() {
-            if last.offset >= end_offset {
-                return Err(serde::DeserializeError(
-                    "token offset past end_offset".into(),
-                ));
-            }
-        }
-        Ok(NumerosityReduced {
-            tokens,
-            end_offset,
-            window,
-        })
-    }
-}
-
 /// Collapses runs of identical consecutive words.
 ///
 /// `words` is the full sliding-window word sequence; `window` the window
@@ -361,26 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_and_invariant_checks() {
-        use serde::{Deserialize, Serialize};
-        let nr = numerosity_reduce(vec![w(b"aa"), w(b"aa"), w(b"bb"), w(b"cc"), w(b"cc")], 4);
-        let restored = NumerosityReduced::from_value(&nr.to_value()).unwrap();
-        assert_eq!(restored, nr);
-
-        // Out-of-order offsets and duplicated adjacent words are
-        // rejected — a corrupted token stream must not restore.
-        let mut bad = nr.clone();
-        bad.tokens[1].offset = 0;
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
-        let mut bad = nr.clone();
-        bad.tokens[1].word = bad.tokens[0].word.clone();
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
-        let mut bad = nr;
-        bad.end_offset = 1;
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
-    }
-
-    #[test]
     fn online_fold_equals_batch_reduce() {
         let words = vec![w(b"x"), w(b"x"), w(b"y"), w(b"z"), w(b"z"), w(b"x")];
         let batch = numerosity_reduce(words.clone(), 5);
@@ -389,5 +311,36 @@ mod tests {
             online.push_word(word);
         }
         assert_eq!(online, batch);
+    }
+
+    #[test]
+    fn token_invariants_hold_under_push_and_retire() {
+        // The shape every consumer of a token sequence relies on: the
+        // first run starts at window 0, offsets strictly increase below
+        // end_offset, and adjacent tokens carry different words.
+        let mut nr = NumerosityReduced::empty(4);
+        let mut state = 7u64;
+        for step in 0..600 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (state >> 33) as usize;
+            if pick.is_multiple_of(9) {
+                nr.retire_front(pick % 5);
+            } else {
+                nr.push_word(w(&[(pick % 3) as u8]));
+            }
+            if let Some(first) = nr.tokens.first() {
+                assert_eq!(first.offset, 0, "step {step}");
+            }
+            for pair in nr.tokens.windows(2) {
+                assert!(pair[0].offset < pair[1].offset, "step {step}");
+                assert_ne!(pair[0].word, pair[1].word, "step {step}");
+            }
+            if let Some(last) = nr.tokens.last() {
+                assert!(last.offset < nr.end_offset, "step {step}");
+            }
+        }
+        assert!(!nr.is_empty());
     }
 }

@@ -78,41 +78,6 @@ impl From<Vec<u8>> for SaxWord {
     }
 }
 
-impl serde::Serialize for SaxConfig {
-    fn to_value(&self) -> serde::Value {
-        (self.w, self.a).to_value()
-    }
-}
-
-impl serde::Deserialize for SaxConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let (w, a): (usize, usize) = serde::Deserialize::from_value(value)?;
-        // The same bounds SaxConfig::new asserts, surfaced as an error:
-        // the checkpoint loader must never feed a panicking constructor.
-        if w == 0 {
-            return Err(serde::DeserializeError("PAA size must be positive".into()));
-        }
-        if !(crate::breakpoints::MIN_ALPHABET..=crate::breakpoints::MAX_ALPHABET).contains(&a) {
-            return Err(serde::DeserializeError(format!(
-                "alphabet size {a} unsupported"
-            )));
-        }
-        Ok(Self { w, a })
-    }
-}
-
-impl serde::Serialize for SaxWord {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
-    }
-}
-
-impl serde::Deserialize for SaxWord {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        Vec::<u8>::from_value(value).map(SaxWord)
-    }
-}
-
 /// Discretizes one subsequence into a SAX word.
 ///
 /// Pipeline (paper Figure 3): z-normalize → PAA(`w`) → breakpoint lookup.
@@ -190,16 +155,20 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_validates_bounds() {
-        use serde::{Deserialize, Serialize};
-        let cfg = SaxConfig::new(6, 5);
-        assert_eq!(SaxConfig::from_value(&cfg.to_value()), Ok(cfg));
-        let word = SaxWord(vec![0, 3, 1]);
-        assert_eq!(SaxWord::from_value(&word.to_value()), Ok(word));
-        // The panicking constructor's bounds surface as errors here.
-        assert!(SaxConfig::from_value(&(0usize, 4usize).to_value()).is_err());
-        assert!(SaxConfig::from_value(&(4usize, 1usize).to_value()).is_err());
-        assert!(SaxConfig::from_value(&(4usize, 1_000usize).to_value()).is_err());
+    fn config_bounds_are_the_supported_alphabets() {
+        use crate::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
+        let builds = |w, a| std::panic::catch_unwind(|| SaxConfig::new(w, a)).is_ok();
+        assert!(builds(1, MIN_ALPHABET));
+        assert!(builds(64, MAX_ALPHABET));
+        assert!(!builds(0, 4), "PAA size 0 accepted");
+        assert!(
+            !builds(4, MIN_ALPHABET - 1),
+            "alphabet below range accepted"
+        );
+        assert!(
+            !builds(4, MAX_ALPHABET + 1),
+            "alphabet above range accepted"
+        );
     }
 
     #[test]

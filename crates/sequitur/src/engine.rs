@@ -13,7 +13,6 @@
 //! interleavings).
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, DeserializeError, Serialize, Value};
 
 use crate::grammar::{Grammar, GrammarRule, RuleOccurrence, Symbol};
 
@@ -866,244 +865,6 @@ impl Sequitur {
     }
 }
 
-// ----------------------------------------------------------------------
-// Serde-shim impls (checkpoint/restore)
-//
-// The streaming detector checkpoints a *live* engine mid-induction, so
-// the entire slab state — nodes, free-list order (allocation pops from
-// the back, so order is behavioral), rule records including tombstones,
-// the digram table, and the token count — must round-trip exactly for a
-// restored engine to evolve bit-identically under further pushes. The
-// digram table is emitted sorted by key so checkpoints are
-// byte-deterministic; reinsertion order into the hash map is
-// unobservable (the table is only ever probed by key).
-// ----------------------------------------------------------------------
-
-/// Total order on symbols for deterministic digram emission.
-fn sym_rank(s: Sym) -> (u8, u32) {
-    match s {
-        Sym::T(t) => (0, t),
-        Sym::R(r) => (1, r),
-    }
-}
-
-impl Serialize for Sym {
-    fn to_value(&self) -> Value {
-        let (tag, v) = sym_rank(*self);
-        Value::Arr(vec![Value::UInt(tag as u64), Value::UInt(v as u64)])
-    }
-}
-
-impl Deserialize for Sym {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let (tag, v): (u8, u32) = Deserialize::from_value(value)?;
-        match tag {
-            0 => Ok(Sym::T(v)),
-            1 => Ok(Sym::R(v)),
-            _ => Err(DeserializeError(format!("unknown symbol tag {tag}"))),
-        }
-    }
-}
-
-impl Serialize for Kind {
-    fn to_value(&self) -> Value {
-        match self {
-            Kind::Guard { rule } => Value::Arr(vec![Value::UInt(0), Value::UInt(*rule as u64)]),
-            Kind::Sym(s) => Value::Arr(vec![Value::UInt(1), s.to_value()]),
-            Kind::Free => Value::Arr(vec![Value::UInt(2)]),
-        }
-    }
-}
-
-impl Deserialize for Kind {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let items = match value {
-            Value::Arr(items) if !items.is_empty() => items,
-            other => return Err(DeserializeError::expected("node kind array", other)),
-        };
-        match (u64::from_value(&items[0])?, items.len()) {
-            (0, 2) => Ok(Kind::Guard {
-                rule: u32::from_value(&items[1])?,
-            }),
-            (1, 2) => Ok(Kind::Sym(Sym::from_value(&items[1])?)),
-            (2, 1) => Ok(Kind::Free),
-            (tag, len) => Err(DeserializeError(format!(
-                "malformed node kind (tag {tag}, {len} items)"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Node {
-    fn to_value(&self) -> Value {
-        Value::Arr(vec![
-            self.kind.to_value(),
-            Value::UInt(self.prev as u64),
-            Value::UInt(self.next as u64),
-            Value::UInt(self.occ_prev as u64),
-            Value::UInt(self.occ_next as u64),
-            Value::UInt(self.pos as u64),
-            Value::UInt(self.owner as u64),
-        ])
-    }
-}
-
-impl Deserialize for Node {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let items = match value {
-            Value::Arr(items) if items.len() == 7 => items,
-            other => return Err(DeserializeError::expected("array of 7", other)),
-        };
-        Ok(Node {
-            kind: Kind::from_value(&items[0])?,
-            prev: u32::from_value(&items[1])?,
-            next: u32::from_value(&items[2])?,
-            occ_prev: u32::from_value(&items[3])?,
-            occ_next: u32::from_value(&items[4])?,
-            pos: u32::from_value(&items[5])?,
-            owner: u32::from_value(&items[6])?,
-        })
-    }
-}
-
-impl Serialize for OccDelta {
-    fn to_value(&self) -> Value {
-        (self.start, self.len, self.created).to_value()
-    }
-}
-
-impl Deserialize for OccDelta {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let (start, len, created): (usize, usize, bool) = Deserialize::from_value(value)?;
-        Ok(OccDelta {
-            start,
-            len,
-            created,
-        })
-    }
-}
-
-impl Serialize for Sequitur {
-    fn to_value(&self) -> Value {
-        let rules: Vec<(u32, u32, u32, usize)> = self
-            .rules
-            .iter()
-            .map(|r| (r.guard, r.occ_head, r.uses, r.exp_len))
-            .collect();
-        let mut digrams: Vec<(Sym, Sym, u32)> =
-            self.digrams.iter().map(|(&(a, b), &n)| (a, b, n)).collect();
-        digrams.sort_unstable_by_key(|&(a, b, _)| (sym_rank(a), sym_rank(b)));
-        Value::Obj(vec![
-            ("nodes".into(), self.nodes.to_value()),
-            ("free".into(), self.free.to_value()),
-            ("rules".into(), rules.to_value()),
-            ("digrams".into(), digrams.to_value()),
-            ("underused".into(), self.underused.to_value()),
-            ("token_count".into(), self.token_count.to_value()),
-            ("track".into(), self.track.to_value()),
-            ("deltas".into(), self.deltas.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Sequitur {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let nodes: Vec<Node> = value.field("nodes")?;
-        let free: Vec<u32> = value.field("free")?;
-        let rules_raw: Vec<(u32, u32, u32, usize)> = value.field("rules")?;
-        let digrams_raw: Vec<(Sym, Sym, u32)> = value.field("digrams")?;
-        let underused: Vec<u32> = value.field("underused")?;
-        let token_count: usize = value.field("token_count")?;
-        let track: bool = value.field("track")?;
-        let deltas: Vec<OccDelta> = value.field("deltas")?;
-
-        let rules: Vec<RuleRec> = rules_raw
-            .into_iter()
-            .map(|(guard, occ_head, uses, exp_len)| RuleRec {
-                guard,
-                occ_head,
-                uses,
-                exp_len,
-            })
-            .collect();
-
-        // Structural validation: every index a restored engine will
-        // chase must land inside the slab, or the first push after a
-        // restore would panic instead of erroring here.
-        let node_ok = |i: u32| i == NIL || (i as usize) < nodes.len();
-        for node in &nodes {
-            if !(node_ok(node.prev)
-                && node_ok(node.next)
-                && node_ok(node.occ_prev)
-                && node_ok(node.occ_next))
-            {
-                return Err(DeserializeError("node link out of slab range".into()));
-            }
-            let rule_ref = match node.kind {
-                Kind::Guard { rule } => Some(rule),
-                Kind::Sym(Sym::R(r)) => Some(r),
-                _ => None,
-            };
-            if let Some(r) = rule_ref {
-                if (r as usize) >= rules.len() {
-                    return Err(DeserializeError(format!("rule reference {r} out of range")));
-                }
-            }
-            if (node.owner as usize) >= rules.len() {
-                return Err(DeserializeError(format!(
-                    "node owner {} out of range",
-                    node.owner
-                )));
-            }
-        }
-        if rules.is_empty() || rules[0].guard == NIL {
-            return Err(DeserializeError("missing live root rule".into()));
-        }
-        for rec in &rules {
-            if !(node_ok(rec.guard) && node_ok(rec.occ_head)) {
-                return Err(DeserializeError(
-                    "rule record cites a node out of range".into(),
-                ));
-            }
-        }
-        for &f in &free {
-            if (f as usize) >= nodes.len() || !matches!(nodes[f as usize].kind, Kind::Free) {
-                return Err(DeserializeError("free list cites a non-free node".into()));
-            }
-        }
-        for &(_, _, n) in &digrams_raw {
-            if (n as usize) >= nodes.len() {
-                return Err(DeserializeError(
-                    "digram table cites a node out of range".into(),
-                ));
-            }
-        }
-        for &r in &underused {
-            if (r as usize) >= rules.len() {
-                return Err(DeserializeError(
-                    "underused queue cites a rule out of range".into(),
-                ));
-            }
-        }
-
-        let mut digrams =
-            FxHashMap::with_capacity_and_hasher(digrams_raw.len(), Default::default());
-        for (a, b, n) in digrams_raw {
-            digrams.insert((a, b), n);
-        }
-        Ok(Sequitur {
-            nodes,
-            free,
-            rules,
-            digrams,
-            underused,
-            token_count,
-            track,
-            deltas,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1437,89 +1198,6 @@ mod tests {
         assert_eq!(s.to_grammar(), induce([1u32, 2]));
     }
 
-    /// A serde round-trip of a live mid-induction engine must restore
-    /// *behavioral* state: the rebuilt engine evolves bit-identically
-    /// under every further push (the checkpoint/restore contract).
-    #[test]
-    fn serde_round_trip_preserves_future_evolution() {
-        let inputs: Vec<Vec<u32>> = vec![
-            (0..240).map(|i| ((i * 13) % 9) as u32).collect(),
-            vec![5; 40],
-            (0..160).map(|i| ((i * i) % 7) as u32).collect(),
-            vec![],
-        ];
-        for input in inputs {
-            for cut in [0, input.len() / 3, input.len() / 2, input.len()] {
-                let mut original = Sequitur::new();
-                for &t in &input[..cut] {
-                    original.push(t);
-                }
-                let mut restored = Sequitur::from_value(&original.to_value()).expect("round trip");
-                assert_eq!(restored.token_count(), original.token_count());
-                assert_eq!(restored.to_grammar(), original.to_grammar());
-                for &t in &input[cut..] {
-                    original.push(t);
-                    restored.push(t);
-                }
-                assert_eq!(restored.to_grammar(), original.to_grammar(), "cut {cut}");
-                let live: Vec<_> = restored.occurrences();
-                let reference: Vec<_> = original.occurrences();
-                assert_eq!(live, reference, "cut {cut}");
-            }
-        }
-    }
-
-    /// Malformed value trees — wrong shapes, dangling indices, a dead
-    /// root — error instead of building an engine that panics later.
-    #[test]
-    fn serde_rejects_malformed_state() {
-        assert!(Sequitur::from_value(&Value::Null).is_err());
-        assert!(Sequitur::from_value(&Value::Obj(vec![])).is_err());
-
-        let mut s = Sequitur::new();
-        for t in [0u32, 1, 0, 1, 2, 0, 1] {
-            s.push(t);
-        }
-        let good = s.to_value();
-
-        // Dangling node link.
-        let mut bad = good.clone();
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "nodes" {
-                    if let Value::Arr(nodes) = v {
-                        if let Value::Arr(fields) = &mut nodes[1] {
-                            fields[2] = Value::UInt(9_999);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
-
-        // Empty rule table (no root).
-        let mut bad = good.clone();
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "rules" {
-                    *v = Value::Arr(vec![]);
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
-
-        // Free list citing a live node.
-        let mut bad = good;
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "free" {
-                    *v = Value::Arr(vec![Value::UInt(0)]);
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
-    }
-
     /// Folds a batch of deltas into a span-count multiset, panicking on
     /// a destroy without a matching create.
     fn fold_deltas(
@@ -1618,25 +1296,56 @@ mod tests {
         assert!(s.take_deltas().is_empty());
     }
 
+    /// A fresh engine fed a live engine's tokens stands in for it: the
+    /// same occurrence spans, and per further push the same deltas (as
+    /// a multiset, the order a fold ignores), even when the live engine
+    /// was compacted along the way.
     #[test]
-    fn serde_round_trip_preserves_pending_deltas_and_tracking() {
-        let mut s = Sequitur::new();
-        s.set_delta_tracking(true);
-        let input: Vec<u32> = (0..120).map(|i| ((i * 5) % 8) as u32).collect();
-        for &t in &input {
-            s.push(t);
+    fn replayed_engine_continues_like_the_live_one() {
+        let sorted = |deltas: Vec<OccDelta>| {
+            let mut keys: Vec<_> = deltas.iter().map(|d| (d.start, d.len, d.created)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let inputs: Vec<Vec<u32>> = vec![
+            (0..240).map(|i| ((i * 13) % 9) as u32).collect(),
+            (0..200).map(|i| ((i * i) % 7) as u32).collect(),
+            vec![4; 48],
+        ];
+        for input in inputs {
+            for cut in [0usize, 1, input.len() / 3, input.len() - 1] {
+                let mut live = Sequitur::new();
+                live.set_delta_tracking(true);
+                for (i, &t) in input[..cut].iter().enumerate() {
+                    live.push(t);
+                    if i % 16 == 0 {
+                        live.compact();
+                    }
+                }
+                let live_pending = live.take_deltas();
+                let mut replay = Sequitur::new();
+                replay.set_delta_tracking(true);
+                for &t in &input[..cut] {
+                    replay.push(t);
+                }
+                let mut counts = std::collections::HashMap::new();
+                fold_deltas(&mut counts, &replay.take_deltas());
+                assert_eq!(counts, occurrence_counts(&live), "cut {cut}");
+                let mut live_counts = std::collections::HashMap::new();
+                fold_deltas(&mut live_counts, &live_pending);
+                assert_eq!(counts, live_counts, "cut {cut}");
+                for (i, &t) in input[cut..].iter().enumerate() {
+                    live.push(t);
+                    replay.push(t);
+                    assert_eq!(
+                        sorted(replay.take_deltas()),
+                        sorted(live.take_deltas()),
+                        "cut {cut}, push {i}"
+                    );
+                }
+                assert_eq!(replay.to_grammar(), live.to_grammar(), "cut {cut}");
+            }
         }
-        assert!(!s.deltas.is_empty(), "input should have induced rules");
-        let mut restored = Sequitur::from_value(&s.to_value()).expect("round trip");
-        assert!(restored.delta_tracking());
-        assert_eq!(restored.take_deltas(), s.take_deltas());
-        // Tracking continues identically after the restore.
-        let mut counts = occurrence_counts(&restored);
-        for t in (0..60).map(|i| ((i * 5) % 8) as u32) {
-            restored.push(t);
-            fold_deltas(&mut counts, &restored.take_deltas());
-        }
-        assert_eq!(counts, occurrence_counts(&restored));
     }
 
     #[test]

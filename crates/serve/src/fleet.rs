@@ -87,6 +87,15 @@ pub enum FleetError {
         /// The session's rejection.
         error: EvictError,
     },
+    /// A chunk offered to [`Fleet::ingest`] or [`Fleet::append_to`]
+    /// holds a NaN or an infinity; nothing of it was buffered or
+    /// appended.
+    NonFinite {
+        /// The stream the chunk was meant for.
+        id: StreamId,
+        /// Position of the first non-finite value in the chunk.
+        index: usize,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -95,6 +104,9 @@ impl fmt::Display for FleetError {
             Self::UnknownStream { id } => write!(f, "unknown stream {id}"),
             Self::DuplicateStream { id } => write!(f, "stream {id} already exists"),
             Self::Evict { id, error } => write!(f, "eviction rejected on stream {id}: {error}"),
+            Self::NonFinite { id, index } => {
+                write!(f, "stream {id}: point {index} of the chunk is not finite")
+            }
         }
     }
 }
@@ -296,8 +308,11 @@ impl<S: StreamSession> Fleet<S> {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownStream`] when `id` is not live.
+    /// [`FleetError::UnknownStream`] when `id` is not live;
+    /// [`FleetError::NonFinite`] when `points` holds a NaN or an
+    /// infinity (nothing is flushed or appended).
     pub fn append_to(&mut self, id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+        check_finite(id, points)?;
         self.flush(id)?;
         let slot = self.slots.get_mut(&id).expect("flush checked liveness");
         slot.session.append(points);
@@ -311,8 +326,11 @@ impl<S: StreamSession> Fleet<S> {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownStream`] when `id` is not live.
+    /// [`FleetError::UnknownStream`] when `id` is not live;
+    /// [`FleetError::NonFinite`] when `points` holds a NaN or an
+    /// infinity (nothing is buffered).
     pub fn ingest(&mut self, id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+        check_finite(id, points)?;
         let slot = self
             .slots
             .get_mut(&id)
@@ -607,6 +625,16 @@ impl<S: StreamSession + Send> Fleet<S> {
     }
 }
 
+/// Rejects a chunk holding a non-finite value before any session sees
+/// it: one session would panic on it inside a tick and take every
+/// stream's tick down, another would answer from a corrupted profile.
+fn check_finite(id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+    match points.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(FleetError::NonFinite { id, index }),
+        None => Ok(()),
+    }
+}
+
 /// Section tag of the fleet-roster section (`b"FLT1"` little-endian).
 const CKPT_SECTION_FLEET: u32 = u32::from_le_bytes(*b"FLT1");
 /// Section tag of each per-stream section (`b"STR1"`), one per stream
@@ -686,6 +714,9 @@ impl<S: StreamSession + Checkpoint> Checkpoint for Fleet<S> {
                 return Err(corrupt("stream section out of roster order"));
             }
             let inbox = f.f64_vec()?;
+            if !inbox.iter().all(|v| v.is_finite()) {
+                return Err(corrupt("non-finite point in an ingest buffer"));
+            }
             let session = S::from_checkpoint_bytes(f.bytes()?)?;
             f.finish()?;
             let dirty = dirty_set.contains(&id);
@@ -1196,5 +1227,8 @@ mod tests {
         assert!(FleetError::DuplicateStream { id: 4 }
             .to_string()
             .contains('4'));
+        assert!(FleetError::NonFinite { id: 6, index: 2 }
+            .to_string()
+            .contains("stream 6"));
     }
 }

@@ -13,13 +13,18 @@
 //!   dirty stream receives ⌊U/d⌋..⌈U/d⌉ units from a `U`-unit budget
 //!   over `d` equally-loaded dirty streams;
 //! * invalid evictions are rejected atomically, naming the stream,
-//!   without poisoning the fleet or perturbing any other stream.
+//!   without poisoning the fleet or perturbing any other stream;
+//! * a chunk holding a NaN or an infinity is rejected at the front
+//!   door, for both session kinds, and never reaches a session or a
+//!   restored inbox.
 
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
 use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::streaming::{StreamSession, StreamingDiscordMonitor};
+use egi_serve::fleet::{Checkpoint, CheckpointError};
 use egi_serve::{Fleet, FleetError, StreamId};
 use egi_testkit::{choose_evict, PointGen};
+use egi_tskit::checkpoint::{CheckpointReader, CheckpointWriter, FieldReader, FieldWriter};
 use egi_tskit::evict::EvictError;
 use egi_tskit::Deadline;
 use proptest::prelude::*;
@@ -376,5 +381,172 @@ fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
         let reference = stamp_with_exclusion(&series, m, m / 2);
         assert_eq!(profile.profile, reference.profile, "stream {id}");
         assert_eq!(profile.index, reference.index, "stream {id}");
+    }
+}
+
+/// Writes `value` over the first buffered point of stream `target`'s
+/// inbox in a fleet checkpoint, re-framing every section so each
+/// checksum stays valid.
+fn with_inbox_point(bytes: &[u8], target: StreamId, value: f64) -> Vec<u8> {
+    let fleet_tag = u32::from_le_bytes(*b"FLT1");
+    let stream_tag = u32::from_le_bytes(*b"STR1");
+    let mut cursor = bytes;
+    let mut input = CheckpointReader::begin(&mut cursor).unwrap();
+    let mut sections = vec![(fleet_tag, input.section(fleet_tag, 1).unwrap().1)];
+    while input.sections_remaining() > 0 {
+        let (_, payload) = input.section(stream_tag, 1).unwrap();
+        let mut f = FieldReader::new(&payload);
+        let id = f.u64().unwrap();
+        let mut inbox = f.f64_vec().unwrap();
+        let session = f.bytes().unwrap();
+        if id == target {
+            inbox[0] = value;
+        }
+        let mut w = FieldWriter::new();
+        w.u64(id);
+        w.f64_slice(&inbox);
+        w.bytes(session);
+        sections.push((stream_tag, w.into_bytes()));
+    }
+    let mut out = Vec::new();
+    let mut writer = CheckpointWriter::begin(&mut out, sections.len() as u32).unwrap();
+    for (tag, payload) in &sections {
+        writer.section(*tag, 1, payload).unwrap();
+    }
+    out
+}
+
+/// Feeds streams 0 and 1 the first 160 points of their waves through
+/// `ingest`, offering stream 1 non-finite chunks on the way, and checks
+/// that each rejection is typed and atomic, that ticks keep running,
+/// and that a checkpoint whose inbox holds a NaN fails to load. The
+/// caller compares each stream's finish with batch over its 160 points.
+fn reject_non_finite_chunks<S: StreamSession + Checkpoint>(fleet: &mut Fleet<S>) {
+    let chunk = |id: StreamId, from: usize, to: usize| -> Vec<f64> {
+        (from..to).map(|i| point(id, i)).collect()
+    };
+    for id in 0..2 {
+        fleet.ingest(id, &chunk(id, 0, 80)).unwrap();
+    }
+    fleet.tick(Deadline::queries(3));
+    fleet.ingest(1, &chunk(1, 80, 90)).unwrap();
+    let buffered = fleet.buffered();
+    for (bad, index) in [(f64::NAN, 3), (f64::INFINITY, 0), (f64::NEG_INFINITY, 9)] {
+        let mut poisoned = chunk(1, 90, 100);
+        poisoned[index] = bad;
+        let rejected = Err(FleetError::NonFinite { id: 1, index });
+        assert_eq!(fleet.ingest(1, &poisoned), rejected);
+        assert_eq!(fleet.append_to(1, &poisoned), rejected);
+        assert_eq!(fleet.buffered(), buffered, "a rejected chunk was buffered");
+    }
+
+    let bytes = fleet.checkpoint_bytes().unwrap();
+    assert!(Fleet::<S>::from_checkpoint_bytes(&with_inbox_point(&bytes, 1, point(1, 80))).is_ok());
+    assert!(matches!(
+        Fleet::<S>::from_checkpoint_bytes(&with_inbox_point(&bytes, 1, f64::NAN)),
+        Err(CheckpointError::Corrupt(_))
+    ));
+
+    // The next tick runs, and the streams go on as if nothing had been
+    // offered.
+    let tick = fleet.tick(Deadline::queries(4));
+    assert_eq!(tick.flushed_points, 10);
+    fleet.ingest(0, &chunk(0, 80, 160)).unwrap();
+    fleet.ingest(1, &chunk(1, 90, 160)).unwrap();
+    fleet.tick(Deadline::queries(4));
+}
+
+#[test]
+fn non_finite_chunks_never_reach_a_discord_session() {
+    let m = 8;
+    let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
+    for id in 0..2 {
+        fleet.create(id, StreamingDiscordMonitor::new(m)).unwrap();
+    }
+    reject_non_finite_chunks(&mut fleet);
+    for id in 0..2 {
+        let series: Vec<f64> = (0..160).map(|i| point(id, i)).collect();
+        let finished = fleet.finish(id).unwrap();
+        let reference = stamp_with_exclusion(&series, m, m / 2);
+        assert_eq!(finished.profile, reference.profile, "stream {id}");
+        assert_eq!(finished.index, reference.index, "stream {id}");
+    }
+}
+
+#[test]
+fn non_finite_chunks_never_reach_an_ensemble_session() {
+    let cfg = EnsembleConfig {
+        window: 12,
+        ensemble_size: 5,
+        parallel: false,
+        ..EnsembleConfig::default()
+    };
+    let mut fleet: Fleet<StreamingEnsembleDetector> = Fleet::new();
+    for id in 0..2 {
+        fleet
+            .create(id, StreamingEnsembleDetector::new(cfg, 5))
+            .unwrap();
+    }
+    reject_non_finite_chunks(&mut fleet);
+    for id in 0..2 {
+        let series: Vec<f64> = (0..160).map(|i| point(id, i)).collect();
+        let finished = fleet.finish(id).unwrap();
+        let batch = EnsembleDetector::new(cfg).detect(&series, finished.anomalies.len(), 5);
+        assert_eq!(finished, batch, "stream {id}");
+    }
+}
+
+/// A fleet checkpoint nests each ensemble session's checkpoint, whose
+/// members restore by replaying the series. Taken mid-refresh, with one
+/// stream just evicted and another's inbox still buffered, the restored
+/// fleet re-saves the same bytes, serves the same snapshots, and
+/// finishes every stream on batch over its surviving points.
+#[test]
+fn ensemble_fleet_restores_mid_refresh_by_replay() {
+    let cfg = EnsembleConfig {
+        window: 12,
+        ensemble_size: 5,
+        parallel: false,
+        ..EnsembleConfig::default()
+    };
+    let chunk = |id: StreamId, from: usize, to: usize| -> Vec<f64> {
+        (from..to).map(|i| point(id, i)).collect()
+    };
+    let mut fleet: Fleet<StreamingEnsembleDetector> = Fleet::new();
+    for id in 0..3 {
+        fleet
+            .create(id, StreamingEnsembleDetector::new(cfg, 7 + id))
+            .unwrap();
+        fleet.ingest(id, &chunk(id, 0, 150)).unwrap();
+    }
+    fleet.tick(Deadline::queries(6));
+    fleet.evict_from(1, 30).unwrap();
+    fleet.tick(Deadline::queries(2));
+    fleet.ingest(2, &chunk(2, 150, 190)).unwrap();
+    assert!(fleet.pending_units() > 0, "expected members left stale");
+    assert_eq!(fleet.buffered(), 40);
+
+    let bytes = fleet.checkpoint_bytes().unwrap();
+    let mut restored = Fleet::<StreamingEnsembleDetector>::from_checkpoint_bytes(&bytes).unwrap();
+    assert_eq!(restored.checkpoint_bytes().unwrap(), bytes);
+    assert_eq!(restored.pending_units(), fleet.pending_units());
+    assert_eq!(restored.buffered(), fleet.buffered());
+    for id in 0..3 {
+        assert_eq!(
+            restored.query(id).unwrap(),
+            fleet.query(id).unwrap(),
+            "stream {id}"
+        );
+    }
+    let finished = restored.finish_all();
+    assert_eq!(finished, fleet.finish_all());
+    for (id, report) in finished {
+        let series = match id {
+            1 => chunk(1, 30, 150),
+            2 => chunk(2, 0, 190),
+            _ => chunk(id, 0, 150),
+        };
+        let batch = EnsembleDetector::new(cfg).detect(&series, report.anomalies.len(), 7 + id);
+        assert_eq!(report, batch, "stream {id}");
     }
 }

@@ -40,9 +40,10 @@
 //! version so one crate can evolve its payload without invalidating
 //! everyone else's.
 //!
-//! Payloads are composed with [`FieldWriter`] / [`FieldReader`]
-//! (primitive fields, slices, and embedded [`serde::Value`] trees for
-//! structured state like the Sequitur grammar slab).
+//! Payloads are composed with [`FieldWriter`] / [`FieldReader`]:
+//! primitive fields and length-prefixed slices, nothing nested. A
+//! session stores only state its inputs cannot reproduce and re-derives
+//! the rest on load.
 //!
 //! # Examples
 //!
@@ -70,8 +71,6 @@
 
 use std::io::{Read, Write};
 
-use serde::Value;
-
 /// First bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"EGICKPT\0";
 
@@ -80,11 +79,6 @@ pub const MAGIC: [u8; 8] = *b"EGICKPT\0";
 /// per-crate payload evolution rides on each section's
 /// `payload_version` instead.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Maximum nesting depth accepted when decoding an embedded
-/// [`Value`] tree — a guard against stack exhaustion on adversarial
-/// input (honest payloads are a handful of levels deep).
-const MAX_VALUE_DEPTH: usize = 64;
 
 /// Why a checkpoint could not be saved or restored.
 ///
@@ -125,7 +119,7 @@ pub enum CheckpointError {
     /// The input ended before the declared structure was complete.
     Truncated,
     /// The declared structure was present but its contents are invalid
-    /// (checksum mismatch, out-of-range field, malformed value tree).
+    /// (checksum mismatch, out-of-range field, inconsistent state).
     Corrupt(String),
 }
 
@@ -177,14 +171,6 @@ impl From<std::io::Error> for CheckpointError {
         } else {
             CheckpointError::Io(e)
         }
-    }
-}
-
-impl From<serde::DeserializeError> for CheckpointError {
-    fn from(e: serde::DeserializeError) -> Self {
-        // Serde-shim rejections are schema/content failures inside a
-        // structurally-intact section — the Corrupt class.
-        CheckpointError::Corrupt(e.0)
     }
 }
 
@@ -531,49 +517,6 @@ impl FieldWriter {
             self.usize(x);
         }
     }
-
-    /// Appends a [`Value`] tree in the deterministic binary encoding
-    /// (floats as raw bits — nothing is lost to a JSON rendering).
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.buf.push(0),
-            Value::Bool(b) => {
-                self.buf.push(1);
-                self.bool(*b);
-            }
-            Value::Int(n) => {
-                self.buf.push(2);
-                self.u64(*n as u64);
-            }
-            Value::UInt(n) => {
-                self.buf.push(3);
-                self.u64(*n);
-            }
-            Value::Float(x) => {
-                self.buf.push(4);
-                self.f64(*x);
-            }
-            Value::Str(s) => {
-                self.buf.push(5);
-                self.bytes(s.as_bytes());
-            }
-            Value::Arr(items) => {
-                self.buf.push(6);
-                self.usize(items.len());
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Value::Obj(pairs) => {
-                self.buf.push(7);
-                self.usize(pairs.len());
-                for (key, val) in pairs {
-                    self.bytes(key.as_bytes());
-                    self.value(val);
-                }
-            }
-        }
-    }
 }
 
 /// Decodes a section payload written by [`FieldWriter`], returning
@@ -679,50 +622,6 @@ impl<'a> FieldReader<'a> {
         (0..len).map(|_| self.usize()).collect()
     }
 
-    /// Reads a [`Value`] tree written by [`FieldWriter::value`].
-    pub fn value(&mut self) -> Result<Value, CheckpointError> {
-        self.value_at_depth(0)
-    }
-
-    fn value_at_depth(&mut self, depth: usize) -> Result<Value, CheckpointError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(CheckpointError::Corrupt("value tree too deep".into()));
-        }
-        match self.take(1)?[0] {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.bool()?)),
-            2 => Ok(Value::Int(self.u64()? as i64)),
-            3 => Ok(Value::UInt(self.u64()?)),
-            4 => Ok(Value::Float(self.f64()?)),
-            5 => {
-                let bytes = self.bytes()?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| CheckpointError::Corrupt("non-UTF-8 string".into()))?;
-                Ok(Value::Str(s.to_string()))
-            }
-            6 => {
-                let len = self.len_checked(1)?;
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(self.value_at_depth(depth + 1)?);
-                }
-                Ok(Value::Arr(items))
-            }
-            7 => {
-                let len = self.len_checked(1)?;
-                let mut pairs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let key = std::str::from_utf8(self.bytes()?)
-                        .map_err(|_| CheckpointError::Corrupt("non-UTF-8 key".into()))?
-                        .to_string();
-                    pairs.push((key, self.value_at_depth(depth + 1)?));
-                }
-                Ok(Value::Obj(pairs))
-            }
-            tag => Err(CheckpointError::Corrupt(format!("unknown value tag {tag}"))),
-        }
-    }
-
     /// Asserts the payload was fully consumed — trailing bytes mean a
     /// schema mismatch.
     pub fn finish(self) -> Result<(), CheckpointError> {
@@ -741,26 +640,15 @@ impl<'a> FieldReader<'a> {
 mod tests {
     use super::*;
 
-    fn sample_value() -> Value {
-        Value::Obj(vec![
-            (
-                "nodes".into(),
-                Value::Arr(vec![Value::UInt(3), Value::Int(-9)]),
-            ),
-            ("inf".into(), Value::Float(f64::INFINITY)),
-            ("name".into(), Value::Str("rule".into())),
-            ("none".into(), Value::Null),
-            ("flag".into(), Value::Bool(true)),
-        ])
-    }
-
     fn sample_checkpoint() -> Vec<u8> {
         let mut payload_a = FieldWriter::new();
         payload_a.u32(7);
         payload_a.f64_slice(&[1.0, f64::INFINITY, -0.0]);
         payload_a.opt_usize(Some(12));
         let mut payload_b = FieldWriter::new();
-        payload_b.value(&sample_value());
+        payload_b.bytes(b"rule");
+        payload_b.usize_slice(&[3, 9]);
+        payload_b.bool(true);
         let mut bytes = Vec::new();
         let mut w = CheckpointWriter::begin(&mut bytes, 2).unwrap();
         w.section(0xA1, 1, &payload_a.into_bytes()).unwrap();
@@ -769,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_fields_and_values() {
+    fn round_trips_fields() {
         let bytes = sample_checkpoint();
         let mut cursor = bytes.as_slice();
         let mut r = CheckpointReader::begin(&mut cursor).unwrap();
@@ -786,7 +674,9 @@ mod tests {
         let (vb, b) = r.section(0xB2, 3).unwrap();
         assert_eq!(vb, 3);
         let mut f = FieldReader::new(&b);
-        assert_eq!(f.value().unwrap(), sample_value());
+        assert_eq!(f.bytes().unwrap(), b"rule");
+        assert_eq!(f.usize_vec().unwrap(), vec![3, 9]);
+        assert!(f.bool().unwrap());
         f.finish().unwrap();
     }
 
@@ -908,6 +798,25 @@ mod tests {
         let (_, payload) = r.section(0xA1, 1).unwrap();
         let mut f = FieldReader::new(&payload);
         assert!(f.f64_vec().is_err());
+    }
+
+    #[test]
+    fn bool_fields_hold_only_zero_or_one() {
+        // A flag that leads a payload (the ensemble member's carry
+        // flag) decides how the rest is read, so any other byte must be
+        // corruption rather than a guess.
+        for (byte, expected) in [(0u8, Some(false)), (1, Some(true)), (2, None), (0xFF, None)] {
+            let payload = [byte];
+            let mut f = FieldReader::new(&payload);
+            match expected {
+                Some(v) => assert_eq!(f.bool().unwrap(), v),
+                None => assert!(matches!(f.bool(), Err(CheckpointError::Corrupt(_)))),
+            }
+        }
+        assert!(matches!(
+            FieldReader::new(&[]).bool(),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Offline stand-in for `serde`: a [`Serialize`] trait rendering into a
-//! JSON [`Value`] tree, the mirroring [`Deserialize`] trait rebuilding
-//! values from a tree (the checkpoint/restore subsystem's decode path),
-//! plus the derive macro re-export.
+//! Offline stand-in for `serde`, serialization only: a [`Serialize`]
+//! trait rendering into a JSON [`Value`] tree, plus the derive macro
+//! re-export. Nothing in the workspace deserializes.
 
 pub use serde_derive::Serialize;
 
@@ -139,162 +138,6 @@ impl Serialize for Value {
     }
 }
 
-impl Value {
-    /// Looks up `key` in an [`Value::Obj`]; `None` for missing keys and
-    /// for non-object values.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Decodes the field `key` of an [`Value::Obj`] into `T`, erroring
-    /// on a missing key, a non-object value, or a mismatched shape.
-    pub fn field<T: Deserialize>(&self, key: &str) -> Result<T, DeserializeError> {
-        let value = self
-            .get(key)
-            .ok_or_else(|| DeserializeError(format!("missing field `{key}`")))?;
-        T::from_value(value).map_err(|e| DeserializeError(format!("field `{key}`: {}", e.0)))
-    }
-}
-
-/// Why a [`Value`] tree could not be decoded into the requested type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeserializeError(pub String);
-
-impl DeserializeError {
-    /// Builds an error naming the expected shape and the found value.
-    pub fn expected(what: &str, found: &Value) -> Self {
-        let kind = match found {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::UInt(_) => "uint",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        };
-        DeserializeError(format!("expected {what}, found {kind}"))
-    }
-}
-
-impl std::fmt::Display for DeserializeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DeserializeError {}
-
-/// Types rebuildable from a JSON [`Value`] — the decode mirror of
-/// [`Serialize`]: for every implementor pair,
-/// `T::from_value(&t.to_value())` round-trips exactly.
-pub trait Deserialize: Sized {
-    /// Decodes `value` into `Self`, erroring (never panicking) on any
-    /// shape or range mismatch.
-    fn from_value(value: &Value) -> Result<Self, DeserializeError>;
-}
-
-macro_rules! impl_de_int {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-                match value {
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeserializeError(format!("{n} out of range"))),
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeserializeError(format!("{n} out of range"))),
-                    other => Err(DeserializeError::expected("integer", other)),
-                }
-            }
-        }
-    )*};
-}
-impl_de_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
-
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        match value {
-            Value::Float(x) => Ok(*x),
-            other => Err(DeserializeError::expected("float", other)),
-        }
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        f64::from_value(value).map(|x| x as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeserializeError::expected("bool", other)),
-        }
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeserializeError::expected("string", other)),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        match value {
-            Value::Arr(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeserializeError::expected("array", other)),
-        }
-    }
-}
-
-macro_rules! impl_de_tuple {
-    ($(($($name:ident : $idx:tt),+; $len:expr))*) => {$(
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-                match value {
-                    Value::Arr(items) if items.len() == $len => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeserializeError::expected(
-                        concat!("array of ", $len),
-                        other,
-                    )),
-                }
-            }
-        }
-    )*};
-}
-impl_de_tuple! {
-    (A: 0; 1)
-    (A: 0, B: 1; 2)
-    (A: 0, B: 1, C: 2; 3)
-    (A: 0, B: 1, C: 2, D: 3; 4)
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        Ok(value.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,50 +162,5 @@ mod tests {
             Value::Arr(vec![Value::UInt(1), Value::UInt(2)])
         );
         assert_eq!(None::<u8>.to_value(), Value::Null);
-    }
-
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(usize::from_value(&3usize.to_value()), Ok(3));
-        assert_eq!(i64::from_value(&(-2i64).to_value()), Ok(-2));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
-        assert_eq!(String::from_value(&"hi".to_value()), Ok("hi".into()));
-        // Non-finite floats survive the Value tree (only the JSON
-        // renderer downgrades them — the binary checkpoint codec does
-        // not go through it).
-        let inf = f64::from_value(&f64::INFINITY.to_value()).unwrap();
-        assert_eq!(inf, f64::INFINITY);
-    }
-
-    #[test]
-    fn containers_round_trip() {
-        let v = vec![1u32, 5, 9];
-        assert_eq!(Vec::<u32>::from_value(&v.to_value()), Ok(v));
-        let t = (7usize, -4i32);
-        assert_eq!(<(usize, i32)>::from_value(&t.to_value()), Ok(t));
-        assert_eq!(Option::<u8>::from_value(&Value::Null), Ok(None));
-        assert_eq!(Option::<u8>::from_value(&Value::UInt(3)), Ok(Some(3)));
-    }
-
-    #[test]
-    fn shape_mismatches_error_not_panic() {
-        assert!(u8::from_value(&Value::UInt(300)).is_err());
-        assert!(u32::from_value(&Value::Int(-1)).is_err());
-        assert!(f64::from_value(&Value::Str("x".into())).is_err());
-        assert!(Vec::<u8>::from_value(&Value::Bool(true)).is_err());
-        assert!(<(u8, u8)>::from_value(&Value::Arr(vec![Value::UInt(1)])).is_err());
-    }
-
-    #[test]
-    fn object_field_lookup() {
-        let obj = Value::Obj(vec![
-            ("a".into(), Value::UInt(1)),
-            ("b".into(), Value::Float(2.5)),
-        ]);
-        assert_eq!(obj.field::<u64>("a"), Ok(1));
-        assert_eq!(obj.field::<f64>("b"), Ok(2.5));
-        assert!(obj.field::<u64>("missing").is_err());
-        assert!(Value::Null.field::<u64>("a").is_err());
     }
 }
