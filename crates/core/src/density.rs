@@ -30,10 +30,11 @@ impl RuleDensityCurve {
         Self::from_occurrences(&grammar.occurrences(), nr, series_len)
     }
 
-    /// Builds the curve directly from an occurrence list — the entry
-    /// point for incremental maintenance: the streaming detector feeds
-    /// the live engine's [`Sequitur::occurrences`] here after each
-    /// batch of pushes, skipping grammar extraction entirely.
+    /// Builds the curve directly from an occurrence list: the streaming
+    /// detector feeds the live engine's [`Sequitur::occurrences`] here
+    /// when a refresh starts from an empty engine, skipping grammar
+    /// extraction entirely, and later refreshes fold deltas onto the
+    /// result ([`fold_deltas`](Self::fold_deltas)).
     ///
     /// Only the `(start, len)` spans are read (rule ids — dense or
     /// engine — are irrelevant), and the difference-array accumulation
@@ -50,16 +51,7 @@ impl RuleDensityCurve {
     ) -> Self {
         let mut diff = vec![0.0f64; series_len + 1];
         for occ in occurrences {
-            debug_assert!(occ.len >= 1);
-            let first_tok = occ.start;
-            let last_tok = occ.start + occ.len - 1;
-            if last_tok >= nr.len() {
-                debug_assert!(false, "occurrence beyond token sequence");
-                continue;
-            }
-            let lo = nr.tokens[first_tok].offset;
-            let hi = (nr.tokens[last_tok].offset + nr.window).min(series_len);
-            if lo < hi {
+            if let Some((lo, hi)) = series_interval(occ.start, occ.len, nr, series_len) {
                 diff[lo] += 1.0;
                 diff[hi] -= 1.0;
             }
@@ -73,44 +65,52 @@ impl RuleDensityCurve {
         Self { values }
     }
 
-    /// Folds one occurrence-span delta from
-    /// [`Sequitur::take_deltas`] into the live curve, touching only the
-    /// points the span covers — the `O(changed coverage)` incremental
+    /// Folds one batch of occurrence-span deltas from
+    /// [`Sequitur::take_deltas`] into the live curve — the incremental
     /// counterpart of a [`from_occurrences`](Self::from_occurrences)
-    /// rebuild. Returns the number of points touched (the
+    /// rebuild. Returns the number of curve points written (the
     /// "changed coverage" an observability layer can compare against
-    /// the series length).
+    /// the series length): 0 for a batch that covers nothing.
     ///
-    /// The span maps to the identical series interval the rebuild uses
-    /// (`[offset(start), offset(start + len − 1) + window)`, clamped to
-    /// the curve length), and adds the identical exact integer `±1.0`
-    /// per point — floating-point addition on exact small integers is
-    /// exact and order-independent, so a curve maintained by deltas is
-    /// **bit-identical** to one rebuilt from the full occurrence set at
-    /// any drain boundary. The curve must already span the current
-    /// series length (resize with zeros after appends, before
-    /// applying).
+    /// Each delta costs `O(1)`: its `±1` lands at the two ends of its
+    /// series interval in a difference array spanning only the hull of
+    /// the batch's intervals, and one running-sum pass adds that array
+    /// into the curve. Each span maps to the identical series interval
+    /// the rebuild uses (`[offset(start), offset(start + len − 1) +
+    /// window)`, clamped to the curve length), and every point gains
+    /// the exact integer net of its deltas — floating-point addition on
+    /// exact small integers is exact and order-independent, so a curve
+    /// maintained by deltas is **bit-identical** to one rebuilt from
+    /// the full occurrence set at any drain boundary. The curve must
+    /// already span the current series length (resize with zeros after
+    /// appends, before folding).
     ///
     /// [`Sequitur::take_deltas`]: egi_sequitur::Sequitur::take_deltas
-    pub fn apply_delta(&mut self, delta: &OccDelta, nr: &NumerosityReduced) -> usize {
+    pub fn fold_deltas(&mut self, deltas: &[OccDelta], nr: &NumerosityReduced) -> usize {
         let series_len = self.values.len();
-        debug_assert!(delta.len >= 1);
-        let first_tok = delta.start;
-        let last_tok = delta.start + delta.len - 1;
-        if last_tok >= nr.len() {
-            debug_assert!(false, "delta beyond token sequence");
+        let interval = |d: &OccDelta| series_interval(d.start, d.len, nr, series_len);
+        let (mut first, mut end) = (usize::MAX, 0);
+        for (lo, hi) in deltas.iter().filter_map(interval) {
+            first = first.min(lo);
+            end = end.max(hi);
+        }
+        if first >= end {
             return 0;
         }
-        let lo = nr.tokens[first_tok].offset;
-        let hi = (nr.tokens[last_tok].offset + nr.window).min(series_len);
-        if lo >= hi {
-            return 0;
+        let mut diff = vec![0.0f64; end - first + 1];
+        for d in deltas {
+            if let Some((lo, hi)) = interval(d) {
+                let add = if d.created { 1.0 } else { -1.0 };
+                diff[lo - first] += add;
+                diff[hi - first] -= add;
+            }
         }
-        let add = if delta.created { 1.0 } else { -1.0 };
-        for v in &mut self.values[lo..hi] {
-            *v += add;
+        let mut acc = 0.0;
+        for (v, d) in self.values[first..end].iter_mut().zip(&diff) {
+            acc += d;
+            *v += acc;
         }
-        hi - lo
+        end - first
     }
 
     /// Full grammar-induction pipeline from a token sequence: intern →
@@ -182,6 +182,28 @@ impl RuleDensityCurve {
             }
         }
     }
+}
+
+/// The series interval `[lo, hi)` covered by the token span `[start,
+/// start + len)`: from the first covered window's start to the last
+/// covered window's end, `[offset(start), offset(start + len − 1) +
+/// window)` clamped to `series_len` — the GrammarViz convention shared
+/// by the rebuild and the delta fold. `None` for an empty interval.
+fn series_interval(
+    start: usize,
+    len: usize,
+    nr: &NumerosityReduced,
+    series_len: usize,
+) -> Option<(usize, usize)> {
+    debug_assert!(len >= 1);
+    let last_tok = start + len - 1;
+    if last_tok >= nr.len() {
+        debug_assert!(false, "span beyond token sequence");
+        return None;
+    }
+    let lo = nr.tokens[start].offset;
+    let hi = (nr.tokens[last_tok].offset + nr.window).min(series_len);
+    (lo < hi).then_some((lo, hi))
 }
 
 #[cfg(test)]
@@ -454,15 +476,28 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // apply_delta: the incremental counterpart of from_occurrences.
+    // fold_deltas: the incremental counterpart of from_occurrences.
     // The cross-layer differential (deltas from a live engine vs
     // rebuilds, under full schedules) lives in
     // tests/density_delta_proptests.rs; these pin the interval mapping
     // edges bit-for-bit.
     // ------------------------------------------------------------------
 
+    fn span(start: usize, len: usize, created: bool) -> egi_sequitur::OccDelta {
+        egi_sequitur::OccDelta {
+            start,
+            len,
+            created,
+        }
+    }
+
+    /// Bit patterns of a curve, so equality means bit-identical.
+    fn bits(curve: &RuleDensityCurve) -> Vec<u64> {
+        curve.values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn apply_delta_matches_from_occurrences_per_push() {
+    fn fold_deltas_matches_from_occurrences_per_push() {
         // Drive a delta-tracking engine over an interned token stream;
         // after every push the delta-maintained curve must equal the
         // from-scratch rebuild bit-for-bit.
@@ -477,48 +512,36 @@ mod tests {
         };
         for (i, &id) in ids.iter().enumerate() {
             seq.push(id);
-            for d in seq.take_deltas() {
-                curve.apply_delta(&d, &nr);
-            }
+            curve.fold_deltas(&seq.take_deltas(), &nr);
             let rebuilt = RuleDensityCurve::from_occurrences(&seq.occurrences(), &nr, series_len);
-            assert_eq!(curve, rebuilt, "after push {i}");
+            assert_eq!(bits(&curve), bits(&rebuilt), "after push {i}");
         }
     }
 
     #[test]
-    fn apply_delta_clamps_last_window_to_series_len() {
+    fn fold_deltas_clamps_last_window_to_series_len() {
         // Mirror of build_clamps_last_window_to_series_len: a span whose
         // last window extends past the series end is clipped.
         let nr = identity_nr(&[4, 5, 4, 5], 4); // offsets 0..=3, window 4
-        let delta = egi_sequitur::OccDelta {
-            start: 2,
-            len: 2,
-            created: true,
-        };
         let mut curve = RuleDensityCurve {
             values: vec![0.0; 5],
         };
-        assert_eq!(curve.apply_delta(&delta, &nr), 3);
+        assert_eq!(curve.fold_deltas(&[span(2, 2, true)], &nr), 3);
         assert_eq!(curve.values, vec![0.0, 0.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn apply_delta_covers_first_window_from_point_zero() {
+    fn fold_deltas_covers_first_window_from_point_zero() {
         let nr = identity_nr(&[7, 8, 7, 8], 3);
-        let delta = egi_sequitur::OccDelta {
-            start: 0,
-            len: 2,
-            created: true,
-        };
         let mut curve = RuleDensityCurve {
             values: vec![0.0; 6],
         };
-        assert_eq!(curve.apply_delta(&delta, &nr), 4);
+        assert_eq!(curve.fold_deltas(&[span(0, 2, true)], &nr), 4);
         assert_eq!(curve.values, vec![1.0, 1.0, 1.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
-    fn apply_delta_destroy_cancels_create_exactly() {
+    fn fold_deltas_destroy_cancels_create_exactly() {
         // A created span later destroyed must restore the previous
         // curve bit-for-bit (exact integer adds commute and cancel).
         let nr = identity_nr(&[1, 2, 1, 2, 3], 2);
@@ -526,14 +549,51 @@ mod tests {
             values: vec![0.0, 1.0, 2.0, 1.0, 0.0, 1.0],
         };
         let before = curve.clone();
-        let span = |created| egi_sequitur::OccDelta {
-            start: 1,
-            len: 3,
-            created,
-        };
-        curve.apply_delta(&span(true), &nr);
+        curve.fold_deltas(&[span(1, 3, true)], &nr);
         assert_ne!(curve, before);
-        curve.apply_delta(&span(false), &nr);
-        assert_eq!(curve, before);
+        curve.fold_deltas(&[span(1, 3, false)], &nr);
+        assert_eq!(bits(&curve), bits(&before));
+    }
+
+    #[test]
+    fn fold_deltas_create_and_destroy_in_one_batch_cancel() {
+        // The same span created and destroyed inside one batch nets to
+        // zero in the difference array; the pass over its hull adds
+        // exact zeros, leaving every bit as it was.
+        let nr = identity_nr(&[1, 2, 1, 2, 3], 2);
+        let mut curve = RuleDensityCurve {
+            values: vec![0.0, 1.0, 2.0, 1.0, 0.0, 1.0],
+        };
+        let before = bits(&curve);
+        let written = curve.fold_deltas(&[span(1, 3, true), span(1, 3, false)], &nr);
+        assert_eq!(written, 4, "the hull [1, 5) is passed over once");
+        assert_eq!(bits(&curve), before);
+    }
+
+    #[test]
+    fn fold_deltas_empty_batch_writes_nothing() {
+        let nr = identity_nr(&[1, 2, 1, 2], 2);
+        let mut curve = RuleDensityCurve {
+            values: vec![3.0, 1.0, 2.0, 0.0, 1.0],
+        };
+        let before = bits(&curve);
+        assert_eq!(curve.fold_deltas(&[], &nr), 0);
+        assert_eq!(bits(&curve), before);
+    }
+
+    #[test]
+    fn fold_deltas_reach_the_first_and_last_curve_points() {
+        // Offsets 0..=5 with window 2 over a 7-point series: token 0
+        // covers [0, 2) and token 5 covers [5, 7), so one batch holding
+        // a span at each end writes the hull [0, 7) and moves exactly
+        // the end points — the difference array's last slot (at the
+        // curve length) absorbs the closing -1 of the right span.
+        let nr = identity_nr(&[1, 2, 3, 4, 5, 6], 2);
+        let mut curve = RuleDensityCurve {
+            values: vec![1.0; 7],
+        };
+        let written = curve.fold_deltas(&[span(0, 1, false), span(5, 1, true)], &nr);
+        assert_eq!(written, 7);
+        assert_eq!(curve.values, vec![0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]);
     }
 }

@@ -7,6 +7,9 @@
 //! windowed reading of "find the minima and rank by density value" and is
 //! robust to single-point dips; ties break toward the earlier window.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use egi_tskit::stats::PrefixStats;
 use egi_tskit::window::{intervals_overlap, window_count};
 
@@ -49,43 +52,70 @@ impl AnomalyReport {
 /// Extracts up to `k` non-overlapping windows of length `n` with the
 /// lowest mean density from `curve`.
 ///
-/// Greedy by ascending score: the best window is taken, every window
-/// overlapping it is discarded, and so on — `O(N log N)`.
+/// Greedy by ascending score (ties toward the earlier window): the best
+/// window is taken, every window overlapping it is discarded, and so
+/// on. The `N` window scores are heapified in `O(N)` and popped in that
+/// order only until `k` windows are picked, so the cost is
+/// `O(N + P log N)` for `P` pops — each pick discards fewer than `2n`
+/// windows, so `P < k · 2n` — rather than a full sort.
 pub fn rank_anomalies(curve: &[f64], n: usize, k: usize) -> Vec<Candidate> {
     let count = window_count(curve.len(), n);
     if count == 0 || k == 0 {
         return Vec::new();
     }
     let ps = PrefixStats::new(curve);
-    let mut order: Vec<usize> = (0..count).collect();
-    // Cache scores; sort ascending with index tiebreak for determinism.
-    let scores: Vec<f64> = (0..count)
-        .map(|s| ps.range_sum(s, s + n) / n as f64)
+    let keys: Vec<RankKey> = (0..count)
+        .map(|start| RankKey {
+            score: ps.range_sum(start, start + n) / n as f64,
+            start,
+        })
         .collect();
-    order.sort_by(|&x, &y| {
-        scores[x]
-            .partial_cmp(&scores[y])
-            .expect("density scores are finite")
-            .then(x.cmp(&y))
-    });
+    let mut heap = BinaryHeap::from(keys);
 
-    let mut picked: Vec<Candidate> = Vec::with_capacity(k);
-    for s in order {
-        if picked.len() == k {
+    let mut picked: Vec<Candidate> = Vec::with_capacity(k.min(count));
+    while picked.len() < k {
+        let Some(RankKey { score, start }) = heap.pop() else {
             break;
-        }
+        };
         if picked
             .iter()
-            .all(|c| !intervals_overlap(c.start, c.len, s, n))
+            .all(|c| !intervals_overlap(c.start, c.len, start, n))
         {
             picked.push(Candidate {
-                start: s,
+                start,
                 len: n,
-                score: scores[s],
+                score,
             });
         }
     }
     picked
+}
+
+/// A window's `(score, start)` ranking key, ordered so the max-heap
+/// pops the lowest score first and, among equal scores, the earliest
+/// start.
+#[derive(PartialEq)]
+struct RankKey {
+    score: f64,
+    start: usize,
+}
+
+impl Eq for RankKey {}
+
+impl Ord for RankKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .expect("density scores are finite")
+            .then(other.start.cmp(&self.start))
+    }
+}
+
+impl PartialOrd for RankKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! length; members execute through the rayon-style runtime in
 //! [`crate::runtime`] since they are fully independent.
 
+use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
 use egi_sax::{FastSax, MultiResBreakpoints, SaxConfig};
+use egi_tskit::ConfigError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -117,25 +119,49 @@ pub struct MemberDiagnostics {
     pub kept: Vec<usize>,
 }
 
+impl EnsembleConfig {
+    /// Checks every field against its range: `window ≥ 2`,
+    /// `ensemble_size ≥ 1`, `wmax ≥ 2`, `amax` within the SAX alphabet
+    /// range `[2, 26]`, and `selectivity ∈ (0, 1]`. The one place these
+    /// rules live: [`EnsembleDetector::new`] panics on the error, the
+    /// streaming checkpoint loader and the `egi` CLI report it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check(self.window >= 2, "window", "at least 2", self.window)?;
+        ConfigError::check(
+            self.ensemble_size >= 1,
+            "ensemble_size",
+            "at least 1",
+            self.ensemble_size,
+        )?;
+        ConfigError::check(self.wmax >= 2, "wmax", "at least 2", self.wmax)?;
+        ConfigError::check(
+            (MIN_ALPHABET..=MAX_ALPHABET).contains(&self.amax),
+            "amax",
+            format_args!("in [{MIN_ALPHABET}, {MAX_ALPHABET}]"),
+            self.amax,
+        )?;
+        ConfigError::check(
+            self.selectivity > 0.0 && self.selectivity <= 1.0,
+            "selectivity",
+            "in (0, 1]",
+            self.selectivity,
+        )
+    }
+}
+
 impl EnsembleDetector {
     /// Creates a detector, validating the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on an empty parameter space (`wmax < 2` or `amax < 2`),
-    /// `ensemble_size == 0`, a selectivity outside `(0, 1]`, or a window
-    /// shorter than 2 points.
+    /// Panics when [`EnsembleConfig::validate`] rejects the
+    /// configuration: a window shorter than 2 points,
+    /// `ensemble_size == 0`, `wmax < 2`, an alphabet `amax` outside
+    /// `[2, 26]`, or a selectivity outside `(0, 1]`.
     pub fn new(config: EnsembleConfig) -> Self {
-        assert!(config.window >= 2, "window must be at least 2");
-        assert!(config.ensemble_size > 0, "ensemble size must be positive");
-        assert!(
-            config.wmax >= 2 && config.amax >= 2,
-            "wmax/amax must be ≥ 2"
-        );
-        assert!(
-            config.selectivity > 0.0 && config.selectivity <= 1.0,
-            "selectivity must be in (0, 1]"
-        );
+        if let Err(e) = config.validate() {
+            panic!("invalid ensemble configuration: {e}");
+        }
         Self { config }
     }
 

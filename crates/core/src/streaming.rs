@@ -36,9 +36,10 @@
 //! * **Rule density** is maintained *in place*: the engine emits the
 //!   net occurrence-span changes of each push
 //!   ([`egi_sequitur::OccDelta`]) and
-//!   [`RuleDensityCurve::apply_delta`] folds them into the member's
-//!   live curve — no grammar extraction, no occurrence re-enumeration,
-//!   no full-curve rebuild (see *Delta maintenance vs. rebuild* below).
+//!   [`RuleDensityCurve::fold_deltas`] folds each refresh's batch into
+//!   the member's live curve — no grammar extraction, no occurrence
+//!   re-enumeration, no full-curve rebuild (see *Delta maintenance vs.
+//!   rebuild* below).
 //!
 //! Member curves combine under the *batch* detector's own
 //! [`EnsembleDetector::combine_curves`] (σ-ranking, τ-filter,
@@ -62,34 +63,42 @@
 //! the edited body for a substitution, one destroyed span for an
 //! inline expansion — nested contributions cancel exactly because a
 //! rule's body expands to precisely the tokens it replaced.
-//! [`RuleDensityCurve::apply_delta`] folds each span into the live
-//! curve over just the points it covers, so a member
+//! [`RuleDensityCurve::fold_deltas`] records each span's `±1` at the
+//! two ends of its series interval in a difference array over the hull
+//! of the refresh's intervals and adds it into the curve in one
+//! running-sum pass, so a member
 //! [`step`](StreamingEnsembleDetector::step) costs
-//! `O(new windows + changed coverage)` instead of `O(series)`.
+//! `O(new windows + deltas + touched hull)` instead of `O(series)`.
+//!
+//! A refresh that starts from an **empty engine** — a member's first
+//! fill, an eviction replay, or a checkpoint restore — has no curve
+//! worth patching: every span would be a creation. It pushes with
+//! tracking off and builds the curve once with
+//! [`RuleDensityCurve::from_occurrences`], then switches tracking on.
+//! The refresh path is chosen only by whether the engine is empty.
 //!
 //! **Why integer deltas keep bit-parity for free.** Curve values are
 //! exact small integers stored in `f64` (coverage counts). The rebuild
-//! reaches them by a difference-array prefix scan; the delta path by
-//! `±1.0` interval adds over the identical intervals. Addition of
-//! exact small integers in `f64` is exact and order-independent, so
-//! the delta-maintained curve is **bit-identical** to a
+//! reaches them by a difference-array prefix scan over the whole
+//! series; the fold by the same scan over the hull of a batch's
+//! intervals, added onto the live curve. Addition of exact small
+//! integers in `f64` is exact and order-independent, so the
+//! delta-maintained curve is **bit-identical** to a
 //! [`RuleDensityCurve::from_occurrences`] rebuild at every drain
 //! boundary — the batch-parity contract of
 //! [`finish`](StreamingEnsembleDetector::finish) holds by
-//! construction, and the from-scratch rebuild survives as the test
-//! oracle
+//! construction, and the rebuild doubles as the test oracle
 //! ([`delta_curves_match_rebuild`](StreamingEnsembleDetector::delta_curves_match_rebuild),
 //! exercised by `tests/density_delta_proptests.rs` and the bench's
 //! in-run parity gate).
 //!
 //! **Eviction rebase rule.** Pending deltas are in token coordinates;
 //! eviction re-derives the token stream from a new origin, so
-//! [`Sequitur::clear`] drops them (the replay re-emits everything).
-//! The member's cached curve — a shifted structural carry served for
-//! snapshots — is *not* a valid delta base; the member is flagged and
-//! the next refresh zeroes the curve first, letting the replay's
-//! deltas rebuild it from the empty baseline (delta-applied and
-//! rebuilt curves coincide exactly on a cleared engine). A checkpoint
+//! [`Sequitur::clear`] drops them. The member's cached curve — a
+//! shifted structural carry served for snapshots — is *not* a valid
+//! delta base; the member is flagged, and its next refresh starts from
+//! the cleared engine, so the replay builds the curve once from the
+//! suffix grammar and replaces the carry wholesale. A checkpoint
 //! (member payload v3) stores such a member's carry curve and nothing
 //! else; every other member is stored as its refresh length, and
 //! restore replays it through the same refresh path.
@@ -177,7 +186,8 @@
 //! * One **unit of work** is one member refresh
 //!   ([`StreamingEnsembleDetector::step`]): fold that member's backlog
 //!   of fresh windows into its tokens and grammar, and fold the
-//!   resulting occurrence deltas into its density curve.
+//!   resulting occurrence deltas into its density curve (or, from an
+//!   empty engine, build the curve once).
 //!   [`StreamingEnsembleDetector::run_until`] checks the shared
 //!   [`Deadline`] before each unit, so a wall-clock deadline is
 //!   overshot by at most one member refresh (regression-tested).
@@ -194,7 +204,6 @@ use std::io::{Read, Write};
 /// The shared per-session telemetry snapshot, re-exported from
 /// [`egi_obs`] for callers of [`StreamingEnsembleDetector::metrics`].
 pub use egi_obs::SessionStats;
-use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
 use egi_sax::stream::PaaStream;
 use egi_sax::{NumerosityReduced, SaxConfig};
 use egi_sequitur::Sequitur;
@@ -232,7 +241,7 @@ struct MemberState {
     nr: NumerosityReduced,
     /// Online SAX-word interning table.
     interner: OnlineInterner,
-    /// The live Sequitur engine (delta tracking on).
+    /// The live Sequitur engine (delta tracking on between refreshes).
     seq: Sequitur,
     /// Delta-maintained density curve; `curve.len()` records the
     /// series length as of the last refresh.
@@ -240,7 +249,7 @@ struct MemberState {
     /// `true` while `curve` is a valid delta base (bit-identical to a
     /// rebuild from `seq.occurrences()` at `curve.len()` points).
     /// Cleared by eviction, whose shifted structural carry is served
-    /// for snapshots but must be discarded — not delta-patched — by
+    /// for snapshots but must be replaced — not delta-patched — by
     /// the next refresh (see the module docs' eviction rebase rule).
     delta_base: bool,
 }
@@ -261,45 +270,55 @@ fn empty_member(sax: SaxConfig, stream: usize, window: usize) -> MemberState {
 }
 
 /// Advances one member through every window in `nr.end_offset..target` and
-/// folds the resulting occurrence deltas into its density curve at
-/// `series_len` points — `O(new windows + changed coverage)`, never
-/// `O(series)` (see the module docs' *Delta maintenance vs. rebuild*).
+/// brings its density curve to `series_len` points.
+///
+/// A member with a live grammar pushes its new tokens with delta
+/// tracking on and folds the batch of occurrence deltas into its curve
+/// in one pass over the batch's hull — `O(new windows + deltas +
+/// touched hull)`, never `O(series)` (see the module docs' *Delta
+/// maintenance vs. rebuild*). A member whose engine is empty — its
+/// first fill, an eviction replay, or a checkpoint restore — has no
+/// curve worth patching: it pushes with tracking off, builds the curve
+/// once with [`RuleDensityCurve::from_occurrences`], and switches
+/// tracking back on while the curve equals that rebuild, as
+/// [`Sequitur::set_delta_tracking`] requires.
 ///
 /// This is the "one unit of work" of the budget contract, shared by the
-/// serial [`StreamingEnsembleDetector::step`] path and the parallel
-/// catch-up — members are independent, so running units in any order or
-/// on any worker count yields identical member states.
+/// serial [`StreamingEnsembleDetector::step`] path, the parallel
+/// catch-up, and checkpoint restore — members are independent, so
+/// running units in any order or on any worker count yields identical
+/// member states.
 fn refresh_member(member: &mut MemberState, stream: &PaaStream, target: usize, series_len: usize) {
-    if !member.delta_base {
-        // Eviction rebase: the cached curve is a shifted carry, not a
-        // delta base. The engine restarted at token zero alongside
-        // (Sequitur::clear dropped the stale-coordinate deltas), so
-        // zero the curve and let the replay's deltas rebuild it.
-        debug_assert_eq!(
-            member.seq.token_count(),
-            0,
-            "curve flagged non-base with a live grammar"
-        );
-        member.curve.values.clear();
-        member.delta_base = true;
+    let fresh = member.seq.token_count() == 0;
+    debug_assert!(
+        fresh || member.delta_base,
+        "curve flagged non-base with a live grammar"
+    );
+    if fresh {
+        member.seq.set_delta_tracking(false);
     }
-    // Appends extend coverage with zeros until a rule covers them; the
-    // curve never shrinks between evictions (which reset it above).
-    member.curve.values.resize(series_len, 0.0);
     let retained = member.nr.len();
     stream.reduce_into(&mut member.nr, member.sax.a, target);
     for token in &member.nr.tokens[retained..] {
         let id = member.interner.intern(&token.word);
         member.seq.push(id);
     }
-    let deltas = member.seq.take_deltas();
-    let mut touched = 0usize;
-    for delta in &deltas {
-        touched += member.curve.apply_delta(delta, &member.nr);
-    }
-    egi_obs::counter!("egi_core_density_deltas_applied_total").add(deltas.len() as u64);
-    egi_obs::counter!("egi_core_density_delta_coverage_points_total").add(touched as u64);
-    // What a from-scratch rebuild would have scanned instead — the
+    let written = if fresh {
+        member.curve =
+            RuleDensityCurve::from_occurrences(&member.seq.occurrences(), &member.nr, series_len);
+        member.seq.set_delta_tracking(true);
+        member.delta_base = true;
+        series_len
+    } else {
+        // Appends extend coverage with zeros until a rule covers them;
+        // the curve never shrinks while the grammar lives.
+        member.curve.values.resize(series_len, 0.0);
+        let deltas = member.seq.take_deltas();
+        egi_obs::counter!("egi_core_density_deltas_applied_total").add(deltas.len() as u64);
+        member.curve.fold_deltas(&deltas, &member.nr)
+    };
+    egi_obs::counter!("egi_core_density_delta_coverage_points_total").add(written as u64);
+    // What a from-scratch rebuild would have written instead — the
     // delta win is this counter divided by the coverage counter.
     egi_obs::counter!("egi_core_density_rebuild_equiv_points_total").add(series_len as u64);
 }
@@ -529,21 +548,24 @@ impl StreamingEnsembleDetector {
     /// Test/bench oracle for the incremental density layer: `true` iff
     /// every member's delta-maintained curve is **bit-identical** to a
     /// from-scratch [`RuleDensityCurve::from_occurrences`] rebuild over
-    /// its live grammar (members still serving a post-eviction carry
-    /// are excluded — their curve is intentionally not a delta base
-    /// until the replay refresh). This retains the pre-delta rebuild
-    /// path purely as a differential check; the property harness in
-    /// `tests/density_delta_proptests.rs` and the bench's in-run
-    /// parity gate both assert it after every schedule operation.
+    /// its live grammar, and its engine tracks deltas so the next
+    /// refresh can keep it so (members still serving a post-eviction
+    /// carry are excluded — their curve is intentionally not a delta
+    /// base until the replay refresh). The rebuild is also the refresh
+    /// path of a member whose engine is empty; here it serves as a
+    /// differential check, which the property harness in
+    /// `tests/density_delta_proptests.rs` and the bench's in-run parity
+    /// gate both assert after every schedule operation.
     pub fn delta_curves_match_rebuild(&self) -> bool {
         self.members.iter().all(|m| {
             !m.delta_base
-                || m.curve
-                    == RuleDensityCurve::from_occurrences(
-                        &m.seq.occurrences(),
-                        &m.nr,
-                        m.curve.len(),
-                    )
+                || (m.seq.delta_tracking()
+                    && m.curve
+                        == RuleDensityCurve::from_occurrences(
+                            &m.seq.occurrences(),
+                            &m.nr,
+                            m.curve.len(),
+                        ))
         })
     }
 
@@ -729,9 +751,10 @@ impl StreamingEnsembleDetector {
     /// shared PAA stream, folds the member's backlog of fresh windows
     /// through cell lookup + numerosity reduction
     /// ([`PaaStream::reduce_into`]) → interning → [`Sequitur::push`],
-    /// and folds the resulting occurrence deltas into its density curve
-    /// at the current series length. Returns `false` when no member is
-    /// stale.
+    /// and brings its density curve to the current series length —
+    /// folding the occurrence deltas, or building the curve once when
+    /// the member's engine was empty. Returns `false` when no member
+    /// is stale.
     pub fn step(&mut self) -> bool {
         let Some(i) = self.stale.pop_front() else {
             return false;
@@ -854,9 +877,9 @@ fn corrupt(what: impl Into<String>) -> CheckpointError {
 /// series. The replay is exact: a non-carry member always sits at
 /// `window_count(curve.len(), window)` windows, its tokens come from
 /// the re-derived PAA cells, interner ids follow first-seen order, a
-/// Sequitur fed the same tokens evolves identically, a delta-folded
-/// curve equals the rebuild at its length, and no deltas are pending
-/// between units.
+/// Sequitur fed the same tokens evolves identically, the replay builds
+/// the curve from the rebuild that a delta-folded curve equals at its
+/// length, and no deltas are pending between units.
 impl Checkpoint for StreamingEnsembleDetector {
     fn save_checkpoint(&self, writer: &mut impl Write) -> Result<(), CheckpointError> {
         let config = self.config();
@@ -927,31 +950,6 @@ impl Checkpoint for StreamingEnsembleDetector {
         let member_count = f.usize()?;
         f.finish()?;
 
-        // Every bound a panicking constructor downstream would assert,
-        // surfaced as a typed error first.
-        if window < 2 {
-            return Err(corrupt("window must be at least 2"));
-        }
-        if ensemble_size == 0 {
-            return Err(corrupt("ensemble size must be positive"));
-        }
-        if wmax < 2 {
-            return Err(corrupt("wmax must be at least 2"));
-        }
-        if !(MIN_ALPHABET..=MAX_ALPHABET).contains(&amax) {
-            return Err(corrupt(format!("amax {amax} outside the alphabet range")));
-        }
-        if !(selectivity > 0.0 && selectivity <= 1.0) {
-            return Err(corrupt("selectivity outside (0, 1]"));
-        }
-        if !series.iter().all(|v| v.is_finite()) {
-            return Err(corrupt("series contains non-finite values"));
-        }
-        if let Some(n) = retention {
-            if n < window {
-                return Err(corrupt(format!("retention {n} below window {window}")));
-            }
-        }
         let config = EnsembleConfig {
             window,
             ensemble_size,
@@ -961,6 +959,17 @@ impl Checkpoint for StreamingEnsembleDetector {
             combiner,
             parallel,
         };
+        // Every bound a panicking constructor downstream would assert,
+        // surfaced as a typed error first.
+        config.validate().map_err(|e| corrupt(e.to_string()))?;
+        if !series.iter().all(|v| v.is_finite()) {
+            return Err(corrupt("series contains non-finite values"));
+        }
+        if let Some(n) = retention {
+            if n < window {
+                return Err(corrupt(format!("retention {n} below window {window}")));
+            }
+        }
         let mut detector = Self::new(config, seed);
         if detector.members.len() != member_count
             || input.sections_remaining() as usize != member_count

@@ -100,29 +100,39 @@ fn adversarial_streams_keep_delta_fold_exact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random small-alphabet streams with a mid-stream `clear` rebase:
-    /// the delta fold equals the occurrence oracle after every push,
-    /// both before and after the clear (which drops pending deltas and
-    /// restarts spans from a fresh zero-length stream).
+    /// Random small-alphabet streams with a mid-stream `clear` rebase
+    /// and a later switch-on point: the delta fold equals the
+    /// occurrence oracle after every push before the clear (which drops
+    /// the grammar and the pending deltas). After it the engine pushes
+    /// with tracking off and emits nothing until the switch-on point;
+    /// there the span multiset is seeded from `occurrences()`, and from
+    /// then on the fold matches again after every push — the contract
+    /// a refresh from an empty engine relies on.
     #[test]
     fn random_streams_with_clear_keep_delta_fold_exact(
         alphabet in 2u32..7,
         tokens in prop::collection::vec(0u32..64, 1..160),
         clear_pct in 0usize..100,
+        on_pct in 0usize..=100,
     ) {
         let tokens: Vec<u32> = tokens.iter().map(|t| t % alphabet).collect();
         let cut = tokens.len() * clear_pct / 100;
+        let on = cut + (tokens.len() - cut) * on_pct / 100;
         let mut seq = Sequitur::new();
         seq.set_delta_tracking(true);
         let mut counts = HashMap::new();
         assert_deltas_track(&mut seq, &mut counts, &tokens[..cut]);
-        // Rebase: clear drops the grammar *and* the pending deltas;
-        // the fold restarts from the empty multiset.
         seq.clear();
         prop_assert!(seq.take_deltas().is_empty());
         prop_assert!(seq.delta_tracking());
-        counts.clear();
-        assert_deltas_track(&mut seq, &mut counts, &tokens[cut..]);
+        seq.set_delta_tracking(false);
+        for &t in &tokens[cut..on] {
+            seq.push(t);
+        }
+        prop_assert!(seq.take_deltas().is_empty(), "tracking off emitted deltas");
+        seq.set_delta_tracking(true);
+        let mut counts = occurrence_spans(&seq);
+        assert_deltas_track(&mut seq, &mut counts, &tokens[on..]);
     }
 }
 

@@ -2,6 +2,8 @@
 //! non-overlapping discords computed with the matrix profile (STOMP, the
 //! paper's reference \[23\] implementation choice).
 
+use egi_tskit::ConfigError;
+
 use crate::profile::Discord;
 use crate::stomp::stomp_with_exclusion;
 
@@ -23,6 +25,13 @@ impl DiscordConfig {
             exclusion: None,
         }
     }
+
+    /// Checks the range rule `window ≥ 2` — the one place it lives:
+    /// [`DiscordDetector::new`] panics on the error, the `egi` CLI
+    /// reports it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check(self.window >= 2, "window", "at least 2", self.window)
+    }
 }
 
 /// Matrix-profile-based discord detector.
@@ -36,9 +45,12 @@ impl DiscordDetector {
     ///
     /// # Panics
     ///
-    /// Panics when `window < 2`.
+    /// Panics when [`DiscordConfig::validate`] rejects the
+    /// configuration (`window < 2`).
     pub fn new(config: DiscordConfig) -> Self {
-        assert!(config.window >= 2, "window must be at least 2");
+        if let Err(e) = config.validate() {
+            panic!("invalid discord configuration: {e}");
+        }
         Self { config }
     }
 

@@ -78,13 +78,15 @@ impl Node {
 /// occurrence of the body it happens in, and an inline expansion
 /// destroys exactly one span per transitive occurrence — every nested
 /// contribution cancels because a rule's body expands to precisely the
-/// tokens it replaced. Folding the drained deltas into a density curve
-/// ([`RuleDensityCurve::apply_delta`] in `egi-core`) therefore costs
-/// `O(changed coverage)` per push instead of the `O(series)` of a
-/// [`Sequitur::occurrences`] rebuild, and lands on the bit-identical
+/// tokens it replaced. Emitting one costs `O(1)` amortized (a step of
+/// the engine's reused ownership-chain walk), and folding a drained
+/// batch into a density curve ([`RuleDensityCurve::fold_deltas`] in
+/// `egi-core`) costs `O(1)` per delta plus one pass over the hull of
+/// the batch's intervals, instead of the `O(series)` of a
+/// [`Sequitur::occurrences`] rebuild; it lands on the bit-identical
 /// curve (the adds are exact small integers either way).
 ///
-/// [`RuleDensityCurve::apply_delta`]:
+/// [`RuleDensityCurve::fold_deltas`]:
 ///     https://docs.rs/egi-core/latest/egi_core/density/struct.RuleDensityCurve.html
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccDelta {
@@ -131,6 +133,10 @@ pub struct Sequitur {
     track: bool,
     /// Pending [`OccDelta`]s since the last [`Sequitur::take_deltas`].
     deltas: Vec<OccDelta>,
+    /// Scratch stack of `emit_delta`'s ownership-chain walk: `(rule,
+    /// token offset)` frames, empty between calls and kept only so the
+    /// walk reuses its allocation.
+    walk: Vec<(u32, usize)>,
 }
 
 impl Default for Sequitur {
@@ -151,6 +157,7 @@ impl Sequitur {
             token_count: 0,
             track: false,
             deltas: Vec::new(),
+            walk: Vec::new(),
         };
         s.new_rule(); // rule 0 = S
         s
@@ -620,43 +627,44 @@ impl Sequitur {
         self.drain_underused();
     }
 
-    /// Absolute token positions at which `rule`'s expansion starts,
-    /// one per **transitive** occurrence — the walk goes *up* the
-    /// ownership chain (occurrence node → containing rule → its
-    /// occurrences …), so the cost is proportional to the changed
-    /// coverage, never the series length. The root's sole "occurrence"
-    /// starts at 0; root-body node positions are absolute.
-    fn transitive_starts(&self, rule: u32, memo: &mut FxHashMap<u32, Vec<usize>>) -> Vec<usize> {
-        if rule == 0 {
-            return vec![0];
-        }
-        if let Some(v) = memo.get(&rule) {
-            return v.clone();
-        }
-        let mut starts = Vec::new();
-        let mut occ = self.rules[rule as usize].occ_head;
-        while occ != NIL {
-            let node = self.nodes[occ as usize];
-            for s in self.transitive_starts(node.owner, memo) {
-                starts.push(s + node.pos as usize);
-            }
-            occ = node.occ_next;
-        }
-        memo.insert(rule, starts.clone());
-        starts
-    }
-
     /// Records one span change of length `len` at `pos` within `owner`'s
-    /// body, fanned out over every transitive occurrence of `owner`.
+    /// body, fanned out over every **transitive** occurrence of `owner`.
+    ///
+    /// The walk goes *up* the ownership chain (occurrence node →
+    /// containing rule → its occurrences …) on the engine's reused
+    /// stack, one frame per path prefix, and pushes each delta straight
+    /// into the buffer when a path reaches the root (whose sole
+    /// "occurrence" starts at 0; root-body node positions are
+    /// absolute). Rule utility keeps every live non-root rule used at
+    /// least twice (outside the brief window before an underused rule
+    /// is inlined), so the paths branch at every level and the frames
+    /// stay within a small multiple of the deltas: the cost is
+    /// proportional to the changed coverage, never the series length,
+    /// and nothing is allocated once the stack and buffer have grown.
     fn emit_delta(&mut self, owner: u32, pos: u32, len: usize, created: bool) {
-        let mut memo = FxHashMap::default();
-        let starts = self.transitive_starts(owner, &mut memo);
-        for s in starts {
-            self.deltas.push(OccDelta {
-                start: s + pos as usize,
-                len,
-                created,
-            });
+        let Self {
+            nodes,
+            rules,
+            deltas,
+            walk,
+            ..
+        } = self;
+        walk.push((owner, pos as usize));
+        while let Some((rule, at)) = walk.pop() {
+            if rule == 0 {
+                deltas.push(OccDelta {
+                    start: at,
+                    len,
+                    created,
+                });
+                continue;
+            }
+            let mut occ = rules[rule as usize].occ_head;
+            while occ != NIL {
+                let node = &nodes[occ as usize];
+                walk.push((node.owner, at + node.pos as usize));
+                occ = node.occ_next;
+            }
         }
     }
 

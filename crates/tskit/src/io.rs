@@ -29,6 +29,14 @@ pub enum IoError {
         /// The cell contents that failed to parse.
         cell: String,
     },
+    /// A cell parsed as NaN or ±∞ (written so, or overflowing `f64`,
+    /// like `1e400`): no detector accepts a non-finite point.
+    NonFinite {
+        /// 1-based line number of the offending cell.
+        line: usize,
+        /// The cell contents.
+        cell: String,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -38,6 +46,9 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line, cell } => {
                 write!(f, "line {line}: cannot parse {cell:?} as a number")
             }
+            IoError::NonFinite { line, cell } => {
+                write!(f, "line {line}: {cell:?} is not a finite number")
+            }
         }
     }
 }
@@ -46,7 +57,7 @@ impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IoError::Io(e) => Some(e),
-            IoError::Parse { .. } => None,
+            IoError::Parse { .. } | IoError::NonFinite { .. } => None,
         }
     }
 }
@@ -60,7 +71,9 @@ impl From<io::Error> for IoError {
 /// Parses a single-column series from a string (one value per line).
 ///
 /// Blank lines and lines starting with `#` are skipped; a leading header
-/// line that does not parse as a number is skipped too.
+/// line that does not parse as a number is skipped too. A value that
+/// parses but is not finite — `nan`, `inf`, or an overflow such as
+/// `1e400`, on any line — is rejected with [`IoError::NonFinite`].
 pub fn parse_series(text: &str) -> Result<TimeSeries, IoError> {
     let mut out = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -69,7 +82,13 @@ pub fn parse_series(text: &str) -> Result<TimeSeries, IoError> {
             continue;
         }
         match line.parse::<f64>() {
-            Ok(v) => out.push(v),
+            Ok(v) if v.is_finite() => out.push(v),
+            Ok(_) => {
+                return Err(IoError::NonFinite {
+                    line: idx + 1,
+                    cell: line.to_string(),
+                })
+            }
             Err(_) if idx == 0 => continue, // tolerate a header row
             Err(_) => {
                 return Err(IoError::Parse {
@@ -160,6 +179,33 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_cells() {
+        for (text, bad_line, bad_cell) in [
+            ("1.0\nNaN\n2.0\n", 2, "NaN"),
+            ("1.0\n2.0\ninf\n", 3, "inf"),
+            ("-infinity\n1.0\n", 1, "-infinity"),
+            ("1.0\n1e400\n", 2, "1e400"),
+        ] {
+            match parse_series(text).unwrap_err() {
+                IoError::NonFinite { line, cell } => {
+                    assert_eq!((line, cell.as_str()), (bad_line, bad_cell), "{text:?}");
+                }
+                other => panic!("{text:?}: unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_first_line_is_not_skipped_as_a_header() {
+        // `nan` parses as a number, so it is data, not a header row.
+        let err = parse_series("nan\n1.0\n2.0\n").unwrap_err();
+        assert!(matches!(err, IoError::NonFinite { line: 1, .. }), "{err:?}");
+        assert_eq!(err.to_string(), "line 1: \"nan\" is not a finite number");
+        // A word header is still skipped.
+        assert_eq!(parse_series("value\n1.0\n").unwrap().as_slice(), &[1.0]);
     }
 
     #[test]

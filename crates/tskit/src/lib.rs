@@ -9,6 +9,8 @@
 //!   the paper's Algorithm 2) enabling O(1) mean/stddev of any subsequence,
 //!   plus z-normalization utilities.
 //! * [`window`] — sliding-window subsequence extraction.
+//! * [`config`] — [`ConfigError`], the typed rejection every detector
+//!   configuration's `validate` returns for an out-of-range field.
 //! * [`deadline`] — the shared [`Deadline`] stopping condition for the
 //!   workspace's budgeted streaming refresh loops (discord monitor,
 //!   streaming ensemble detector).
@@ -41,6 +43,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
+pub mod config;
 pub mod corpus;
 pub mod deadline;
 pub mod evict;
@@ -52,6 +55,7 @@ pub mod stats;
 pub mod window;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
+pub use config::ConfigError;
 pub use corpus::{CorpusSpec, LabeledSeries};
 pub use deadline::Deadline;
 pub use evict::EvictError;

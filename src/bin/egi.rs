@@ -69,6 +69,20 @@ fn required<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -
     }
 }
 
+/// Exits with status 2 and a one-line message naming the flag when a
+/// configuration built from the flags is out of range.
+fn validated(checked: Result<(), egi_tskit::ConfigError>) {
+    if let Err(e) = checked {
+        let flag = match e.field {
+            "ensemble_size" => "n",
+            "selectivity" => "tau",
+            field => field,
+        };
+        eprintln!("flag --{flag}: {e}");
+        exit(2);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -110,6 +124,7 @@ fn cmd_detect(positional: &[String], flags: &HashMap<String, String>) {
         selectivity: flag(flags, "tau", 0.4),
         ..EnsembleConfig::default()
     };
+    validated(config.validate());
     let detector = EnsembleDetector::new(config);
     let t0 = std::time::Instant::now();
     let report = detector.detect(&series, k, seed);
@@ -137,7 +152,9 @@ fn cmd_discord(positional: &[String], flags: &HashMap<String, String>) {
     let series = load_series(positional);
     let window: usize = required(flags, "window");
     let k: usize = flag(flags, "k", 3);
-    let detector = DiscordDetector::new(DiscordConfig::new(window));
+    let config = DiscordConfig::new(window);
+    validated(config.validate());
+    let detector = DiscordDetector::new(config);
     let t0 = std::time::Instant::now();
     let discords = detector.detect(&series, k);
     eprintln!(

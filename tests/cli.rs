@@ -1,0 +1,108 @@
+//! Error paths of the `egi` binary: an out-of-range flag or a CSV
+//! holding a non-finite value fails with exactly one line on stderr and
+//! a nonzero exit code — never a panic and its backtrace.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Writes a 300-point sine series, with `poison` (if any) replacing the
+/// value at index 120, to a temporary file and returns its path.
+fn series_csv(name: &str, poison: Option<&str>) -> PathBuf {
+    let mut text = String::new();
+    for i in 0..300 {
+        match poison {
+            Some(cell) if i == 120 => text.push_str(cell),
+            _ => text.push_str(&format!("{:?}", (i as f64 * 0.2).sin())),
+        }
+        text.push('\n');
+    }
+    let dir = std::env::temp_dir().join("egi_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// Runs `egi` and asserts it exits with `code` after printing exactly
+/// one line to stderr, none of it a panic.
+fn assert_fails_cleanly(args: &[&str], code: i32) {
+    let out = Command::new(env!("CARGO_BIN_EXE_egi"))
+        .args(args)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+    assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr:?}");
+}
+
+#[test]
+fn out_of_range_flags_exit_2_with_one_line() {
+    let path = series_csv("clean.csv", None);
+    let csv = path.to_str().unwrap();
+    for flags in [
+        &["--window", "0"][..],
+        &["--window", "1"],
+        &["--window", "32", "--n", "0"],
+        &["--window", "32", "--wmax", "1"],
+        &["--window", "32", "--amax", "30"],
+        &["--window", "32", "--tau", "1.5"],
+        &["--window", "32", "--tau", "nan"],
+    ] {
+        let args: Vec<&str> = ["detect", csv].iter().chain(flags).copied().collect();
+        assert_fails_cleanly(&args, 2);
+    }
+    for window in ["0", "1"] {
+        assert_fails_cleanly(&["discord", csv, "--window", window], 2);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn unparsable_or_missing_flags_still_exit_2_with_one_line() {
+    let path = series_csv("clean_flags.csv", None);
+    let csv = path.to_str().unwrap();
+    assert_fails_cleanly(&["detect", csv, "--window", "abc"], 2);
+    assert_fails_cleanly(&["detect", csv], 2);
+    assert_fails_cleanly(&["discord", csv], 2);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn non_finite_csv_cells_are_rejected_with_one_line() {
+    for (name, cell) in [
+        ("nan.csv", "nan"),
+        ("inf.csv", "inf"),
+        ("neg_inf.csv", "-inf"),
+        ("overflow.csv", "1e400"),
+    ] {
+        let path = series_csv(name, Some(cell));
+        let csv = path.to_str().unwrap();
+        assert_fails_cleanly(&["detect", csv, "--window", "32"], 1);
+        assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn missing_file_exits_1_with_one_line() {
+    let path = std::env::temp_dir().join("egi_cli_test_missing.csv");
+    let csv = path.to_str().unwrap();
+    assert_fails_cleanly(&["detect", csv, "--window", "32"], 1);
+    assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
+}
+
+#[test]
+fn valid_flags_still_detect() {
+    let path = series_csv("valid.csv", None);
+    let csv = path.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_egi"))
+        .args(["detect", csv, "--window", "32", "--n", "8"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("rank,start,"), "{stdout}");
+}
