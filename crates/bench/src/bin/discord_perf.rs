@@ -21,12 +21,6 @@
 //!   — per-evict latency and sustained append+evict+refresh throughput
 //!   at several chunk sizes (finished profile asserted bit-identical to
 //!   batch STAMP over the surviving suffix);
-//! * **Segmented backend** — the same unbounded-stream schedule run
-//!   once per `MassBackend` (`Exact` vs `Segmented`): append throughput
-//!   and per-append refresh latency per chunk size, with the segmented
-//!   finish asserted within the ≤1e-9 parity budget of batch STAMP
-//!   (distance or squared distance, see `profile_close`) and early/late
-//!   per-append costs recorded so append-cost growth is visible;
 //! * **Streaming ensemble** — `StreamingEnsembleDetector`: append
 //!   throughput and per-append member-refresh latency at several chunk
 //!   sizes, streaming the second half of the fixture (finished report
@@ -37,8 +31,8 @@
 //!   every stream's catch-up profile asserted bit-identical to batch
 //!   STAMP over its own series;
 //! * **Checkpoint** — the snapshot/restore subsystem: checkpoint size
-//!   and save/load latency for one mid-stream session per kind (monitor
-//!   on both MASS backends, streaming ensemble, 100-stream fleet), with
+//!   and save/load latency for one mid-stream session per kind (monitor,
+//!   streaming ensemble, 100-stream fleet), with
 //!   every reload asserted onto the bit-identical finish of the session
 //!   it was saved from;
 //! * **Ensemble** — `EnsembleDetector::detect`, serial vs parallel.
@@ -60,10 +54,9 @@ use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
 use egi_discord::anytime::AnytimeStamp;
 use egi_discord::dist::WindowStats;
 use egi_discord::mass::{mass_self, MassPrecomputed, MassScratch};
-use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
 use egi_discord::stomp::stomp_with_exclusion;
-use egi_discord::streaming::{StreamingDiscordMonitor, DEFAULT_MONITOR_SEED};
+use egi_discord::streaming::StreamingDiscordMonitor;
 use egi_serve::Fleet;
 use egi_tskit::checkpoint::Checkpoint;
 use egi_tskit::Deadline;
@@ -72,16 +65,6 @@ fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)
-}
-
-/// The segmented backend's ≤1e-9 parity budget, in distance or squared
-/// distance: `d = √(2m(1 − corr))` amplifies correlation round-off
-/// without bound as `d → 0`, while `d²` is linear in it, so near-zero
-/// entries compare in the squared domain. Equality first covers `+∞`
-/// entries (no admissible neighbor), where the subtraction is NaN.
-const SEGMENTED_TOL: f64 = 1e-9;
-fn profile_close(a: f64, b: f64) -> bool {
-    a == b || (a - b).abs() <= SEGMENTED_TOL || (a * a - b * b).abs() <= SEGMENTED_TOL
 }
 
 /// Faithful re-creation of the pre-PR FFT path — full complex buffers,
@@ -532,106 +515,6 @@ fn main() {
         ));
     }
 
-    // Segmented backend: the versioned parity contract measured end to
-    // end. The same unbounded-stream schedule as the streaming section
-    // (warm on the first half, stream the second half in chunks,
-    // refresh exactly the fresh windows per append) runs once per
-    // `MassBackend`. The Exact run's finish is asserted bit-identical
-    // to batch STAMP (the oracle must stay the oracle through the
-    // backend plumbing); the Segmented run's finish is asserted within
-    // the ≤1e-9 parity budget of the same batch profile — so the CI
-    // perf smoke fails on any contract violation. Early/late per-append
-    // costs are recorded separately because that is the whole point of
-    // the segmented backend: the Exact path re-transforms the entire
-    // series on every append (an O(S log S) tax that grows with the
-    // stream), while the segmented path only transforms the tail
-    // block(s) (flat in S).
-    let mut segmented_rows = Vec::new();
-    for &chunk in &stream_chunks {
-        let mut exact_pps = f64::NAN;
-        for backend in [MassBackend::Exact, MassBackend::Segmented] {
-            let mut monitor =
-                StreamingDiscordMonitor::with_backend(m, exclusion, DEFAULT_MONITOR_SEED, backend);
-            monitor.append(&series[..warm]);
-            let (warm_secs, _) = seconds(|| monitor.run_for(usize::MAX));
-            let mut append_times = Vec::new();
-            let mut refresh_times = Vec::new();
-            for part in series[warm..].chunks(chunk) {
-                let (a, ()) = seconds(|| monitor.append(part));
-                append_times.push(a);
-                let (r, ran) = seconds(|| monitor.run_for(part.len()));
-                assert_eq!(ran, part.len(), "fresh windows must be first in the queue");
-                refresh_times.push(r);
-            }
-            let (catchup_secs, finished) = seconds(|| monitor.finish());
-            let mut max_dev = 0.0f64;
-            match backend {
-                MassBackend::Exact => {
-                    assert_eq!(
-                        finished.profile, fast_mp.profile,
-                        "exact backend (chunk {chunk}) deviates from batch STAMP"
-                    );
-                    assert_eq!(finished.index, fast_mp.index);
-                }
-                MassBackend::Segmented => {
-                    for (i, (&s, &e)) in finished.profile.iter().zip(&fast_mp.profile).enumerate() {
-                        assert!(
-                            profile_close(s, e),
-                            "segmented backend (chunk {chunk}) breaks the 1e-9 \
-                             parity contract at entry {i}: {s} vs {e}"
-                        );
-                        if s.is_finite() && e.is_finite() {
-                            max_dev = max_dev.max((s - e).abs().min((s * s - e * e).abs()));
-                        }
-                    }
-                }
-            }
-            let appends = append_times.len();
-            let append_secs: f64 = append_times.iter().sum();
-            let refresh_total: f64 = refresh_times.iter().sum();
-            let refresh_max = refresh_times.iter().fold(0.0f64, |a, &b| a.max(b));
-            let refresh_mean = refresh_total / appends as f64;
-            let quarter = (appends / 4).max(1);
-            let mean = |w: &[f64]| w.iter().sum::<f64>() / w.len() as f64;
-            let append_early = mean(&append_times[..quarter]);
-            let append_late = mean(&append_times[appends - quarter..]);
-            let streamed = series_len - warm;
-            let points_per_sec = streamed as f64 / (append_secs + refresh_total);
-            let label = match backend {
-                MassBackend::Exact => "exact",
-                MassBackend::Segmented => "segmented",
-            };
-            match backend {
-                MassBackend::Exact => {
-                    exact_pps = points_per_sec;
-                    eprintln!(
-                        "SEGBE  chunk {chunk:>4} {label:>9}: append/chunk early \
-                         {append_early:.5}s -> late {append_late:.5}s, refresh mean \
-                         {refresh_mean:.4}s, {points_per_sec:.0} pts/s sustained"
-                    );
-                }
-                MassBackend::Segmented => {
-                    eprintln!(
-                        "SEGBE  chunk {chunk:>4} {label:>9}: append/chunk early \
-                         {append_early:.5}s -> late {append_late:.5}s, refresh mean \
-                         {refresh_mean:.4}s, {points_per_sec:.0} pts/s sustained \
-                         ({:.2}x vs exact, max dev {max_dev:.2e})",
-                        points_per_sec / exact_pps
-                    );
-                }
-            }
-            segmented_rows.push(format!(
-                "    {{ \"chunk\": {chunk}, \"backend\": \"{label}\", \"appends\": {appends}, \
-                 \"warmup_secs\": {warm_secs:.6}, \"append_secs\": {append_secs:.6}, \
-                 \"append_early_mean_secs\": {append_early:.8}, \
-                 \"append_late_mean_secs\": {append_late:.8}, \
-                 \"refresh_mean_secs\": {refresh_mean:.6}, \"refresh_max_secs\": {refresh_max:.6}, \
-                 \"points_per_sec\": {points_per_sec:.1}, \"catchup_secs\": {catchup_secs:.6}, \
-                 \"max_profile_dev\": {max_dev:e} }}"
-            ));
-        }
-    }
-
     // Streaming ensemble: append throughput and per-append refresh
     // latency of StreamingEnsembleDetector at several chunk sizes,
     // streaming the second half of the fixture. Each run's finished
@@ -743,8 +626,8 @@ fn main() {
 
     // Serve fleet: the multi-stream runtime measured end to end at
     // 10 / 100 / 1,000 concurrent streams. Each stream is a distinct
-    // deterministic series (phase-offset per stream id) behind the
-    // Exact backend so per-stream parity stays bitwise. Per tick every
+    // deterministic series (phase-offset per stream id), so per-stream
+    // parity is checked bitwise. Per tick every
     // stream ingests one chunk through the coalescing front door, then
     // one flush + fair-share refresh spreads a budget of exactly the
     // fleet-wide pending queries across all dirty streams — so the
@@ -791,8 +674,8 @@ fn main() {
             ingest_secs += i_secs;
             // One tick = flush every inbox (one coalesced append per
             // stream), then refresh with a budget of exactly the
-            // fleet-wide pending queries — the Exact backend restarts
-            // its fold per append, so that is the full window count,
+            // fleet-wide pending queries — the monitor restarts its
+            // fold per append, so that is the full window count,
             // and the fair-share rotation must drain every stream.
             let (t_secs, ()) = seconds(|| {
                 let flushed = fleet.flush_all();
@@ -984,20 +867,16 @@ fn main() {
     }
 
     // Checkpoint: persistence cost of the snapshot/restore subsystem.
-    // One mid-stream session per kind — monitor on both MASS backends,
-    // the streaming ensemble, and a 100-stream fleet — saved and
-    // reloaded once, recording checkpoint size and save/load latency.
+    // One mid-stream session per kind — the monitor, the streaming
+    // ensemble, and a 100-stream fleet — saved and reloaded once,
+    // recording checkpoint size and save/load latency.
     // Every reload is asserted onto the bit-identical finish of the
     // session it was saved from (the checkpoint-at-any-point contract),
     // so the CI perf smoke fails on any persistence divergence.
     let mut checkpoint_rows = Vec::new();
-    for backend in [MassBackend::Exact, MassBackend::Segmented] {
-        let label = match backend {
-            MassBackend::Exact => "monitor_exact",
-            MassBackend::Segmented => "monitor_segmented",
-        };
-        let mut monitor =
-            StreamingDiscordMonitor::with_backend(m, exclusion, DEFAULT_MONITOR_SEED, backend);
+    {
+        let label = "monitor_exact";
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exclusion);
         monitor.append(&series[..warm]);
         monitor.run_for(warm / 2);
         monitor.append(&series[warm..]);
@@ -1131,9 +1010,6 @@ fn main() {
          \"warmup_points\": {warm},\n    \"runs\": [\n{streaming_rows}\n    ]\n  }},\n  \
          \"eviction\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
          \"retain\": {retain},\n    \"runs\": [\n{eviction_rows}\n    ]\n  }},\n  \
-         \"segmented\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
-         \"warmup_points\": {warm},\n    \"tolerance\": {SEGMENTED_TOL:e},\n    \
-         \"runs\": [\n{segmented_rows}\n    ]\n  }},\n  \
          \"ensemble_streaming\": {{\n    \"series_len\": {series_len},\n    \"window\": {es_window},\n    \
          \"members\": {es_members},\n    \"seed\": {es_seed},\n    \"warmup_points\": {warm},\n    \
          \"runs\": [\n{es_rows}\n    ]\n  }},\n  \
@@ -1158,7 +1034,6 @@ fn main() {
         pstamp_rows = pstamp_rows.join(",\n"),
         streaming_rows = streaming_rows.join(",\n"),
         eviction_rows = eviction_rows.join(",\n"),
-        segmented_rows = segmented_rows.join(",\n"),
         es_rows = es_rows.join(",\n"),
         serve_rows = serve_rows.join(",\n"),
         ens_serve_rows = ens_serve_rows.join(",\n"),

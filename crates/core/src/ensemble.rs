@@ -41,7 +41,8 @@ pub enum Combiner {
 }
 
 impl Combiner {
-    fn combine(self, column: &mut [f64]) -> f64 {
+    /// Merges one point's values across curves. Reorders `column`.
+    pub(crate) fn combine(self, column: &mut [f64]) -> f64 {
         debug_assert!(!column.is_empty());
         match self {
             Combiner::Median => {
@@ -217,29 +218,21 @@ impl EnsembleDetector {
         let len = curves[0].len();
         debug_assert!(curves.iter().all(|c| c.len() == len));
 
-        // Rank by standard deviation, descending (line 9); index tiebreak
-        // keeps the procedure deterministic.
-        let mut order: Vec<usize> = (0..curves.len()).collect();
+        // Keep the top τ·N members by standard deviation (lines 9–10)
+        // and normalize them (line 11).
         let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        order.sort_by(|&x, &y| {
-            stds[y]
-                .partial_cmp(&stds[x])
-                .expect("stddev is finite")
-                .then(x.cmp(&y))
-        });
-        let keep = ((self.config.selectivity * curves.len() as f64).round() as usize)
-            .clamp(1, curves.len());
-
-        // Normalize the kept curves (line 11).
-        let mut kept: Vec<RuleDensityCurve> =
-            order[..keep].iter().map(|&i| curves[i].clone()).collect();
+        let mut kept: Vec<RuleDensityCurve> = self
+            .kept_members(&stds)
+            .into_iter()
+            .map(|i| curves[i].clone())
+            .collect();
         for c in kept.iter_mut() {
             c.normalize_by_max();
         }
 
         // Point-wise combination (line 14).
         let mut values = Vec::with_capacity(len);
-        let mut column = vec![0.0f64; keep];
+        let mut column = vec![0.0f64; kept.len()];
         for t in 0..len {
             for (slot, c) in column.iter_mut().zip(&kept) {
                 *slot = c.values[t];
@@ -257,22 +250,31 @@ impl EnsembleDetector {
         let params = self.member_params(seed);
         let curves = self.member_curves(series, &params);
         let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        let mut order: Vec<usize> = (0..curves.len()).collect();
+        let kept = self.kept_members(&stds);
+        MemberDiagnostics {
+            params,
+            curves,
+            stds,
+            kept,
+        }
+    }
+
+    /// The members the τ filter keeps (Algorithm 1 lines 9–10), best
+    /// first: ranked by standard deviation, descending, with an index
+    /// tie-break that keeps the procedure deterministic, then cut to
+    /// `round(τ·N)` members, at least one.
+    fn kept_members(&self, stds: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..stds.len()).collect();
         order.sort_by(|&x, &y| {
             stds[y]
                 .partial_cmp(&stds[x])
                 .expect("stddev is finite")
                 .then(x.cmp(&y))
         });
-        let keep = ((self.config.selectivity * curves.len() as f64).round() as usize)
-            .clamp(1, curves.len());
+        let keep =
+            ((self.config.selectivity * stds.len() as f64).round() as usize).clamp(1, stds.len());
         order.truncate(keep);
-        MemberDiagnostics {
-            params,
-            curves,
-            stds,
-            kept: order,
-        }
+        order
     }
 
     /// Full detection: ensemble curve → top-`k` non-overlapping minima.
@@ -451,6 +453,67 @@ mod tests {
         assert_eq!(Combiner::Mean.combine(&mut [1.0, 2.0, 3.0]), 2.0);
         assert_eq!(Combiner::Min.combine(&mut [3.0, 1.0, 2.0]), 1.0);
         assert_eq!(Combiner::Max.combine(&mut [3.0, 1.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn kept_members_rank_by_std_then_index() {
+        let stds = [0.5, 2.0, 1.0, 2.0, 0.0];
+        let all = EnsembleDetector::new(EnsembleConfig {
+            selectivity: 1.0,
+            ..config(8)
+        });
+        // Members 1 and 3 tie on σ: the lower index ranks first.
+        assert_eq!(all.kept_members(&stds), vec![1, 3, 2, 0, 4]);
+        let top = EnsembleDetector::new(EnsembleConfig {
+            selectivity: 0.4,
+            ..config(8)
+        });
+        assert_eq!(top.kept_members(&stds), vec![1, 3]);
+    }
+
+    #[test]
+    fn keep_count_rounds_tau_n_and_keeps_at_least_one() {
+        // (τ, N, kept): halves round away from zero.
+        for (tau, n, keep) in [
+            (0.4, 50, 20),
+            (0.25, 10, 3),
+            (0.375, 4, 2),
+            (0.125, 4, 1),
+            (0.01, 10, 1),
+            (1.0, 7, 7),
+        ] {
+            let det = EnsembleDetector::new(EnsembleConfig {
+                selectivity: tau,
+                ..config(8)
+            });
+            let kept = det.kept_members(&vec![1.0; n]);
+            assert_eq!(kept, (0..keep).collect::<Vec<_>>(), "τ={tau} N={n}");
+        }
+    }
+
+    /// `diagnostics` reports the very members the ensemble curve
+    /// combines: combining just those, unfiltered, reproduces it.
+    #[test]
+    fn diagnostics_kept_set_reproduces_the_ensemble_curve() {
+        let (series, _) = beat_train(10, 64, 4);
+        let det = EnsembleDetector::new(config(64));
+        let diag = det.diagnostics(&series, 9);
+        assert_eq!(diag.params, det.member_params(9));
+        assert_eq!(diag.kept.len(), 8);
+        assert!(diag
+            .kept
+            .windows(2)
+            .all(|w| diag.stds[w[0]] >= diag.stds[w[1]]));
+        let kept: Vec<RuleDensityCurve> =
+            diag.kept.iter().map(|&i| diag.curves[i].clone()).collect();
+        let unfiltered = EnsembleDetector::new(EnsembleConfig {
+            selectivity: 1.0,
+            ..config(64)
+        });
+        assert_eq!(
+            unfiltered.combine_curves(kept).values,
+            det.ensemble_curve(&series, 9).values
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::density::RuleDensityCurve;
 use crate::detector::{rank_anomalies, AnomalyReport, Candidate};
-use crate::ensemble::{EnsembleConfig, EnsembleDetector};
+use crate::ensemble::{Combiner, EnsembleConfig, EnsembleDetector};
 use crate::runtime::{compute_member_curves, MemberJob};
 use egi_sax::{FastSax, MultiResBreakpoints};
 use egi_tskit::window::intervals_overlap;
@@ -131,20 +131,7 @@ impl MultiWindowEnsemble {
             for (slot, c) in column.iter_mut().zip(&curves) {
                 *slot = c.values[t];
             }
-            let mid = column.len() / 2;
-            column.select_nth_unstable_by(mid, |x, y| {
-                x.partial_cmp(y).expect("curve values are finite")
-            });
-            let hi = column[mid];
-            values.push(if column.len() % 2 == 1 {
-                hi
-            } else {
-                let lo = column[..mid]
-                    .iter()
-                    .cloned()
-                    .fold(f64::NEG_INFINITY, f64::max);
-                0.5 * (lo + hi)
-            });
+            values.push(Combiner::Median.combine(&mut column));
         }
         RuleDensityCurve { values }
     }
@@ -293,6 +280,38 @@ mod tests {
         let det = MultiWindowEnsemble::new(config(vec![60]));
         let report = det.detect(&series, 2, 7);
         assert!(report.anomalies.iter().all(|c| c.len == 60));
+    }
+
+    /// The combined curve against an independent median: at each point,
+    /// sort the per-window values and take the middle one (odd count)
+    /// or the mean of the middle pair (even count).
+    fn assert_pointwise_sorted_median(windows: Vec<usize>) {
+        let (series, _, _) = two_length_series(40);
+        let det = MultiWindowEnsemble::new(config(windows));
+        let curves = det.window_curves(&series, 5);
+        let combined = det.combined_curve(&series, 5);
+        assert_eq!(combined.len(), series.len());
+        for t in 0..series.len() {
+            let mut column: Vec<f64> = curves.iter().map(|c| c.values[t]).collect();
+            column.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mid = column.len() / 2;
+            let median = if column.len() % 2 == 1 {
+                column[mid]
+            } else {
+                0.5 * (column[mid - 1] + column[mid])
+            };
+            assert_eq!(combined.values[t], median, "t={t}");
+        }
+    }
+
+    #[test]
+    fn combined_curve_takes_the_middle_window_curve_for_an_odd_count() {
+        assert_pointwise_sorted_median(vec![40, 80, 120]);
+    }
+
+    #[test]
+    fn combined_curve_averages_the_middle_pair_for_an_even_count() {
+        assert_pointwise_sorted_median(vec![40, 120]);
     }
 
     #[test]

@@ -49,7 +49,6 @@ use std::time::Duration;
 use rayon::prelude::*;
 
 use crate::mass::{MassPrecomputed, MassScratch};
-use crate::mass_seg::{EngineScratch, MassBackend, MassEngine};
 use crate::profile::{merge_min_into, MatrixProfile};
 use crate::stamp::update_from_profile;
 use crate::stomp::default_exclusion;
@@ -117,13 +116,13 @@ pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnytimeStamp {
-    mass: MassEngine,
+    mass: MassPrecomputed,
     exclusion: usize,
     order: Vec<usize>,
     next: usize,
     profile: Vec<f64>,
     index: Vec<usize>,
-    scratch: EngineScratch,
+    scratch: MassScratch,
     dp: Vec<f64>,
 }
 
@@ -150,44 +149,18 @@ impl AnytimeStamp {
         Self::from_mass(MassPrecomputed::new(series, m), exclusion, seed)
     }
 
-    /// Builds a driver on an explicit [`MassBackend`] — the versioned
-    /// parity contract's selection point (see [`crate::mass_seg`]).
-    /// `Exact` matches [`AnytimeStamp::with_seed`]; `Segmented` runs on
-    /// the block-transform kernel with queries in **ascending** order
-    /// (each rolls from its predecessor's covariance row — the seed is
-    /// ignored), so the finished profile is within ≤1e-9 of batch
-    /// [`stamp()`](crate::stamp::stamp) rather than bit-identical, and
-    /// partial snapshots converge front-to-back instead of uniformly.
-    pub fn with_backend(
-        series: &[f64],
-        m: usize,
-        exclusion: usize,
-        seed: u64,
-        backend: MassBackend,
-    ) -> Self {
-        Self::from_engine(MassEngine::new(series, m, backend), exclusion, seed)
-    }
-
     /// Builds a driver on an already-constructed [`MassPrecomputed`]
     /// (reuses the series spectrum — the expensive part).
     pub fn from_mass(mass: MassPrecomputed, exclusion: usize, seed: u64) -> Self {
-        Self::from_engine(MassEngine::Exact(mass), exclusion, seed)
-    }
-
-    fn from_engine(mass: MassEngine, exclusion: usize, seed: u64) -> Self {
         let count = mass.window_count();
-        let order = match mass.backend() {
-            MassBackend::Exact => pseudo_random_order(count, seed),
-            MassBackend::Segmented => (0..count).collect(),
-        };
         Self {
             mass,
             exclusion,
-            order,
+            order: pseudo_random_order(count, seed),
             next: 0,
             profile: vec![f64::INFINITY; count],
             index: vec![usize::MAX; count],
-            scratch: EngineScratch::default(),
+            scratch: MassScratch::default(),
             dp: Vec::new(),
         }
     }
@@ -195,11 +168,6 @@ impl AnytimeStamp {
     /// Window length `m`.
     pub fn m(&self) -> usize {
         self.mass.m()
-    }
-
-    /// Which MASS kernel backs this driver.
-    pub fn backend(&self) -> MassBackend {
-        self.mass.backend()
     }
 
     /// Exclusion half-width.
@@ -311,12 +279,7 @@ impl AnytimeStamp {
         if threads <= 1 || remaining.len() <= 1 {
             return self.finish();
         }
-        let MassEngine::Exact(mass) = &self.mass else {
-            // Segmented queries roll sequentially from their
-            // predecessor's covariance row; fanning them out would
-            // force an FFT reseed per worker chunk and lose the point.
-            return self.finish();
-        };
+        let mass = &self.mass;
         let count = mass.window_count();
         let chunk_len = remaining.len().div_ceil(threads);
         let chunks: Vec<Vec<usize>> = remaining.chunks(chunk_len).map(<[usize]>::to_vec).collect();
@@ -528,6 +491,25 @@ mod tests {
         assert_eq!(finished.profile, reference.profile);
     }
 
+    /// `from_mass` accepts an engine in any state the streaming path
+    /// leaves it in: grown and trimmed, it still finishes on batch STAMP
+    /// over the live series.
+    #[test]
+    fn from_mass_on_a_grown_and_trimmed_engine_matches_stamp() {
+        let series = test_series(260);
+        let m = 8;
+        let mut mass = MassPrecomputed::new(&series[..120], m);
+        mass.append(&series[120..]);
+        mass.evict_front(45);
+        let reference = stamp_with_exclusion(&series[45..], m, 4);
+        let mut driver = AnytimeStamp::from_mass(mass, 4, 11);
+        assert_eq!(driver.window_count(), reference.len());
+        driver.run_for(30);
+        let finished = driver.finish_parallel();
+        assert_eq!(finished.profile, reference.profile);
+        assert_eq!(finished.index, reference.index);
+    }
+
     #[test]
     fn single_window_series_is_immediately_done_after_one_step() {
         let series = vec![1.0, 2.0, 3.0];
@@ -604,35 +586,6 @@ mod tests {
         let far = Deadline::at(Instant::now() + Duration::from_secs(3600)).with_query_cap(7);
         let ran = a.run_until(far);
         assert_eq!(ran, 7);
-    }
-
-    #[test]
-    fn segmented_backend_finishes_within_tolerance_of_exact() {
-        let series = test_series(260);
-        let m = 10;
-        let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
-        let mut driver = AnytimeStamp::with_backend(&series, m, exc, 0, MassBackend::Segmented);
-        assert_eq!(driver.backend(), MassBackend::Segmented);
-        // Interleave stepping modes; finish_parallel must fall back to
-        // the sequential rolled path and still complete.
-        driver.run_for(40);
-        let partial = driver.snapshot();
-        let finished = driver.finish_parallel();
-        assert!(driver.is_done());
-        for i in 0..finished.len() {
-            assert!(
-                (finished.profile[i] - reference.profile[i]).abs() <= 1e-9,
-                "i={i}: {} vs {}",
-                finished.profile[i],
-                reference.profile[i]
-            );
-            // Anytime property holds on the segmented backend too.
-            assert!(
-                partial.profile[i] >= finished.profile[i] - 1e-12,
-                "entry {i}"
-            );
-        }
     }
 
     #[test]

@@ -142,29 +142,6 @@ impl WindowStats {
         // Clamp: |corr| can exceed 1 by float error.
         (2.0 * m * (1.0 - corr.clamp(-1.0, 1.0))).sqrt()
     }
-
-    /// Z-normalized Euclidean distance between windows `i` and `j` given
-    /// their **centered** covariance
-    /// `cov = Σ_k (x_{i+k} − μ_i)(x_{j+k} − μ_j)` — the quantity the
-    /// segmented backend's MPX-style rolling recurrence maintains.
-    ///
-    /// `cov` equals `qt − m·μ_i·μ_j` exactly in real arithmetic, so this
-    /// applies the same flat-window conventions and correlation clamp as
-    /// [`dist`](Self::dist); keeping the subtraction out of this method
-    /// is what lets the rolling path avoid its catastrophic cancellation.
-    #[inline]
-    pub fn dist_centered(&self, i: usize, j: usize, cov: f64) -> f64 {
-        let (si, sj) = (self.sigma[i], self.sigma[j]);
-        if si == 0.0 && sj == 0.0 {
-            return 0.0;
-        }
-        if si == 0.0 || sj == 0.0 {
-            return (2.0 * self.m as f64).sqrt();
-        }
-        let m = self.m as f64;
-        let corr = cov / (m * si * sj);
-        (2.0 * m * (1.0 - corr.clamp(-1.0, 1.0))).sqrt()
-    }
 }
 
 /// Direct z-normalized Euclidean distance between two equal-length slices
@@ -237,32 +214,6 @@ mod tests {
         let ws = WindowStats::new(&series, 10);
         let qt = dot(&series[0..10], &series[10..20]);
         assert!(ws.dist(0, 10, qt) < 1e-6);
-    }
-
-    #[test]
-    fn dist_centered_matches_dist_on_raw_dots() {
-        let series: Vec<f64> = (0..80)
-            .map(|i| (i as f64 * 0.7).sin() * 2.0 + ((i * 5) % 11) as f64 * 0.03)
-            .collect();
-        let m = 10;
-        let ws = WindowStats::new(&series, m);
-        for &(i, j) in &[(0usize, 30usize), (7, 55), (22, 41)] {
-            let qt = dot(&series[i..i + m], &series[j..j + m]);
-            let cov: f64 = series[i..i + m]
-                .iter()
-                .zip(&series[j..j + m])
-                .map(|(&x, &y)| (x - ws.mu[i]) * (y - ws.mu[j]))
-                .sum();
-            let a = ws.dist(i, j, qt);
-            let b = ws.dist_centered(i, j, cov);
-            assert!((a - b).abs() < 1e-9, "({i},{j}): {a} vs {b}");
-        }
-        // Flat conventions carry over verbatim.
-        let mut flat = vec![1.0; 10];
-        flat.extend((0..10).map(|i| (i as f64).sin()));
-        let wf = WindowStats::new(&flat, 10);
-        assert_eq!(wf.dist_centered(0, 0, 0.0), 0.0);
-        assert!((wf.dist_centered(0, 10, 0.3) - 20.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

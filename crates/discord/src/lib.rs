@@ -14,12 +14,6 @@
 //!   [`mass::MassPrecomputed`] — the shared-spectrum fast path that
 //!   transforms the series once and answers every query against the
 //!   cached spectrum.
-//! * [`mass_seg`] — [`SegmentedMass`]: the segmented MASS backend —
-//!   fixed-size block spectra (overlap-save convolution) for `O(chunk)`
-//!   append/evict plus an MPX-style rolled refresh, selected via
-//!   [`MassBackend`] under the crate's versioned parity contract
-//!   (`Exact` = bit-identical oracle, `Segmented` = ≤1e-9 toleranced
-//!   fast path).
 //! * [`profile`] — the matrix profile type plus discord extraction.
 //! * [`brute`] — `O(N²·m)` reference matrix profile (test oracle).
 //! * [`mod@stomp`] — STOMP \[23\]: `O(N²)` matrix profile with incremental dot
@@ -38,8 +32,9 @@
 //! * [`streaming`] — [`StreamingDiscordMonitor`]: online
 //!   (append-to-series) discord monitoring — ingest points, refresh the
 //!   profile under a hard latency budget, answer "best discords so
-//!   far"; finished profiles are bit-identical to batch STAMP for every
-//!   append schedule.
+//!   far". It runs every query on [`MassPrecomputed`], so finished
+//!   profiles are bit-identical to batch STAMP for every append and
+//!   eviction schedule.
 //! * [`hotsax`] — the original HOTSAX discord search \[9\] with SAX-bucket
 //!   outer-loop ordering and early abandoning.
 //! * [`detector`] — [`DiscordDetector`]: the "Discord" baseline of the
@@ -78,7 +73,6 @@ pub mod dist;
 pub mod fft;
 pub mod hotsax;
 pub mod mass;
-pub mod mass_seg;
 pub mod profile;
 pub mod session;
 pub mod stamp;
@@ -90,8 +84,7 @@ pub use detector::{DiscordConfig, DiscordDetector};
 pub use fft::{FftPlan, RealFftPlan};
 pub use hotsax::{hotsax_discord, hotsax_discords};
 pub use mass::{MassPrecomputed, MassScratch};
-pub use mass_seg::{MassBackend, SegmentedMass};
 pub use profile::{Discord, MatrixProfile};
-pub use stamp::{stamp, stamp_with_backend};
+pub use stamp::stamp;
 pub use stomp::stomp;
 pub use streaming::StreamingDiscordMonitor;

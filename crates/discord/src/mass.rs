@@ -266,6 +266,22 @@ impl MassPrecomputed {
     /// streaming monitor) enforce the non-panicking
     /// [`EvictError`](egi_tskit::EvictError) contract *before* touching
     /// this layer.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_discord::mass::MassPrecomputed;
+    ///
+    /// let series: Vec<f64> = (0..300).map(|i| (i as f64 * 0.3).sin()).collect();
+    /// let mut live = MassPrecomputed::new(&series[..200], 16);
+    /// live.append(&series[200..]);
+    /// live.evict_front(120);
+    ///
+    /// // Bit for bit the engine a fresh build over the survivors gives.
+    /// let fresh = MassPrecomputed::new(&series[120..], 16);
+    /// assert_eq!(live.series(), fresh.series());
+    /// assert_eq!(live.distance_profile(7), fresh.distance_profile(7));
+    /// ```
     pub fn evict_front(&mut self, count: usize) {
         if count == 0 {
             return;
@@ -664,6 +680,152 @@ mod tests {
         inc.append(&[]);
         assert_eq!(inc.series_spec, spec_before);
         assert_eq!(inc.window_count(), 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "would leave fewer than m")]
+    fn evict_past_the_end_panics() {
+        let mut inc = MassPrecomputed::new(&[0.0, 1.0, 0.5, 2.0], 2);
+        inc.evict_front(5);
+    }
+
+    /// The transform size is the live series' next power of two in both
+    /// directions: appends grow it and evictions shrink it back, so the
+    /// per-query cost follows the live window, not the stream.
+    #[test]
+    fn padded_size_tracks_the_live_series_both_ways() {
+        let series: Vec<f64> = (0..600).map(|i| (i as f64 * 0.31).cos()).collect();
+        let mut inc = MassPrecomputed::new(&series[..100], 8);
+        assert_eq!(inc.padded_size(), 128);
+        inc.append(&series[100..129]);
+        assert_eq!(inc.padded_size(), 256);
+        inc.append(&series[129..]);
+        assert_eq!(inc.padded_size(), 1024);
+        inc.evict_front(88); // 512 points left
+        assert_eq!(inc.padded_size(), 512);
+        inc.evict_front(500); // 12 points left
+        assert_eq!(inc.padded_size(), 16);
+        assert_eq!(inc.window_count(), 5);
+        assert_eq!(
+            inc.padded_size(),
+            MassPrecomputed::new(&series[588..], 8).padded_size()
+        );
+    }
+
+    /// A steady append/evict cycle with retention `n` keeps every buffer
+    /// at `O(n + chunk)` however long it runs, and stays on the bitwise
+    /// batch path throughout.
+    #[test]
+    fn append_evict_cycles_keep_buffers_bounded() {
+        let point = |i: usize| (i as f64 * 0.13).sin() * 1.5 + ((i * 7) % 9) as f64 * 0.05;
+        let points = |range: std::ops::Range<usize>| range.map(point).collect::<Vec<f64>>();
+        let (m, n, chunk) = (16usize, 300usize, 50usize);
+        let bound = (n + chunk).next_power_of_two();
+        let mut inc = MassPrecomputed::new(&points(0..n), m);
+        let mut fed = n;
+        for _ in 0..200 {
+            inc.append(&points(fed..fed + chunk));
+            fed += chunk;
+            inc.evict_front(chunk);
+            assert_eq!(inc.series().len(), n);
+            assert!(
+                inc.padded_size() <= bound,
+                "transform {}",
+                inc.padded_size()
+            );
+            assert!(
+                inc.padded_capacity() <= bound,
+                "padded {}",
+                inc.padded_capacity()
+            );
+            assert!(
+                inc.series_capacity() <= 2 * (n + chunk),
+                "series {}",
+                inc.series_capacity()
+            );
+        }
+        let fresh = MassPrecomputed::new(&points(fed - n..fed), m);
+        assert_eq!(inc.series_spec, fresh.series_spec);
+        assert_eq!(inc.stats.mu, fresh.stats.mu);
+        assert_eq!(inc.stats.sigma, fresh.stats.sigma);
+    }
+
+    /// `compact` is allocation-only: after a heavy eviction it returns
+    /// the buffers to the live working set, every cached value stays
+    /// bit-identical, and later appends stay on the batch path.
+    #[test]
+    fn compact_sheds_slack_and_keeps_every_profile() {
+        let full: Vec<f64> = (0..1024)
+            .map(|i| (i as f64 * 0.27).sin() + (i % 5) as f64 * 0.1)
+            .collect();
+        let m = 8;
+        let keep = 100;
+        let mut inc = MassPrecomputed::new(&full[..512], m);
+        inc.append(&full[512..]);
+        inc.evict_front(full.len() - keep);
+        assert!(inc.series_capacity() >= 1024, "eviction keeps capacity");
+        let before = inc.clone();
+        inc.compact();
+        assert!(inc.series_capacity() <= keep);
+        assert!(inc.padded_capacity() <= inc.padded_size());
+        assert_eq!(inc.series_spec, before.series_spec);
+        assert_eq!(inc.stats.mu, before.stats.mu);
+        assert_eq!(inc.stats.sigma, before.stats.sigma);
+        for q in [0, 50, inc.window_count() - 1] {
+            assert_eq!(inc.distance_profile(q), before.distance_profile(q), "q {q}");
+        }
+        inc.append(&full[..40]);
+        let mut grown = full[full.len() - keep..].to_vec();
+        grown.extend_from_slice(&full[..40]);
+        let fresh = MassPrecomputed::new(&grown, m);
+        assert_eq!(inc.series_spec, fresh.series_spec);
+        assert_eq!(inc.distance_profile(10), fresh.distance_profile(10));
+    }
+
+    /// End to end against the per-pair definition: an engine grown and
+    /// trimmed several times answers every query like the direct
+    /// z-normalized distance over its live series.
+    #[test]
+    fn evolved_engine_matches_the_znorm_spec() {
+        let full: Vec<f64> = (0..240)
+            .map(|i| (i as f64 * 0.41).sin() * 1.7 + ((i * 19) % 7) as f64 * 0.12)
+            .collect();
+        let m = 10;
+        let mut inc = MassPrecomputed::new(&full[..90], m);
+        inc.append(&full[90..170]);
+        inc.evict_front(35);
+        inc.append(&full[170..]);
+        inc.evict_front(20);
+        let live = &full[55..];
+        assert_eq!(inc.series(), live);
+        let rescale = (m as f64 / (m as f64 - 1.0)).sqrt();
+        for q in (0..inc.window_count()).step_by(17) {
+            let dp = inc.distance_profile(q);
+            for (j, d) in dp.iter().enumerate() {
+                let direct = znorm_euclidean(&live[q..q + m], &live[j..j + m]) * rescale;
+                assert!((d - direct).abs() < 1e-6, "q={q} j={j}: {d} vs {direct}");
+            }
+        }
+    }
+
+    /// The kernel applies the flat-window conventions of
+    /// [`WindowStats::dist`] exactly: flat against flat is 0, flat
+    /// against a non-flat window is `√(2m)`.
+    #[test]
+    fn flat_windows_follow_the_distance_conventions() {
+        let m = 6;
+        let mut series = vec![2.0; 8];
+        series.extend((0..12).map(|i| (i as f64 * 0.9).sin()));
+        series.extend(vec![-3.0; 8]);
+        let mass = MassPrecomputed::new(&series, m);
+        let last = mass.window_count() - 1;
+        let dp = mass.distance_profile(0);
+        assert_eq!(dp[1], 0.0);
+        assert_eq!(dp[last], 0.0);
+        assert_eq!(dp[10], (2.0 * m as f64).sqrt());
+        let dp = mass.distance_profile(10);
+        assert_eq!(dp[0], (2.0 * m as f64).sqrt());
+        assert_eq!(dp[last], (2.0 * m as f64).sqrt());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::dist::WindowStats;
 use crate::mass::{mass_self, MassPrecomputed, MassScratch};
-use crate::mass_seg::{MassBackend, SegScratch, SegmentedMass};
 use crate::profile::{improves, MatrixProfile};
 use crate::stomp::default_exclusion;
 
@@ -43,44 +42,6 @@ pub fn stamp_with_exclusion(series: &[f64], m: usize, exclusion: usize) -> Matri
 /// STAMP with the default `m/2` exclusion zone.
 pub fn stamp(series: &[f64], m: usize) -> MatrixProfile {
     stamp_with_exclusion(series, m, default_exclusion(m))
-}
-
-/// Batch STAMP on an explicit [`MassBackend`] — the versioned parity
-/// contract's batch entry point. [`MassBackend::Exact`] is exactly
-/// [`stamp_with_exclusion`] (bit-identical oracle);
-/// [`MassBackend::Segmented`] runs every query on the block-transform
-/// kernel's rolled centered-covariance path (queries ascend, each rolls
-/// from its predecessor's row — see
-/// [`crate::mass_seg::SegmentedMass::rolling_profile_into`]), producing
-/// a profile within ≤1e-9 absolute of the exact one outside exclusion
-/// zones, at `O(N²)` total instead of `O(N² log N)`.
-pub fn stamp_with_backend(
-    series: &[f64],
-    m: usize,
-    exclusion: usize,
-    backend: MassBackend,
-) -> MatrixProfile {
-    match backend {
-        MassBackend::Exact => stamp_with_exclusion(series, m, exclusion),
-        MassBackend::Segmented => {
-            let seg = SegmentedMass::new(series, m);
-            let count = seg.window_count();
-            let mut profile = vec![f64::INFINITY; count];
-            let mut index = vec![usize::MAX; count];
-            let mut scratch = SegScratch::default();
-            let mut dp = Vec::new();
-            for q in 0..count {
-                seg.rolling_profile_into(q, &mut scratch, &mut dp);
-                update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
-            }
-            MatrixProfile {
-                m,
-                exclusion,
-                profile,
-                index,
-            }
-        }
-    }
 }
 
 /// The pre-shared-spectrum STAMP: every query re-transforms the full
@@ -248,30 +209,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn segmented_backend_matches_exact_within_tolerance() {
-        let series = test_series(300);
-        let m = 12;
-        let exc = m / 2;
-        let exact = stamp_with_backend(&series, m, exc, MassBackend::Exact);
-        let reference = stamp_with_exclusion(&series, m, exc);
-        // The Exact arm IS the oracle, bit for bit.
-        assert_eq!(exact.profile, reference.profile);
-        assert_eq!(exact.index, reference.index);
-        let seg = stamp_with_backend(&series, m, exc, MassBackend::Segmented);
-        assert_eq!(seg.len(), reference.len());
-        for i in 0..seg.len() {
-            assert!(
-                (seg.profile[i] - reference.profile[i]).abs() <= 1e-9,
-                "i={i}: {} vs {}",
-                seg.profile[i],
-                reference.profile[i]
-            );
-        }
-        // Top discord agrees (this fixture has no near-tie at the top).
-        assert_eq!(seg.discords(1)[0].start, reference.discords(1)[0].start);
     }
 
     #[test]

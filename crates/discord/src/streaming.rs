@@ -104,42 +104,6 @@
 //!   [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
 //!   the full series — property-tested across append schedules, seeds,
 //!   chunk sizes, and thread counts.
-//!
-//! # Versioned parity contract (backend selection)
-//!
-//! Everything above describes the **default** backend,
-//! [`MassBackend::Exact`]. The monitor can instead run on
-//! [`MassBackend::Segmented`] via
-//! [`StreamingDiscordMonitor::with_backend`]; the two sides of the
-//! contract are:
-//!
-//! * **`Exact` — the bit-identical oracle.** Monolithic spectrum;
-//!   `append` re-transforms the whole padded buffer (`O(S log S)` in
-//!   the series length `S`); finished profiles are bitwise equal to
-//!   batch [`stamp()`](crate::stamp::stamp). Every pre-existing test
-//!   and CI bit-parity gate runs on this backend, byte-for-byte
-//!   unchanged.
-//! * **`Segmented` — the toleranced fast path.** Block spectra
-//!   ([`crate::mass_seg::SegmentedMass`]): `append` costs
-//!   `O(chunk + B log B)` (tail block(s) only) and `evict` costs
-//!   `O(window count)` statistics rebase with **zero** FFT work, both
-//!   independent of the series length; per-query refresh rolls by the
-//!   MPX-style centered-covariance recurrence. Finished profiles agree
-//!   with the exact backend to **≤ 1e-9 absolute** outside exclusion
-//!   zones (property-tested in `tests/segmented_proptests.rs`), not
-//!   bitwise.
-//!
-//! Two behavioral differences follow from the looser guarantee. The
-//! segmented fold is **kept across appends** (the ≤1e-9 contract
-//! absorbs the per-generation FFT-layout jitter the exact backend must
-//! re-run queries to erase), so appends enqueue only the fresh windows
-//! and there is no catch-up backlog — the key to the backend's
-//! sustained ingest throughput. And queries are processed in ascending
-//! order rather than the seeded shuffle, which keeps consecutive
-//! queries on the rolled recurrence; the seed only matters for `Exact`.
-//! Eviction semantics are identical on both backends: evidence is
-//! discarded and every surviving window re-enqueued, because stale
-//! entries may cite retired neighbors regardless of kernel.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -168,7 +132,6 @@ use rayon::prelude::*;
 
 use crate::anytime::pseudo_random_order;
 use crate::mass::{MassPrecomputed, MassScratch};
-use crate::mass_seg::{EngineScratch, MassBackend, MassEngine, SegmentedMass, MAX_ROLL_CHAIN};
 use crate::profile::{merge_min_into, Discord, MatrixProfile};
 use crate::stamp::update_from_profile;
 use crate::stomp::default_exclusion;
@@ -219,12 +182,9 @@ pub struct StreamingDiscordMonitor {
     /// retention bookkeeping — the [`StreamClock`] shared by every
     /// [`StreamSession`] implementor.
     clock: StreamClock,
-    /// Which MASS kernel backs the monitor (see the [module docs](self)
-    /// "versioned parity contract" section).
-    backend: MassBackend,
     /// Points buffered before the series reaches `m` (no windows yet).
     warmup: Vec<f64>,
-    mass: Option<MassEngine>,
+    mass: Option<MassPrecomputed>,
     /// Queries to process in the current epoch: fresh windows first,
     /// then never-processed older windows, then numerical re-runs.
     pending: VecDeque<usize>,
@@ -236,7 +196,7 @@ pub struct StreamingDiscordMonitor {
     /// Pre-append evidence (within FFT round-off of exact); dropped the
     /// moment the exact fold reaches full coverage.
     carry: Option<(Vec<f64>, Vec<usize>)>,
-    scratch: EngineScratch,
+    scratch: MassScratch,
     dp: Vec<f64>,
     /// Lifetime telemetry (appends, queries served, staleness) — pure
     /// `u64` bookkeeping, deliberately outside the checkpoint payload
@@ -264,22 +224,12 @@ impl StreamingDiscordMonitor {
     /// and query-order seed. The seed affects only the order pending
     /// queries are processed in, never any finished profile.
     pub fn with_seed(m: usize, exclusion: usize, seed: u64) -> Self {
-        Self::with_backend(m, exclusion, seed, MassBackend::Exact)
-    }
-
-    /// Builds an empty monitor on an explicit [`MassBackend`] — the
-    /// versioned parity contract's selection point (see the
-    /// [module docs](self)). `Exact` is what every other constructor
-    /// picks; `Segmented` trades bitwise batch parity for `O(chunk)`
-    /// appends/evictions and a toleranced (≤1e-9) profile.
-    pub fn with_backend(m: usize, exclusion: usize, seed: u64, backend: MassBackend) -> Self {
         assert!(m > 0, "window must be positive");
         Self {
             m,
             exclusion,
             seed,
             clock: StreamClock::new(),
-            backend,
             warmup: Vec::new(),
             mass: None,
             pending: VecDeque::new(),
@@ -287,15 +237,10 @@ impl StreamingDiscordMonitor {
             fold_profile: Vec::new(),
             fold_index: Vec::new(),
             carry: None,
-            scratch: EngineScratch::default(),
+            scratch: MassScratch::default(),
             dp: Vec::new(),
             stats: SessionStats::default(),
         }
-    }
-
-    /// Which MASS kernel backs this monitor.
-    pub fn backend(&self) -> MassBackend {
-        self.backend
     }
 
     /// Window length `m`.
@@ -327,7 +272,7 @@ impl StreamingDiscordMonitor {
     /// Number of sliding windows (profile length); zero until `m`
     /// points have arrived.
     pub fn window_count(&self) -> usize {
-        self.mass.as_ref().map_or(0, MassEngine::window_count)
+        self.mass.as_ref().map_or(0, MassPrecomputed::window_count)
     }
 
     /// Queries awaiting processing in the current epoch (fresh windows
@@ -370,27 +315,18 @@ impl StreamingDiscordMonitor {
     }
 
     /// Current FFT transform size (0 before the first window
-    /// materializes): the padded size on the exact backend — bounded by
-    /// `O(retention)` under a
-    /// [`retain_last`](StreamingDiscordMonitor::retain_last) policy —
-    /// or the **constant** per-block size `2B` on the segmented one.
+    /// materializes) — bounded by `O(retention)` under a
+    /// [`retain_last`](StreamingDiscordMonitor::retain_last) policy.
     pub fn padded_size(&self) -> usize {
-        self.mass.as_ref().map_or(0, MassEngine::padded_size)
+        self.mass.as_ref().map_or(0, MassPrecomputed::padded_size)
     }
 
     /// Capacity (in `f64`s) retained by the append/evict-path padded
     /// buffer — cheap accessor for memory-bound assertions.
     pub fn padded_capacity(&self) -> usize {
-        self.mass.as_ref().map_or(0, MassEngine::padded_capacity)
-    }
-
-    /// Block-store shape `(block_count, block_size, spectra_capacity)`
-    /// of the segmented backend — `None` before the first window or on
-    /// the exact backend. Memory-bound tests assert blocks + spectra
-    /// stay `O(n + chunk)` under a
-    /// [`retain_last`](StreamingDiscordMonitor::retain_last) policy.
-    pub fn block_store(&self) -> Option<(usize, usize, usize)> {
-        self.mass.as_ref().and_then(MassEngine::block_store)
+        self.mass
+            .as_ref()
+            .map_or(0, MassPrecomputed::padded_capacity)
     }
 
     /// `true` once the exact fold covers every window of the current
@@ -410,14 +346,9 @@ impl StreamingDiscordMonitor {
     }
 
     /// Deterministic processing order for `fresh` new queries of the
-    /// current epoch: a seeded shuffle on the exact backend (anytime
-    /// coverage spreads evenly), ascending on the segmented one (each
-    /// query rolls from its predecessor's covariance row, so order is
-    /// the throughput lever there).
+    /// current epoch: a seeded shuffle, so anytime coverage spreads
+    /// evenly.
     fn epoch_order(&self, offset: usize, fresh: usize) -> Vec<usize> {
-        if self.backend == MassBackend::Segmented {
-            return (offset..offset + fresh).collect();
-        }
         let salt = self
             .seed
             .wrapping_add(self.clock.epochs().wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -461,7 +392,7 @@ impl StreamingDiscordMonitor {
                 if self.warmup.len() < self.m {
                     return;
                 }
-                let mass = MassEngine::new(&self.warmup, self.m, self.backend);
+                let mass = MassPrecomputed::new(&self.warmup, self.m);
                 let count = mass.window_count();
                 self.fold_profile = vec![f64::INFINITY; count];
                 self.fold_index = vec![usize::MAX; count];
@@ -473,22 +404,6 @@ impl StreamingDiscordMonitor {
                 let old_count = mass.window_count();
                 mass.append(points);
                 let new_count = mass.window_count();
-                if self.backend == MassBackend::Segmented {
-                    // Toleranced contract: pre-append evidence stays in
-                    // the fold (its per-generation FFT jitter fits the
-                    // ≤1e-9 budget), and the symmetric per-query fold
-                    // means the fresh queries alone cover every
-                    // (old, new) pair — no carry, no re-runs. This is
-                    // the backend's sustained-throughput win: an append
-                    // of c points enqueues exactly c queries.
-                    self.fold_profile.resize(new_count, f64::INFINITY);
-                    self.fold_index.resize(new_count, usize::MAX);
-                    let mut pending =
-                        VecDeque::from(self.epoch_order(old_count, new_count - old_count));
-                    pending.append(&mut self.pending);
-                    self.pending = pending;
-                    return;
-                }
                 // Preserve pre-append evidence for live snapshots…
                 let (cp, ci) = self.carry.get_or_insert_with(|| {
                     (vec![f64::INFINITY; old_count], vec![usize::MAX; old_count])
@@ -531,6 +446,30 @@ impl StreamingDiscordMonitor {
     /// shorter than `m` would survive ([`EvictError::BelowMinimum`]).
     /// Evicting *everything* is allowed: the monitor resets and the
     /// next append starts a fresh warm-up.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_discord::streaming::{EvictError, StreamingDiscordMonitor};
+    ///
+    /// let series: Vec<f64> = (0..300).map(|i| (i as f64 * 0.21).sin()).collect();
+    /// let mut monitor = StreamingDiscordMonitor::new(16);
+    /// monitor.append(&series);
+    /// monitor.run_for(100);
+    /// monitor.evict(100).unwrap();
+    /// assert_eq!(monitor.stream_offset(), 100);
+    /// assert_eq!(
+    ///     monitor.evict(190),
+    ///     Err(EvictError::BelowMinimum { remaining: 10, minimum: 16 })
+    /// );
+    ///
+    /// // The finish is batch STAMP over the surviving suffix, in local
+    /// // indices.
+    /// let finished = monitor.finish();
+    /// let batch = egi_discord::stamp(&series[100..], 16);
+    /// assert_eq!(finished.profile, batch.profile);
+    /// assert_eq!(finished.index, batch.index);
+    /// ```
     ///
     /// [`stream_offset`]: Self::stream_offset
     pub fn evict(&mut self, count: usize) -> Result<(), EvictError> {
@@ -653,11 +592,10 @@ impl StreamingDiscordMonitor {
     /// Eviction truncates *lengths* but deliberately keeps *capacity*
     /// (the steady-state append/evict cycle reuses it); after a heavy
     /// one-off eviction that capacity is dead weight. `compact` shrinks
-    /// the series buffer, the padded FFT buffer, the cached spectra
-    /// (per-block on the segmented backend), and the per-query scratch
-    /// down to the live working set. Purely an allocation-level
-    /// operation: no observable state changes, and every parity
-    /// contract is untouched.
+    /// the series buffer, the padded FFT buffer, the cached spectrum,
+    /// and the per-query scratch down to the live working set. Purely
+    /// an allocation-level operation: no observable state changes, and
+    /// every parity contract is untouched.
     pub fn compact(&mut self) {
         if let Some(mass) = &mut self.mass {
             mass.compact();
@@ -668,7 +606,7 @@ impl StreamingDiscordMonitor {
         self.fold_profile.shrink_to_fit();
         self.fold_index.shrink_to_fit();
         self.dp.shrink_to_fit();
-        self.scratch = EngineScratch::default();
+        self.scratch = MassScratch::default();
     }
 
     /// The current best-known matrix profile: the exact fold min-merged
@@ -716,14 +654,9 @@ impl StreamingDiscordMonitor {
     /// bit-identical to the sequential result for every worker count.
     pub fn finish_parallel(&mut self) -> MatrixProfile {
         let threads = rayon::current_num_threads();
-        if self.mass.is_none() || threads <= 1 || self.pending.len() <= 1 {
-            return self.finish();
-        }
-        let Some(MassEngine::Exact(mass)) = self.mass.as_ref() else {
-            // Segmented queries roll sequentially from their
-            // predecessor's covariance row; fanning them out would
-            // force an FFT reseed per worker chunk and lose the point.
-            return self.finish();
+        let mass = match &self.mass {
+            Some(mass) if threads > 1 && self.pending.len() > 1 => mass,
+            _ => return self.finish(),
         };
         let remaining: Vec<usize> = self.pending.drain(..).collect();
         let count = mass.window_count();
@@ -770,6 +703,10 @@ const CKPT_SECTION_MONITOR: u32 = u32::from_le_bytes(*b"MON1");
 const CKPT_SECTION_ENGINE: u32 = u32::from_le_bytes(*b"ENG1");
 const CKPT_MONITOR_VERSION: u32 = 1;
 const CKPT_ENGINE_VERSION: u32 = 1;
+/// The kernel tag the monitor section carries. Only this value loads:
+/// checkpoints of the removed segmented kernel carry tag 1 and are
+/// rejected as `Corrupt`.
+const CKPT_BACKEND_TAG: u32 = 0;
 
 fn corrupt(what: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(what.into())
@@ -777,14 +714,38 @@ fn corrupt(what: impl Into<String>) -> CheckpointError {
 
 /// Persistence for the monitor (see [`Checkpoint`] for the container
 /// format). The checkpoint holds the series plus the fold/queue
-/// bookkeeping; FFT spectra, prefix sums, and window statistics are
-/// re-derived on load — each is a pure per-entry function of the series
-/// (and, on the segmented backend, the checkpointed block-grid layout),
-/// so the rebuilt kernel is bit-identical to the evolved original and
-/// checkpoints stay `O(series)` small. The segmented rolled-chain row
-/// **is** serialized: a restored monitor that reseeded instead of
-/// continuing the roll would diverge from the uninterrupted run at the
-/// ulp level.
+/// bookkeeping; the FFT spectrum, prefix sums, and window statistics
+/// are re-derived on load — a fresh [`MassPrecomputed`] build is
+/// bit-identical to the evolved original after any append/evict
+/// schedule, so checkpoints stay `O(series)` small.
+///
+/// The loader rejects, as [`CheckpointError::Corrupt`], every
+/// checksum-valid payload that no monitor could have written and that
+/// would finish with a wrong answer: non-finite points, negative or NaN
+/// fold and carry entries, a queue that does not hold each window
+/// exactly once, and a carry on a monitor with nothing pending.
+///
+/// # Examples
+///
+/// ```
+/// use egi_discord::streaming::{Checkpoint, StreamingDiscordMonitor};
+///
+/// let series: Vec<f64> = (0..200).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let mut live = StreamingDiscordMonitor::new(12);
+/// live.append(&series[..150]);
+/// live.run_for(40);
+///
+/// // Save mid-epoch, restore, and replay the rest on both copies.
+/// let bytes = live.checkpoint_bytes().unwrap();
+/// let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+/// assert_eq!(restored.pending(), live.pending());
+/// for monitor in [&mut live, &mut restored] {
+///     monitor.append(&series[150..]);
+/// }
+/// let (a, b) = (restored.finish(), live.finish());
+/// assert_eq!(a.profile, b.profile);
+/// assert_eq!(a.index, b.index);
+/// ```
 impl Checkpoint for StreamingDiscordMonitor {
     fn save_checkpoint(&self, writer: &mut impl Write) -> Result<(), CheckpointError> {
         let sections = 1 + u32::from(self.mass.is_some());
@@ -793,10 +754,7 @@ impl Checkpoint for StreamingDiscordMonitor {
         f.usize(self.m);
         f.usize(self.exclusion);
         f.u64(self.seed);
-        f.u32(match self.backend {
-            MassBackend::Exact => 0,
-            MassBackend::Segmented => 1,
-        });
+        f.u32(CKPT_BACKEND_TAG);
         f.u64(self.clock.epochs());
         f.usize(self.clock.offset());
         f.opt_usize(self.clock.retention());
@@ -819,27 +777,7 @@ impl Checkpoint for StreamingDiscordMonitor {
             return Ok(());
         };
         let mut f = FieldWriter::new();
-        match mass {
-            MassEngine::Exact(mass) => f.f64_slice(mass.series()),
-            MassEngine::Segmented(seg) => {
-                f.f64_slice(seg.grid_series());
-                f.usize(seg.dead_prefix());
-                f.usize(seg.block_size());
-                f.u64(seg.generation());
-                // Only a current-generation rolled row is worth keeping:
-                // a stale one would be ignored by the next query on both
-                // the original and the restored monitor alike.
-                match self.scratch.seg.rolled_row() {
-                    Some((g, q, chain, cov)) if g == seg.generation() => {
-                        f.bool(true);
-                        f.usize(q);
-                        f.usize(chain);
-                        f.f64_slice(cov);
-                    }
-                    _ => f.bool(false),
-                }
-            }
-        }
+        f.f64_slice(mass.series());
         out.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION, &f.into_bytes())?;
         Ok(())
     }
@@ -851,11 +789,10 @@ impl Checkpoint for StreamingDiscordMonitor {
         let m = f.usize()?;
         let exclusion = f.usize()?;
         let seed = f.u64()?;
-        let backend = match f.u32()? {
-            0 => MassBackend::Exact,
-            1 => MassBackend::Segmented,
-            other => return Err(corrupt(format!("unknown backend tag {other}"))),
-        };
+        let tag = f.u32()?;
+        if tag != CKPT_BACKEND_TAG {
+            return Err(corrupt(format!("unknown backend tag {tag}")));
+        }
         let epochs = f.u64()?;
         let offset = f.usize()?;
         let retention = f.opt_usize()?;
@@ -880,8 +817,11 @@ impl Checkpoint for StreamingDiscordMonitor {
                 return Err(corrupt(format!("retention {n} below window {m}")));
             }
         }
+        if !warmup.iter().all(|v| v.is_finite()) {
+            return Err(corrupt("warm-up buffer contains non-finite values"));
+        }
 
-        let (mass, rolled) = if input.sections_remaining() == 0 {
+        let mass = if input.sections_remaining() == 0 {
             // Warm-up phase: no windows yet, all per-window state empty.
             if warmup.len() >= m {
                 return Err(corrupt("warm-up buffer holds a full window"));
@@ -894,86 +834,75 @@ impl Checkpoint for StreamingDiscordMonitor {
             {
                 return Err(corrupt("per-window state present without an engine"));
             }
-            (None, None)
+            None
         } else {
             let (_, payload) = input.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION)?;
             let mut f = FieldReader::new(&payload);
             if !warmup.is_empty() {
                 return Err(corrupt("warm-up buffer non-empty alongside an engine"));
             }
-            let (engine, rolled) = match backend {
-                MassBackend::Exact => {
-                    let series = f.f64_vec()?;
-                    if series.len() < m {
-                        return Err(corrupt("series shorter than the window"));
-                    }
-                    // A fresh build is bit-identical to the evolved
-                    // engine after any append/evict schedule (the
-                    // kernel's own contract), so the series is the
-                    // whole state.
-                    (MassEngine::Exact(MassPrecomputed::new(&series, m)), None)
-                }
-                MassBackend::Segmented => {
-                    let grid = f.f64_vec()?;
-                    let head = f.usize()?;
-                    let block = f.usize()?;
-                    let generation = f.u64()?;
-                    let rolled = if f.bool()? {
-                        Some((generation, f.usize()?, f.usize()?, f.f64_vec()?))
-                    } else {
-                        None
-                    };
-                    if !block.is_power_of_two() || block < m {
-                        return Err(corrupt(format!("bad block size {block} for window {m}")));
-                    }
-                    if head >= block {
-                        return Err(corrupt(format!("dead prefix {head} not below {block}")));
-                    }
-                    if head + m > grid.len() {
-                        return Err(corrupt("fewer than m live points in the grid"));
-                    }
-                    (
-                        MassEngine::Segmented(SegmentedMass::restore(
-                            grid, head, m, block, generation,
-                        )),
-                        rolled,
-                    )
-                }
-            };
+            let series = f.f64_vec()?;
             f.finish()?;
-            let count = engine.window_count();
+            if series.len() < m {
+                return Err(corrupt("series shorter than the window"));
+            }
+            if !series.iter().all(|v| v.is_finite()) {
+                return Err(corrupt("series contains non-finite values"));
+            }
+            let count = series.len() - m + 1;
             if fold_profile.len() != count || fold_index.len() != count {
                 return Err(corrupt("fold length disagrees with the window count"));
             }
-            let in_range = |q: &usize| *q < count;
-            if !pending.iter().all(in_range) || !done.iter().all(in_range) {
-                return Err(corrupt("query index out of range"));
+            // Distances are non-negative; `+∞` marks an entry no query
+            // has reached yet. `>=` also rejects NaN.
+            if !fold_profile.iter().all(|&d| d >= 0.0) {
+                return Err(corrupt("fold entry is negative or NaN"));
             }
             if !fold_index.iter().all(|&i| i == usize::MAX || i < count) {
                 return Err(corrupt("fold neighbor index out of range"));
             }
+            // Every window of the epoch is either still queued or
+            // already folded: a window missing from both would never
+            // reach the fold, and one listed twice would mean the queue
+            // was not written by a monitor.
+            if pending.len() + done.len() != count {
+                return Err(corrupt("pending and done do not cover each window once"));
+            }
+            let mut seen = vec![false; count];
+            for &q in pending.iter().chain(&done) {
+                if q >= count {
+                    return Err(corrupt("query index out of range"));
+                }
+                if std::mem::replace(&mut seen[q], true) {
+                    return Err(corrupt(format!("window {q} queued twice")));
+                }
+            }
             if let Some((cp, ci)) = &carry {
+                // `step` drops the carry the moment the queue empties.
+                if pending.is_empty() {
+                    return Err(corrupt("carry present with nothing pending"));
+                }
                 if cp.len() != count || ci.len() != count {
                     return Err(corrupt("carry length disagrees with the window count"));
+                }
+                if !cp.iter().all(|&d| d >= 0.0) {
+                    return Err(corrupt("carry entry is negative or NaN"));
                 }
                 if !ci.iter().all(|&i| i == usize::MAX || i < count) {
                     return Err(corrupt("carry neighbor index out of range"));
                 }
             }
-            if let Some((_, q, chain, cov)) = &rolled {
-                if *q >= count || *chain > MAX_ROLL_CHAIN || cov.len() != count {
-                    return Err(corrupt("rolled-chain row inconsistent with the grid"));
-                }
-            }
-            (Some(engine), rolled)
+            // A fresh build is bit-identical to the evolved engine after
+            // any append/evict schedule (the kernel's own contract), so
+            // the series is the whole state.
+            Some(MassPrecomputed::new(&series, m))
         };
 
-        let mut monitor = Self {
+        Ok(Self {
             m,
             exclusion,
             seed,
             clock: StreamClock::with_state(epochs, offset, retention),
-            backend,
             warmup,
             mass,
             pending: pending.into(),
@@ -981,19 +910,12 @@ impl Checkpoint for StreamingDiscordMonitor {
             fold_profile,
             fold_index,
             carry,
-            scratch: EngineScratch::default(),
+            scratch: MassScratch::default(),
             dp: Vec::new(),
             // Telemetry describes a process, not resumable state: a
             // restored monitor starts counting from zero.
             stats: SessionStats::default(),
-        };
-        if let Some((generation, q, chain, cov)) = rolled {
-            monitor
-                .scratch
-                .seg
-                .set_rolled_row(generation, q, chain, cov);
-        }
-        Ok(monitor)
+        })
     }
 }
 
@@ -1232,6 +1154,146 @@ mod tests {
         StreamingDiscordMonitor::new(0);
     }
 
+    #[test]
+    fn new_uses_the_default_exclusion_and_seed() {
+        let series = test_series(150);
+        let m = 8;
+        let mut a = StreamingDiscordMonitor::new(m);
+        let mut b =
+            StreamingDiscordMonitor::with_seed(m, default_exclusion(m), DEFAULT_MONITOR_SEED);
+        assert_eq!(a.exclusion(), default_exclusion(m));
+        for part in series.chunks(33) {
+            a.append(part);
+            b.append(part);
+            a.run_for(9);
+            b.run_for(9);
+            // Same exclusion and seed: the same queue, fold and carry.
+            assert_eq!(a.checkpoint_bytes().unwrap(), b.checkpoint_bytes().unwrap());
+        }
+        let (fa, fb) = (a.finish(), b.finish());
+        assert_eq!(fa.profile, fb.profile);
+        assert_eq!(fa.index, fb.index);
+    }
+
+    #[test]
+    fn finish_parallel_with_one_query_left_matches_stamp() {
+        let series = test_series(240);
+        let m = 8;
+        let mut monitor = StreamingDiscordMonitor::new(m);
+        monitor.append(&series);
+        monitor.run_for(monitor.window_count() - 1);
+        assert_eq!(monitor.pending(), 1);
+        let finished = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap()
+            .install(|| monitor.finish_parallel());
+        let reference = stamp_with_exclusion(&series, m, m / 2);
+        assert_eq!(finished.profile, reference.profile);
+        assert_eq!(finished.index, reference.index);
+        assert!(monitor.is_current());
+        assert_eq!(monitor.processed(), monitor.window_count());
+    }
+
+    #[test]
+    fn finish_parallel_records_the_same_metrics_as_finish() {
+        let series = test_series(260);
+        let mut par = StreamingDiscordMonitor::new(8);
+        for part in series.chunks(40) {
+            par.append(part);
+            par.run_for(15);
+        }
+        let mut seq = par.clone();
+        let a = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap()
+            .install(|| par.finish_parallel());
+        let b = seq.finish();
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.index, b.index);
+        assert_eq!(par.processed(), seq.processed());
+        assert_eq!(par.metrics(), seq.metrics());
+        assert_eq!(par.metrics().staleness_points, 0);
+    }
+
+    #[test]
+    fn metrics_count_ingest_and_queries() {
+        let series = test_series(150);
+        let m = 8;
+        let mut monitor = StreamingDiscordMonitor::new(m);
+        monitor.append(&series[..5]);
+        // Warm-up queues nothing, so nothing is stale yet.
+        assert_eq!(monitor.metrics().staleness_points, 0);
+        monitor.append(&series[5..100]);
+        assert_eq!(monitor.metrics().staleness_points, 95);
+        assert_eq!(monitor.run_for(10), 10);
+        monitor.evict(20).unwrap();
+        monitor.finish();
+        let stats = monitor.metrics();
+        assert_eq!(stats.appends, 2);
+        assert_eq!(stats.points_appended, 100);
+        assert_eq!((stats.evictions, stats.points_evicted), (1, 20));
+        // 10 queries before the eviction, then all 73 surviving windows.
+        assert_eq!(stats.steps, 10 + 73);
+        assert_eq!((stats.caught_up, stats.staleness_points), (1, 0));
+        // A retention trim counts as an eviction.
+        monitor.retain_last(50).unwrap();
+        assert_eq!(monitor.metrics().evictions, 2);
+        assert_eq!(monitor.metrics().points_evicted, 50);
+    }
+
+    #[test]
+    fn evict_mid_epoch_drops_the_carry_and_requeues_the_survivors() {
+        let series = test_series(220);
+        let m = 8;
+        let mut monitor = StreamingDiscordMonitor::new(m);
+        monitor.append(&series[..150]);
+        monitor.run_for(usize::MAX);
+        monitor.append(&series[150..]);
+        monitor.run_for(30);
+        // The carry still holds pre-append evidence for the old windows.
+        assert!(monitor.snapshot().profile[..143]
+            .iter()
+            .all(|d| d.is_finite()));
+        monitor.evict(40).unwrap();
+        assert_eq!(monitor.processed(), 0);
+        assert_eq!(monitor.pending(), monitor.window_count());
+        assert!(monitor.snapshot().profile.iter().all(|d| d.is_infinite()));
+        let finished = monitor.finish();
+        let reference = stamp_with_exclusion(&series[40..], m, m / 2);
+        assert_eq!(finished.profile, reference.profile);
+        assert_eq!(finished.index, reference.index);
+    }
+
+    #[test]
+    fn compact_mid_epoch_changes_nothing_observable() {
+        let series = test_series(400);
+        let m = 9;
+        let mut live = StreamingDiscordMonitor::new(m);
+        live.append(&series[..300]);
+        live.run_for(120);
+        live.append(&series[300..]);
+        live.run_for(40); // a carry and a backlog are both live
+        let mut twin = live.clone();
+        live.compact();
+        assert_eq!(
+            live.checkpoint_bytes().unwrap(),
+            twin.checkpoint_bytes().unwrap()
+        );
+        for monitor in [&mut live, &mut twin] {
+            monitor.run_for(50);
+        }
+        let (a, b) = (live.snapshot(), twin.snapshot());
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.index, b.index);
+        let (fa, fb) = (live.finish(), twin.finish());
+        assert_eq!(fa.profile, fb.profile);
+        assert_eq!(fa.index, fb.index);
+        let reference = stamp_with_exclusion(&series, m, m / 2);
+        assert_eq!(fa.profile, reference.profile);
+    }
+
     // ------------------------------------------------------------------
     // Sliding-window eviction: boundary regressions. The property
     // harness in tests/eviction_proptests.rs covers random schedules;
@@ -1412,184 +1474,6 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Segmented backend: the toleranced side of the versioned parity
-    // contract. The property harness in tests/segmented_proptests.rs
-    // covers random schedules; these pin the structural behavior.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn segmented_finish_within_tolerance_across_appends_and_evicts() {
-        let series = test_series(420);
-        let m = 9;
-        let exc = m / 2;
-        let mut fast = StreamingDiscordMonitor::with_backend(
-            m,
-            exc,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        assert_eq!(fast.backend(), MassBackend::Segmented);
-        for part in series.chunks(37) {
-            fast.append(part);
-            fast.run_for(12); // leave a backlog on purpose
-        }
-        fast.evict(50).unwrap();
-        for part in [&series[..23], &series[100..140]] {
-            fast.append(part);
-            fast.run_for(9);
-        }
-        let finished = fast.finish();
-        assert!(fast.is_current());
-        // Shadow: an Exact monitor fed the identical schedule.
-        let mut oracle = StreamingDiscordMonitor::with_exclusion(m, exc);
-        for part in series.chunks(37) {
-            oracle.append(part);
-        }
-        oracle.evict(50).unwrap();
-        for part in [&series[..23], &series[100..140]] {
-            oracle.append(part);
-        }
-        let reference = oracle.finish();
-        assert_eq!(finished.len(), reference.len());
-        for i in 0..finished.len() {
-            let (a, b) = (finished.profile[i], reference.profile[i]);
-            // ≤1e-9 in distance or squared distance: d = √(2m(1−corr))
-            // amplifies corr rounding unboundedly as d → 0 (an exact
-            // re-appended chunk creates true-zero pairs here), but d²
-            // is linear in corr, so near-zero entries compare cleanly
-            // there. Either bound implies the profiles agree to within
-            // kernel round-off.
-            assert!(
-                (a - b).abs() <= 1e-9 || (a * a - b * b).abs() <= 1e-9,
-                "i={i}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_append_enqueues_only_fresh_queries() {
-        let series = test_series(300);
-        let m = 8;
-        let mut monitor = StreamingDiscordMonitor::with_backend(
-            m,
-            m / 2,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        monitor.append(&series[..200]);
-        monitor.run_for(usize::MAX);
-        assert!(monitor.is_current());
-        monitor.append(&series[200..]);
-        // No catch-up backlog: exactly the fresh windows are pending —
-        // the structural source of the backend's ingest throughput.
-        assert_eq!(monitor.pending(), 100);
-        assert_eq!(monitor.run_for(usize::MAX), 100);
-        assert!(monitor.is_current());
-        // And the fold kept the pre-append evidence: every old entry is
-        // still finite and the profile is complete.
-        let snap = monitor.snapshot();
-        assert!(snap.profile.iter().all(|d| d.is_finite()));
-    }
-
-    #[test]
-    fn segmented_finish_parallel_falls_back_to_sequential() {
-        let series = test_series(240);
-        let m = 8;
-        let exc = m / 2;
-        let mut a = StreamingDiscordMonitor::with_backend(
-            m,
-            exc,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        let mut b = StreamingDiscordMonitor::with_backend(
-            m,
-            exc,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        a.append(&series);
-        b.append(&series);
-        let par = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| a.finish_parallel());
-        let seq = b.finish();
-        // Identical (not merely toleranced): same sequential rolled path.
-        assert_eq!(par.profile, seq.profile);
-        assert_eq!(par.index, seq.index);
-    }
-
-    #[test]
-    fn segmented_block_store_stays_bounded_under_retention() {
-        let m = 16usize;
-        let retention = 600usize;
-        let chunk = 64usize;
-        let mut monitor = StreamingDiscordMonitor::with_backend(
-            m,
-            m / 2,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        monitor.retain_last(retention).unwrap();
-        assert!(monitor.block_store().is_none(), "no windows yet");
-        let mut fed = 0usize;
-        let mut transform_sizes = Vec::new();
-        while fed < 40_000 {
-            let part: Vec<f64> = (0..chunk)
-                .map(|j| ((fed + j) as f64 * 0.17).sin() * 1.5)
-                .collect();
-            monitor.append(&part);
-            fed += chunk;
-            monitor.run_for(8);
-            let (blocks, block, spectra) = monitor.block_store().expect("segmented backend");
-            // Blocks cover live points + dead prefix (< B) + chunk slack.
-            let max_blocks = (retention + chunk + block).div_ceil(block) + 1;
-            assert!(blocks <= max_blocks, "{blocks} blocks exceed {max_blocks}");
-            assert!(
-                spectra <= 2 * max_blocks * (block + 1),
-                "spectra capacity {spectra} exceeds O(n + chunk)"
-            );
-            assert!(
-                monitor.series_capacity() <= 2 * (retention + chunk + block),
-                "series capacity {} unbounded",
-                monitor.series_capacity()
-            );
-            transform_sizes.push(monitor.padded_size());
-        }
-        // The per-query transform size never grew with stream length.
-        assert!(transform_sizes.windows(2).all(|w| w[0] == w[1]));
-        // Exact monitor under the same policy: padded size tracks the
-        // retention window (the contrast the accessor documents).
-        assert_eq!(monitor.stream_offset(), fed - retention);
-    }
-
-    #[test]
-    fn exact_backend_is_the_default_and_bitwise_unchanged() {
-        let series = test_series(150);
-        let m = 8;
-        let monitor = StreamingDiscordMonitor::new(m);
-        assert_eq!(monitor.backend(), MassBackend::Exact);
-        // with_backend(Exact) is the same monitor with_seed builds.
-        let mut a = StreamingDiscordMonitor::with_backend(
-            m,
-            m / 2,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Exact,
-        );
-        let mut b = StreamingDiscordMonitor::new(m);
-        for part in series.chunks(33) {
-            a.append(part);
-            b.append(part);
-        }
-        let fa = a.finish();
-        let fb = b.finish();
-        assert_eq!(fa.profile, fb.profile);
-        assert_eq!(fa.index, fb.index);
-    }
-
-    // ------------------------------------------------------------------
     // Checkpoint/restore: pinned mid-schedule round trips. The property
     // harness in tests/checkpoint_proptests.rs injects save/restore at
     // every prefix of random schedules; these pin the structural edges.
@@ -1600,61 +1484,35 @@ mod tests {
         let series = test_series(300);
         let m = 9;
         let exc = m / 2;
-        for backend in [MassBackend::Exact, MassBackend::Segmented] {
-            let mut live = StreamingDiscordMonitor::with_backend(m, exc, 7, backend);
-            live.append(&series[..180]);
-            live.run_for(55); // mid-epoch: fold, pending, and (exact) carry all populated
-            live.append(&series[180..240]);
-            live.run_for(13);
-            live.evict(40).unwrap();
-            live.run_for(21);
-            live.append(&series[240..]);
-            live.run_for(17);
+        let mut live = StreamingDiscordMonitor::with_seed(m, exc, 7);
+        live.append(&series[..180]);
+        live.run_for(55); // mid-epoch: fold, pending, and carry all populated
+        live.append(&series[180..240]);
+        live.run_for(13);
+        live.evict(40).unwrap();
+        live.run_for(21);
+        live.append(&series[240..]);
+        live.run_for(17);
 
-            let bytes = live.checkpoint_bytes().unwrap();
-            let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
-            assert_eq!(restored.backend(), backend);
-            assert_eq!(restored.stream_offset(), live.stream_offset());
-            assert_eq!(restored.epochs(), live.epochs());
-            assert_eq!(restored.pending(), live.pending());
-            let (a, b) = (restored.snapshot(), live.snapshot());
-            assert_eq!(a.profile, b.profile, "{backend:?}");
-            assert_eq!(a.index, b.index, "{backend:?}");
+        let bytes = live.checkpoint_bytes().unwrap();
+        let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+        assert_eq!(restored.stream_offset(), live.stream_offset());
+        assert_eq!(restored.epochs(), live.epochs());
+        assert_eq!(restored.pending(), live.pending());
+        let (a, b) = (restored.snapshot(), live.snapshot());
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.index, b.index);
 
-            // Replay the identical remainder on both: every intermediate
-            // snapshot and the finish must stay bitwise in lockstep.
-            for monitor in [&mut live, &mut restored] {
-                monitor.run_for(29);
-                monitor.append(&series[..50]);
-                monitor.run_for(11);
-                monitor.evict(23).unwrap();
-            }
-            let (a, b) = (restored.snapshot(), live.snapshot());
-            assert_eq!(a.profile, b.profile, "{backend:?}");
-            let (fa, fb) = (restored.finish(), live.finish());
-            assert_eq!(fa.profile, fb.profile, "{backend:?}");
-            assert_eq!(fa.index, fb.index, "{backend:?}");
+        // Replay the identical remainder on both: every intermediate
+        // snapshot and the finish must stay bitwise in lockstep.
+        for monitor in [&mut live, &mut restored] {
+            monitor.run_for(29);
+            monitor.append(&series[..50]);
+            monitor.run_for(11);
+            monitor.evict(23).unwrap();
         }
-    }
-
-    #[test]
-    fn checkpoint_preserves_the_segmented_rolled_chain() {
-        // Ascending query order keeps the rolled covariance row hot; a
-        // checkpoint taken mid-chain must hand the restored monitor the
-        // same row, or its next query reseeds and drifts by an ulp.
-        let series = test_series(400);
-        let m = 12;
-        let mut live = StreamingDiscordMonitor::with_backend(
-            m,
-            m / 2,
-            DEFAULT_MONITOR_SEED,
-            MassBackend::Segmented,
-        );
-        live.append(&series);
-        live.run_for(150); // mid-chain
-        let mut restored =
-            StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
-                .unwrap();
+        let (a, b) = (restored.snapshot(), live.snapshot());
+        assert_eq!(a.profile, b.profile);
         let (fa, fb) = (restored.finish(), live.finish());
         assert_eq!(fa.profile, fb.profile);
         assert_eq!(fa.index, fb.index);
@@ -1700,6 +1558,50 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_of_a_caught_up_monitor_restores_current() {
+        let series = test_series(200);
+        let m = 8;
+        let mut live = StreamingDiscordMonitor::new(m);
+        live.append(&series[..150]);
+        live.run_for(30);
+        live.append(&series[150..]);
+        let finished = live.finish();
+        let mut restored =
+            StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
+                .unwrap();
+        assert!(restored.is_current());
+        assert_eq!(restored.processed(), restored.window_count());
+        let snap = restored.snapshot();
+        assert_eq!(snap.profile, finished.profile);
+        assert_eq!(snap.index, finished.index);
+        assert!(!restored.step());
+        // The next append re-queues every window on both sides alike.
+        live.append(&series[..20]);
+        restored.append(&series[..20]);
+        assert_eq!(restored.pending(), live.pending());
+        let (fa, fb) = (restored.finish(), live.finish());
+        assert_eq!(fa.profile, fb.profile);
+        assert_eq!(fa.index, fb.index);
+    }
+
+    #[test]
+    fn restored_monitor_counts_metrics_from_zero() {
+        let series = test_series(120);
+        let mut live = StreamingDiscordMonitor::new(8);
+        live.append(&series);
+        live.run_for(25);
+        assert_eq!(live.metrics().steps, 25);
+        let mut restored =
+            StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
+                .unwrap();
+        assert_eq!(restored.metrics(), SessionStats::default());
+        restored.finish();
+        let stats = restored.metrics();
+        assert_eq!(stats.steps, (restored.window_count() - 25) as u64);
+        assert_eq!((stats.appends, stats.caught_up), (0, 1));
+    }
+
+    #[test]
     fn checkpoint_rejects_malformed_input_with_typed_errors() {
         let series = test_series(150);
         let mut monitor = StreamingDiscordMonitor::new(8);
@@ -1726,6 +1628,248 @@ mod tests {
         let target = flipped.len() / 2;
         flipped[target] ^= 0x10;
         assert!(StreamingDiscordMonitor::from_checkpoint_bytes(&flipped).is_err());
+    }
+
+    /// Monitor-section fields in `save_checkpoint`'s layout (exclusion
+    /// `m / 2`, the default seed), plus the engine series if any.
+    #[derive(Clone)]
+    struct Frame {
+        m: usize,
+        retention: Option<usize>,
+        warmup: Vec<f64>,
+        fold: Vec<f64>,
+        fold_index: Vec<usize>,
+        pending: Vec<usize>,
+        done: Vec<usize>,
+        carry: Option<(Vec<f64>, Vec<usize>)>,
+        series: Option<Vec<f64>>,
+    }
+
+    /// Windows of [`Frame::fresh`]: 16 points at `m = 8`.
+    const FRAME_WINDOWS: usize = 9;
+
+    impl Frame {
+        /// 16 points at `m = 8`: every window queued, nothing folded.
+        fn fresh() -> Self {
+            Self {
+                m: 8,
+                retention: None,
+                warmup: Vec::new(),
+                fold: vec![f64::INFINITY; FRAME_WINDOWS],
+                fold_index: vec![usize::MAX; FRAME_WINDOWS],
+                pending: (0..FRAME_WINDOWS).collect(),
+                done: Vec::new(),
+                carry: None,
+                series: Some(test_series(16)),
+            }
+        }
+
+        /// Three points at `m = 8`: still warming up, no engine.
+        fn warming() -> Self {
+            Self {
+                warmup: test_series(3),
+                fold: Vec::new(),
+                fold_index: Vec::new(),
+                pending: Vec::new(),
+                series: None,
+                ..Self::fresh()
+            }
+        }
+
+        /// Every window folded in this epoch.
+        fn caught_up() -> Self {
+            let mut frame = Self::fresh();
+            frame.fold = vec![0.5; FRAME_WINDOWS];
+            frame.fold_index = (0..FRAME_WINDOWS).rev().collect();
+            frame.done = std::mem::take(&mut frame.pending);
+            frame
+        }
+
+        /// Mid-epoch after an append: part folded, a carry live.
+        fn carrying() -> Self {
+            let mut frame = Self::fresh();
+            frame.done = frame.pending.split_off(4);
+            frame.carry = Some(Self::empty_carry());
+            frame
+        }
+
+        fn empty_carry() -> (Vec<f64>, Vec<usize>) {
+            (
+                vec![f64::INFINITY; FRAME_WINDOWS],
+                vec![usize::MAX; FRAME_WINDOWS],
+            )
+        }
+
+        fn with(&self, edit: impl Fn(&mut Frame)) -> Frame {
+            let mut frame = self.clone();
+            edit(&mut frame);
+            frame
+        }
+
+        /// A checksum-valid checkpoint holding exactly these fields.
+        fn bytes(&self) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            let sections = 1 + u32::from(self.series.is_some());
+            let mut out = CheckpointWriter::begin(&mut bytes, sections).unwrap();
+            let mut f = FieldWriter::new();
+            f.usize(self.m);
+            f.usize(self.m / 2);
+            f.u64(DEFAULT_MONITOR_SEED);
+            f.u32(CKPT_BACKEND_TAG);
+            f.u64(1);
+            f.usize(0);
+            f.opt_usize(self.retention);
+            f.f64_slice(&self.warmup);
+            f.f64_slice(&self.fold);
+            f.usize_slice(&self.fold_index);
+            f.usize_slice(&self.pending);
+            f.usize_slice(&self.done);
+            match &self.carry {
+                None => f.bool(false),
+                Some((cp, ci)) => {
+                    f.bool(true);
+                    f.f64_slice(cp);
+                    f.usize_slice(ci);
+                }
+            }
+            out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &f.into_bytes())
+                .unwrap();
+            if let Some(series) = &self.series {
+                let mut f = FieldWriter::new();
+                f.f64_slice(series);
+                out.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION, &f.into_bytes())
+                    .unwrap();
+            }
+            bytes
+        }
+    }
+
+    fn assert_all_corrupt<const N: usize>(cases: [(&str, Frame); N]) {
+        for (what, frame) in cases {
+            assert!(
+                matches!(
+                    StreamingDiscordMonitor::from_checkpoint_bytes(&frame.bytes()),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{what} must load as Corrupt"
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_states_no_monitor_writes() {
+        let (fresh, warming) = (Frame::fresh(), Frame::warming());
+        let (caught_up, carrying) = (Frame::caught_up(), Frame::carrying());
+        for frame in [&fresh, &warming, &caught_up, &carrying] {
+            StreamingDiscordMonitor::from_checkpoint_bytes(&frame.bytes())
+                .expect("a state the monitor writes must load");
+        }
+        assert_all_corrupt([
+            (
+                "NaN series point",
+                fresh.with(|f| f.series.as_mut().unwrap()[5] = f64::NAN),
+            ),
+            (
+                "infinite series point",
+                fresh.with(|f| f.series.as_mut().unwrap()[0] = f64::INFINITY),
+            ),
+            (
+                "infinite warm-up point",
+                warming.with(|f| f.warmup[1] = f64::NEG_INFINITY),
+            ),
+            ("NaN fold entry", caught_up.with(|f| f.fold[2] = f64::NAN)),
+            ("negative fold entry", caught_up.with(|f| f.fold[2] = -1.0)),
+            (
+                "NaN carry entry",
+                carrying.with(|f| f.carry.as_mut().unwrap().0[3] = f64::NAN),
+            ),
+            (
+                "negative carry entry",
+                carrying.with(|f| f.carry.as_mut().unwrap().0[3] = -0.5),
+            ),
+            ("nothing pending or done", fresh.with(|f| f.pending.clear())),
+            ("window missing", fresh.with(|f| f.pending.truncate(8))),
+            ("window listed twice", fresh.with(|f| f.pending[8] = 0)),
+            (
+                "window both pending and done",
+                carrying.with(|f| f.done[0] = 0),
+            ),
+            (
+                "carry with nothing pending",
+                caught_up.with(|f| f.carry = Some(Frame::empty_carry())),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn checkpoint_rejects_per_window_state_that_disagrees_with_the_series() {
+        let (fresh, carrying) = (Frame::fresh(), Frame::carrying());
+        let last = FRAME_WINDOWS - 1;
+        assert_all_corrupt([
+            (
+                "series shorter than the window",
+                fresh.with(|f| f.series = Some(test_series(7))),
+            ),
+            (
+                "warm-up points beside an engine",
+                fresh.with(|f| f.warmup = test_series(2)),
+            ),
+            (
+                "fold one window short",
+                fresh.with(|f| {
+                    f.fold.pop();
+                    f.fold_index.pop();
+                }),
+            ),
+            (
+                "fold neighbor past the last window",
+                fresh.with(|f| f.fold_index[0] = FRAME_WINDOWS),
+            ),
+            (
+                "queued window past the last one",
+                fresh.with(|f| f.pending[last] = FRAME_WINDOWS),
+            ),
+            (
+                "carry one window short",
+                carrying.with(|f| {
+                    let (cp, ci) = f.carry.as_mut().unwrap();
+                    cp.pop();
+                    ci.pop();
+                }),
+            ),
+            (
+                "carry neighbor past the last window",
+                carrying.with(|f| f.carry.as_mut().unwrap().1[0] = FRAME_WINDOWS),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn checkpoint_rejects_warmup_state_no_monitor_writes() {
+        let warming = Frame::warming();
+        StreamingDiscordMonitor::from_checkpoint_bytes(
+            &warming.with(|f| f.retention = Some(8)).bytes(),
+        )
+        .expect("retention of exactly m loads");
+        assert_all_corrupt([
+            ("zero window", warming.with(|f| f.m = 0)),
+            (
+                "retention below the window",
+                warming.with(|f| f.retention = Some(7)),
+            ),
+            (
+                "a full window still warming up",
+                warming.with(|f| f.warmup = test_series(8)),
+            ),
+            (
+                "a queue without an engine",
+                warming.with(|f| f.pending = vec![0]),
+            ),
+            (
+                "a carry without an engine",
+                warming.with(|f| f.carry = Some((Vec::new(), Vec::new()))),
+            ),
+        ]);
     }
 
     #[test]

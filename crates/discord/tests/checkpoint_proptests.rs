@@ -4,21 +4,31 @@
 //! Two families of properties:
 //!
 //! * **Round-trip at every prefix.** For random append/evict/step
-//!   schedules on *both* MASS backends, a checkpoint taken after every
-//!   prefix of the schedule, restored, and driven through the remaining
-//!   ops must `finish()` **bit-identical** to the uninterrupted run —
-//!   persistence is observationally invisible at any cut point.
+//!   schedules, a checkpoint taken after every prefix of the schedule,
+//!   restored, and driven through the remaining ops must `finish()`
+//!   **bit-identical** to the uninterrupted run — persistence is
+//!   observationally invisible at any cut point.
 //!
 //! * **Corruption is loud.** Truncating the checkpoint at (and around)
 //!   every section boundary must return a typed [`CheckpointError`],
 //!   and flipping any bit must either return a typed error or restore a
 //!   session whose `finish()` is still bit-identical — never a panic,
 //!   never a silently-wrong session.
+//!
+//! A third family edits checkpoints field by field through
+//! [`MonitorFields`], an outside decoder of the MON1/ENG1 v1 layout:
+//! re-encoding what it decodes reproduces the bytes, any order of the
+//! query queue finishes bit-identical, and a checksum-valid payload
+//! that no monitor writes (a non-finite point, a negative or NaN
+//! distance, a queue that misses or repeats a window) loads as
+//! [`CheckpointError::Corrupt`].
 
-use egi_discord::mass_seg::MassBackend;
+use egi_discord::anytime::pseudo_random_order;
 use egi_discord::streaming::{Checkpoint, CheckpointError, StreamingDiscordMonitor};
 use egi_testkit::{choose_evict, decode_op, PointGen, ScheduleOp, ShadowSuffix};
-use egi_tskit::checkpoint::list_sections;
+use egi_tskit::checkpoint::{
+    list_sections, CheckpointReader, CheckpointWriter, FieldReader, FieldWriter,
+};
 use proptest::prelude::*;
 
 /// Applies one decoded schedule step to a monitor, advancing the shadow
@@ -53,13 +63,12 @@ fn drive(
 fn replay_prefix(
     m: usize,
     seed: u64,
-    backend: MassBackend,
     gen: &PointGen,
     ops: &[ScheduleOp],
     upto: usize,
 ) -> (StreamingDiscordMonitor, ShadowSuffix) {
     let exc = m / 2;
-    let mut monitor = StreamingDiscordMonitor::with_backend(m, exc, seed, backend);
+    let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
     let mut shadow = ShadowSuffix::new();
     for &op in &ops[..upto] {
         drive(&mut monitor, &mut shadow, gen, m, op);
@@ -72,33 +81,26 @@ proptest! {
 
     /// The tentpole acceptance property: checkpoint-at-any-point. For
     /// every prefix of a random schedule, save → restore → replay the
-    /// rest must finish bit-identical to the uninterrupted run, on both
-    /// backends.
+    /// rest must finish bit-identical to the uninterrupted run.
     #[test]
     fn checkpoint_at_every_prefix_finishes_bit_identical(
         m in 4usize..10,
         seed in 0u64..1_000_000_000,
-        backend_pick in 0usize..2,
         raw_ops in prop::collection::vec((0usize..10, 1usize..33), 2..8),
     ) {
-        let backend = if backend_pick == 0 {
-            MassBackend::Exact
-        } else {
-            MassBackend::Segmented
-        };
         let gen = PointGen::discord();
         let ops: Vec<ScheduleOp> =
             raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
 
         // The uninterrupted run is the oracle.
         let (mut oracle, shadow) =
-            replay_prefix(m, seed, backend, &gen, &ops, ops.len());
+            replay_prefix(m, seed, &gen, &ops, ops.len());
         let expected = oracle.finish();
         prop_assert_eq!(oracle.series_len(), shadow.live());
 
         for cut in 0..=ops.len() {
             let (prefix_monitor, _) =
-                replay_prefix(m, seed, backend, &gen, &ops, cut);
+                replay_prefix(m, seed, &gen, &ops, cut);
             let bytes = prefix_monitor.checkpoint_bytes().unwrap();
             let mut restored =
                 StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
@@ -128,20 +130,14 @@ proptest! {
     fn corrupted_checkpoints_fail_loud_never_wrong(
         m in 4usize..10,
         seed in 0u64..1_000_000_000,
-        backend_pick in 0usize..2,
         raw_ops in prop::collection::vec((0usize..10, 1usize..33), 2..7),
         flip_picks in prop::collection::vec((0usize..4096, 0u8..8), 1..12),
     ) {
-        let backend = if backend_pick == 0 {
-            MassBackend::Exact
-        } else {
-            MassBackend::Segmented
-        };
         let gen = PointGen::discord();
         let ops: Vec<ScheduleOp> =
             raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
         let (monitor, _) =
-            replay_prefix(m, seed, backend, &gen, &ops, ops.len());
+            replay_prefix(m, seed, &gen, &ops, ops.len());
         let bytes = monitor.checkpoint_bytes().unwrap();
         let expected = {
             let mut twin =
@@ -210,5 +206,257 @@ fn shadow_at(_gen: &PointGen, monitor: &StreamingDiscordMonitor) -> ShadowSuffix
     ShadowSuffix {
         appended: monitor.stream_offset() + monitor.series_len(),
         offset: monitor.stream_offset(),
+    }
+}
+
+const MON1: u32 = u32::from_le_bytes(*b"MON1");
+const ENG1: u32 = u32::from_le_bytes(*b"ENG1");
+
+/// A monitor checkpoint decoded field by field through the public
+/// container API: the MON1 v1 section, then the ENG1 v1 series once
+/// the monitor has left warm-up.
+#[derive(Debug, Clone, PartialEq)]
+struct MonitorFields {
+    m: usize,
+    exclusion: usize,
+    seed: u64,
+    backend: u32,
+    epochs: u64,
+    offset: usize,
+    retention: Option<usize>,
+    warmup: Vec<f64>,
+    fold: Vec<f64>,
+    fold_index: Vec<usize>,
+    pending: Vec<usize>,
+    done: Vec<usize>,
+    carry: Option<(Vec<f64>, Vec<usize>)>,
+    series: Option<Vec<f64>>,
+}
+
+impl MonitorFields {
+    fn decode(bytes: &[u8]) -> Self {
+        let mut input = bytes;
+        let mut reader = CheckpointReader::begin(&mut input).unwrap();
+        let (_, payload) = reader.section(MON1, 1).unwrap();
+        let mut f = FieldReader::new(&payload);
+        let mut fields = Self {
+            m: f.usize().unwrap(),
+            exclusion: f.usize().unwrap(),
+            seed: f.u64().unwrap(),
+            backend: f.u32().unwrap(),
+            epochs: f.u64().unwrap(),
+            offset: f.usize().unwrap(),
+            retention: f.opt_usize().unwrap(),
+            warmup: f.f64_vec().unwrap(),
+            fold: f.f64_vec().unwrap(),
+            fold_index: f.usize_vec().unwrap(),
+            pending: f.usize_vec().unwrap(),
+            done: f.usize_vec().unwrap(),
+            carry: None,
+            series: None,
+        };
+        if f.bool().unwrap() {
+            fields.carry = Some((f.f64_vec().unwrap(), f.usize_vec().unwrap()));
+        }
+        f.finish().unwrap();
+        if reader.sections_remaining() > 0 {
+            let (_, payload) = reader.section(ENG1, 1).unwrap();
+            let mut f = FieldReader::new(&payload);
+            fields.series = Some(f.f64_vec().unwrap());
+            f.finish().unwrap();
+        }
+        fields
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let sections = 1 + u32::from(self.series.is_some());
+        let mut out = CheckpointWriter::begin(&mut bytes, sections).unwrap();
+        let mut f = FieldWriter::new();
+        f.usize(self.m);
+        f.usize(self.exclusion);
+        f.u64(self.seed);
+        f.u32(self.backend);
+        f.u64(self.epochs);
+        f.usize(self.offset);
+        f.opt_usize(self.retention);
+        f.f64_slice(&self.warmup);
+        f.f64_slice(&self.fold);
+        f.usize_slice(&self.fold_index);
+        f.usize_slice(&self.pending);
+        f.usize_slice(&self.done);
+        f.bool(self.carry.is_some());
+        if let Some((cp, ci)) = &self.carry {
+            f.f64_slice(cp);
+            f.usize_slice(ci);
+        }
+        out.section(MON1, 1, &f.into_bytes()).unwrap();
+        if let Some(series) = &self.series {
+            let mut f = FieldWriter::new();
+            f.f64_slice(series);
+            out.section(ENG1, 1, &f.into_bytes()).unwrap();
+        }
+        bytes
+    }
+
+    /// Slot `k` of the queue read as `pending` followed by `done`.
+    fn queue_slot(&mut self, k: usize) -> &mut usize {
+        let split = self.pending.len();
+        if k < split {
+            &mut self.pending[k]
+        } else {
+            &mut self.done[k - split]
+        }
+    }
+
+    fn loads_as_corrupt(&self) -> bool {
+        matches!(
+            StreamingDiscordMonitor::from_checkpoint_bytes(&self.encode()),
+            Err(CheckpointError::Corrupt(_))
+        )
+    }
+}
+
+/// Replays a random schedule, then tops the stream up to at least
+/// `2m` live points so the saved state always holds windows.
+fn monitor_with_windows(
+    m: usize,
+    seed: u64,
+    raw_ops: &[(usize, usize)],
+) -> StreamingDiscordMonitor {
+    let gen = PointGen::discord();
+    let ops: Vec<ScheduleOp> = raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
+    let (mut monitor, mut shadow) = replay_prefix(m, seed, &gen, &ops, ops.len());
+    if shadow.live() < 2 * m {
+        let chunk = shadow.next_chunk(&gen, 2 * m - shadow.live());
+        monitor.append(&chunk);
+    }
+    monitor
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The outside decoder reads exactly what the monitor holds, and
+    /// writing it back reproduces the checkpoint byte for byte.
+    #[test]
+    fn decoded_fields_reencode_to_the_same_bytes(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
+    ) {
+        let gen = PointGen::discord();
+        let ops: Vec<ScheduleOp> =
+            raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
+        let (monitor, _) = replay_prefix(m, seed, &gen, &ops, ops.len());
+        let bytes = monitor.checkpoint_bytes().unwrap();
+        let fields = MonitorFields::decode(&bytes);
+        prop_assert_eq!(fields.encode(), bytes);
+        prop_assert_eq!((fields.m, fields.exclusion, fields.seed), (m, m / 2, seed));
+        prop_assert_eq!(fields.backend, 0);
+        prop_assert_eq!(fields.epochs, monitor.epochs());
+        prop_assert_eq!(fields.offset, monitor.stream_offset());
+        prop_assert_eq!(fields.pending.len(), monitor.pending());
+        prop_assert_eq!(fields.done.len(), monitor.processed());
+        match &fields.series {
+            Some(series) => {
+                prop_assert_eq!(series.as_slice(), monitor.series());
+                prop_assert!(fields.warmup.is_empty());
+                prop_assert_eq!(fields.fold.len(), monitor.window_count());
+            }
+            None => prop_assert_eq!(fields.warmup.as_slice(), monitor.series()),
+        }
+    }
+
+    /// The queue's order steers only which window is refreshed next:
+    /// any permutation of the saved `pending` and `done` lists loads
+    /// and finishes bit-identical to the monitor it was saved from.
+    #[test]
+    fn any_queue_order_finishes_bit_identical(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        shuffle in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
+    ) {
+        let mut monitor = monitor_with_windows(m, seed, &raw_ops);
+        let mut fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
+        for (list, salt) in [(&mut fields.pending, shuffle), (&mut fields.done, !shuffle)] {
+            let order = pseudo_random_order(list.len(), salt);
+            *list = order.iter().map(|&i| list[i]).collect();
+        }
+        let mut restored =
+            StreamingDiscordMonitor::from_checkpoint_bytes(&fields.encode()).unwrap();
+        prop_assert_eq!(restored.pending(), monitor.pending());
+        let (a, b) = (restored.finish(), monitor.finish());
+        prop_assert_eq!(&a.profile, &b.profile);
+        prop_assert_eq!(&a.index, &b.index);
+    }
+
+    /// A non-finite point, or a fold or carry entry that is negative or
+    /// NaN, never loads: `finish` would report wrong discords from it.
+    #[test]
+    fn non_finite_points_and_invalid_distances_are_corrupt(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
+        at in 0usize..10_000,
+        pick in 0usize..5,
+    ) {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-300, -2.5][pick];
+        let monitor = monitor_with_windows(m, seed, &raw_ops);
+        let fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
+        let mut point = fields.clone();
+        let series = point.series.as_mut().unwrap();
+        let i = at % series.len();
+        let value = if bad.is_finite() { f64::NAN } else { bad };
+        series[i] = value;
+        prop_assert!(point.loads_as_corrupt(), "series point {} set to {}", i, value);
+        if bad != f64::INFINITY {
+            let mut fold = fields.clone();
+            let i = at % fold.fold.len();
+            fold.fold[i] = bad;
+            prop_assert!(fold.loads_as_corrupt(), "fold entry {} set to {}", i, bad);
+            if fields.carry.is_some() {
+                let mut carry = fields.clone();
+                let cp = &mut carry.carry.as_mut().unwrap().0;
+                let i = at % cp.len();
+                cp[i] = bad;
+                prop_assert!(carry.loads_as_corrupt(), "carry entry {} set to {}", i, bad);
+            }
+        }
+    }
+
+    /// `pending` and `done` must hold each window exactly once: a
+    /// dropped window would never reach the fold, and a repeated one
+    /// means the queue was not written by a monitor.
+    #[test]
+    fn queues_that_miss_or_repeat_a_window_are_corrupt(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
+        at in 0usize..10_000,
+        other in 0usize..10_000,
+    ) {
+        let monitor = monitor_with_windows(m, seed, &raw_ops);
+        let fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
+        let queued = fields.pending.len() + fields.done.len();
+        let (i, j) = (at % queued, other % queued);
+        let mut dropped = fields.clone();
+        if i < dropped.pending.len() {
+            dropped.pending.remove(i);
+        } else {
+            dropped.done.remove(i - dropped.pending.len());
+        }
+        prop_assert!(dropped.loads_as_corrupt(), "window at queue slot {} dropped", i);
+        if i != j {
+            let mut repeated = fields.clone();
+            let window = *repeated.queue_slot(j);
+            *repeated.queue_slot(i) = window;
+            prop_assert!(repeated.loads_as_corrupt(), "slot {} repeats slot {}", i, j);
+        }
+        let mut extra = fields.clone();
+        let window = *extra.queue_slot(i);
+        extra.done.push(window);
+        prop_assert!(extra.loads_as_corrupt(), "window {} listed twice", window);
     }
 }

@@ -9,9 +9,8 @@
 //! says survived — for every seed, chunk size, eviction schedule, and
 //! worker count.
 
-use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::stamp_with_exclusion;
-use egi_discord::streaming::{EvictError, StreamingDiscordMonitor, DEFAULT_MONITOR_SEED};
+use egi_discord::streaming::{EvictError, StreamingDiscordMonitor};
 use egi_testkit::{choose_evict, PointGen};
 use proptest::prelude::*;
 
@@ -236,68 +235,43 @@ fn memory_stays_bounded_under_retention() {
 /// Capacity-reclamation regression for `compact()`: a heavy one-off
 /// eviction leaves dead capacity behind (by design — the steady-state
 /// append/evict cycle reuses it), and `compact()` returns every buffer
-/// to the live working set on both kernels without disturbing the
-/// finish parity contract.
+/// to the live working set without disturbing the finish parity
+/// contract.
 #[test]
 fn compact_reclaims_capacity_after_heavy_eviction() {
     let m = 8;
     let exc = m / 2;
     let keep = 128usize;
-    for backend in [MassBackend::Exact, MassBackend::Segmented] {
-        let series: Vec<f64> = (0..4096).map(point).collect();
-        let mut monitor =
-            StreamingDiscordMonitor::with_backend(m, exc, DEFAULT_MONITOR_SEED, backend);
-        for part in series.chunks(256) {
-            monitor.append(part);
-            monitor.run_for(16);
-        }
-        monitor.evict(series.len() - keep).unwrap();
-        // Eviction truncates lengths but keeps capacity for reuse…
-        let series_before = monitor.series_capacity();
-        assert!(
-            series_before >= 2048,
-            "{backend:?}: pre-compact capacity {series_before} should still \
-             hold most of the 4096-point history"
-        );
-        monitor.compact();
-        // …and compact returns it to the live working set. The
-        // segmented grid may retain a dead prefix plus one partial
-        // block; the exact buffer shrinks to the suffix itself.
-        let slack = match backend {
-            MassBackend::Exact => keep,
-            MassBackend::Segmented => keep + 2 * monitor.padded_size(),
-        };
-        assert!(
-            monitor.series_capacity() <= slack,
-            "{backend:?}: series capacity {} exceeds {slack}",
-            monitor.series_capacity()
-        );
-        assert!(
-            monitor.padded_capacity() <= monitor.padded_size(),
-            "{backend:?}: padded capacity {} exceeds live transform {}",
-            monitor.padded_capacity(),
-            monitor.padded_size()
-        );
-        if let Some((blocks, block, spectra)) = monitor.block_store() {
-            assert!(
-                spectra <= blocks * (block + 1),
-                "spectra capacity {spectra} exceeds {blocks} live blocks"
-            );
-        }
-        // Observationally invisible: the finish contract holds.
-        let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[series.len() - keep..], m, exc);
-        if backend == MassBackend::Exact {
-            assert_eq!(finished.profile, reference.profile);
-            assert_eq!(finished.index, reference.index);
-        } else {
-            for i in 0..finished.len() {
-                let (a, b) = (finished.profile[i], reference.profile[i]);
-                assert!(
-                    (a - b).abs() <= 1e-9 || (a * a - b * b).abs() <= 1e-9,
-                    "i={i}: {a} vs {b}"
-                );
-            }
-        }
+    let series: Vec<f64> = (0..4096).map(point).collect();
+    let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
+    for part in series.chunks(256) {
+        monitor.append(part);
+        monitor.run_for(16);
     }
+    monitor.evict(series.len() - keep).unwrap();
+    // Eviction truncates lengths but keeps capacity for reuse…
+    let series_before = monitor.series_capacity();
+    assert!(
+        series_before >= 2048,
+        "pre-compact capacity {series_before} should still hold most of \
+         the 4096-point history"
+    );
+    monitor.compact();
+    // …and compact shrinks the buffer to the suffix itself.
+    assert!(
+        monitor.series_capacity() <= keep,
+        "series capacity {} exceeds {keep}",
+        monitor.series_capacity()
+    );
+    assert!(
+        monitor.padded_capacity() <= monitor.padded_size(),
+        "padded capacity {} exceeds live transform {}",
+        monitor.padded_capacity(),
+        monitor.padded_size()
+    );
+    // Observationally invisible: the finish contract holds.
+    let finished = monitor.finish();
+    let reference = stamp_with_exclusion(&series[series.len() - keep..], m, exc);
+    assert_eq!(finished.profile, reference.profile);
+    assert_eq!(finished.index, reference.index);
 }

@@ -7,16 +7,18 @@
 //! bit-identical finish. A failure here means the on-disk format
 //! changed without a version bump — bump the payload version and add a
 //! new fixture instead of regenerating the old one.
+//! `monitor_segmented_v1.ckpt` was written on the removed segmented
+//! MASS kernel; it pins that such checkpoints fail with a typed error.
 //!
-//! To (re)generate after an intentional format change:
+//! To (re)generate `monitor_exact_v1.ckpt` after an intentional format
+//! change:
 //!
 //! ```text
 //! cargo test -p egi-discord --test golden_checkpoints -- --ignored
 //! ```
 
-use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::stamp_with_exclusion;
-use egi_discord::streaming::{Checkpoint, StreamingDiscordMonitor};
+use egi_discord::streaming::{Checkpoint, CheckpointError, StreamingDiscordMonitor};
 use egi_testkit::PointGen;
 use std::path::PathBuf;
 
@@ -33,9 +35,9 @@ fn fixture_path(name: &str) -> PathBuf {
 /// The canonical mid-stream session the fixtures were saved from:
 /// 80 points appended in uneven chunks, 12 evicted, partial progress.
 /// Returns the monitor exactly at the checkpoint cut.
-fn canonical_monitor(backend: MassBackend) -> StreamingDiscordMonitor {
+fn canonical_monitor() -> StreamingDiscordMonitor {
     let gen = PointGen::discord();
-    let mut monitor = StreamingDiscordMonitor::with_backend(M, EXC, SEED, backend);
+    let mut monitor = StreamingDiscordMonitor::with_seed(M, EXC, SEED);
     monitor.append(&gen.slice(0..30));
     monitor.run_for(9);
     monitor.append(&gen.slice(30..47));
@@ -43,23 +45,6 @@ fn canonical_monitor(backend: MassBackend) -> StreamingDiscordMonitor {
     monitor.run_for(4);
     monitor.append(&gen.slice(47..80));
     monitor
-}
-
-/// What any restore of the canonical session must finish to: the
-/// remaining schedule is empty, so it is the batch profile of the
-/// surviving suffix `12..80`.
-fn assert_canonical_finish(monitor: &mut StreamingDiscordMonitor, backend: MassBackend) {
-    let gen = PointGen::discord();
-    let finished = monitor.finish();
-    let mut twin = canonical_monitor(backend);
-    let expected = twin.finish();
-    assert_eq!(finished.profile, expected.profile);
-    assert_eq!(finished.index, expected.index);
-    if backend == MassBackend::Exact {
-        let reference = stamp_with_exclusion(&gen.slice(12..80), M, EXC);
-        assert_eq!(finished.profile, reference.profile);
-        assert_eq!(finished.index, reference.index);
-    }
 }
 
 #[test]
@@ -70,18 +55,46 @@ fn golden_exact_checkpoint_still_loads() {
         .expect("golden exact checkpoint no longer loads: format broke without a version bump");
     assert_eq!(restored.series_len(), 68);
     assert_eq!(restored.stream_offset(), 12);
-    assert_canonical_finish(&mut restored, MassBackend::Exact);
+    // The remaining schedule is empty, so any restore of the canonical
+    // session finishes on the batch profile of the surviving suffix
+    // `12..80`, as the uninterrupted session does.
+    let finished = restored.finish();
+    let expected = canonical_monitor().finish();
+    assert_eq!(finished.profile, expected.profile);
+    assert_eq!(finished.index, expected.index);
+    let reference = stamp_with_exclusion(&PointGen::discord().slice(12..80), M, EXC);
+    assert_eq!(finished.profile, reference.profile);
+    assert_eq!(finished.index, reference.index);
 }
 
+/// The loader keeps every field it reads: saving the restored golden
+/// session reproduces the committed bytes exactly.
 #[test]
-fn golden_segmented_checkpoint_still_loads() {
-    let bytes = std::fs::read(fixture_path("monitor_segmented_v1.ckpt"))
+fn golden_exact_checkpoint_reencodes_byte_for_byte() {
+    let committed = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
-    let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes)
-        .expect("golden segmented checkpoint no longer loads: format broke without a version bump");
-    assert_eq!(restored.series_len(), 68);
-    assert_eq!(restored.stream_offset(), 12);
-    assert_canonical_finish(&mut restored, MassBackend::Segmented);
+    let restored = StreamingDiscordMonitor::from_checkpoint_bytes(&committed).unwrap();
+    assert_eq!(
+        restored.checkpoint_bytes().unwrap(),
+        committed,
+        "monitor_exact_v1.ckpt: load then save changed the bytes"
+    );
+}
+
+/// Checkpoints of the removed segmented MASS kernel (backend tag 1)
+/// fail loudly with a typed error instead of restoring onto a kernel
+/// whose answers they were never computed against.
+#[test]
+fn golden_segmented_checkpoint_is_rejected() {
+    let bytes = std::fs::read(fixture_path("monitor_segmented_v1.ckpt"))
+        .expect("fixture missing: it is committed and never regenerated");
+    match StreamingDiscordMonitor::from_checkpoint_bytes(&bytes) {
+        Err(CheckpointError::Corrupt(what)) => {
+            assert!(what.contains("backend tag 1"), "unexpected reason: {what}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("a segmented checkpoint must not restore"),
+    }
 }
 
 /// The writer side is still byte-deterministic: saving the canonical
@@ -90,30 +103,19 @@ fn golden_segmented_checkpoint_still_loads() {
 /// change, which is the early warning to bump a payload version.
 #[test]
 fn canonical_checkpoint_bytes_are_stable() {
-    for (backend, name) in [
-        (MassBackend::Exact, "monitor_exact_v1.ckpt"),
-        (MassBackend::Segmented, "monitor_segmented_v1.ckpt"),
-    ] {
-        let committed = std::fs::read(fixture_path(name))
-            .expect("fixture missing — run the ignored regen test and commit the file");
-        let fresh = canonical_monitor(backend).checkpoint_bytes().unwrap();
-        assert_eq!(
-            fresh, committed,
-            "{name}: today's encoder no longer reproduces the committed bytes"
-        );
-    }
+    let committed = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
+        .expect("fixture missing — run the ignored regen test and commit the file");
+    let fresh = canonical_monitor().checkpoint_bytes().unwrap();
+    assert_eq!(
+        fresh, committed,
+        "monitor_exact_v1.ckpt: today's encoder no longer reproduces the committed bytes"
+    );
 }
 
 #[test]
-#[ignore = "regenerates the committed fixtures; run only after an intentional format change"]
+#[ignore = "regenerates the committed fixture; run only after an intentional format change"]
 fn regenerate_golden_fixtures() {
-    let dir = fixture_path("");
-    std::fs::create_dir_all(&dir).unwrap();
-    for (backend, name) in [
-        (MassBackend::Exact, "monitor_exact_v1.ckpt"),
-        (MassBackend::Segmented, "monitor_segmented_v1.ckpt"),
-    ] {
-        let bytes = canonical_monitor(backend).checkpoint_bytes().unwrap();
-        std::fs::write(fixture_path(name), &bytes).unwrap();
-    }
+    std::fs::create_dir_all(fixture_path("")).unwrap();
+    let bytes = canonical_monitor().checkpoint_bytes().unwrap();
+    std::fs::write(fixture_path("monitor_exact_v1.ckpt"), &bytes).unwrap();
 }

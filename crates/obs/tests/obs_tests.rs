@@ -119,12 +119,12 @@ egi_session_step_nanos_count 4
 #[test]
 fn golden_json_dump() {
     let reg = ObsRegistry::new();
-    reg.counter("egi_mass_seg_rolled_total").add(10);
+    reg.counter("egi_mass_exact_queries_total").add(10);
     reg.gauge("egi_fleet_pending_units").set(4);
     reg.histogram("egi_checkpoint_save_bytes").record(4096);
     assert_eq!(
         reg.render_json(),
-        "{\"counters\":{\"egi_mass_seg_rolled_total\":10},\
+        "{\"counters\":{\"egi_mass_exact_queries_total\":10},\
          \"gauges\":{\"egi_fleet_pending_units\":4},\
          \"histograms\":{\"egi_checkpoint_save_bytes\":\
          {\"count\":1,\"sum\":4096,\"buckets\":[[8191,1]]}}}"

@@ -248,7 +248,7 @@ impl<S: StreamSession> Fleet<S> {
     }
 
     /// Read-only access to a stream's session (e.g. for accessors like
-    /// `series_len` or backend-specific capacity probes).
+    /// `series_len` or session-specific capacity probes).
     pub fn session(&self, id: StreamId) -> Option<&S> {
         self.slots.get(&id).map(|slot| &slot.session)
     }

@@ -70,6 +70,20 @@ fn golden_fleet_checkpoint_still_loads() {
     }
 }
 
+/// Loading keeps every field of the fleet and of each nested monitor:
+/// saving the restored golden fleet reproduces the committed bytes.
+#[test]
+fn golden_fleet_checkpoint_reencodes_byte_for_byte() {
+    let committed = std::fs::read(fixture_path("fleet_v1.ckpt"))
+        .expect("fixture missing — run the ignored regen test and commit the file");
+    let restored = Fleet::<StreamingDiscordMonitor>::from_checkpoint_bytes(&committed).unwrap();
+    assert_eq!(
+        restored.checkpoint_bytes().unwrap(),
+        committed,
+        "load then save changed the bytes"
+    );
+}
+
 /// The writer side is still byte-deterministic: saving the canonical
 /// fleet today reproduces the committed fixture exactly.
 #[test]

@@ -79,20 +79,6 @@ impl PointGen {
         }
     }
 
-    /// The single-stream generator of the segmented-backend harness.
-    pub fn segmented() -> Self {
-        Self {
-            f1: 0.19,
-            a1: 1.4,
-            a2: 0.6,
-            f2: 0.029,
-            k: 31,
-            modulus: 13,
-            phase: 0.0,
-            offset: 0,
-        }
-    }
-
     /// The per-stream generator of the fleet harness: the discord wave
     /// with a distinct phase and integer drift per stream id, so
     /// cross-stream state leaks break parity immediately.
@@ -210,18 +196,14 @@ mod tests {
     fn named_generators_match_their_historical_closed_forms() {
         let discord = PointGen::discord();
         let ensemble = PointGen::ensemble();
-        let segmented = PointGen::segmented();
         for i in 0..500usize {
             let t = i as f64;
             let d =
                 (t * 0.17).sin() * 1.3 + 0.5 * (t * 0.031).cos() + ((i * 23) % 11) as f64 * 0.05;
             let e =
                 (t * 0.12).sin() * 1.4 + 0.6 * (t * 0.041).cos() + ((i * 29) % 13) as f64 * 0.05;
-            let s =
-                (t * 0.19).sin() * 1.4 + 0.6 * (t * 0.029).cos() + ((i * 31) % 13) as f64 * 0.05;
             assert_eq!(discord.at(i).to_bits(), d.to_bits(), "discord at {i}");
             assert_eq!(ensemble.at(i).to_bits(), e.to_bits(), "ensemble at {i}");
-            assert_eq!(segmented.at(i).to_bits(), s.to_bits(), "segmented at {i}");
         }
         for id in 0..8u64 {
             let gen = PointGen::fleet(id);

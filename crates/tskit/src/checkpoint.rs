@@ -14,8 +14,8 @@
 //! append/evict/step schedule, saving a checkpoint at any point,
 //! restoring it, and replaying the remainder of the schedule yields a
 //! `finish()` **bit-identical** to the uninterrupted run — for both
-//! streaming monitors, both MASS backends, and fleet-managed sessions
-//! (property-tested in each implementing crate). And any truncated,
+//! streaming monitors and for fleet-managed sessions (property-tested
+//! in each implementing crate). And any truncated,
 //! bit-flipped, or version-skewed input produces a typed
 //! [`CheckpointError`] — never a panic, never a silently-wrong session.
 //!
