@@ -7,11 +7,13 @@
 //! * **STAMP** — full run, naive per-query-FFT path vs shared-spectrum
 //!   path (the ≥ 2× acceptance gate of the shared-spectrum work);
 //! * **STOMP** — diagonal-parallel kernel across worker counts;
-//! * **Anytime STAMP** — convergence trajectory: wall-clock and
-//!   fraction-of-profile-settled at query budgets from 5% to 100%
-//!   (finished run asserted bit-identical to `stamp_with_exclusion`);
-//! * **Parallel STAMP** — `AnytimeStamp::finish_parallel` across worker
-//!   counts (each asserted bit-identical to the sequential profile);
+//! * **Anytime STAMP** — a `StreamingDiscordMonitor` fed the whole
+//!   fixture once: wall-clock and fraction-of-profile-settled at query
+//!   budgets from 5% to 100% (finished run asserted bit-identical to
+//!   `stamp_with_exclusion`);
+//! * **Parallel STAMP** — `StreamingDiscordMonitor::finish_parallel`
+//!   on a monitor fed the whole fixture once, across worker counts
+//!   (each asserted bit-identical to the sequential profile);
 //! * **Streaming** — `StreamingDiscordMonitor`: append throughput and
 //!   per-append refresh latency at several chunk sizes, streaming the
 //!   second half of the fixture (caught-up profile asserted
@@ -51,7 +53,6 @@ use std::time::Instant;
 
 use egi_bench::fixture_ecg;
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::dist::WindowStats;
 use egi_discord::mass::{mass_self, MassPrecomputed, MassScratch};
 use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
@@ -79,7 +80,7 @@ mod seed_baseline {
         (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
     }
 
-    fn fft_in_place(buf: &mut [Complex], inverse: bool) {
+    fn transform(buf: &mut [Complex], inverse: bool) {
         let n = buf.len();
         if n <= 1 {
             return;
@@ -126,12 +127,12 @@ mod seed_baseline {
         let mut fb: Vec<Complex> = series.iter().map(|&x| (x, 0.0)).collect();
         fa.resize(size, (0.0, 0.0));
         fb.resize(size, (0.0, 0.0));
-        fft_in_place(&mut fa, false);
-        fft_in_place(&mut fb, false);
+        transform(&mut fa, false);
+        transform(&mut fb, false);
         for (x, y) in fa.iter_mut().zip(&fb) {
             *x = c_mul(*x, *y);
         }
-        fft_in_place(&mut fa, true);
+        transform(&mut fa, true);
         let scale = 1.0 / size as f64;
         (m - 1..n).map(|i| fa[i].0 * scale).collect()
     }
@@ -278,7 +279,8 @@ fn main() {
     let anytime_seed = 0xA17u64;
     let settle_tol = 1e-6f64;
     let fractions = [0.05f64, 0.10, 0.25, 0.50, 1.00];
-    let mut driver = AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed);
+    let mut driver = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
+    driver.append(&series);
     let mut snapshots = Vec::new();
     let mut anytime_secs = 0.0;
     for &frac in &fractions {
@@ -326,7 +328,9 @@ fn main() {
             .unwrap();
         let (secs, mp) = seconds(|| {
             pool.install(|| {
-                AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed).finish_parallel()
+                let mut monitor = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
+                monitor.append(&series);
+                monitor.finish_parallel()
             })
         });
         assert_eq!(

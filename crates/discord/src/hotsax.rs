@@ -8,11 +8,13 @@
 //! fast). The search is exact: pruning only skips pairs that provably
 //! cannot change the result.
 
-use egi_sax::{BreakpointTable, SaxConfig};
+use std::collections::HashMap;
 
-use crate::anytime::pseudo_random_order;
+use egi_sax::{BreakpointTable, SaxConfig, SaxWord};
+
 use crate::dist::WindowStats;
 use crate::profile::Discord;
+use crate::streaming::pseudo_random_order;
 
 /// Early-abandoning z-normalized distance between windows `i` and `j`.
 /// Returns `None` as soon as the distance provably reaches `best` —
@@ -102,28 +104,17 @@ fn hotsax_discord_masked(
     // SAX-bucket every window (direct PAA per window is fine here: this
     // runs once, and HOTSAX's value is the search-order heuristic).
     let table = BreakpointTable::new(sax.a);
-    let mut words: Vec<u64> = Vec::with_capacity(count);
-    for i in 0..count {
-        let word = egi_sax::sax_word(&series[i..i + m], sax, &table);
-        // Pack symbols into a u64 key (w ≤ 21 for a ≤ 8; our w is tiny).
-        let mut key: u64 = 0;
-        for &s in word.symbols() {
-            key = key * sax.a as u64 + s as u64;
-        }
-        words.push(key);
-    }
-    let mut freq: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-    for &w in &words {
-        *freq.entry(w).or_insert(0) += 1;
-    }
-    let mut buckets: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for (i, &w) in words.iter().enumerate() {
-        buckets.entry(w).or_default().push(i);
+    let words: Vec<SaxWord> = (0..count)
+        .map(|i| egi_sax::sax_word(&series[i..i + m], sax, &table))
+        .collect();
+    let mut buckets: HashMap<&SaxWord, Vec<usize>> = HashMap::new();
+    for (i, word) in words.iter().enumerate() {
+        buckets.entry(word).or_default().push(i);
     }
 
     // Outer order: ascending bucket frequency, then position.
     let mut outer: Vec<usize> = (0..count).filter(|&i| !is_masked(i)).collect();
-    outer.sort_by_key(|&i| (freq[&words[i]], i));
+    outer.sort_by_key(|&i| (buckets[&words[i]].len(), i));
     let random_order = pseudo_random_order(count, 0xD15C0BD);
 
     let mut best = Discord {
@@ -205,19 +196,24 @@ mod tests {
         );
     }
 
+    /// The SAX configuration steers only the search order. `(14, 26)`
+    /// and `(16, 26)` have more words than a `u64` can number, so their
+    /// buckets must be keyed by the word itself.
     #[test]
     fn agrees_with_matrix_profile_discord() {
         let series = periodic_with_outlier(400, 20);
         let m = 20;
-        let hs = hotsax_discord(&series, m, SaxConfig::new(3, 3)).unwrap();
         let mp = stomp_with_exclusion(&series, m, m - 1);
         let top = mp.discords(1)[0];
-        assert!(
-            (hs.distance - top.distance).abs() < 1e-6,
-            "HOTSAX {} vs STOMP {}",
-            hs.distance,
-            top.distance
-        );
+        for (w, a) in [(3, 3), (14, 26), (16, 26)] {
+            let hs = hotsax_discord(&series, m, SaxConfig::new(w, a)).unwrap();
+            assert!(
+                (hs.distance - top.distance).abs() < 1e-6,
+                "(w={w}, a={a}): HOTSAX {} vs STOMP {}",
+                hs.distance,
+                top.distance
+            );
+        }
         // Positions may differ among ties; distances must match.
     }
 
@@ -257,6 +253,41 @@ mod tests {
         // Top discord matches the single-discord search.
         let top = hotsax_discord(&series, 30, SaxConfig::new(3, 3)).unwrap();
         assert!((ds[0].distance - top.distance).abs() < 1e-9);
+    }
+
+    /// Top-`k` HOTSAX reports the distances of the matrix profile's
+    /// top-`k` non-overlapping discords, at a coarse SAX resolution and
+    /// at one whose words outnumber a `u64`.
+    #[test]
+    fn top_k_agrees_with_matrix_profile_discords() {
+        let mut series = periodic_with_outlier(600, 30);
+        for (off, v) in series[120..150].iter_mut().enumerate() {
+            *v += 0.3 * ((off as f64) / 30.0);
+        }
+        let m = 30;
+        let top = stomp_with_exclusion(&series, m, m - 1).discords(3);
+        for (w, a) in [(3, 3), (16, 26)] {
+            let ds = crate::hotsax::hotsax_discords(&series, m, SaxConfig::new(w, a), 3);
+            assert_eq!(ds.len(), top.len());
+            for (h, t) in ds.iter().zip(&top) {
+                assert!(
+                    (h.distance - t.distance).abs() < 1e-6,
+                    "(w={w}, a={a}): HOTSAX {h:?} vs STOMP {t:?}"
+                );
+            }
+        }
+    }
+
+    /// Masking found discords leaves candidates to search only while
+    /// some window does not overlap them; then the top-`k` search stops
+    /// short of `k`.
+    #[test]
+    fn top_k_stops_when_no_candidate_remains() {
+        let series = periodic_with_outlier(100, 20);
+        let sax = SaxConfig::new(3, 3);
+        let ds = crate::hotsax::hotsax_discords(&series, 20, sax, 10);
+        assert!(!ds.is_empty() && ds.len() < 10, "found {}", ds.len());
+        assert_eq!(super::hotsax_discord_masked(&series, 20, sax, &ds), None);
     }
 
     #[test]

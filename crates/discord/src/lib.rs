@@ -22,19 +22,15 @@
 //!   paper benchmarks against (Fig. 8).
 //! * [`mod@stamp`] — STAMP \[21\]: MASS-per-query matrix profile, running on
 //!   the shared spectrum.
-//! * [`anytime`] — [`AnytimeStamp`]: STAMP's anytime property as a
-//!   first-class API — seeded random query order, deadline-style
-//!   stepping (query budgets, wall-clock [`anytime::Deadline`]s) with
-//!   monotonically converging snapshots, and a rayon-parallel batch
-//!   mode; finished profiles are bit-identical to sequential
-//!   [`stamp()`](stamp::stamp) for every seed, permutation, and worker
-//!   count.
 //! * [`streaming`] — [`StreamingDiscordMonitor`]: online
 //!   (append-to-series) discord monitoring — ingest points, refresh the
 //!   profile under a hard latency budget, answer "best discords so
 //!   far". It runs every query on [`MassPrecomputed`], so finished
 //!   profiles are bit-identical to batch STAMP for every append and
-//!   eviction schedule.
+//!   eviction schedule. It is also the crate's anytime and parallel
+//!   STAMP: append a series once, then step it in a seeded random query
+//!   order under query budgets or wall-clock deadlines, snapshot the
+//!   converging profile, and finish sequentially or on rayon workers.
 //! * [`hotsax`] — the original HOTSAX discord search \[9\] with SAX-bucket
 //!   outer-loop ordering and early abandoning.
 //! * [`detector`] — [`DiscordDetector`]: the "Discord" baseline of the
@@ -43,8 +39,8 @@
 //! # The `(distance, index)` tie-break contract
 //!
 //! Every profile fold in this crate — STOMP's diagonal merge, STAMP's
-//! per-query fold, the anytime/parallel partial-profile merges, the
-//! streaming monitor's carry-over — goes through one rule,
+//! per-query fold, the monitor's per-worker partial profiles and its
+//! carry-over — goes through one rule,
 //! [`profile::improves`]: candidate `(d, idx)` wins iff it is strictly
 //! smaller under the total order *distance first, neighbor index
 //! second*. Min-folding under a total order is commutative and
@@ -55,18 +51,17 @@
 //!
 //! # The anytime-convergence guarantee
 //!
-//! Partial profiles from [`AnytimeStamp`] and
-//! [`StreamingDiscordMonitor`] tighten pointwise-monotonically as
-//! queries are processed and are always an upper bound on the batch
-//! profile; run to completion, they land bit-exactly on
-//! [`stamp()`](stamp::stamp)'s output. See [`anytime`] and
-//! [`streaming`] for the fine print (and the one FFT-round-off caveat
-//! at a streaming catch-up transition).
+//! Partial profiles from [`StreamingDiscordMonitor`] tighten
+//! pointwise-monotonically as queries are processed and are always an
+//! upper bound on the batch profile; run to completion, they land
+//! bit-exactly on [`stamp()`](stamp::stamp)'s output for every seed,
+//! query order and rayon worker count. See [`streaming`] for the fine
+//! print (and the one FFT-round-off caveat at a streaming catch-up
+//! transition).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anytime;
 pub mod brute;
 pub mod detector;
 pub mod dist;
@@ -79,7 +74,6 @@ pub mod stamp;
 pub mod stomp;
 pub mod streaming;
 
-pub use anytime::{stamp_parallel, AnytimeStamp, Deadline};
 pub use detector::{DiscordConfig, DiscordDetector};
 pub use fft::{FftPlan, RealFftPlan};
 pub use hotsax::{hotsax_discord, hotsax_discords};

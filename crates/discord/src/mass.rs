@@ -123,13 +123,13 @@ pub struct MassPrecomputed {
     plan: Arc<RealFftPlan>,
     series_spec: Vec<Complex>,
     stats: WindowStats,
-    /// Append-path state, built lazily on the first
-    /// [`MassPrecomputed::append`] so batch-only users (STAMP, STOMP's
-    /// seed row, the detectors) pay no extra memory:
-    /// `(prefix_sums, padded_series, fft_scratch)` — the prefix sums
-    /// continue the window statistics, the padded buffer lets an append
-    /// write only its tail before re-transforming.
-    append_state: Option<(PrefixStats, Vec<f64>, Vec<Complex>)>,
+    /// Prefix sums of the series; appends continue them and evictions
+    /// rebase them, and the window statistics are read off them.
+    prefix: PrefixStats,
+    /// The series zero-padded to `size`, so an append at a fixed size
+    /// writes only its tail before re-transforming.
+    padded: Vec<f64>,
+    fft_scratch: Vec<Complex>,
 }
 
 impl MassPrecomputed {
@@ -140,7 +140,8 @@ impl MassPrecomputed {
     ///
     /// Panics if `m == 0` or `m > series.len()`.
     pub fn new(series: &[f64], m: usize) -> Self {
-        let stats = WindowStats::new(series, m);
+        let prefix = PrefixStats::new(series);
+        let stats = WindowStats::from_prefix(&prefix, m);
         let size = next_pow2(series.len()).max(2);
         let plan = cached_real_plan(size);
         let mut padded = vec![0.0; size];
@@ -155,7 +156,9 @@ impl MassPrecomputed {
             plan,
             series_spec,
             stats,
-            append_state: None,
+            prefix,
+            padded,
+            fft_scratch,
         }
     }
 
@@ -181,10 +184,6 @@ impl MassPrecomputed {
     /// appends into chunks; each appended chunk of `c` points costs
     /// `O(S log S)` total, i.e. `O((S log S)/c)` per point.
     ///
-    /// The append-path buffers (prefix sums, retained padded series,
-    /// FFT scratch) are built lazily on the first call — an instance
-    /// that never appends carries none of them.
-    ///
     /// Existing window statistics and already-computed distance profiles
     /// over old windows keep their meaning — appending adds
     /// `points.len()` new windows and never mutates old series values.
@@ -195,42 +194,24 @@ impl MassPrecomputed {
         egi_obs::counter!("egi_mass_exact_retransforms_total").inc();
         let old_len = self.series.len();
         self.series.extend_from_slice(points);
-        let (prefix, padded, fft_scratch) = match &mut self.append_state {
-            Some((prefix, padded, fft_scratch)) => {
-                prefix.extend(points);
-                (prefix, padded, fft_scratch)
-            }
-            None => {
-                // First append: materialize the incremental state from
-                // the (already extended) series. PrefixStats::new runs
-                // the same left-to-right accumulation an incremental
-                // build would, so everything downstream stays bitwise
-                // on the batch path.
-                let (prefix, padded, fft_scratch) = self.append_state.insert((
-                    PrefixStats::new(&self.series),
-                    Vec::new(),
-                    Vec::new(),
-                ));
-                (prefix, padded, fft_scratch)
-            }
-        };
-        self.stats.extend_from_prefix(prefix);
+        self.prefix.extend(points);
+        self.stats.extend_from_prefix(&self.prefix);
         let size = next_pow2(self.series.len()).max(2);
-        if size != self.size || padded.is_empty() {
-            // First append or power-of-two growth: re-plan (a cache hit
-            // after the first time any caller reaches this size) and
-            // lay the padded buffer out at the current size.
+        if size != self.size {
+            // Power-of-two growth: re-plan (a cache hit after the first
+            // time any caller reaches this size) and lay the padded
+            // buffer out at the new size.
             self.size = size;
             self.plan = cached_real_plan(size);
-            padded.clear();
-            padded.resize(size, 0.0);
-            padded[..self.series.len()].copy_from_slice(&self.series);
+            self.padded.clear();
+            self.padded.resize(size, 0.0);
+            self.padded[..self.series.len()].copy_from_slice(&self.series);
         } else {
             // Same padded size: only the appended tail needs writing.
-            padded[old_len..self.series.len()].copy_from_slice(points);
+            self.padded[old_len..self.series.len()].copy_from_slice(points);
         }
         self.plan
-            .forward_into(padded, &mut self.series_spec, fft_scratch);
+            .forward_into(&self.padded, &mut self.series_spec, &mut self.fft_scratch);
     }
 
     /// Retires the oldest `count` points and refreshes every cached
@@ -294,32 +275,16 @@ impl MassPrecomputed {
             self.series.len()
         );
         self.series.drain(..count);
-        // Rebase the incremental statistics (materialized on first use,
-        // exactly as in `append`, so later appends stay on the bitwise
-        // batch path).
-        let (prefix, padded, fft_scratch) = match &mut self.append_state {
-            Some((prefix, padded, fft_scratch)) => {
-                prefix.rebase(&self.series);
-                (prefix, padded, fft_scratch)
-            }
-            None => {
-                let (prefix, padded, fft_scratch) = self.append_state.insert((
-                    PrefixStats::new(&self.series),
-                    Vec::new(),
-                    Vec::new(),
-                ));
-                (prefix, padded, fft_scratch)
-            }
-        };
-        self.stats.rebase_from_prefix(prefix);
+        self.prefix.rebase(&self.series);
+        self.stats.rebase_from_prefix(&self.prefix);
         let size = next_pow2(self.series.len()).max(2);
         self.size = size;
         self.plan = cached_real_plan(size);
-        padded.clear();
-        padded.resize(size, 0.0);
-        padded[..self.series.len()].copy_from_slice(&self.series);
+        self.padded.clear();
+        self.padded.resize(size, 0.0);
+        self.padded[..self.series.len()].copy_from_slice(&self.series);
         self.plan
-            .forward_into(padded, &mut self.series_spec, fft_scratch);
+            .forward_into(&self.padded, &mut self.series_spec, &mut self.fft_scratch);
     }
 
     /// Releases slack capacity the append/evict path accumulated:
@@ -335,11 +300,9 @@ impl MassPrecomputed {
         self.series_spec.shrink_to_fit();
         self.stats.mu.shrink_to_fit();
         self.stats.sigma.shrink_to_fit();
-        if let Some((prefix, padded, fft_scratch)) = &mut self.append_state {
-            prefix.shrink_to_fit();
-            padded.shrink_to_fit();
-            fft_scratch.shrink_to_fit();
-        }
+        self.prefix.shrink_to_fit();
+        self.padded.shrink_to_fit();
+        self.fft_scratch.shrink_to_fit();
     }
 
     /// Window length `m`.
@@ -365,13 +328,10 @@ impl MassPrecomputed {
         self.series.capacity()
     }
 
-    /// Capacity (in `f64`s) retained by the append/evict-path padded
-    /// buffer (0 until the first append or eviction materializes it) —
+    /// Capacity (in `f64`s) retained by the padded series buffer —
     /// cheap accessor for memory-bound assertions.
     pub fn padded_capacity(&self) -> usize {
-        self.append_state
-            .as_ref()
-            .map_or(0, |(_, padded, _)| padded.capacity())
+        self.padded.capacity()
     }
 
     /// The cached per-window statistics.
@@ -661,7 +621,19 @@ mod tests {
         inc.evict_front(0);
         assert_eq!(inc.series_spec, spec_before);
         assert_eq!(inc.window_count(), 45);
-        assert_eq!(inc.padded_capacity(), 0, "no append state materialized");
+    }
+
+    /// `new` lays the padded series out, so appends that stay within
+    /// the padded size write their tails into that one buffer.
+    #[test]
+    fn new_lays_out_the_padded_series() {
+        let series: Vec<f64> = (0..120).map(|i| (i as f64 * 0.29).sin()).collect();
+        let mut inc = MassPrecomputed::new(&series[..100], 8);
+        assert_eq!(inc.padded_size(), 128);
+        assert_eq!(inc.padded_capacity(), 128);
+        inc.append(&series[100..]);
+        assert_eq!(inc.padded_size(), 128);
+        assert_eq!(inc.padded_capacity(), 128);
     }
 
     #[test]

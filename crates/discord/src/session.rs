@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use egi_tskit::evict::EvictError;
 use egi_tskit::session::StreamSession;
+use egi_tskit::Deadline;
 
-use crate::anytime::Deadline;
 use crate::profile::MatrixProfile;
 use crate::streaming::StreamingDiscordMonitor;
 
@@ -23,10 +23,33 @@ impl StreamingDiscordMonitor {
     }
 
     /// Processes pending queries until `deadline` expires or the
-    /// monitor is current; returns how many ran. As in
-    /// [`crate::anytime::AnytimeStamp::run_until`], the deadline is
+    /// monitor is current; returns how many ran. The deadline is
     /// checked before each query, so it is never overshot by more than
-    /// one query's work.
+    /// one query's work, and an expired deadline runs no query.
+    ///
+    /// # Examples
+    ///
+    /// Anytime STAMP: append a series once and tighten its profile
+    /// under a deadline.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use egi_discord::streaming::StreamingDiscordMonitor;
+    /// use egi_tskit::Deadline;
+    ///
+    /// let series: Vec<f64> = (0..200).map(|i| (i as f64 * 0.2).sin()).collect();
+    /// let mut monitor = StreamingDiscordMonitor::new(16);
+    /// monitor.append(&series);
+    ///
+    /// // Spend at most 2 ms (or 50 queries) tightening the profile…
+    /// monitor.run_until(Deadline::after(Duration::from_millis(2)).with_query_cap(50));
+    /// let partial = monitor.snapshot(); // an upper bound at any point
+    ///
+    /// // …then run to completion: bit-identical to batch `stamp()`.
+    /// let finished = monitor.finish();
+    /// assert!(partial.profile.iter().zip(&finished.profile).all(|(p, f)| p >= f));
+    /// assert_eq!(finished.profile, egi_discord::stamp(&series, 16).profile);
+    /// ```
     pub fn run_until(&mut self, deadline: Deadline) -> usize {
         <Self as StreamSession>::run_until(self, deadline)
     }
@@ -84,5 +107,67 @@ impl StreamSession for StreamingDiscordMonitor {
 
     fn finish(&mut self) -> MatrixProfile {
         StreamingDiscordMonitor::finish(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::streaming::Checkpoint;
+
+    /// What the trait reports about a session between calls.
+    fn observe<S: StreamSession>(s: &S) -> (usize, usize, usize, bool, S::Snapshot) {
+        (
+            s.series_len(),
+            s.pending_units(),
+            s.stream_offset(),
+            s.is_current(),
+            s.snapshot(),
+        )
+    }
+
+    /// Every trait method forwards to its inherent namesake: one
+    /// append/step/evict/retain schedule, driven once through each,
+    /// reports the same state after every call and ends in the same
+    /// checkpoint and finish.
+    #[test]
+    fn trait_calls_drive_the_monitor_like_inherent_calls() {
+        let series: Vec<f64> = (0..360)
+            .map(|i| (i as f64 * 0.23).sin() + ((i * 7) % 5) as f64 * 0.1)
+            .collect();
+        let mut direct = StreamingDiscordMonitor::new(12);
+        let mut generic = StreamingDiscordMonitor::new(12);
+        for (round, chunk) in series.chunks(60).enumerate() {
+            direct.append(chunk);
+            StreamSession::append(&mut generic, chunk);
+            assert_eq!(direct.step(), StreamSession::step(&mut generic));
+            assert_eq!(direct.run_for(25), StreamSession::run_for(&mut generic, 25));
+            match round {
+                2 => assert_eq!(direct.evict(30), StreamSession::evict(&mut generic, 30)),
+                3 => assert_eq!(
+                    direct.retain_last(200),
+                    StreamSession::retain_last(&mut generic, 200)
+                ),
+                4 => assert_eq!(
+                    direct.evict(10_000),
+                    StreamSession::evict(&mut generic, 10_000)
+                ),
+                _ => {}
+            }
+            let inherent = (
+                direct.series_len(),
+                direct.pending(),
+                direct.stream_offset(),
+                direct.is_current(),
+                direct.snapshot(),
+            );
+            assert_eq!(inherent, observe(&generic), "round {round}");
+        }
+        assert_eq!(
+            direct.checkpoint_bytes().unwrap(),
+            generic.checkpoint_bytes().unwrap()
+        );
+        assert_eq!(direct.finish(), StreamSession::finish(&mut generic));
+        assert!(StreamSession::is_current(&generic));
     }
 }

@@ -76,8 +76,9 @@ pub fn stamp_per_query_fft(series: &[f64], m: usize, exclusion: usize) -> Matrix
 /// the anytime/parallel STAMP contract and disagreeing with STOMP on
 /// exact ties. The lexicographic fold is order-independent, so STAMP,
 /// anytime STAMP in any permutation, and parallel STAMP at any thread
-/// count all land on the same index vector. Shared with
-/// [`crate::anytime`].
+/// count all land on the same index vector. Shared with the streaming
+/// monitor, which runs anytime and parallel STAMP
+/// ([`crate::streaming`]).
 pub(crate) fn update_from_profile(
     q: usize,
     dp: &[f64],

@@ -89,10 +89,28 @@
 //! **callers should batch evictions**: the re-transform amortizes to
 //! `O((S log S)/c)` per retired point.
 //!
+//! # Anytime and parallel STAMP
+//!
+//! A monitor fed one series is STAMP run as an anytime algorithm (Yeh
+//! et al., "Matrix Profile I", ICDM 2016): every processed query
+//! tightens the profile, so the run can stop at any point and still
+//! hand back an upper bound on the final profile.
+//!
+//! * Each epoch's queries run in a seeded pseudo-random order
+//!   ([`pseudo_random_order`], salted with the epoch count), so the
+//!   partial profile converges evenly across the series instead of
+//!   front to back.
+//! * [`run_for`](StreamingDiscordMonitor::run_for) spends a query
+//!   budget and [`run_until`](StreamingDiscordMonitor::run_until) a
+//!   [`Deadline`](egi_tskit::Deadline). The deadline is checked before
+//!   each query, so it is overshot by at most one query's work.
+//! * [`finish_parallel`](StreamingDiscordMonitor::finish_parallel)
+//!   fans the remaining queries out across rayon workers.
+//!
 //! # Convergence contract
 //!
 //! * Within an epoch (between appends), snapshots tighten
-//!   monotonically, exactly as [`crate::anytime`].
+//!   monotonically.
 //! * Across an append, the snapshot is unchanged (new entries start at
 //!   `+∞`) and then resumes tightening.
 //! * When the monitor catches up ([`StreamingDiscordMonitor::is_current`]),
@@ -130,7 +148,6 @@ use egi_tskit::session::StreamClock;
 pub use egi_tskit::session::StreamSession;
 use rayon::prelude::*;
 
-use crate::anytime::pseudo_random_order;
 use crate::mass::{MassPrecomputed, MassScratch};
 use crate::profile::{merge_min_into, Discord, MatrixProfile};
 use crate::stamp::update_from_profile;
@@ -139,6 +156,29 @@ use crate::stomp::default_exclusion;
 /// Seed used by [`StreamingDiscordMonitor::new`] when the caller does
 /// not pick one.
 pub const DEFAULT_MONITOR_SEED: u64 = 0x5EED_CAFE;
+
+/// Deterministic pseudo-random permutation of `0..n` (SplitMix64-keyed
+/// Fisher–Yates).
+///
+/// Used for the monitor's per-epoch query order and for HOTSAX's
+/// inner-loop visit order, where the literature prescribes "random" but
+/// reproducibility demands a seeded generator.
+pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
+    let mut next = || {
+        state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    };
+    for i in (1..n).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+    order
+}
 
 /// An online discord monitor over an append-only time series.
 ///
@@ -321,8 +361,8 @@ impl StreamingDiscordMonitor {
         self.mass.as_ref().map_or(0, MassPrecomputed::padded_size)
     }
 
-    /// Capacity (in `f64`s) retained by the append/evict-path padded
-    /// buffer — cheap accessor for memory-bound assertions.
+    /// Capacity (in `f64`s) retained by the padded series buffer —
+    /// cheap accessor for memory-bound assertions.
     pub fn padded_capacity(&self) -> usize {
         self.mass
             .as_ref()
@@ -648,10 +688,30 @@ impl StreamingDiscordMonitor {
     }
 
     /// Like [`StreamingDiscordMonitor::finish`], but fans the pending
-    /// queries out across rayon workers (per-worker partial folds
-    /// merged under the shared rule, as in
-    /// [`crate::anytime::AnytimeStamp::finish_parallel`]) —
-    /// bit-identical to the sequential result for every worker count.
+    /// queries out across rayon workers — parallel STAMP when the
+    /// monitor holds one appended series.
+    ///
+    /// The pending queries are split into one chunk per worker. Each
+    /// worker folds its chunk into a thread-local partial profile with
+    /// its own [`MassScratch`], and the partials merge under
+    /// [`merge_min_into`]. That merge is commutative and associative, so
+    /// the result is bit-identical to the sequential one for every
+    /// worker count and chunking. The worker count follows rayon's
+    /// current configuration.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_discord::streaming::StreamingDiscordMonitor;
+    ///
+    /// let series: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
+    /// let mut monitor = StreamingDiscordMonitor::with_seed(16, 8, 7);
+    /// monitor.append(&series);
+    /// let finished = monitor.finish_parallel();
+    /// let batch = egi_discord::stamp(&series, 16);
+    /// assert_eq!(finished.profile, batch.profile);
+    /// assert_eq!(finished.index, batch.index);
+    /// ```
     pub fn finish_parallel(&mut self) -> MatrixProfile {
         let threads = rayon::current_num_threads();
         let mass = match &self.mass {
@@ -921,7 +981,9 @@ impl Checkpoint for StreamingDiscordMonitor {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    use egi_tskit::Deadline;
 
     use super::*;
     use crate::stamp::stamp_with_exclusion;
@@ -1107,15 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn run_for_duration_respects_zero_budget() {
-        let series = test_series(150);
-        let mut monitor = StreamingDiscordMonitor::new(8);
-        monitor.append(&series);
-        assert_eq!(monitor.run_for_duration(Duration::ZERO), 0);
-        assert_eq!(monitor.processed(), 0);
-    }
-
-    #[test]
     fn seed_changes_order_not_result() {
         let series = test_series(170);
         let m = 7;
@@ -1146,6 +1199,246 @@ mod tests {
         let reference = stamp_with_exclusion(&series, m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
+    }
+
+    #[test]
+    fn pseudo_random_order_is_a_permutation() {
+        let order = pseudo_random_order(100, 42);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(order, (0..100).collect::<Vec<_>>());
+        // Seeded: same seed, same order; different seed, different order.
+        assert_eq!(order, pseudo_random_order(100, 42));
+        assert_ne!(order, pseudo_random_order(100, 43));
+    }
+
+    // ------------------------------------------------------------------
+    // Anytime STAMP: a monitor fed one series. The properties in
+    // tests/proptests.rs cover random series and seeds; these pin the
+    // deadline contract and the edges.
+    // ------------------------------------------------------------------
+
+    /// The acceptance contract against STOMP: on deterministic
+    /// fixtures the finished anytime profile agrees with STOMP to 1e-6
+    /// (the permutation proptest uses 1e-5 because adversarial random
+    /// series amplify FFT-vs-incremental error through the sqrt near
+    /// zero distances).
+    #[test]
+    fn finished_profile_matches_stomp_to_1e6() {
+        let series = test_series(250);
+        for &m in &[6usize, 12] {
+            let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m / 2);
+            monitor.append(&series);
+            let anytime = monitor.finish_parallel();
+            let stomp = crate::stomp::stomp_with_exclusion(&series, m, m / 2);
+            for i in 0..anytime.len() {
+                assert!(
+                    (anytime.profile[i] - stomp.profile[i]).abs() < 1e-6,
+                    "m={m} i={i}: {} vs {}",
+                    anytime.profile[i],
+                    stomp.profile[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn partial_profile_is_upper_bound_on_final() {
+        let series = test_series(140);
+        let m = 7;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 3);
+        monitor.append(&series);
+        monitor.run_for(monitor.window_count() / 4);
+        let partial = monitor.snapshot();
+        for i in 0..partial.len() {
+            assert!(
+                partial.profile[i] >= reference.profile[i] - 1e-12,
+                "entry {i}"
+            );
+        }
+    }
+
+    /// A processed query has folded its whole row, so its own entry is
+    /// final up to FFT round-off. After `k` queries at least `k` entries
+    /// have settled, wherever the seeded order put them.
+    #[test]
+    fn each_processed_query_settles_its_own_entry() {
+        let series = test_series(220);
+        let m = 8;
+        let reference = stamp_with_exclusion(&series, m, m / 2);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, m / 2, 11);
+        monitor.append(&series);
+        while monitor.run_for(19) > 0 {
+            let partial = monitor.snapshot();
+            let settled = partial
+                .profile
+                .iter()
+                .zip(&reference.profile)
+                .filter(|(p, f)| (*p - *f).abs() <= 1e-9 * (1.0 + f.abs()))
+                .count();
+            assert!(
+                settled >= monitor.processed(),
+                "{settled} entries settled after {} queries",
+                monitor.processed()
+            );
+        }
+    }
+
+    /// The seed picks the query order: the same seed reaches the same
+    /// partial profile, and another seed a different one.
+    #[test]
+    fn seed_steers_the_partial_snapshot() {
+        let series = test_series(200);
+        let partial = |seed: u64| {
+            let mut monitor = StreamingDiscordMonitor::with_seed(8, 4, seed);
+            monitor.append(&series);
+            monitor.run_for(10);
+            monitor.snapshot()
+        };
+        let (a, b, c) = (partial(1), partial(1), partial(2));
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.index, b.index);
+        assert_ne!(a.profile, c.profile, "seed 2 runs other queries first");
+    }
+
+    /// Anytime STAMP is STAMP over a prefix of the epoch's seeded order:
+    /// after `k` queries, the snapshot of a monitor fed one series is,
+    /// bit for bit, the STAMP fold of the first `k` windows of that
+    /// order.
+    #[test]
+    fn partial_snapshot_is_the_stamp_fold_of_the_order_prefix() {
+        let series = test_series(180);
+        let (m, exc) = (8, 4);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 21);
+        monitor.append(&series);
+        let count = monitor.window_count();
+        let order = monitor.epoch_order(0, count);
+        let mass = MassPrecomputed::new(&series, m);
+        let mut profile = vec![f64::INFINITY; count];
+        let mut index = vec![usize::MAX; count];
+        let (mut scratch, mut dp) = (MassScratch::default(), Vec::new());
+        let mut folded = 0;
+        for k in [1, 9, 40, count] {
+            assert_eq!(monitor.run_for(k - folded), k - folded);
+            for &q in &order[folded..k] {
+                mass.distance_profile_into(q, &mut scratch, &mut dp);
+                update_from_profile(q, &dp, exc, &mut profile, &mut index);
+            }
+            folded = k;
+            let snapshot = monitor.snapshot();
+            assert_eq!(snapshot.profile, profile, "after {k} queries");
+            assert_eq!(snapshot.index, index, "after {k} queries");
+        }
+        assert!(monitor.is_current());
+    }
+
+    #[test]
+    fn exact_ties_are_seed_independent() {
+        // Flat plateaus tie at exactly 0.0; the index vector must not
+        // depend on which query reached them first.
+        let mut series = Vec::new();
+        series.extend(std::iter::repeat_n(1.0, 8));
+        series.extend((0..8).map(|i| (i as f64 * 0.9).sin()));
+        series.extend(std::iter::repeat_n(5.0, 8));
+        series.extend((0..8).map(|i| (i as f64 * 1.3).cos()));
+        series.extend(std::iter::repeat_n(2.0, 8));
+        let m = 4;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        for seed in 0..6u64 {
+            let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+            monitor.append(&series);
+            let finished = monitor.finish();
+            assert_eq!(finished.index, reference.index, "seed {seed}");
+            assert_eq!(finished.profile, reference.profile, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn single_window_series_is_immediately_done_after_one_step() {
+        let series = vec![1.0, 2.0, 3.0];
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(3, 1);
+        monitor.append(&series);
+        assert_eq!(monitor.window_count(), 1);
+        let mp = monitor.finish_parallel();
+        assert!(mp.profile[0].is_infinite());
+        assert_eq!(mp.index[0], usize::MAX);
+    }
+
+    /// `run_until` checks the clock *before* each query, so an
+    /// already-expired deadline runs zero queries — the structural half
+    /// of the "never overshoots by more than one query's work"
+    /// guarantee.
+    #[test]
+    fn expired_deadline_runs_nothing() {
+        let series = test_series(150);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series);
+        assert_eq!(monitor.run_until(Deadline::at(Instant::now())), 0);
+        assert_eq!(monitor.processed(), 0);
+        let past = Instant::now() - Duration::from_secs(1);
+        assert_eq!(monitor.run_until(Deadline::at(past)), 0);
+        assert_eq!(monitor.run_for_duration(Duration::ZERO), 0);
+        assert_eq!(monitor.processed(), 0);
+    }
+
+    /// The wall-clock half: overshoot beyond the deadline is bounded by
+    /// one query's work. The load-bearing asserts are structural (some
+    /// progress was made; the run stopped on the clock, far short of
+    /// completion — thousands of queries short, so no scheduler stall
+    /// can fake it). The elapsed-time bound uses a very generous
+    /// absolute slack: it exists to catch "run_until ignores the clock
+    /// entirely" regressions (which would run ~seconds), not to measure
+    /// scheduling jitter, so CI noise cannot flake it.
+    #[test]
+    fn run_until_overshoot_is_bounded_by_one_query() {
+        let series: Vec<f64> = (0..6000)
+            .map(|i| (i as f64 * 0.11).sin() + 0.3 * (i as f64 * 0.013).cos())
+            .collect();
+        let mut monitor = StreamingDiscordMonitor::new(64);
+        monitor.append(&series);
+        // Warm up caches/allocations so the timed region is steady-state.
+        assert_eq!(monitor.run_for(32), 32);
+        let budget = Duration::from_millis(10);
+        let start = Instant::now();
+        let ran = monitor.run_until(Deadline::after(budget));
+        let elapsed = start.elapsed();
+        assert!(ran > 0, "a 10ms budget must admit at least one query");
+        assert!(
+            !monitor.is_current(),
+            "the run must have been stopped by the clock, not completion \
+             ({} of {} queries processed)",
+            monitor.processed(),
+            monitor.window_count()
+        );
+        let slack = Duration::from_millis(250);
+        assert!(
+            elapsed <= budget + slack,
+            "overshoot: ran {ran} queries in {elapsed:?} against a {budget:?} budget"
+        );
+    }
+
+    #[test]
+    fn deadline_query_budget_matches_run_for() {
+        let series = test_series(160);
+        let mut a = StreamingDiscordMonitor::with_seed(8, 4, 5);
+        let mut b = StreamingDiscordMonitor::with_seed(8, 4, 5);
+        a.append(&series);
+        b.append(&series);
+        a.run_for(23);
+        b.run_until(Deadline::queries(23));
+        assert_eq!(a.processed(), b.processed());
+        assert_eq!(a.snapshot().profile, b.snapshot().profile);
+        // Unbounded deadline = run to completion.
+        b.run_until(Deadline::unbounded());
+        assert!(b.is_current());
+        // Query cap composes with (not yet expired) wall-clock bounds.
+        let far = Deadline::at(Instant::now() + Duration::from_secs(3600)).with_query_cap(7);
+        let ran = a.run_until(far);
+        assert_eq!(ran, 7);
     }
 
     #[test]
@@ -1215,6 +1508,30 @@ mod tests {
         assert_eq!(par.processed(), seq.processed());
         assert_eq!(par.metrics(), seq.metrics());
         assert_eq!(par.metrics().staleness_points, 0);
+    }
+
+    /// With no query pending (during warm-up, or once current),
+    /// `finish_parallel` runs nothing: it returns the snapshot and
+    /// leaves the state and the metrics as they were.
+    #[test]
+    fn finish_parallel_with_nothing_pending_changes_nothing() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let series = test_series(120);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series[..5]);
+        assert!(pool.install(|| monitor.finish_parallel()).is_empty());
+        assert_eq!(monitor.series_len(), 5);
+        monitor.append(&series[5..]);
+        let finished = pool.install(|| monitor.finish_parallel());
+        let (bytes, stats) = (monitor.checkpoint_bytes().unwrap(), monitor.metrics());
+        let again = pool.install(|| monitor.finish_parallel());
+        assert_eq!(again, finished);
+        assert_eq!(monitor.checkpoint_bytes().unwrap(), bytes);
+        assert_eq!(monitor.metrics(), stats);
+        assert_eq!(stats.caught_up, 1);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! distance, a queue that misses or repeats a window) loads as
 //! [`CheckpointError::Corrupt`].
 
-use egi_discord::anytime::pseudo_random_order;
-use egi_discord::streaming::{Checkpoint, CheckpointError, StreamingDiscordMonitor};
+use egi_discord::streaming::{
+    pseudo_random_order, Checkpoint, CheckpointError, StreamingDiscordMonitor,
+};
 use egi_testkit::{choose_evict, decode_op, PointGen, ScheduleOp, ShadowSuffix};
 use egi_tskit::checkpoint::{
     list_sections, CheckpointReader, CheckpointWriter, FieldReader, FieldWriter,

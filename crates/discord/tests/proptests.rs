@@ -5,7 +5,6 @@
 //! other and with the brute-force oracle over random inputs is the
 //! strongest correctness evidence available without external fixtures.
 
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::brute::brute_force;
 use egi_discord::dist::WindowStats;
 use egi_discord::mass::{mass_self, MassPrecomputed};
@@ -127,10 +126,10 @@ proptest! {
         prop_assert_eq!(&single.index, &multi.index);
     }
 
-    /// Anytime STAMP, for *every* query permutation (seed), finishes on
-    /// a profile and index vector bit-identical to sequential STAMP —
-    /// and within 1e-5 of STOMP: the whole point of the shared
-    /// `(distance, index)` fold.
+    /// Anytime STAMP (a monitor fed one series), for *every* query
+    /// permutation (seed), finishes on a profile and index vector
+    /// bit-identical to sequential STAMP — and within 1e-5 of STOMP: the
+    /// whole point of the shared `(distance, index)` fold.
     #[test]
     fn anytime_any_permutation_matches_stamp_and_stomp(
         series in series_strategy(),
@@ -140,7 +139,9 @@ proptest! {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
-        let finished = AnytimeStamp::with_seed(&series, m, exc, seed).finish();
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+        monitor.append(&series);
+        let finished = monitor.finish();
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
         let stomp = stomp_with_exclusion(&series, m, exc);
@@ -165,7 +166,8 @@ proptest! {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
-        let mut driver = AnytimeStamp::with_seed(&series, m, exc, seed);
+        let mut driver = StreamingDiscordMonitor::with_seed(m, exc, seed);
+        driver.append(&series);
         driver.run_for(driver.window_count() * prefix_pct / 100);
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -189,7 +191,8 @@ proptest! {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
-        let mut driver = AnytimeStamp::with_seed(&series, m, exc, seed);
+        let mut driver = StreamingDiscordMonitor::with_seed(m, exc, seed);
+        driver.append(&series);
         let mut previous = driver.snapshot();
         while driver.run_for(chunk) > 0 {
             let current = driver.snapshot();

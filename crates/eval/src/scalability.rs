@@ -6,8 +6,8 @@
 use std::time::Instant;
 
 use egi_core::EnsembleDetector;
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::stomp;
+use egi_discord::streaming::StreamingDiscordMonitor;
 use egi_tskit::gen::{ecg_series, eeg_series, random_walk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +104,8 @@ pub fn run_scalability(
             f64::NAN
         } else {
             let t0 = Instant::now();
-            let mut driver = AnytimeStamp::new(&series, window);
+            let mut driver = StreamingDiscordMonitor::new(window);
+            driver.append(&series);
             driver.run_for(driver.window_count().div_ceil(10));
             let secs = t0.elapsed().as_secs_f64();
             std::hint::black_box(&driver.snapshot());
@@ -190,5 +191,30 @@ mod tests {
         let rendered = render_fig8(&pts);
         assert!(rendered.contains("skipped"));
         assert!(rendered.contains("Anytime STAMP 10%"));
+    }
+
+    #[test]
+    fn fig8_reports_a_speedup_only_where_stomp_ran() {
+        let point = |ensemble_secs, stomp_secs, anytime10_secs| ScalabilityPoint {
+            kind: "ECG",
+            len: 1000,
+            ensemble_secs,
+            stomp_secs,
+            anytime10_secs,
+        };
+        let rendered = render_fig8(&[
+            point(0.5, 2.0, 0.25),
+            point(0.5, f64::NAN, f64::NAN),
+            point(0.0, 2.0, 0.25),
+        ]);
+        let rows: Vec<&str> = rendered.lines().skip(2).collect();
+        assert_eq!(
+            rows,
+            [
+                "| ECG | 1000 | 0.500 | 2.000 | 0.250 | 4.0× |",
+                "| ECG | 1000 | 0.500 | skipped | skipped | — |",
+                "| ECG | 1000 | 0.000 | 2.000 | 0.250 | — |",
+            ]
+        );
     }
 }

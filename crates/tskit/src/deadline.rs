@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 /// instant, a unit-of-work budget, or both.
 ///
 /// "Units" are whatever the driving loop processes between checks —
-/// MASS queries for `AnytimeStamp` / `StreamingDiscordMonitor`, member
-/// refreshes for `StreamingEnsembleDetector`. Drivers check the
+/// MASS queries for `StreamingDiscordMonitor` (which also runs anytime
+/// STAMP), member refreshes for `StreamingEnsembleDetector`. Drivers check the
 /// condition **before** each unit, so a wall-clock deadline is overshot
 /// by at most one unit's work and an already-expired deadline runs zero
 /// units.
@@ -140,6 +140,16 @@ mod tests {
         let far = Deadline::at(Instant::now() + Duration::from_secs(3600)).with_query_cap(2);
         assert!(!far.expired(1));
         assert!(far.expired(2));
+    }
+
+    #[test]
+    fn overshoot_is_measured_only_past_a_wall_clock_instant() {
+        assert_eq!(Deadline::queries(3).overshoot_nanos(), None);
+        assert_eq!(Deadline::unbounded().overshoot_nanos(), None);
+        let future = Deadline::at(Instant::now() + Duration::from_secs(3600));
+        assert_eq!(future.overshoot_nanos(), None);
+        let past = Deadline::at(Instant::now() - Duration::from_millis(5));
+        assert!(past.overshoot_nanos().expect("past the instant") >= 5_000_000);
     }
 
     #[test]
