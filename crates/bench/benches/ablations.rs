@@ -1,4 +1,5 @@
-//! Design-choice ablations called out in DESIGN.md:
+//! Design-choice ablations: each bench times one choice of the paper or
+//! of this implementation against its alternatives.
 //!
 //! * `ablation_fastpaa` — prefix-sum FastPAA (Algorithm 2) vs naive
 //!   per-window z-normalize + PAA.

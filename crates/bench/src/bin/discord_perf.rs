@@ -1,4 +1,4 @@
-//! Perf baseline for the discord fast paths and the ensemble runtime.
+//! Perf baseline for the discord fast paths and the ensemble detector.
 //!
 //! Times, on deterministic fixtures:
 //!
@@ -37,7 +37,8 @@
 //!   streaming ensemble, 100-stream fleet), with
 //!   every reload asserted onto the bit-identical finish of the session
 //!   it was saved from;
-//! * **Ensemble** — `EnsembleDetector::detect`, serial vs parallel.
+//! * **Ensemble** — `EnsembleDetector::detect` on one rayon worker vs
+//!   the default worker count.
 //! * **Observability overhead** — the streaming schedule run
 //!   instrumented vs bare (`egi_obs::set_enabled(false)`), interleaved
 //!   min-of-N with alternating arm order, gated at < 3%
@@ -749,7 +750,6 @@ fn main() {
     let ens_fleet_config = EnsembleConfig {
         window: ens_fleet_window,
         ensemble_size: ens_fleet_members,
-        parallel: false,
         ..EnsembleConfig::default()
     };
     let mut ens_serve_rows = Vec::new();
@@ -969,23 +969,27 @@ fn main() {
         ));
     }
 
-    // Ensemble detection: serial vs parallel members.
+    // Ensemble detection: members on one rayon worker vs the default
+    // worker count.
     let (ens_len, ens_window, ens_members) = if quick {
         (8_000, 128, 10)
     } else {
         (40_000, 300, 25)
     };
     let ens_series = fixture_ecg(ens_len, 9);
-    let config = |parallel| EnsembleConfig {
+    let ens_detector = EnsembleDetector::new(EnsembleConfig {
         window: ens_window,
         ensemble_size: ens_members,
-        parallel,
         ..EnsembleConfig::default()
-    };
-    let (ens_serial_secs, serial_report) =
-        seconds(|| EnsembleDetector::new(config(false)).detect(&ens_series, 3, 1));
-    let (ens_parallel_secs, parallel_report) =
-        seconds(|| EnsembleDetector::new(config(true)).detect(&ens_series, 3, 1));
+    });
+    let (ens_serial_secs, serial_report) = seconds(|| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| ens_detector.detect(&ens_series, 3, 1))
+    });
+    let (ens_parallel_secs, parallel_report) = seconds(|| ens_detector.detect(&ens_series, 3, 1));
     assert_eq!(serial_report, parallel_report, "ensemble paths disagree");
     eprintln!(
         "ENSEMBLE {ens_len} pts, {ens_members} members: serial {ens_serial_secs:.3}s, parallel {ens_parallel_secs:.3}s"

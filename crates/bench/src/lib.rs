@@ -5,7 +5,7 @@
 //! * `tables` — one benchmark per evaluation table/figure workload
 //!   (Figure 1 grid, Table 4 per-method runs, Figure 9 case study).
 //! * `scalability` — Figure 8: ensemble vs STOMP across series lengths.
-//! * `ablations` — design-choice ablations from DESIGN.md: FastPAA vs
+//! * `ablations` — design-choice ablations: FastPAA vs
 //!   naive PAA, multi-resolution vs per-resolution SAX, STOMP vs STAMP vs
 //!   brute force, numerosity reduction on/off, median vs mean vs min
 //!   combiner.

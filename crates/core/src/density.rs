@@ -30,11 +30,12 @@ impl RuleDensityCurve {
         Self::from_occurrences(&grammar.occurrences(), nr, series_len)
     }
 
-    /// Builds the curve directly from an occurrence list: the streaming
-    /// detector feeds the live engine's [`Sequitur::occurrences`] here
-    /// when a refresh starts from an empty engine, skipping grammar
-    /// extraction entirely, and later refreshes fold deltas onto the
-    /// result ([`fold_deltas`](Self::fold_deltas)).
+    /// Builds the curve directly from an occurrence list: a member
+    /// refresh that starts from an empty engine — every batch ensemble
+    /// member, and a streaming member's first fill or replay — feeds
+    /// the live engine's [`Sequitur::occurrences`] here, skipping
+    /// grammar extraction entirely, and later streaming refreshes fold
+    /// deltas onto the result ([`fold_deltas`](Self::fold_deltas)).
     ///
     /// Only the `(start, len)` spans are read (rule ids — dense or
     /// engine — are irrelevant), and the difference-array accumulation
@@ -111,20 +112,6 @@ impl RuleDensityCurve {
             *v += acc;
         }
         end - first
-    }
-
-    /// Full grammar-induction pipeline from a token sequence: intern →
-    /// Sequitur → density build. Returns an all-zero curve for an empty
-    /// token sequence (series shorter than the window).
-    pub fn from_tokens(nr: &NumerosityReduced, series_len: usize) -> Self {
-        if nr.is_empty() {
-            return Self {
-                values: vec![0.0; series_len],
-            };
-        }
-        let tokens = crate::intern::intern_tokens(nr);
-        let grammar = egi_sequitur::induce(tokens);
-        Self::build(&grammar, nr, series_len)
     }
 
     /// Curve length (= series length).
@@ -363,23 +350,9 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Boundary-handling regression tests (PR 4 audit): first/last
-    // window, empty numerosity-reduced output, and the short-series
-    // regimes of the edge correction.
+    // Boundary-handling regression tests: first/last window, no
+    // occurrences, and the short-series regimes of the edge correction.
     // ------------------------------------------------------------------
-
-    #[test]
-    fn from_tokens_empty_nr_returns_flat_zero_curve() {
-        // A series shorter than the window produces no tokens; the
-        // curve must still have one (zero) value per series point so
-        // downstream combination never sees a length mismatch.
-        let nr = numerosity_reduce(Vec::new(), 6);
-        let curve = RuleDensityCurve::from_tokens(&nr, 9);
-        assert_eq!(curve.values, vec![0.0; 9]);
-        // Degenerate series too: zero points, zero-length curve.
-        let curve = RuleDensityCurve::from_tokens(&nr, 0);
-        assert!(curve.is_empty());
-    }
 
     #[test]
     fn from_occurrences_with_no_occurrences_is_flat_zero() {

@@ -4,27 +4,30 @@
 //! random distinct parameter pairs, score each member's rule density curve
 //! by its standard deviation, keep the top `τ·N` curves, normalize each to
 //! `[0, 1]` by its maximum, and combine point-wise with the median. Members
-//! share the prefix-sum statistics, the merged breakpoint table, *and* the
-//! PAA coefficient streams (members differing only in alphabet `a` reuse
-//! the same stream), so the whole ensemble stays linear in the series
-//! length; members execute through the rayon-style runtime in
-//! [`crate::runtime`] since they are fully independent.
+//! share the prefix-sum statistics *and* the PAA coefficient streams
+//! (members differing only in alphabet `a` reuse the same stream), so the
+//! whole ensemble stays linear in the series length. Each member runs the
+//! streaming detector's member refresh from an empty engine
+//! ([`crate::streaming`]), on rayon workers since members are fully
+//! independent.
 
 use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
-use egi_sax::{FastSax, MultiResBreakpoints, SaxConfig};
+use egi_sax::stream::PaaStream;
+use egi_sax::{FastSax, SaxConfig};
 use egi_tskit::ConfigError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 use crate::density::RuleDensityCurve;
 use crate::detector::{rank_anomalies, AnomalyReport};
-use crate::runtime::{compute_member_curves, MemberJob};
+use crate::streaming::{distinct_ws, member_curve};
 
 /// How the kept, normalized curves are merged into one.
 ///
-/// The paper uses the median; mean and min are provided for the ablation
-/// benches (DESIGN.md "Design notes").
+/// The paper uses the median; mean, min and max are ablations of that
+/// choice, which egi-bench's `ablation_combiner` bench compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Combiner {
     /// Point-wise median (the paper's choice, robust to outlier members).
@@ -83,8 +86,6 @@ pub struct EnsembleConfig {
     pub selectivity: f64,
     /// Curve combination operator.
     pub combiner: Combiner,
-    /// Run members on a thread pool.
-    pub parallel: bool,
 }
 
 impl Default for EnsembleConfig {
@@ -96,7 +97,6 @@ impl Default for EnsembleConfig {
             amax: 10,
             selectivity: 0.4,
             combiner: Combiner::Median,
-            parallel: true,
         }
     }
 }
@@ -187,21 +187,24 @@ impl EnsembleDetector {
 
     /// Computes one rule density curve per member parameter pair.
     ///
-    /// Curves come back in `params` order regardless of scheduling, and
-    /// parallel execution is bit-identical to serial. Members sharing a
-    /// PAA size `w` share one precomputed coefficient stream (see
-    /// [`crate::runtime`]).
+    /// Members sharing a PAA size `w` share one coefficient stream, and
+    /// each member runs the streaming detector's member refresh from an
+    /// empty engine on a rayon worker. Curves come back in `params`
+    /// order, bit-identical for every worker count.
     pub fn member_curves(&self, series: &[f64], params: &[SaxConfig]) -> Vec<RuleDensityCurve> {
         let fast = FastSax::new(series);
-        let multi = MultiResBreakpoints::new(self.config.amax);
-        let jobs: Vec<MemberJob> = params
-            .iter()
-            .map(|&sax| MemberJob {
-                window: self.config.window,
-                sax,
-            })
+        let ws = distinct_ws(params);
+        let streams: Vec<PaaStream> = ws
+            .par_iter()
+            .map(|&w| PaaStream::new(&fast, self.config.window, w))
             .collect();
-        compute_member_curves(&fast, &multi, &jobs, self.config.parallel)
+        params
+            .par_iter()
+            .map(|&sax| {
+                let stream = &streams[ws.binary_search(&sax.w).expect("w collected above")];
+                member_curve(sax, stream, series.len())
+            })
+            .collect()
     }
 
     /// Algorithm 1: builds the ensemble rule density curve.
@@ -380,20 +383,68 @@ mod tests {
         );
     }
 
+    /// Members run on rayon workers and come back in member order, so
+    /// the report is bit-identical for every worker count.
     #[test]
-    fn parallel_and_sequential_agree_exactly() {
+    fn detect_is_bit_identical_across_worker_counts() {
         let (series, _) = beat_train(12, 64, 6);
-        let par = EnsembleDetector::new(EnsembleConfig {
-            parallel: true,
-            ..config(64)
+        let det = EnsembleDetector::new(config(64));
+        let bits = |r: &AnomalyReport| -> Vec<u64> {
+            let scores = r.anomalies.iter().map(|c| c.score.to_bits());
+            r.curve.iter().map(|v| v.to_bits()).chain(scores).collect()
+        };
+        let threads = [1usize, 2, 4];
+        let reports = threads.map(|n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+                .install(|| det.detect(&series, 3, 5))
         });
-        let seq = EnsembleDetector::new(EnsembleConfig {
-            parallel: false,
-            ..config(64)
-        });
-        let a = par.detect(&series, 3, 5);
-        let b = seq.detect(&series, 3, 5);
-        assert_eq!(a, b);
+        assert_eq!(reports[0].anomalies.len(), 3);
+        for (n, report) in threads.iter().zip(&reports) {
+            assert_eq!(report, &reports[0], "{n} threads");
+            assert_eq!(bits(report), bits(&reports[0]), "{n} threads");
+        }
+    }
+
+    /// Each member curve is the paper's pipeline over the member's own
+    /// discretization (intern, induce a `Grammar`, build its curve), bit
+    /// for bit, for members sharing a PAA stream, in draw order.
+    #[test]
+    fn member_curves_equal_the_grammar_pipeline() {
+        let (series, _) = beat_train(10, 64, 4);
+        let det = EnsembleDetector::new(config(64));
+        let params = [(4, 3), (6, 5), (4, 9), (6, 2), (4, 4)].map(|(w, a)| SaxConfig::new(w, a));
+        let fast = FastSax::new(&series);
+        let multi = egi_sax::MultiResBreakpoints::new(10);
+        let bits =
+            |c: &RuleDensityCurve| -> Vec<u64> { c.values.iter().map(|v| v.to_bits()).collect() };
+        let curves = det.member_curves(&series, &params);
+        assert_eq!(curves.len(), params.len());
+        for (sax, curve) in params.iter().zip(&curves) {
+            let nr = egi_sax::discretize_series(&fast, 64, *sax, &multi);
+            let grammar = egi_sequitur::induce(crate::intern::intern_tokens(&nr));
+            let built = RuleDensityCurve::build(&grammar, &nr, series.len());
+            assert!(built.values.iter().any(|&v| v > 0.0), "{sax}");
+            assert_eq!(bits(curve), bits(&built), "{sax}");
+        }
+    }
+
+    /// A series shorter than the window has no window to discretize:
+    /// every member's curve is all zeros, one value per series point.
+    #[test]
+    fn members_over_a_series_shorter_than_the_window_are_flat_zero() {
+        let det = EnsembleDetector::new(config(64));
+        let params = det.member_params(3);
+        for len in [0usize, 1, 9, 63] {
+            let series: Vec<f64> = (0..len).map(|i| (i as f64 * 0.7).sin()).collect();
+            let curves = det.member_curves(&series, &params);
+            assert_eq!(curves.len(), params.len());
+            for curve in curves {
+                assert_eq!(curve.values, vec![0.0; len], "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -9,23 +9,18 @@ use std::collections::HashMap;
 
 use egi_sax::{NumerosityReduced, SaxWord};
 
-/// Interns the words of a numerosity-reduced token sequence.
+/// Interns the words of a numerosity-reduced token sequence: a fold of
+/// its words through a fresh [`OnlineInterner`].
 ///
 /// Returns one token id per retained token, in order. Identical words get
 /// identical ids; ids are dense starting at 0.
 pub fn intern_tokens(nr: &NumerosityReduced) -> Vec<u32> {
-    let mut table: HashMap<&SaxWord, u32> = HashMap::with_capacity(nr.len());
-    let mut out = Vec::with_capacity(nr.len());
-    for token in &nr.tokens {
-        let next_id = table.len() as u32;
-        let id = *table.entry(&token.word).or_insert(next_id);
-        out.push(id);
-    }
-    out
+    let mut interner = OnlineInterner::new();
+    nr.tokens.iter().map(|t| interner.intern(&t.word)).collect()
 }
 
-/// An interning table that assigns ids one word at a time — the online
-/// counterpart of [`intern_tokens`] for the streaming detector.
+/// An interning table that assigns ids one word at a time, as the
+/// member refresh of every ensemble member feeds them.
 ///
 /// Ids are dense `u32`s in first-seen order, so feeding the words of a
 /// token sequence through [`OnlineInterner::intern`] in order yields

@@ -13,15 +13,15 @@
 //!   GI-Fix / GI-Random / GI-Select baselines.
 //! * [`ensemble`] — **Algorithm 1**: N randomized `(w, a)` runs, standard
 //!   deviation filtering (keep top τ·N curves), max-normalization, and
-//!   point-wise median combination.
-//! * [`runtime`] — the ensemble execution runtime: PAA-stream
-//!   deduplication across members plus rayon-style parallelism with
-//!   order-preserving (bit-deterministic) collection.
+//!   point-wise median combination. Members sharing a PAA size share one
+//!   PAA stream and run on rayon workers, collected in member order.
 //! * [`streaming`] — **online ensemble grammar induction**:
 //!   [`StreamingEnsembleDetector`] appends live traffic, refreshes
 //!   members under wall-clock [`Deadline`](egi_tskit::Deadline)
 //!   budgets, and finishes bit-identical to batch
-//!   [`EnsembleDetector::detect`].
+//!   [`EnsembleDetector::detect`]. Its member refresh is the one member
+//!   pipeline: batch detection runs each member through it from an
+//!   empty engine.
 //! * [`select`] — the GI-Select parameter-search baseline (Section 7.1.3).
 //! * [`multiwindow`] — an extension beyond the paper: ensemble over
 //!   several sliding-window lengths, reporting variable-length anomalies.
@@ -46,7 +46,7 @@
 //! let report = detector.detect(&series, 1, /* seed */ 7);
 //! let top = &report.anomalies[0];
 //! assert!(top.start >= 360 && top.start <= 440, "found {}", top.start);
-//! // Same seed, same report — the runtime is bit-deterministic.
+//! // Same seed, same report, whatever the rayon worker count.
 //! assert_eq!(report, detector.detect(&series, 1, 7));
 //! ```
 
@@ -58,7 +58,6 @@ pub mod detector;
 pub mod ensemble;
 pub mod intern;
 pub mod multiwindow;
-pub mod runtime;
 pub mod select;
 pub mod session;
 pub mod single;

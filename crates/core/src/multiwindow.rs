@@ -18,8 +18,6 @@
 use crate::density::RuleDensityCurve;
 use crate::detector::{rank_anomalies, AnomalyReport, Candidate};
 use crate::ensemble::{Combiner, EnsembleConfig, EnsembleDetector};
-use crate::runtime::{compute_member_curves, MemberJob};
-use egi_sax::{FastSax, MultiResBreakpoints};
 use egi_tskit::window::intervals_overlap;
 
 /// Configuration of the multi-window extension.
@@ -66,55 +64,26 @@ impl MultiWindowEnsemble {
         &self.config
     }
 
-    /// One normalized ensemble curve per window length, in input order.
-    ///
-    /// All member runs across *all* window lengths are flattened into a
-    /// single parallel batch (one shared [`FastSax`], one shared
-    /// breakpoint table, PAA streams deduplicated per `(window, w)`), so
-    /// the multi-window ensemble parallelizes across window lengths and
-    /// members at once instead of processing windows one after another.
+    /// One normalized ensemble curve per window length, in input order:
+    /// each window length runs one Algorithm 1 ensemble
+    /// ([`EnsembleDetector::ensemble_curve`], whose members run on rayon
+    /// workers) with its own member draw.
     pub fn window_curves(&self, series: &[f64], seed: u64) -> Vec<RuleDensityCurve> {
-        let fast = FastSax::new(series);
-        let multi = MultiResBreakpoints::new(self.config.base.amax);
-
-        // Per-window detectors and their (decorrelated) member draws.
-        let members: Vec<(EnsembleDetector, Vec<egi_sax::SaxConfig>)> = self
-            .config
+        self.config
             .windows
             .iter()
             .enumerate()
-            .map(|(i, &w)| {
+            .map(|(i, &window)| {
                 let det = EnsembleDetector::new(EnsembleConfig {
-                    window: w,
+                    window,
                     ..self.config.base
                 });
                 // Decorrelate member draws across window lengths.
-                let params = det.member_params(seed ^ ((i as u64 + 1) << 48));
-                (det, params)
-            })
-            .collect();
-
-        // One flattened batch of member jobs over every window length.
-        let jobs: Vec<MemberJob> = members
-            .iter()
-            .flat_map(|(det, params)| {
-                let window = det.config().window;
-                params.iter().map(move |&sax| MemberJob { window, sax })
-            })
-            .collect();
-        let mut curves =
-            compute_member_curves(&fast, &multi, &jobs, self.config.base.parallel).into_iter();
-
-        members
-            .iter()
-            .map(|(det, params)| {
-                let member_curves: Vec<RuleDensityCurve> =
-                    curves.by_ref().take(params.len()).collect();
-                let mut curve = det.combine_curves(member_curves);
+                let mut curve = det.ensemble_curve(series, seed ^ ((i as u64 + 1) << 48));
                 // Level the series edges before normalizing: boundary
                 // points are covered by fewer windows and would otherwise
                 // masquerade as anomalies in the global ranking.
-                curve.correct_edge_coverage(det.config().window);
+                curve.correct_edge_coverage(window);
                 curve.normalize_by_max();
                 curve
             })
@@ -312,6 +281,51 @@ mod tests {
     #[test]
     fn combined_curve_averages_the_middle_pair_for_an_even_count() {
         assert_pointwise_sorted_median(vec![40, 120]);
+    }
+
+    /// Each window length's curve is that window's own Algorithm 1
+    /// ensemble under its decorrelated member draw, edge-corrected and
+    /// max-normalized.
+    #[test]
+    fn window_curves_are_the_per_window_ensembles() {
+        let (series, _, _) = two_length_series(40);
+        let det = MultiWindowEnsemble::new(config(vec![40, 80, 120]));
+        let curves = det.window_curves(&series, 5);
+        assert_eq!(curves.len(), 3);
+        for (i, (&window, curve)) in det.config().windows.iter().zip(&curves).enumerate() {
+            let single = EnsembleDetector::new(EnsembleConfig {
+                window,
+                ..det.config().base
+            });
+            let params = single.member_params(5 ^ ((i as u64 + 1) << 48));
+            let mut expected = single.combine_curves(single.member_curves(&series, &params));
+            expected.correct_edge_coverage(window);
+            expected.normalize_by_max();
+            assert_eq!(curve, &expected, "window {window}");
+        }
+    }
+
+    #[test]
+    fn detect_is_bit_identical_across_worker_counts() {
+        let (series, _, _) = two_length_series(40);
+        let det = MultiWindowEnsemble::new(config(vec![40, 80, 120]));
+        let bits = |r: &AnomalyReport| -> Vec<u64> {
+            let scores = r.anomalies.iter().map(|c| c.score.to_bits());
+            r.curve.iter().map(|v| v.to_bits()).chain(scores).collect()
+        };
+        let threads = [1usize, 2, 4];
+        let reports = threads.map(|n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+                .install(|| det.detect(&series, 3, 11))
+        });
+        assert_eq!(reports[0].anomalies.len(), 3);
+        for (n, report) in threads.iter().zip(&reports) {
+            assert_eq!(report, &reports[0], "{n} threads");
+            assert_eq!(bits(report), bits(&reports[0]), "{n} threads");
+        }
     }
 
     #[test]

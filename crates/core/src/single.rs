@@ -6,10 +6,12 @@
 //! the curves; the single-run detector is also used directly by the
 //! GI-Fix / GI-Random / GI-Select baselines.
 
-use egi_sax::{discretize_series, FastSax, MultiResBreakpoints, SaxConfig};
+use egi_sax::stream::PaaStream;
+use egi_sax::{FastSax, SaxConfig};
 
 use crate::density::RuleDensityCurve;
 use crate::detector::{rank_anomalies, AnomalyReport};
+use crate::streaming::member_curve;
 
 /// Configuration of a single grammar-induction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,18 +60,13 @@ impl SingleGiDetector {
         self.config
     }
 
-    /// Computes the raw rule density curve for `series`.
-    ///
-    /// Exposed separately because the ensemble consumes curves, not
-    /// reports. Shares the caller's [`FastSax`] and multi-resolution
-    /// table, so ensemble members pay only `O(N·w)` each.
-    pub fn density_curve(
-        &self,
-        fast: &FastSax<'_>,
-        multi: &MultiResBreakpoints,
-    ) -> RuleDensityCurve {
-        let nr = discretize_series(fast, self.config.window, self.config.sax, multi);
-        RuleDensityCurve::from_tokens(&nr, fast.len())
+    /// Computes the raw rule density curve of the series behind `fast`:
+    /// one ensemble member's run, bit-identical to the curve
+    /// [`EnsembleDetector::member_curves`](crate::EnsembleDetector::member_curves)
+    /// computes for the same `(window, w, a)`.
+    pub fn density_curve(&self, fast: &FastSax<'_>) -> RuleDensityCurve {
+        let stream = PaaStream::new(fast, self.config.window, self.config.sax.w);
+        member_curve(self.config.sax, &stream, fast.len())
     }
 
     /// Full detection: density curve → top-`k` non-overlapping minima.
@@ -84,8 +81,7 @@ impl SingleGiDetector {
             "series contains non-finite values"
         );
         let fast = FastSax::new(series);
-        let multi = MultiResBreakpoints::new(self.config.sax.a);
-        let curve = self.density_curve(&fast, &multi);
+        let curve = self.density_curve(&fast);
         let anomalies = rank_anomalies(&curve.values, self.config.window, k);
         AnomalyReport {
             anomalies,
@@ -179,6 +175,25 @@ mod tests {
         for c in det.detect(&series, 3).anomalies {
             assert_eq!(c.len, 64);
             assert!(c.start + c.len <= series.len());
+        }
+    }
+
+    #[test]
+    fn density_curve_is_the_ensemble_member_curve() {
+        let (series, _) = beat_train_with_anomaly(12, 50, 7);
+        let fast = FastSax::new(&series);
+        let ensemble = crate::EnsembleDetector::new(crate::EnsembleConfig {
+            window: 50,
+            ..crate::EnsembleConfig::default()
+        });
+        let bits =
+            |c: &RuleDensityCurve| -> Vec<u64> { c.values.iter().map(|v| v.to_bits()).collect() };
+        for (w, a) in [(2usize, 2usize), (4, 4), (5, 9), (10, 26)] {
+            let sax = SaxConfig::new(w, a);
+            let curve = SingleGiDetector::new(GiConfig { window: 50, sax }).density_curve(&fast);
+            let member = ensemble.member_curves(&series, &[sax]).remove(0);
+            assert!(curve.values.iter().any(|&v| v > 0.0), "w={w} a={a}");
+            assert_eq!(bits(&curve), bits(&member), "w={w} a={a}");
         }
     }
 

@@ -23,8 +23,7 @@
 //!   ([`egi_sax::paa_znorm_from_stats`]), and each coefficient's cell
 //!   in the all-alphabet breakpoint table — one binary search per
 //!   coefficient, whatever the members' alphabets. Streams are shared
-//!   across members with equal PAA size `w` (the runtime's
-//!   deduplication).
+//!   across members with equal PAA size `w`, as in batch detection.
 //! * **SAX word emission + numerosity reduction**
 //!   ([`PaaStream::reduce_into`]) fold new windows into the token
 //!   sequence online by mapping each coefficient's stored cell through
@@ -43,18 +42,12 @@
 //!
 //! Member curves combine under the *batch* detector's own
 //! [`EnsembleDetector::combine_curves`] (σ-ranking, τ-filter,
-//! max-normalization, point-wise combiner), so there is one Algorithm 1
-//! implementation, not two.
+//! max-normalization, point-wise combiner), and batch
+//! [`EnsembleDetector::member_curves`] runs each member through this
+//! module's member refresh from an empty engine, so there is one member
+//! pipeline and one Algorithm 1 implementation, not two.
 //!
 //! # Delta maintenance vs. rebuild
-//!
-//! Before the incremental density layer, every member refresh ended
-//! with `RuleDensityCurve::from_occurrences(&seq.occurrences(), …)` —
-//! an `O(series)` re-derivation (occurrence walk over the whole
-//! grammar plus a full difference-array scan) even when the refresh
-//! consumed a single new window. That cost model caps a fleet: with
-//! `S` streams of length `n`, one tick of per-stream refreshes costs
-//! `O(S · n)` no matter how little arrived.
 //!
 //! **Cost model.** With delta tracking on, [`Sequitur::push`] emits
 //! the *net* changes to the transitive occurrence-span multiset
@@ -68,13 +61,14 @@
 //! of the refresh's intervals and adds it into the curve in one
 //! running-sum pass, so a member
 //! [`step`](StreamingEnsembleDetector::step) costs
-//! `O(new windows + deltas + touched hull)` instead of `O(series)`.
+//! `O(new windows + deltas + touched hull)` instead of the `O(series)`
+//! of a [`RuleDensityCurve::from_occurrences`] rebuild.
 //!
 //! A refresh that starts from an **empty engine** — a member's first
-//! fill, an eviction replay, or a checkpoint restore — has no curve
-//! worth patching: every span would be a creation. It pushes with
-//! tracking off and builds the curve once with
-//! [`RuleDensityCurve::from_occurrences`], then switches tracking on.
+//! fill, an eviction replay, a checkpoint restore, or a batch member —
+//! has no curve worth patching: every span would be a creation. It
+//! pushes with tracking off and builds the curve once with that
+//! rebuild, then switches tracking on.
 //! The refresh path is chosen only by whether the engine is empty.
 //!
 //! **Why integer deltas keep bit-parity for free.** Curve values are
@@ -285,9 +279,15 @@ fn empty_member(sax: SaxConfig, stream: usize, window: usize) -> MemberState {
 ///
 /// This is the "one unit of work" of the budget contract, shared by the
 /// serial [`StreamingEnsembleDetector::step`] path, the parallel
-/// catch-up, and checkpoint restore — members are independent, so
-/// running units in any order or on any worker count yields identical
-/// member states.
+/// catch-up, checkpoint restore, and batch
+/// [`EnsembleDetector::member_curves`] ([`member_curve`]) — members are
+/// independent, so running units in any order or on any worker count
+/// yields identical member states.
+///
+/// Each refresh adds to three `egi-obs` counters: the deltas it folded,
+/// the curve points it wrote, and the points a rebuild would have
+/// written (the series length). A refresh from an empty engine, which
+/// includes every batch member, counts as a full build on the last two.
 fn refresh_member(member: &mut MemberState, stream: &PaaStream, target: usize, series_len: usize) {
     let fresh = member.seq.token_count() == 0;
     debug_assert!(
@@ -321,6 +321,29 @@ fn refresh_member(member: &mut MemberState, stream: &PaaStream, target: usize, s
     // What a from-scratch rebuild would have written instead — the
     // delta win is this counter divided by the coverage counter.
     egi_obs::counter!("egi_core_density_rebuild_equiv_points_total").add(series_len as u64);
+}
+
+/// The density curve of member `sax` run from an empty engine over every
+/// window of `stream`, whose series has `series_len` points: the batch
+/// member run, through the same [`refresh_member`] the detector steps.
+pub(crate) fn member_curve(
+    sax: SaxConfig,
+    stream: &PaaStream,
+    series_len: usize,
+) -> RuleDensityCurve {
+    // No detector's stream list here, so the member's index into one is moot.
+    let mut member = empty_member(sax, 0, stream.n);
+    refresh_member(&mut member, stream, stream.count, series_len);
+    member.curve
+}
+
+/// The distinct PAA sizes of `params`, ascending: one shared
+/// [`PaaStream`] each, which a member finds by binary search on its `w`.
+pub(crate) fn distinct_ws(params: &[SaxConfig]) -> Vec<usize> {
+    let mut ws: Vec<usize> = params.iter().map(|p| p.w).collect();
+    ws.sort_unstable();
+    ws.dedup();
+    ws
 }
 
 /// An online ensemble grammar-induction detector over an append-only
@@ -398,9 +421,7 @@ impl StreamingEnsembleDetector {
     pub fn new(config: EnsembleConfig, seed: u64) -> Self {
         let detector = EnsembleDetector::new(config);
         let params = detector.member_params(seed);
-        let mut ws: Vec<usize> = params.iter().map(|p| p.w).collect();
-        ws.sort_unstable();
-        ws.dedup();
+        let ws = distinct_ws(&params);
         let streams: Vec<PaaStream> = ws
             .iter()
             .map(|&w| PaaStream::empty(config.window, w))
@@ -802,12 +823,11 @@ impl StreamingEnsembleDetector {
         rank_anomalies(&curve.values, self.config().window, k)
     }
 
-    /// Refreshes every stale member (on rayon workers when the
-    /// configuration says `parallel`, serially otherwise — results are
-    /// bit-identical either way) and returns the finished report:
-    /// **bit-identical** to batch [`EnsembleDetector::detect`] on the
-    /// full ingested series with this detector's seed, for every append
-    /// schedule, chunk size, and worker count.
+    /// Refreshes every stale member on rayon workers and returns the
+    /// finished report: **bit-identical** to batch
+    /// [`EnsembleDetector::detect`] on the full ingested series with this
+    /// detector's seed, for every append schedule, chunk size, and worker
+    /// count.
     pub fn finish(&mut self, k: usize) -> AnomalyReport {
         self.catch_up();
         let curve = self.snapshot();
@@ -820,9 +840,10 @@ impl StreamingEnsembleDetector {
 
     /// Drains the stale queue. Members are independent, so the parallel
     /// path (in-place rayon iteration) produces states bit-identical to
-    /// the serial one.
+    /// stepping them one by one, which a queue of at most one member
+    /// does.
     fn catch_up(&mut self) {
-        if !self.config().parallel || self.stale.len() <= 1 {
+        if self.stale.len() <= 1 {
             while self.step() {}
             return;
         }
@@ -851,7 +872,11 @@ const CKPT_SECTION_DETECTOR: u32 = u32::from_le_bytes(*b"ENS1");
 /// Section tag of each per-member section (`b"MEM1"`), one per ensemble
 /// member in draw order.
 const CKPT_SECTION_MEMBER: u32 = u32::from_le_bytes(*b"MEM1");
-const CKPT_DETECTOR_VERSION: u32 = 1;
+/// Detector payload v2: the configuration, seed, clock, series, stale
+/// queue and member count. v1 payloads, which also held the removed
+/// `parallel` configuration flag, are rejected as
+/// [`CheckpointError::UnsupportedSection`].
+const CKPT_DETECTOR_VERSION: u32 = 2;
 /// Member payload v3: a flag saying whether the member's curve is an
 /// eviction carry, then either that carry curve or the series length
 /// at the member's last refresh. Everything else a member holds is a
@@ -896,7 +921,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             Combiner::Min => 2,
             Combiner::Max => 3,
         });
-        f.bool(config.parallel);
         f.u64(self.seed);
         f.u64(self.clock.epochs());
         f.usize(self.clock.offset());
@@ -926,7 +950,14 @@ impl Checkpoint for StreamingEnsembleDetector {
 
     fn load_checkpoint(reader: &mut impl Read) -> Result<Self, CheckpointError> {
         let mut input = CheckpointReader::begin(reader)?;
-        let (_, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
+        let (version, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
+        if version != CKPT_DETECTOR_VERSION {
+            return Err(CheckpointError::UnsupportedSection {
+                tag: CKPT_SECTION_DETECTOR,
+                found: version,
+                supported: CKPT_DETECTOR_VERSION,
+            });
+        }
         let mut f = FieldReader::new(&payload);
         let window = f.usize()?;
         let ensemble_size = f.usize()?;
@@ -940,7 +971,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             3 => Combiner::Max,
             other => return Err(corrupt(format!("unknown combiner tag {other}"))),
         };
-        let parallel = f.bool()?;
         let seed = f.u64()?;
         let epochs = f.u64()?;
         let offset = f.usize()?;
@@ -957,7 +987,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             amax,
             selectivity,
             combiner,
-            parallel,
         };
         // Every bound a panicking constructor downstream would assert,
         // surfaced as a typed error first.
@@ -1185,26 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_finish_agree_exactly() {
-        let series = test_series(320);
-        let serial_cfg = EnsembleConfig {
-            parallel: false,
-            ..config(20, 9)
-        };
-        let parallel_cfg = EnsembleConfig {
-            parallel: true,
-            ..config(20, 9)
-        };
-        let mut a = StreamingEnsembleDetector::new(serial_cfg, 8);
-        let mut b = StreamingEnsembleDetector::new(parallel_cfg, 8);
-        for part in series.chunks(60) {
-            a.append(part);
-            b.append(part);
-        }
-        assert_eq!(a.finish(3), b.finish(3));
-    }
-
-    #[test]
     fn finish_deterministic_across_thread_counts() {
         let series = test_series(280);
         let cfg = config(18, 8);
@@ -1355,15 +1364,12 @@ mod tests {
     #[test]
     fn full_drain_parallel_finish_serves_empty_report_exactly() {
         // The only valid windowless suffix is the empty one (the
-        // boundary rule rejects 0 < suffix < window); both the serial
-        // and the parallel finish must serve the empty batch report
-        // even though members were current before the drain.
+        // boundary rule rejects 0 < suffix < window); both stepping the
+        // members and the parallel finish must serve the empty batch
+        // report even though members were current before the drain.
         let series = test_series(150);
-        for parallel in [false, true] {
-            let cfg = EnsembleConfig {
-                parallel,
-                ..config(30, 5)
-            };
+        let cfg = config(30, 5);
+        for step_first in [false, true] {
             let mut streaming = StreamingEnsembleDetector::new(cfg, 6);
             streaming.append(&series);
             streaming.run_for(usize::MAX);
@@ -1376,9 +1382,12 @@ mod tests {
             );
             streaming.evict(150).unwrap();
             assert_eq!(streaming.window_count(), 0);
+            if step_first {
+                assert_eq!(streaming.run_for(usize::MAX), 5);
+            }
             let report = streaming.finish(2);
             let batch = EnsembleDetector::new(cfg).detect(&[], 2, 6);
-            assert_eq!(report, batch, "parallel {parallel}");
+            assert_eq!(report, batch, "step first {step_first}");
             assert!(report.curve.is_empty());
         }
     }
@@ -1641,6 +1650,33 @@ mod tests {
         assert!(matches!(
             StreamingEnsembleDetector::from_checkpoint_bytes(&hidden),
             Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    /// The section reader accepts every payload version up to the
+    /// current one, so the loader rejects a v1 detector payload by its
+    /// version: today's payload framed as v1 fails with a typed error
+    /// instead of loading.
+    #[test]
+    fn detector_payload_v1_is_rejected_by_its_version() {
+        let mut detector = StreamingEnsembleDetector::new(config(18, 5), 1);
+        detector.append(&test_series(120));
+        detector.run_for(2);
+        let sections = payloads(&detector.checkpoint_bytes().unwrap());
+        let mut bytes = Vec::new();
+        let mut out = CheckpointWriter::begin(&mut bytes, sections.len() as u32).unwrap();
+        out.section(CKPT_SECTION_DETECTOR, 1, &sections[0]).unwrap();
+        for member in &sections[1..] {
+            out.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION, member)
+                .unwrap();
+        }
+        assert!(matches!(
+            StreamingEnsembleDetector::from_checkpoint_bytes(&bytes),
+            Err(CheckpointError::UnsupportedSection {
+                tag: CKPT_SECTION_DETECTOR,
+                found: 1,
+                supported: 2,
+            })
         ));
     }
 

@@ -144,7 +144,6 @@ fn config(window: usize, members: usize) -> EnsembleConfig {
     EnsembleConfig {
         window,
         ensemble_size: members,
-        parallel: false,
         ..EnsembleConfig::default()
     }
 }

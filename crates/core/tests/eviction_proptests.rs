@@ -19,11 +19,10 @@ fn point(i: usize) -> f64 {
     PointGen::ensemble().at(i)
 }
 
-fn config(window: usize, members: usize, parallel: bool) -> EnsembleConfig {
+fn config(window: usize, members: usize) -> EnsembleConfig {
     EnsembleConfig {
         window,
         ensemble_size: members,
-        parallel,
         ..EnsembleConfig::default()
     }
 }
@@ -43,7 +42,7 @@ proptest! {
         seed in 0u64..1_000_000_000,
         ops in prop::collection::vec((0usize..10, 1usize..40), 3..12),
     ) {
-        let cfg = config(window, members, false);
+        let cfg = config(window, members);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         let mut appended = 0usize;
         let mut offset = 0usize;
@@ -92,7 +91,7 @@ proptest! {
         len in 1usize..80,
         over in 1usize..20,
     ) {
-        let cfg = config(window, 4, false);
+        let cfg = config(window, 4);
         let mut streaming = StreamingEnsembleDetector::new(cfg, 1);
         let chunk: Vec<f64> = (0..len).map(point).collect();
         streaming.append(&chunk);
@@ -131,7 +130,7 @@ proptest! {
     ) {
         let total = 160usize;
         let series: Vec<f64> = (0..total).map(point).collect();
-        let cfg = config(window, members, true);
+        let cfg = config(window, members);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         for part in series.chunks(chunk) {
             streaming.append(part);
@@ -165,7 +164,7 @@ proptest! {
         let n = window * n_mult;
         let total = n + extra;
         let series: Vec<f64> = (0..total).map(point).collect();
-        let cfg = config(window, 5, false);
+        let cfg = config(window, 5);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         streaming.retain_last(n).unwrap();
         for part in series.chunks(chunk) {
@@ -196,7 +195,7 @@ fn memory_stays_bounded_under_retention() {
     let chunk = 128;
     let total = 6_016; // 47 chunks
     let seed = 21;
-    let cfg = config(window, members, false);
+    let cfg = config(window, members);
     let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
     streaming.retain_last(n).unwrap();
     let mut fed = 0usize;

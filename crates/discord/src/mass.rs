@@ -6,8 +6,8 @@
 //!
 //! Two paths are provided:
 //!
-//! * [`mass_self`] / [`mass`] — the straightforward per-call path: every
-//!   invocation transforms the full series again. Kept as the executable
+//! * [`mass_self`] — the straightforward per-call path: every invocation
+//!   transforms the full series again. Kept as the executable
 //!   specification (and the bench baseline).
 //! * [`MassPrecomputed`] — the shared-spectrum path: the series is padded
 //!   and transformed **once** at construction; each query then costs one
@@ -35,42 +35,6 @@ pub fn mass_self(series: &[f64], q: usize, stats: &WindowStats) -> Vec<f64> {
     qts.iter()
         .enumerate()
         .map(|(j, &qt)| stats.dist(q, j, qt))
-        .collect()
-}
-
-/// Distance profile of an external `query` against all windows of
-/// `series` (used by tests and the HOTSAX oracle checks).
-pub fn mass(query: &[f64], series: &[f64]) -> Vec<f64> {
-    let m = query.len();
-    assert!(m > 0 && m <= series.len(), "bad query length");
-    // Build a combined buffer so WindowStats covers the query too: treat
-    // the query as a window of its own statistics.
-    let stats = WindowStats::new(series, m);
-    let q_mu = egi_tskit::stats::mean(query);
-    let q_var = {
-        let ss: f64 = query.iter().map(|&v| (v - q_mu) * (v - q_mu)).sum();
-        ss / m as f64
-    };
-    let q_sigma = if egi_tskit::stats::is_flat(q_mu, q_var) {
-        0.0
-    } else {
-        q_var.sqrt()
-    };
-    let qts = sliding_dot_products(query, series);
-    qts.iter()
-        .enumerate()
-        .map(|(j, &qt)| {
-            let (si, sj) = (q_sigma, stats.sigma[j]);
-            if si == 0.0 && sj == 0.0 {
-                0.0
-            } else if si == 0.0 || sj == 0.0 {
-                (2.0 * m as f64).sqrt()
-            } else {
-                let mf = m as f64;
-                let corr = (qt - mf * q_mu * stats.mu[j]) / (mf * si * sj);
-                (2.0 * mf * (1.0 - corr.clamp(-1.0, 1.0))).sqrt()
-            }
-        })
         .collect()
 }
 
@@ -430,26 +394,6 @@ mod tests {
                 direct
             );
         }
-    }
-
-    #[test]
-    fn external_query_profile_matches_self_profile() {
-        let series: Vec<f64> = (0..60).map(|i| (i as f64 * 0.5).cos()).collect();
-        let m = 8;
-        let stats = WindowStats::new(&series, m);
-        let q = 13;
-        let a = mass_self(&series, q, &stats);
-        let b = mass(series[q..q + m].to_vec().as_slice(), &series);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn flat_query_against_flat_series() {
-        let series = vec![3.0; 30];
-        let dp = mass(&[3.0; 5], &series);
-        assert!(dp.iter().all(|&d| d == 0.0));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! so each diagonal is an independent O(1)-update chain seeded from the
 //! first QT row — which is computed with one FFT pass
 //! ([`sliding_dot_products`], `O(N log N)`) instead of the `O(N·m)`
-//! direct loop. Independence makes diagonals embarrassingly parallel:
-//! they are chunked and fanned out with rayon, each chunk folding into a
+//! direct loop. Independence makes diagonals embarrassingly parallel,
+//! so they are chunked and fanned out with rayon, each chunk folding into a
 //! thread-local profile, and chunk results merge under the total order
 //! *(distance, neighbor index)*. Because that merge is commutative and
 //! associative, the output is **bit-identical for every thread count**

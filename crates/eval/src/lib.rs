@@ -1,7 +1,9 @@
 //! # egi-eval — experiment harness
 //!
 //! Reproduces every table and figure of the paper's Section 7 on the
-//! synthetic stand-in corpora (see DESIGN.md "Substitutions"):
+//! synthetic stand-in corpora of `egi_tskit::gen`, whose module docs give
+//! each stand-in's rationale (the paper's datasets cannot be
+//! redistributed):
 //!
 //! | Module | Reproduces |
 //! |--------|------------|

@@ -78,47 +78,6 @@ impl NumerosityReduced {
         self.end_offset = 0;
     }
 
-    /// Retires the tokens of the first `windows` sliding windows — the
-    /// structural counterpart of a front eviction at the token level.
-    ///
-    /// Tokens whose entire run lies before `windows` are dropped; a run
-    /// straddling the boundary keeps its token with the offset clamped
-    /// to the boundary (its first surviving window); every surviving
-    /// offset (and `end_offset`) is then shifted down by `windows`. The
-    /// result equals [`numerosity_reduce`] over the word suffix
-    /// `words[windows..]` exactly (property-tested): the straddling
-    /// run's windows all carry the same word, so the fresh pass retains
-    /// that word at the boundary too.
-    ///
-    /// Note for exact streaming use: this identity holds for a *fixed*
-    /// word sequence. When an eviction rebases the z-normalization
-    /// statistics (as the streaming ensemble detector's does), surviving
-    /// windows can re-discretize to different words near breakpoint
-    /// boundaries, so the bit-parity path there replays the suffix
-    /// through [`NumerosityReduced::clear`] + a fresh fold instead;
-    /// this method is the cheap retirement for pipelines whose words
-    /// are stable across the cut.
-    pub fn retire_front(&mut self, windows: usize) {
-        if windows == 0 {
-            return;
-        }
-        if windows >= self.end_offset {
-            self.clear();
-            return;
-        }
-        // First token whose run starts past the boundary; the token
-        // before it (if any) owns the straddling run.
-        let cut = self.tokens.partition_point(|t| t.offset <= windows);
-        self.tokens.drain(..cut.saturating_sub(1));
-        if let Some(first) = self.tokens.first_mut() {
-            first.offset = first.offset.max(windows);
-        }
-        for token in &mut self.tokens {
-            token.offset -= windows;
-        }
-        self.end_offset -= windows;
-    }
-
     /// Number of retained tokens.
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -268,31 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_front_equals_reduce_over_word_suffix() {
-        // Runs of varying length, including a straddling run at every
-        // possible cut.
-        let words: Vec<SaxWord> = [0u8, 0, 0, 1, 2, 2, 0, 0, 3, 3, 3, 3, 1]
-            .iter()
-            .map(|&s| w(&[s]))
-            .collect();
-        for cut in 0..=words.len() {
-            let mut retired = numerosity_reduce(words.clone(), 4);
-            retired.retire_front(cut);
-            let fresh = numerosity_reduce(words[cut..].to_vec(), 4);
-            assert_eq!(retired, fresh, "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn retire_front_past_end_clears() {
-        let mut nr = numerosity_reduce(vec![w(b"a"), w(b"a"), w(b"b")], 2);
-        nr.retire_front(10);
-        assert!(nr.is_empty());
-        assert_eq!(nr.end_offset, 0);
-        assert_eq!(nr.window, 2, "window length survives retirement");
-    }
-
-    #[test]
     fn clear_resets_for_replay() {
         let mut nr = numerosity_reduce(vec![w(b"a"), w(b"b"), w(b"b")], 3);
         nr.clear();
@@ -326,7 +260,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let pick = (state >> 33) as usize;
             if pick.is_multiple_of(9) {
-                nr.retire_front(pick % 5);
+                nr.clear();
             } else {
                 nr.push_word(w(&[(pick % 3) as u8]));
             }

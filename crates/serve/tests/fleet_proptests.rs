@@ -294,7 +294,6 @@ proptest! {
         let cfg = EnsembleConfig {
             window,
             ensemble_size: members,
-            parallel: true,
             ..EnsembleConfig::default()
         };
         let total = window * 6;
@@ -478,7 +477,6 @@ fn non_finite_chunks_never_reach_an_ensemble_session() {
     let cfg = EnsembleConfig {
         window: 12,
         ensemble_size: 5,
-        parallel: false,
         ..EnsembleConfig::default()
     };
     let mut fleet: Fleet<StreamingEnsembleDetector> = Fleet::new();
@@ -506,7 +504,6 @@ fn ensemble_fleet_restores_mid_refresh_by_replay() {
     let cfg = EnsembleConfig {
         window: 12,
         ensemble_size: 5,
-        parallel: false,
         ..EnsembleConfig::default()
     };
     let chunk = |id: StreamId, from: usize, to: usize| -> Vec<f64> {

@@ -4,8 +4,8 @@
 //! instances, REFIT appliance traces, physionet ECG/EEG). Each generator
 //! here produces a synthetic stand-in that preserves the property the
 //! algorithms actually observe: a repetitive "normal" structure in which a
-//! structurally different subsequence is embedded. See DESIGN.md
-//! ("Substitutions") for the per-dataset rationale.
+//! structurally different subsequence is embedded. Each generator
+//! module's docs give its dataset's rationale (e.g. [`ucr`], [`power`]).
 //!
 //! All generators take an explicit `&mut impl Rng` so corpora are
 //! reproducible from a seed.

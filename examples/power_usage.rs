@@ -1,7 +1,8 @@
 //! Figure 9 case study: anomalies in fridge-freezer power usage.
 //!
 //! Generates a long compressor-cycle power trace (the stand-in for the
-//! REFIT fridge-freezer data, see DESIGN.md) with two planted anomalous
+//! REFIT fridge-freezer data, which cannot be redistributed; see
+//! `egi::tskit::gen::power`) with two planted anomalous
 //! events of *different kinds* — an unusually shaped cycle and a
 //! spike-burst event — and asks the ensemble for its top-2 candidates.
 //! The paper's point: grammar induction handles variable-length anomalies

@@ -1,6 +1,7 @@
-//! Error paths of the `egi` binary: an out-of-range flag or a CSV
-//! holding a non-finite value fails with exactly one line on stderr and
-//! a nonzero exit code — never a panic and its backtrace.
+//! The `egi` binary end to end: its error paths (an out-of-range flag
+//! or a CSV holding a non-finite value fails with exactly one line on
+//! stderr and a nonzero exit code — never a panic and its backtrace)
+//! and a pinned detection.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -91,6 +92,57 @@ fn missing_file_exits_1_with_one_line() {
     let csv = path.to_str().unwrap();
     assert_fails_cleanly(&["detect", csv, "--window", "32"], 1);
     assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
+}
+
+/// The paper's detector end to end on a generated ECG: the top windows
+/// are pinned, and stdout and the curve file are byte-identical for
+/// every rayon worker count.
+#[test]
+fn detect_on_a_generated_ecg_is_pinned_for_every_worker_count() {
+    let dir = std::env::temp_dir().join("egi_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let series = dir.join("pinned_ecg.csv");
+    let egi = |args: &[&str], threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_egi"))
+            .args(args)
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        out.stdout
+    };
+    let csv = series.to_str().unwrap();
+    egi(
+        &[
+            "generate", "ecg", "--len", "4000", "--seed", "7", "--out", csv,
+        ],
+        "1",
+    );
+    let runs: Vec<(Vec<u8>, Vec<u8>)> = ["1", "2", "4"]
+        .iter()
+        .map(|threads| {
+            let curve = dir.join(format!("pinned_ecg_curve_{threads}.csv"));
+            let path = curve.to_str().unwrap();
+            let args = [
+                "detect", csv, "--window", "100", "--seed", "7", "--curve", path,
+            ];
+            let stdout = egi(&args, threads);
+            let written = std::fs::read(&curve).unwrap();
+            std::fs::remove_file(&curve).ok();
+            (stdout, written)
+        })
+        .collect();
+    std::fs::remove_file(&series).ok();
+    let stdout = String::from_utf8(runs[0].0.clone()).unwrap();
+    let starts: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .map(|line| line.split(',').nth(1).unwrap())
+        .collect();
+    assert_eq!(starts, ["3010", "2755", "3900"], "{stdout}");
+    for run in &runs[1..] {
+        assert!(run == &runs[0], "output depends on the worker count");
+    }
 }
 
 #[test]
