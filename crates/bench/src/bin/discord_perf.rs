@@ -11,9 +11,10 @@
 //!   fixture once: wall-clock and fraction-of-profile-settled at query
 //!   budgets from 5% to 100% (finished run asserted bit-identical to
 //!   `stamp_with_exclusion`);
-//! * **Parallel STAMP** — `StreamingDiscordMonitor::finish_parallel`
-//!   on a monitor fed the whole fixture once, across worker counts
-//!   (each asserted bit-identical to the sequential profile);
+//! * **Parallel STAMP** — `StreamingDiscordMonitor::finish` on a
+//!   monitor fed the whole fixture once, inside a rayon pool of each
+//!   worker count (each asserted bit-identical to the sequential
+//!   profile);
 //! * **Streaming** — `StreamingDiscordMonitor`: append throughput and
 //!   per-append refresh latency at several chunk sizes, streaming the
 //!   second half of the fixture (caught-up profile asserted
@@ -331,7 +332,7 @@ fn main() {
             pool.install(|| {
                 let mut monitor = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
                 monitor.append(&series);
-                monitor.finish_parallel()
+                monitor.finish()
             })
         });
         assert_eq!(

@@ -4,8 +4,8 @@
 //! random distinct parameter pairs, score each member's rule density curve
 //! by its standard deviation, keep the top `τ·N` curves, normalize each to
 //! `[0, 1]` by its maximum, and combine point-wise with the median. Members
-//! share the prefix-sum statistics *and* the PAA coefficient streams
-//! (members differing only in alphabet `a` reuse the same stream), so the
+//! share the prefix-sum statistics *and* the PAA cell streams (members
+//! differing only in alphabet `a` reuse the same stream), so the
 //! whole ensemble stays linear in the series length. Each member runs the
 //! streaming detector's member refresh from an empty engine
 //! ([`crate::streaming`]), on rayon workers since members are fully
@@ -187,7 +187,7 @@ impl EnsembleDetector {
 
     /// Computes one rule density curve per member parameter pair.
     ///
-    /// Members sharing a PAA size `w` share one coefficient stream, and
+    /// Members sharing a PAA size `w` share one PAA cell stream, and
     /// each member runs the streaming detector's member refresh from an
     /// empty engine on a rayon worker. Curves come back in `params`
     /// order, bit-identical for every worker count.

@@ -17,18 +17,18 @@
 //! * **Prefix statistics** ([`egi_tskit::stats::PrefixStats`]) extend
 //!   their running totals per append — bit-identical to a batch
 //!   rebuild.
-//! * **Sliding PAA** ([`egi_sax::stream::PaaStream`]) appends the
-//!   coefficient rows of every window the new points completed, via
-//!   the one shared FastPAA kernel
-//!   ([`egi_sax::paa_znorm_from_stats`]), and each coefficient's cell
-//!   in the all-alphabet breakpoint table — one binary search per
-//!   coefficient, whatever the members' alphabets. Streams are shared
-//!   across members with equal PAA size `w`, as in batch detection.
+//! * **Sliding PAA** ([`egi_sax::stream::PaaStream`]) computes the PAA
+//!   coefficients of every window the new points completed, via the
+//!   one shared FastPAA kernel ([`egi_sax::paa_znorm_from_stats`]),
+//!   and stores only each coefficient's cell in the all-alphabet
+//!   breakpoint table — one binary search per coefficient, whatever
+//!   the members' alphabets. Streams are shared across members with
+//!   equal PAA size `w`, as in batch detection.
 //! * **SAX word emission + numerosity reduction**
 //!   ([`PaaStream::reduce_into`]) fold new windows into the token
-//!   sequence online by mapping each coefficient's stored cell through
-//!   the member's alphabet lookup — the batch discretizer runs the same
-//!   kernel over the whole stream.
+//!   sequence online by mapping each stored cell through the member's
+//!   alphabet lookup — the batch discretizer runs the same kernel over
+//!   the whole stream.
 //! * **Interning + grammar induction**
 //!   ([`crate::intern::OnlineInterner`], [`egi_sequitur::Sequitur::push`])
 //!   feed each retained token to the inherently online Sequitur engine.
@@ -140,12 +140,12 @@
 //!
 //! * **Numerically**, a window's z-normalization reads prefix-sum
 //!   *differences*, and after the front truncation the sums
-//!   re-accumulate from a new origin
-//!   ([`PrefixStats::rebase`](egi_tskit::stats::PrefixStats::rebase)),
-//!   so surviving windows can re-discretize to different SAX words near
-//!   breakpoint boundaries. The shared PAA streams are therefore
-//!   rebuilt from the rebased statistics at evict time
-//!   ([`PaaStream::evict_front`], `O(remaining · w)` per distinct `w`).
+//!   re-accumulate from a new origin (the statistics are rebuilt over
+//!   the suffix with [`PrefixStats::new`]), so surviving windows can
+//!   re-discretize to different SAX words near breakpoint boundaries.
+//!   The shared PAA streams are therefore rebuilt from the suffix's
+//!   statistics at evict time ([`PaaStream::evict_front`],
+//!   `O(remaining · w)` per distinct `w`).
 //! * **Structurally**, Sequitur is order-dependent: the grammar of the
 //!   token suffix is not a sub-grammar of the full-history grammar
 //!   (rules whose occurrences lay in or straddled the retired region
@@ -501,9 +501,9 @@ impl StreamingEnsembleDetector {
         self.clock.retention()
     }
 
-    /// Total bytes retained by the shared PAA streams' coefficient and
-    /// cell buffers — cheap accessor for memory-bound assertions on
-    /// eviction workloads.
+    /// Total bytes retained by the shared PAA streams' cell buffers —
+    /// cheap accessor for memory-bound assertions on eviction
+    /// workloads.
     pub fn paa_capacity(&self) -> usize {
         self.streams.iter().map(PaaStream::capacity).sum()
     }
@@ -637,9 +637,9 @@ impl StreamingEnsembleDetector {
     /// [`finish`](Self::finish) lands on batch
     /// [`EnsembleDetector::detect`] over that suffix.
     ///
-    /// The immediate cost is the statistics rebase and shared PAA
-    /// stream rebuild (`O(remaining)`-shaped); each member's grammar
-    /// replay over the suffix is deferred to
+    /// The immediate cost is the statistics and shared PAA stream
+    /// rebuild over the suffix (`O(remaining)`-shaped); each member's
+    /// grammar replay over the suffix is deferred to
     /// [`step`](Self::step)/[`run_until`](Self::run_until) like any
     /// other refresh, and until it runs,
     /// [`snapshot`](Self::snapshot) serves the member's pre-eviction
@@ -663,7 +663,7 @@ impl StreamingEnsembleDetector {
         let span = egi_obs::SpanTimer::start();
         self.clock.record_evict(count);
         self.series.drain(..count);
-        self.stats.rebase(&self.series);
+        self.stats = PrefixStats::new(&self.series);
         for stream in &mut self.streams {
             stream.evict_front(count, &self.stats);
         }
@@ -1861,5 +1861,51 @@ mod tests {
             f.finish().unwrap();
         }
         assert!(carries > 0 && bases > 0, "expected both payload kinds");
+    }
+
+    /// Eviction rebuilds the prefix statistics from the suffix's first
+    /// point, so every range the PAA streams read sums exactly as in a
+    /// fresh build over the suffix, and later appends keep extending
+    /// them on that batch path.
+    #[test]
+    fn evict_rebuilds_the_statistics_over_the_suffix() {
+        let series = test_series(300);
+        let mut streaming = StreamingEnsembleDetector::new(config(24, 4), 3);
+        streaming.append(&series[..200]);
+        streaming.run_for(2);
+        streaming.evict(70).unwrap();
+        streaming.append(&series[200..]);
+        let fresh = PrefixStats::new(&series[70..]);
+        assert_eq!(streaming.stats.len(), fresh.len());
+        for end in 0..=fresh.len() {
+            assert_eq!(streaming.stats.range_sum(0, end), fresh.range_sum(0, end));
+            assert_eq!(
+                streaming.stats.range_sum_sq(0, end),
+                fresh.range_sum_sq(0, end)
+            );
+        }
+    }
+
+    /// The shared PAA streams keep only each coefficient's one-byte
+    /// cell: however the series grows, `paa_capacity` stays within
+    /// twice the cells held, where stored `f64` coefficients would add
+    /// eight bytes per cell.
+    #[test]
+    fn paa_streams_keep_one_byte_per_coefficient() {
+        let series = test_series(600);
+        let mut streaming = StreamingEnsembleDetector::new(config(32, 6), 9);
+        for part in series.chunks(37) {
+            streaming.append(part);
+            streaming.run_for(usize::MAX);
+            let cells: usize = streaming.streams.iter().map(|s| s.cells().len()).sum();
+            let floor = 8 * streaming.streams.len();
+            assert!(cells > 0 || streaming.series_len() < 32);
+            assert!(streaming.paa_capacity() >= cells);
+            assert!(
+                streaming.paa_capacity() <= 2 * cells.max(floor),
+                "{} bytes for {cells} cells",
+                streaming.paa_capacity()
+            );
+        }
     }
 }

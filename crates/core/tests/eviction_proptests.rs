@@ -182,7 +182,7 @@ proptest! {
 }
 
 /// Memory-bound regression: a long run under `retain_last(n)` keeps the
-/// live series, the shared PAA coefficient streams, and the Sequitur
+/// live series, the shared PAA cell streams, and the Sequitur
 /// slabs at `O(n + chunk)` — independent of how many points were
 /// streamed — and still finishes on the exact suffix report. The bound
 /// is asserted relative to a steady-state sample so it tracks the real

@@ -23,96 +23,41 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    /// Computes stats for all windows of length `m` over `series`.
+    /// Computes stats for all windows of length `m` over `series`: one
+    /// prefix-sum pass, then `O(1)` per window.
     ///
     /// # Panics
     ///
     /// Panics if `m == 0` or `m > series.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_discord::dist::WindowStats;
+    ///
+    /// let stats = WindowStats::new(&[1.0, 3.0, 3.0, 3.0, 5.0], 2);
+    /// assert_eq!(stats.count(), 4);
+    /// assert_eq!(stats.mu, [2.0, 3.0, 3.0, 4.0]);
+    /// // Population standard deviations; the flat window [3, 3] is 0.
+    /// assert_eq!(stats.sigma, [1.0, 0.0, 0.0, 1.0]);
+    /// ```
     pub fn new(series: &[f64], m: usize) -> Self {
         assert!(m > 0, "window must be positive");
         assert!(m <= series.len(), "window longer than series");
-        let ps = PrefixStats::new(series);
-        Self::from_prefix(&ps, m)
-    }
-
-    /// Computes stats for all windows of length `m` from already-built
-    /// prefix sums (the append path of the online monitor keeps one
-    /// [`PrefixStats`] alive and rebuilds nothing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `m > prefix.len()`.
-    pub fn from_prefix(prefix: &PrefixStats, m: usize) -> Self {
-        assert!(m > 0, "window must be positive");
-        assert!(m <= prefix.len(), "window longer than series");
-        let mut stats = Self {
-            m,
-            mu: Vec::new(),
-            sigma: Vec::new(),
-        };
-        stats.push_windows(prefix);
-        stats
-    }
-
-    /// Appends statistics for the windows the series gained since these
-    /// stats were built. `prefix` must be the (extended) prefix sums of
-    /// the same series.
-    ///
-    /// Existing entries are untouched and new entries run through the
-    /// identical per-window arithmetic, so the result is **bit-identical**
-    /// to [`WindowStats::new`] over the full series — the parity the
-    /// online monitor's finished-profile contract rests on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` covers fewer windows than already present.
-    pub fn extend_from_prefix(&mut self, prefix: &PrefixStats) {
-        assert!(
-            window_count(prefix.len(), self.m) >= self.count(),
-            "prefix sums shorter than existing stats"
-        );
-        self.push_windows(prefix);
-    }
-
-    /// Recomputes every window's statistics from the **rebased** prefix
-    /// sums of a front-evicted series (see
-    /// [`PrefixStats::rebase`](egi_tskit::stats::PrefixStats::rebase)),
-    /// reusing the existing allocations.
-    ///
-    /// Surviving windows cover the same raw points as before the
-    /// eviction, but their mean/variance are derived from prefix-sum
-    /// *differences*, and the rebased sums accumulate from a different
-    /// origin — so the stored values are not bitwise reusable and the
-    /// whole table is recomputed (`O(window count)`). The result is
-    /// **bit-identical** to [`WindowStats::new`] over the suffix, which
-    /// is what the eviction paths' suffix-parity contract needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` covers fewer points than one window.
-    pub fn rebase_from_prefix(&mut self, prefix: &PrefixStats) {
-        assert!(self.m <= prefix.len(), "window longer than series");
-        self.mu.clear();
-        self.sigma.clear();
-        self.push_windows(prefix);
-    }
-
-    /// Pushes stats for windows `self.count()..window_count(prefix)`.
-    fn push_windows(&mut self, prefix: &PrefixStats) {
-        let m = self.m;
-        let count = window_count(prefix.len(), m);
-        self.mu.reserve(count - self.mu.len());
-        self.sigma.reserve(count - self.sigma.len());
-        for i in self.mu.len()..count {
-            let mean = prefix.range_mean(i, i + m);
-            let var = prefix.range_variance_population(i, i + m);
-            self.mu.push(mean);
-            self.sigma.push(if egi_tskit::stats::is_flat(mean, var) {
-                0.0
-            } else {
-                var.sqrt()
-            });
-        }
+        let prefix = PrefixStats::new(series);
+        let (mu, sigma) = (0..window_count(series.len(), m))
+            .map(|i| {
+                let mean = prefix.range_mean(i, i + m);
+                let var = prefix.range_variance_population(i, i + m);
+                let sigma = if egi_tskit::stats::is_flat(mean, var) {
+                    0.0
+                } else {
+                    var.sqrt()
+                };
+                (mean, sigma)
+            })
+            .unzip();
+        Self { m, mu, sigma }
     }
 
     /// Number of windows.
@@ -237,55 +182,35 @@ mod tests {
         assert!(ws.sigma.iter().all(|&s| s == 0.0));
     }
 
+    /// Every window's mean and population standard deviation, against
+    /// a direct two-pass computation over the window, from the shortest
+    /// non-trivial window up to one spanning the whole series.
+    #[test]
+    fn stats_match_direct_window_moments() {
+        let series: Vec<f64> = (0..70)
+            .map(|i| (i as f64 * 0.7).sin() * 2.5 + ((i * 13) % 5) as f64 * 0.3 - 4.0)
+            .collect();
+        for m in [2usize, 9, 70] {
+            let ws = WindowStats::new(&series, m);
+            assert_eq!(ws.count(), series.len() - m + 1);
+            for (i, window) in series.windows(m).enumerate() {
+                let mean = window.iter().sum::<f64>() / m as f64;
+                let var = window.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / m as f64;
+                assert!((ws.mu[i] - mean).abs() < 1e-12, "m={m} i={i} mean");
+                assert!((ws.sigma[i] - var.sqrt()).abs() < 1e-9, "m={m} i={i} sigma");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics() {
+        WindowStats::new(&[1.0, 2.0], 0);
+    }
+
     #[test]
     #[should_panic(expected = "window longer")]
     fn oversized_window_panics() {
         WindowStats::new(&[1.0, 2.0], 3);
-    }
-
-    #[test]
-    fn rebase_from_prefix_is_bit_identical_to_fresh_suffix_build() {
-        let full: Vec<f64> = (0..120)
-            .map(|i| (i as f64 * 0.53).sin() * 3.0 + ((i * 11) % 9) as f64 * 0.07)
-            .collect();
-        let m = 8;
-        for cut in [0usize, 1, 40, 112] {
-            let mut prefix = PrefixStats::new(&full);
-            let mut stats = WindowStats::from_prefix(&prefix, m);
-            prefix.rebase(&full[cut..]);
-            stats.rebase_from_prefix(&prefix);
-            let fresh = WindowStats::new(&full[cut..], m);
-            assert_eq!(stats.mu, fresh.mu, "cut {cut}");
-            assert_eq!(stats.sigma, fresh.sigma, "cut {cut}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window longer")]
-    fn rebase_below_one_window_panics() {
-        let full = vec![0.5; 20];
-        let mut prefix = PrefixStats::new(&full);
-        let mut stats = WindowStats::from_prefix(&prefix, 6);
-        prefix.rebase(&full[16..]);
-        stats.rebase_from_prefix(&prefix);
-    }
-
-    #[test]
-    fn extend_from_prefix_is_bit_identical_to_batch() {
-        let full: Vec<f64> = (0..150)
-            .map(|i| (i as f64 * 0.31).sin() * 4.0 + ((i * 7) % 13) as f64 * 0.05)
-            .collect();
-        let m = 9;
-        for split in [m, m + 1, 75, 149] {
-            let mut prefix = PrefixStats::new(&full[..split]);
-            let mut inc = WindowStats::from_prefix(&prefix, m);
-            for chunk in full[split..].chunks(11) {
-                prefix.extend(chunk);
-                inc.extend_from_prefix(&prefix);
-            }
-            let batch = WindowStats::new(&full, m);
-            assert_eq!(inc.mu, batch.mu, "split {split}");
-            assert_eq!(inc.sigma, batch.sigma, "split {split}");
-        }
     }
 }

@@ -12,8 +12,9 @@
 //!   identity `d² = 2m(1 − (QT − m·μ_q·μ_t)/(m·σ_q·σ_t))`.
 //! * [`mass`] — MASS: one query's distance profile in `O(N log N)`, and
 //!   [`mass::MassPrecomputed`] — the shared-spectrum fast path that
-//!   transforms the series once and answers every query against the
-//!   cached spectrum.
+//!   transforms the series once at construction and answers every query
+//!   against the cached spectrum. An engine never changes; a changed
+//!   series gets a new engine.
 //! * [`profile`] — the matrix profile type plus discord extraction.
 //! * [`brute`] — `O(N²·m)` reference matrix profile (test oracle).
 //! * [`mod@stomp`] — STOMP \[23\]: `O(N²)` matrix profile with incremental dot
@@ -25,9 +26,11 @@
 //! * [`streaming`] — [`StreamingDiscordMonitor`]: online
 //!   (append-to-series) discord monitoring — ingest points, refresh the
 //!   profile under a hard latency budget, answer "best discords so
-//!   far". It runs every query on [`MassPrecomputed`], so finished
-//!   profiles are bit-identical to batch STAMP for every append and
-//!   eviction schedule. It is also the crate's anytime and parallel
+//!   far". It owns the live series and rebuilds its [`MassPrecomputed`]
+//!   engine over it after every append and eviction, so every query
+//!   runs on the engine batch STAMP builds and finished profiles are
+//!   bit-identical to batch STAMP for every append and eviction
+//!   schedule. It is also the crate's anytime and parallel
 //!   STAMP: append a series once, then step it in a seeded random query
 //!   order under query budgets or wall-clock deadlines, snapshot the
 //!   converging profile, and finish sequentially or on rayon workers.

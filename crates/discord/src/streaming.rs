@@ -11,13 +11,16 @@
 //!
 //! Three layers cooperate:
 //!
-//! * [`MassPrecomputed::append`](crate::mass::MassPrecomputed::append) grows the series in place: prefix-sum
-//!   window statistics continue their running totals, the padded FFT
-//!   buffer gains only the new tail (re-laid-out on power-of-two
-//!   growth, when the plan swaps to the next cached size), and the
-//!   series spectrum is re-transformed on the process-wide cached plan.
-//!   After any append schedule the struct is **bit-identical** to a
-//!   fresh build over the full series.
+//! * The monitor owns the **live series**, and its
+//!   [`MassPrecomputed`] engine is derived state: once the series holds
+//!   a window, the engine is rebuilt over it after every append and
+//!   every eviction — one `O(N)` window-statistics pass and one
+//!   `O(S log S)` forward transform at the padded size `S`, on the
+//!   process-wide cached FFT plan. Under a
+//!   [`retain_last`](StreamingDiscordMonitor::retain_last) policy an
+//!   append trims first, so it transforms once, at the retained size.
+//!   Every query therefore runs against exactly the engine batch STAMP
+//!   builds over the same series.
 //! * The monitor maintains an **exact fold**: the partial matrix
 //!   profile folded from distance profiles computed against the
 //!   *current* spectrum, under the shared `(distance, index)` rule of
@@ -79,15 +82,15 @@
 //! and point outside the live window. The monitor therefore drops the
 //! exact fold *and* the carry on eviction and re-enqueues every
 //! surviving window; snapshots restart from `+∞` and re-tighten as
-//! queries run. Per eviction of `c` points the immediate cost is the
-//! [`MassPrecomputed::evict_front`](crate::mass::MassPrecomputed::evict_front) re-transform (`O(S log S)` at the
-//! shrunken padded size `S`, plus `O(N − c)` statistics
-//! re-accumulation — see its docs for why no cached state survives a
-//! front truncation), and restoring full snapshot coverage costs one
-//! query per surviving window, paid through the usual
-//! [`step`](StreamingDiscordMonitor::step) budget. As with appends,
-//! **callers should batch evictions**: the re-transform amortizes to
-//! `O((S log S)/c)` per retired point.
+//! queries run. Per eviction of `c` points from a series of `N` the
+//! immediate cost is the engine rebuild over the suffix (`O(N − c)`
+//! statistics and one `O(S log S)` transform at the shrunken padded
+//! size `S`: an FFT's rounding depends on the whole buffer, so no
+//! cached state survives a front truncation), and restoring full
+//! snapshot coverage costs one query per surviving window, paid
+//! through the usual [`step`](StreamingDiscordMonitor::step) budget.
+//! As with appends, **callers should batch evictions**: the rebuild
+//! amortizes to `O((S log S)/c)` per retired point.
 //!
 //! # Anytime and parallel STAMP
 //!
@@ -104,8 +107,9 @@
 //!   budget and [`run_until`](StreamingDiscordMonitor::run_until) a
 //!   [`Deadline`](egi_tskit::Deadline). The deadline is checked before
 //!   each query, so it is overshot by at most one query's work.
-//! * [`finish_parallel`](StreamingDiscordMonitor::finish_parallel)
-//!   fans the remaining queries out across rayon workers.
+//! * [`finish`](StreamingDiscordMonitor::finish) fans the remaining
+//!   queries out across rayon workers, and steps them when one worker
+//!   or one query is left.
 //!
 //! # Convergence contract
 //!
@@ -117,11 +121,12 @@
 //!   the stale carry is dropped and the snapshot equals the exact fold;
 //!   entries may move by FFT round-off (≤ ~1e-9) at that transition,
 //!   which is the only departure from bitwise monotonicity.
-//! * [`StreamingDiscordMonitor::finish`] (and `finish_parallel`, for
-//!   every rayon worker count) returns a profile bit-identical to
+//! * [`StreamingDiscordMonitor::finish`], for every rayon worker
+//!   count, returns a profile bit-identical to
 //!   [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
 //!   the full series — property-tested across append schedules, seeds,
-//!   chunk sizes, and thread counts.
+//!   chunk sizes, and thread counts — because every query of an epoch
+//!   runs against the engine built over exactly that series.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -222,8 +227,10 @@ pub struct StreamingDiscordMonitor {
     /// retention bookkeeping — the [`StreamClock`] shared by every
     /// [`StreamSession`] implementor.
     clock: StreamClock,
-    /// Points buffered before the series reaches `m` (no windows yet).
-    warmup: Vec<f64>,
+    /// The live series: every point appended and not yet evicted.
+    series: Vec<f64>,
+    /// The MASS engine over `series`, rebuilt after every append and
+    /// eviction; `None` while the series is shorter than one window.
     mass: Option<MassPrecomputed>,
     /// Queries to process in the current epoch: fresh windows first,
     /// then never-processed older windows, then numerical re-runs.
@@ -270,7 +277,7 @@ impl StreamingDiscordMonitor {
             exclusion,
             seed,
             clock: StreamClock::new(),
-            warmup: Vec::new(),
+            series: Vec::new(),
             mass: None,
             pending: VecDeque::new(),
             done: Vec::new(),
@@ -295,18 +302,12 @@ impl StreamingDiscordMonitor {
 
     /// Points ingested so far.
     pub fn series_len(&self) -> usize {
-        match &self.mass {
-            Some(mass) => mass.series().len(),
-            None => self.warmup.len(),
-        }
+        self.series.len()
     }
 
     /// The full series ingested so far.
     pub fn series(&self) -> &[f64] {
-        match &self.mass {
-            Some(mass) => mass.series(),
-            None => &self.warmup,
-        }
+        &self.series
     }
 
     /// Number of sliding windows (profile length); zero until `m`
@@ -348,25 +349,15 @@ impl StreamingDiscordMonitor {
     /// Capacity (in `f64`s) retained by the live series buffer — cheap
     /// accessor for memory-bound assertions on eviction workloads.
     pub fn series_capacity(&self) -> usize {
-        match &self.mass {
-            Some(mass) => mass.series_capacity(),
-            None => self.warmup.capacity(),
-        }
+        self.series.capacity()
     }
 
-    /// Current FFT transform size (0 before the first window
-    /// materializes) — bounded by `O(retention)` under a
+    /// Current FFT transform size: the live series length's next power
+    /// of two, or 0 before the first window materializes — bounded by
+    /// `O(retention)` under a
     /// [`retain_last`](StreamingDiscordMonitor::retain_last) policy.
     pub fn padded_size(&self) -> usize {
         self.mass.as_ref().map_or(0, MassPrecomputed::padded_size)
-    }
-
-    /// Capacity (in `f64`s) retained by the padded series buffer —
-    /// cheap accessor for memory-bound assertions.
-    pub fn padded_capacity(&self) -> usize {
-        self.mass
-            .as_ref()
-            .map_or(0, MassPrecomputed::padded_capacity)
     }
 
     /// `true` once the exact fold covers every window of the current
@@ -399,70 +390,72 @@ impl StreamingDiscordMonitor {
     }
 
     /// Ingests new points. Never blocks on profile work: the append
-    /// cost is the spectrum refresh of [`MassPrecomputed::append`](crate::mass::MassPrecomputed::append)
-    /// (plus `O(1)` bookkeeping per already-processed query), and all
-    /// query processing is deferred to [`step`](Self::step) /
-    /// [`run_until`](Self::run_until) so the caller controls the
-    /// latency budget.
+    /// cost is one engine build over the live series (see the
+    /// [module docs](self)) plus `O(1)` bookkeeping per
+    /// already-processed query, and all query processing is deferred to
+    /// [`step`](Self::step) / [`run_until`](Self::run_until) so the
+    /// caller controls the latency budget.
     ///
     /// New windows are enqueued ahead of everything else; queries
     /// processed in earlier epochs are re-enqueued last (see the
-    /// [module docs](self) for why bit-exactness requires that).
+    /// [module docs](self) for why bit-exactness requires that). Under
+    /// a [`retain_last`](Self::retain_last) policy the trim runs before
+    /// the build, so an append that overflows the retention builds the
+    /// engine once, over the retained suffix.
     pub fn append(&mut self, points: &[f64]) {
         if points.is_empty() {
             return;
         }
         let span = egi_obs::SpanTimer::start();
         self.clock.record_append();
-        self.ingest(points);
-        let excess = self.clock.excess(self.series_len());
+        let old_count = self.window_count();
+        self.series.extend_from_slice(points);
+        let excess = self.clock.excess(self.series.len());
         if excess > 0 {
+            // The eviction restarts the epoch, so the queue this append
+            // would have built is never needed.
             self.evict(excess)
                 .expect("retention >= m leaves a viable suffix");
+        } else {
+            self.ingest(old_count);
         }
         self.stats
             .record_append(points.len() as u64, self.pending.is_empty());
         span.record(egi_obs::histogram!("egi_monitor_append_nanos"));
     }
 
-    fn ingest(&mut self, points: &[f64]) {
-        match &mut self.mass {
-            None => {
-                self.warmup.extend_from_slice(points);
-                if self.warmup.len() < self.m {
-                    return;
-                }
-                let mass = MassPrecomputed::new(&self.warmup, self.m);
-                let count = mass.window_count();
-                self.fold_profile = vec![f64::INFINITY; count];
-                self.fold_index = vec![usize::MAX; count];
-                self.mass = Some(mass);
-                self.pending = self.epoch_order(0, count).into();
-                self.warmup = Vec::new();
-            }
-            Some(mass) => {
-                let old_count = mass.window_count();
-                mass.append(points);
-                let new_count = mass.window_count();
-                // Preserve pre-append evidence for live snapshots…
-                let (cp, ci) = self.carry.get_or_insert_with(|| {
-                    (vec![f64::INFINITY; old_count], vec![usize::MAX; old_count])
-                });
-                cp.resize(new_count, f64::INFINITY);
-                ci.resize(new_count, usize::MAX);
-                merge_min_into(cp, ci, &self.fold_profile, &self.fold_index);
-                // …and restart the exact fold against the new spectrum.
-                self.fold_profile.clear();
-                self.fold_profile.resize(new_count, f64::INFINITY);
-                self.fold_index.clear();
-                self.fold_index.resize(new_count, usize::MAX);
-                let mut pending =
-                    VecDeque::from(self.epoch_order(old_count, new_count - old_count));
-                pending.append(&mut self.pending);
-                pending.extend(self.done.drain(..));
-                self.pending = pending;
-            }
+    /// Rebuilds the engine over the grown series and queues the epoch:
+    /// the windows past `old_count` first, then the old backlog, then
+    /// the old epoch's processed queries as numerical re-runs.
+    fn ingest(&mut self, old_count: usize) {
+        self.mass = engine(&self.series, self.m);
+        let new_count = self.window_count();
+        if new_count == 0 {
+            return;
         }
+        if old_count > 0 {
+            // Preserve pre-append evidence for live snapshots…
+            let (cp, ci) = self.carry.get_or_insert_with(|| {
+                (vec![f64::INFINITY; old_count], vec![usize::MAX; old_count])
+            });
+            cp.resize(new_count, f64::INFINITY);
+            ci.resize(new_count, usize::MAX);
+            merge_min_into(cp, ci, &self.fold_profile, &self.fold_index);
+        }
+        // …and restart the exact fold against the new spectrum.
+        self.reset_fold(new_count);
+        let mut pending = VecDeque::from(self.epoch_order(old_count, new_count - old_count));
+        pending.append(&mut self.pending);
+        pending.extend(self.done.drain(..));
+        self.pending = pending;
+    }
+
+    /// Sets the exact fold to `count` entries no query has reached.
+    fn reset_fold(&mut self, count: usize) {
+        self.fold_profile.clear();
+        self.fold_profile.resize(count, f64::INFINITY);
+        self.fold_index.clear();
+        self.fold_index.resize(count, usize::MAX);
     }
 
     /// Retires the oldest `count` points from the live window. After
@@ -513,34 +506,19 @@ impl StreamingDiscordMonitor {
     ///
     /// [`stream_offset`]: Self::stream_offset
     pub fn evict(&mut self, count: usize) -> Result<(), EvictError> {
-        validate_evict(self.series_len(), count, self.m)?;
+        validate_evict(self.series.len(), count, self.m)?;
         if count == 0 {
             return Ok(());
         }
         let span = egi_obs::SpanTimer::start();
-        let live = self.series_len();
         self.clock.record_evict(count);
-        self.pending.clear();
+        self.series.drain(..count);
+        self.mass = engine(&self.series, self.m);
+        let windows = self.window_count();
         self.done.clear();
         self.carry = None;
-        if self.mass.is_none() {
-            // Warm-up phase: the only valid non-zero eviction is the
-            // full drain (validated above).
-            self.warmup.clear();
-        } else if count == live {
-            self.mass = None;
-            self.fold_profile.clear();
-            self.fold_index.clear();
-        } else {
-            let mass = self.mass.as_mut().expect("checked above");
-            mass.evict_front(count);
-            let windows = mass.window_count();
-            self.fold_profile.clear();
-            self.fold_profile.resize(windows, f64::INFINITY);
-            self.fold_index.clear();
-            self.fold_index.resize(windows, usize::MAX);
-            self.pending = self.epoch_order(0, windows).into();
-        }
+        self.reset_fold(windows);
+        self.pending = self.epoch_order(0, windows).into();
         self.stats
             .record_evict(count as u64, self.pending.is_empty());
         span.record(egi_obs::histogram!("egi_monitor_evict_nanos"));
@@ -632,15 +610,13 @@ impl StreamingDiscordMonitor {
     /// Eviction truncates *lengths* but deliberately keeps *capacity*
     /// (the steady-state append/evict cycle reuses it); after a heavy
     /// one-off eviction that capacity is dead weight. `compact` shrinks
-    /// the series buffer, the padded FFT buffer, the cached spectrum,
-    /// and the per-query scratch down to the live working set. Purely
-    /// an allocation-level operation: no observable state changes, and
-    /// every parity contract is untouched.
+    /// the series buffer, the query queue, the fold, and the per-query
+    /// scratch down to the live working set; the engine holds none,
+    /// since every append and eviction builds it at the live size.
+    /// Purely an allocation-level operation: no observable state
+    /// changes, and every parity contract is untouched.
     pub fn compact(&mut self) {
-        if let Some(mass) = &mut self.mass {
-            mass.compact();
-        }
-        self.warmup.shrink_to_fit();
+        self.series.shrink_to_fit();
         self.pending.shrink_to_fit();
         self.done.shrink_to_fit();
         self.fold_profile.shrink_to_fit();
@@ -681,23 +657,18 @@ impl StreamingDiscordMonitor {
     /// Processes every pending query and returns the finished profile —
     /// bit-identical to
     /// [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
-    /// the full ingested series.
-    pub fn finish(&mut self) -> MatrixProfile {
-        while self.step() {}
-        self.snapshot()
-    }
-
-    /// Like [`StreamingDiscordMonitor::finish`], but fans the pending
-    /// queries out across rayon workers — parallel STAMP when the
-    /// monitor holds one appended series.
+    /// the full ingested series. On a monitor fed one series this is
+    /// parallel STAMP.
     ///
-    /// The pending queries are split into one chunk per worker. Each
-    /// worker folds its chunk into a thread-local partial profile with
-    /// its own [`MassScratch`], and the partials merge under
-    /// [`merge_min_into`]. That merge is commutative and associative, so
-    /// the result is bit-identical to the sequential one for every
-    /// worker count and chunking. The worker count follows rayon's
-    /// current configuration.
+    /// When more than one query is pending and rayon has more than one
+    /// worker, the pending queries are split into one chunk per worker.
+    /// Each worker folds its chunk into a thread-local partial profile
+    /// with its own [`MassScratch`], and the partials merge under
+    /// [`merge_min_into`]. That merge is commutative and associative,
+    /// so the result, the queue state and the metrics are bit-identical
+    /// to stepping every query in turn, which is what `finish` does
+    /// otherwise. The worker count follows rayon's current
+    /// configuration.
     ///
     /// # Examples
     ///
@@ -707,16 +678,19 @@ impl StreamingDiscordMonitor {
     /// let series: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
     /// let mut monitor = StreamingDiscordMonitor::with_seed(16, 8, 7);
     /// monitor.append(&series);
-    /// let finished = monitor.finish_parallel();
+    /// let finished = monitor.finish();
     /// let batch = egi_discord::stamp(&series, 16);
     /// assert_eq!(finished.profile, batch.profile);
     /// assert_eq!(finished.index, batch.index);
     /// ```
-    pub fn finish_parallel(&mut self) -> MatrixProfile {
+    pub fn finish(&mut self) -> MatrixProfile {
         let threads = rayon::current_num_threads();
         let mass = match &self.mass {
             Some(mass) if threads > 1 && self.pending.len() > 1 => mass,
-            _ => return self.finish(),
+            _ => {
+                while self.step() {}
+                return self.snapshot();
+            }
         };
         let remaining: Vec<usize> = self.pending.drain(..).collect();
         let count = mass.window_count();
@@ -756,6 +730,16 @@ impl StreamingDiscordMonitor {
     }
 }
 
+/// The MASS engine over `series` for window `m`, or `None` while the
+/// series is shorter than one window. Every build is counted in
+/// `egi_mass_exact_retransforms_total`.
+fn engine(series: &[f64], m: usize) -> Option<MassPrecomputed> {
+    (series.len() >= m).then(|| {
+        egi_obs::counter!("egi_mass_exact_retransforms_total").inc();
+        MassPrecomputed::new(series, m)
+    })
+}
+
 /// Section tag of the monitor-state section (`b"MON1"` little-endian).
 const CKPT_SECTION_MONITOR: u32 = u32::from_le_bytes(*b"MON1");
 /// Section tag of the engine-state section (`b"ENG1"`), present only
@@ -774,10 +758,12 @@ fn corrupt(what: impl Into<String>) -> CheckpointError {
 
 /// Persistence for the monitor (see [`Checkpoint`] for the container
 /// format). The checkpoint holds the series plus the fold/queue
-/// bookkeeping; the FFT spectrum, prefix sums, and window statistics
-/// are re-derived on load — a fresh [`MassPrecomputed`] build is
-/// bit-identical to the evolved original after any append/evict
-/// schedule, so checkpoints stay `O(series)` small.
+/// bookkeeping. The engine is derived state — the monitor itself
+/// rebuilds it from the series after every append and eviction — so
+/// the loader builds it the same way, and checkpoints stay
+/// `O(series)` small. Until the series holds a window it is stored in
+/// the monitor section's warm-up field; after that, in the engine
+/// section.
 ///
 /// The loader rejects, as [`CheckpointError::Corrupt`], every
 /// checksum-valid payload that no monitor could have written and that
@@ -818,7 +804,12 @@ impl Checkpoint for StreamingDiscordMonitor {
         f.u64(self.clock.epochs());
         f.usize(self.clock.offset());
         f.opt_usize(self.clock.retention());
-        f.f64_slice(&self.warmup);
+        let warmup: &[f64] = if self.mass.is_some() {
+            &[]
+        } else {
+            &self.series
+        };
+        f.f64_slice(warmup);
         f.f64_slice(&self.fold_profile);
         f.usize_slice(&self.fold_index);
         let pending: Vec<usize> = self.pending.iter().copied().collect();
@@ -833,11 +824,11 @@ impl Checkpoint for StreamingDiscordMonitor {
             }
         }
         out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &f.into_bytes())?;
-        let Some(mass) = &self.mass else {
+        if self.mass.is_none() {
             return Ok(());
-        };
+        }
         let mut f = FieldWriter::new();
-        f.f64_slice(mass.series());
+        f.f64_slice(&self.series);
         out.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION, &f.into_bytes())?;
         Ok(())
     }
@@ -881,7 +872,7 @@ impl Checkpoint for StreamingDiscordMonitor {
             return Err(corrupt("warm-up buffer contains non-finite values"));
         }
 
-        let mass = if input.sections_remaining() == 0 {
+        let series = if input.sections_remaining() == 0 {
             // Warm-up phase: no windows yet, all per-window state empty.
             if warmup.len() >= m {
                 return Err(corrupt("warm-up buffer holds a full window"));
@@ -894,7 +885,7 @@ impl Checkpoint for StreamingDiscordMonitor {
             {
                 return Err(corrupt("per-window state present without an engine"));
             }
-            None
+            warmup
         } else {
             let (_, payload) = input.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION)?;
             let mut f = FieldReader::new(&payload);
@@ -952,10 +943,7 @@ impl Checkpoint for StreamingDiscordMonitor {
                     return Err(corrupt("carry neighbor index out of range"));
                 }
             }
-            // A fresh build is bit-identical to the evolved engine after
-            // any append/evict schedule (the kernel's own contract), so
-            // the series is the whole state.
-            Some(MassPrecomputed::new(&series, m))
+            series
         };
 
         Ok(Self {
@@ -963,8 +951,8 @@ impl Checkpoint for StreamingDiscordMonitor {
             exclusion,
             seed,
             clock: StreamClock::with_state(epochs, offset, retention),
-            warmup,
-            mass,
+            mass: engine(&series, m),
+            series,
             pending: pending.into(),
             done,
             fold_profile,
@@ -1050,7 +1038,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| monitor.finish_parallel());
+                .install(|| monitor.finish());
             assert_eq!(finished.profile, reference.profile, "{threads} threads");
             assert_eq!(finished.index, reference.index, "{threads} threads");
         }
@@ -1230,7 +1218,7 @@ mod tests {
         for &m in &[6usize, 12] {
             let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m / 2);
             monitor.append(&series);
-            let anytime = monitor.finish_parallel();
+            let anytime = monitor.finish();
             let stomp = crate::stomp::stomp_with_exclusion(&series, m, m / 2);
             for i in 0..anytime.len() {
                 assert!(
@@ -1363,7 +1351,7 @@ mod tests {
         let mut monitor = StreamingDiscordMonitor::with_exclusion(3, 1);
         monitor.append(&series);
         assert_eq!(monitor.window_count(), 1);
-        let mp = monitor.finish_parallel();
+        let mp = monitor.finish();
         assert!(mp.profile[0].is_infinite());
         assert_eq!(mp.index[0], usize::MAX);
     }
@@ -1469,7 +1457,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_parallel_with_one_query_left_matches_stamp() {
+    fn finish_with_one_query_left_matches_stamp() {
         let series = test_series(240);
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
@@ -1480,7 +1468,7 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap()
-            .install(|| monitor.finish_parallel());
+            .install(|| monitor.finish());
         let reference = stamp_with_exclusion(&series, m, m / 2);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
@@ -1489,7 +1477,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_parallel_records_the_same_metrics_as_finish() {
+    fn finish_records_the_same_metrics_at_every_worker_count() {
         let series = test_series(260);
         let mut par = StreamingDiscordMonitor::new(8);
         for part in series.chunks(40) {
@@ -1497,12 +1485,15 @@ mod tests {
             par.run_for(15);
         }
         let mut seq = par.clone();
-        let a = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| par.finish_parallel());
-        let b = seq.finish();
+        let finish_on = |threads: usize, monitor: &mut StreamingDiscordMonitor| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| monitor.finish())
+        };
+        let a = finish_on(4, &mut par);
+        let b = finish_on(1, &mut seq);
         assert_eq!(a.profile, b.profile);
         assert_eq!(a.index, b.index);
         assert_eq!(par.processed(), seq.processed());
@@ -1511,10 +1502,10 @@ mod tests {
     }
 
     /// With no query pending (during warm-up, or once current),
-    /// `finish_parallel` runs nothing: it returns the snapshot and
-    /// leaves the state and the metrics as they were.
+    /// `finish` runs nothing: it returns the snapshot and leaves the
+    /// state and the metrics as they were.
     #[test]
-    fn finish_parallel_with_nothing_pending_changes_nothing() {
+    fn finish_with_nothing_pending_changes_nothing() {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1522,12 +1513,12 @@ mod tests {
         let series = test_series(120);
         let mut monitor = StreamingDiscordMonitor::new(8);
         monitor.append(&series[..5]);
-        assert!(pool.install(|| monitor.finish_parallel()).is_empty());
+        assert!(pool.install(|| monitor.finish()).is_empty());
         assert_eq!(monitor.series_len(), 5);
         monitor.append(&series[5..]);
-        let finished = pool.install(|| monitor.finish_parallel());
+        let finished = pool.install(|| monitor.finish());
         let (bytes, stats) = (monitor.checkpoint_bytes().unwrap(), monitor.metrics());
-        let again = pool.install(|| monitor.finish_parallel());
+        let again = pool.install(|| monitor.finish());
         assert_eq!(again, finished);
         assert_eq!(monitor.checkpoint_bytes().unwrap(), bytes);
         assert_eq!(monitor.metrics(), stats);
@@ -1775,6 +1766,239 @@ mod tests {
         let reference = stamp_with_exclusion(&series[300..], m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
+    }
+
+    /// An append that overflows a `retain_last(n)` policy trims before
+    /// it builds the engine. It must leave the monitor exactly where an
+    /// unbounded twin lands by appending and then evicting the excess
+    /// itself: the same epoch salts, queue order, folds and counters,
+    /// after every append, eviction and step.
+    #[test]
+    fn retention_trim_equals_an_explicit_eviction() {
+        let series = test_series(320);
+        let (m, n) = (8, 100);
+        let mut trimmed = StreamingDiscordMonitor::with_seed(m, m / 2, 17);
+        trimmed.retain_last(n).unwrap();
+        let mut twin = StreamingDiscordMonitor::with_seed(m, m / 2, 17);
+        let same = |a: &StreamingDiscordMonitor, b: &StreamingDiscordMonitor, at: &str| {
+            assert_eq!(a.series(), b.series(), "{at}");
+            assert_eq!(a.pending(), b.pending(), "{at}");
+            assert_eq!(a.processed(), b.processed(), "{at}");
+            assert_eq!(a.epochs(), b.epochs(), "{at}");
+            assert_eq!(a.stream_offset(), b.stream_offset(), "{at}");
+            assert_eq!(a.snapshot(), b.snapshot(), "{at}");
+            assert_eq!(a.metrics(), b.metrics(), "{at}");
+        };
+        // Point counts after each op: 5 (warm-up), 100 (first windows
+        // and a trim in one append), 60, 80 (a carry), 100 (trim), 60,
+        // 90 (a carry), 100 (trim), 100 (one-point trim), 100 (trim).
+        let schedule = [
+            ("append", 5),
+            ("append", 110),
+            ("step", 9),
+            ("evict", 40),
+            ("append", 20),
+            ("step", 30),
+            ("append", 50),
+            ("step", 2),
+            ("evict", 40),
+            ("append", 30),
+            ("step", 70),
+            ("append", 64),
+            ("step", 5),
+            ("append", 1),
+            ("step", 40),
+            ("append", 40),
+        ];
+        let mut fed = 0;
+        for (k, &(op, amount)) in schedule.iter().enumerate() {
+            match op {
+                "append" => {
+                    let part = &series[fed..fed + amount];
+                    fed += amount;
+                    trimmed.append(part);
+                    twin.append(part);
+                    twin.evict(twin.series_len().saturating_sub(n)).unwrap();
+                    same(&trimmed, &twin, &format!("op {k}: append {amount}"));
+                }
+                "evict" => {
+                    trimmed.evict(amount).unwrap();
+                    twin.evict(amount).unwrap();
+                    same(&trimmed, &twin, &format!("op {k}: evict {amount}"));
+                }
+                _ => {
+                    for i in 0..amount {
+                        assert_eq!(trimmed.step(), twin.step(), "op {k}: step {i}");
+                        same(&trimmed, &twin, &format!("op {k}: step {i}"));
+                    }
+                }
+            }
+        }
+        assert_eq!(fed, series.len());
+        assert_eq!(trimmed.series(), &series[series.len() - n..]);
+        assert_eq!(trimmed.finish(), twin.finish());
+    }
+
+    /// The engine's transform size is the live series' next power of
+    /// two: appends that cross a power of two grow it, and evictions
+    /// that shrink the series below one shrink it back.
+    #[test]
+    fn padded_size_follows_the_live_series() {
+        let series = test_series(700);
+        let expected =
+            |monitor: &StreamingDiscordMonitor| monitor.series_len().next_power_of_two().max(2);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series[..5]);
+        assert_eq!(monitor.padded_size(), 0, "no window yet");
+        let mut fed = 5;
+        // 100, 128, 129, 132, 632 and 700 points.
+        for chunk in [95, 28, 1, 3, 500, 68] {
+            monitor.append(&series[fed..fed + chunk]);
+            fed += chunk;
+            assert_eq!(monitor.padded_size(), expected(&monitor), "{fed} points");
+        }
+        assert_eq!(monitor.padded_size(), 1024);
+        // 512, 511, 211, 11 and 8 points.
+        for cut in [188, 1, 300, 200, 3] {
+            monitor.evict(cut).unwrap();
+            let live = monitor.series_len();
+            assert_eq!(monitor.padded_size(), expected(&monitor), "{live} points");
+        }
+        assert_eq!(monitor.padded_size(), 8);
+        monitor.evict(8).unwrap();
+        assert_eq!(monitor.padded_size(), 0, "no window left");
+    }
+
+    /// An empty append is not an ingest event: the epoch does not
+    /// advance, nothing is queued or rebuilt, and no metric moves —
+    /// before the first window, and mid-epoch with a carry live.
+    #[test]
+    fn append_of_no_points_changes_nothing() {
+        let series = test_series(140);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        let unchanged = |monitor: &mut StreamingDiscordMonitor| {
+            let (bytes, stats) = (monitor.checkpoint_bytes().unwrap(), monitor.metrics());
+            let (epochs, padded) = (monitor.epochs(), monitor.padded_size());
+            monitor.append(&[]);
+            assert_eq!(monitor.checkpoint_bytes().unwrap(), bytes);
+            assert_eq!(monitor.metrics(), stats);
+            assert_eq!((monitor.epochs(), monitor.padded_size()), (epochs, padded));
+        };
+        unchanged(&mut monitor);
+        monitor.append(&series[..5]);
+        unchanged(&mut monitor);
+        monitor.append(&series[5..120]);
+        monitor.run_for(30);
+        monitor.append(&series[120..]);
+        monitor.run_for(10);
+        unchanged(&mut monitor);
+    }
+
+    /// The series is the monitor's one record of the stream: through
+    /// warm-up, the first window, appends, evictions, retention trims
+    /// and a full drain it holds exactly the points appended and not
+    /// yet evicted, and the engine spans exactly its windows.
+    #[test]
+    fn series_is_every_point_not_yet_evicted() {
+        let stream = test_series(300);
+        let m = 8;
+        let mut monitor = StreamingDiscordMonitor::new(m);
+        let (mut fed, mut offset) = (0, 0);
+        let schedule = [
+            ("append", 3),
+            ("append", 4),
+            ("append", 1),
+            ("evict", 8),
+            ("append", 50),
+            ("evict", 10),
+            ("retain", 60),
+            ("append", 100),
+            ("append", 7),
+            ("evict", 52),
+            ("append", 2),
+        ];
+        for (op, amount) in schedule {
+            match op {
+                "append" => {
+                    monitor.append(&stream[fed..fed + amount]);
+                    fed += amount;
+                }
+                "evict" => {
+                    monitor.evict(amount).unwrap();
+                    offset += amount;
+                }
+                _ => offset += monitor.retain_last(amount).unwrap(),
+            }
+            // Under a retention policy only the last `n` points survive.
+            offset = offset.max(fed.saturating_sub(monitor.retention().unwrap_or(fed)));
+            let live = &stream[offset..fed];
+            assert_eq!(monitor.series(), live, "after {op} {amount}");
+            assert_eq!(monitor.stream_offset(), offset, "after {op} {amount}");
+            assert_eq!(monitor.window_count(), (live.len() + 1).saturating_sub(m));
+        }
+        assert_eq!((offset, fed), (157, 167));
+    }
+
+    /// End to end against the per-pair definition: a monitor grown and
+    /// trimmed several times finishes within 1e-6 of the brute-force
+    /// matrix profile of its live series, an oracle that shares no code
+    /// with MASS.
+    #[test]
+    fn evolved_monitor_matches_the_brute_force_profile() {
+        let stream = test_series(260);
+        let m = 10;
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m / 2);
+        monitor.append(&stream[..90]);
+        monitor.run_for(20);
+        monitor.append(&stream[90..170]);
+        monitor.evict(35).unwrap();
+        monitor.run_for(15);
+        monitor.append(&stream[170..]);
+        monitor.evict(20).unwrap();
+        let live = &stream[55..];
+        assert_eq!(monitor.series(), live);
+        let finished = monitor.finish();
+        let brute = crate::brute::brute_force(live, m, m / 2);
+        assert_eq!(finished.len(), brute.len());
+        for (i, (d, b)) in finished.profile.iter().zip(&brute.profile).enumerate() {
+            assert!((d - b).abs() < 1e-6, "entry {i}: {d} vs {b}");
+        }
+    }
+
+    /// After appends and a retention trim, the monitor's queries run on
+    /// the engine built over its live series in the trim's epoch
+    /// order: after `k` queries the snapshot is, bit for bit, the STAMP
+    /// fold over `MassPrecomputed::new(series)` of the first `k`
+    /// windows of that order.
+    #[test]
+    fn queries_after_a_trim_run_on_the_suffix_engine() {
+        let stream = test_series(260);
+        let (m, exc) = (8, 4);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 5);
+        monitor.retain_last(150).unwrap();
+        monitor.append(&stream[..120]);
+        monitor.run_for(30);
+        monitor.append(&stream[120..]);
+        assert_eq!(monitor.series(), &stream[110..]);
+        let count = monitor.window_count();
+        assert_eq!(monitor.pending(), count, "the trim requeues every window");
+        let order = monitor.epoch_order(0, count);
+        let mass = MassPrecomputed::new(&stream[110..], m);
+        let mut profile = vec![f64::INFINITY; count];
+        let mut index = vec![usize::MAX; count];
+        let (mut scratch, mut dp) = (MassScratch::default(), Vec::new());
+        let mut folded = 0;
+        for k in [1, 17, 60, count] {
+            assert_eq!(monitor.run_for(k - folded), k - folded);
+            for &q in &order[folded..k] {
+                mass.distance_profile_into(q, &mut scratch, &mut dp);
+                update_from_profile(q, &dp, exc, &mut profile, &mut index);
+            }
+            folded = k;
+            let snapshot = monitor.snapshot();
+            assert_eq!(snapshot.profile, profile, "after {k} queries");
+            assert_eq!(snapshot.index, index, "after {k} queries");
+        }
     }
 
     #[test]
@@ -2187,6 +2411,51 @@ mod tests {
                 warming.with(|f| f.carry = Some((Vec::new(), Vec::new()))),
             ),
         ]);
+    }
+
+    /// The one series field keeps the v1 layout: before the first
+    /// window the series travels in the monitor section's warm-up field
+    /// and no engine section is written; from the first window on it
+    /// travels in the engine section and the warm-up field is empty.
+    #[test]
+    fn checkpoint_layout_is_the_frame_layout() {
+        let mut warming = StreamingDiscordMonitor::new(8);
+        warming.append(&test_series(3));
+        assert_eq!(
+            warming.checkpoint_bytes().unwrap(),
+            Frame::warming().bytes()
+        );
+        let mut fresh = StreamingDiscordMonitor::new(8);
+        fresh.append(&test_series(16));
+        let order = fresh.epoch_order(0, FRAME_WINDOWS);
+        let frame = Frame::fresh().with(|f| f.pending = order.clone());
+        assert_eq!(fresh.checkpoint_bytes().unwrap(), frame.bytes());
+    }
+
+    /// The engine is not in the checkpoint: a restore rebuilds it from
+    /// the saved series — none while warming up, and otherwise the
+    /// engine the live monitor holds, so the next query of either side
+    /// folds the same distances.
+    #[test]
+    fn restore_rebuilds_the_engine_of_the_saved_series() {
+        let series = test_series(260);
+        let mut live = StreamingDiscordMonitor::new(8);
+        live.retain_last(200).unwrap();
+        let mut fed = 0;
+        for (end, steps) in [(5, 0), (70, 12), (150, 30), (260, 9)] {
+            live.append(&series[fed..end]);
+            fed = end;
+            live.run_for(steps);
+            let bytes = live.checkpoint_bytes().unwrap();
+            let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+            assert_eq!(restored.series(), live.series(), "{end} points");
+            assert_eq!(restored.padded_size(), live.padded_size(), "{end} points");
+            assert_eq!(restored.window_count(), live.window_count(), "{end} points");
+            let mut twin = live.clone();
+            assert_eq!(restored.step(), twin.step(), "{end} points");
+            assert_eq!(restored.snapshot(), twin.snapshot(), "{end} points");
+        }
+        assert_eq!(live.padded_size(), 256);
     }
 
     #[test]

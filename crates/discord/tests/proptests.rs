@@ -173,7 +173,7 @@ proptest! {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| driver.finish_parallel());
+            .install(|| driver.finish());
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }
@@ -210,31 +210,6 @@ proptest! {
         }
         prop_assert_eq!(&previous.profile, &reference.profile);
         prop_assert_eq!(&previous.index, &reference.index);
-    }
-
-    /// `MassPrecomputed::append` leaves the struct bit-identical to a
-    /// fresh build over the concatenated series, for every split point
-    /// and chunking — the substrate of the streaming monitor's
-    /// finished-profile contract.
-    #[test]
-    fn mass_append_is_bit_identical_to_fresh(
-        series in series_strategy(),
-        m in 4usize..16,
-        split_pct in 0usize..=100,
-        chunk in 1usize..32,
-    ) {
-        prop_assume!(series.len() >= 2 * m);
-        let split = (m + (series.len() - m) * split_pct / 100).min(series.len());
-        let mut inc = MassPrecomputed::new(&series[..split], m);
-        for part in series[split..].chunks(chunk) {
-            inc.append(part);
-        }
-        let fresh = MassPrecomputed::new(&series, m);
-        prop_assert_eq!(inc.window_count(), fresh.window_count());
-        let count = fresh.window_count();
-        for q in [0, count / 2, count - 1] {
-            prop_assert_eq!(inc.distance_profile(q), fresh.distance_profile(q), "q = {}", q);
-        }
     }
 
     /// The streaming monitor converges to the batch profile, bitwise,
@@ -294,7 +269,7 @@ proptest! {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| monitor.finish_parallel());
+            .install(|| monitor.finish());
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }

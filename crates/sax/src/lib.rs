@@ -17,12 +17,13 @@
 //!   one binary search per PAA coefficient finds its cell in the merged
 //!   breakpoint table, and the cell yields its symbol under *every*
 //!   alphabet size at once.
-//! * [`stream`] — shared PAA coefficient streams: compute each `(n, w)`
-//!   stream and its coefficients' cells once, reuse them for every
-//!   alphabet (the ensemble's PAA deduplication), and numerosity-reduce
-//!   any alphabet by cell lookup ([`PaaStream::reduce_into`]); streams
-//!   also grow incrementally ([`PaaStream::extend_from_stats`]) for the
-//!   streaming detector, bit-identical to the batch build.
+//! * [`stream`] — shared PAA cell streams: compute each `(n, w)`
+//!   stream's PAA coefficients once and keep only their cells, reuse
+//!   them for every alphabet (the ensemble's PAA deduplication), and
+//!   numerosity-reduce any alphabet by cell lookup
+//!   ([`PaaStream::reduce_into`]); streams also grow incrementally
+//!   ([`PaaStream::extend_from_stats`]) for the streaming detector,
+//!   bit-identical to the batch build.
 //!
 //! The naive and fast paths are intentionally both kept public: the naive
 //! implementations are the executable specification, the fast ones are what

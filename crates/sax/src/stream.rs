@@ -1,27 +1,28 @@
-//! Shared PAA coefficient streams.
+//! Shared PAA cell streams.
 //!
 //! A window's PAA coefficients depend only on the window length `n` and
 //! the PAA size `w` — **not** on the alphabet size `a`. Ensemble members
 //! that share `w` and differ only in `a` would therefore recompute
-//! identical coefficient streams. [`PaaStream`] materializes the
-//! coefficients of every sliding window once (`O(N·w)`), together with
-//! each coefficient's *cell*: its interval in the all-alphabet merged
+//! identical coefficients. [`PaaStream`] computes the coefficients of
+//! every sliding window once (`O(N·w)`) and keeps only each
+//! coefficient's *cell*: its interval in the all-alphabet merged
 //! breakpoint table ([`MultiResBreakpoints::all`]), found by one binary
 //! search per coefficient. A cell fixes the coefficient's symbol under
 //! every alphabet size, so [`PaaStream::reduce_into`] — the one
 //! discretization kernel every detector runs — turns a stream into a
 //! numerosity-reduced token sequence for any alphabet with one table
 //! lookup per coefficient, no search and no PAA recomputation, and
-//! allocates a word only when a new run opens.
+//! allocates a word only when a new run opens. A cell takes one byte
+//! against an `f64` coefficient's eight.
 //!
 //! For append-only workloads (the streaming ensemble detector), a
 //! stream also grows incrementally: [`PaaStream::empty`] starts with no
-//! windows and [`PaaStream::extend_from_stats`] appends the coefficient
-//! rows of every window completed by newly ingested points, running the
-//! exact batch kernel ([`paa_znorm_from_stats`]) on prefix-sum
-//! statistics the caller extends per append — so an incrementally grown
-//! stream is **bit-identical** to [`PaaStream::new`] over the full
-//! series, for every append schedule (property-tested), and
+//! windows and [`PaaStream::extend_from_stats`] appends the cells of
+//! every window completed by newly ingested points, running the exact
+//! batch kernel ([`paa_znorm_from_stats`]) on prefix-sum statistics the
+//! caller extends per append — so an incrementally grown stream is
+//! **bit-identical** to [`PaaStream::new`] over the full series, for
+//! every append schedule (property-tested), and
 //! [`PaaStream::reduce_into`] folds just the fresh windows into the
 //! token sequence built so far.
 
@@ -33,9 +34,9 @@ use crate::multires::MultiResBreakpoints;
 use crate::numerosity::{NumerosityReduced, Token};
 use crate::word::{SaxConfig, SaxWord};
 
-/// The PAA coefficients of every sliding window of one series, for one
-/// `(n, w)` pair, row-major (`count × w`), with each coefficient's cell
-/// in the all-alphabet breakpoint table.
+/// The cells of the PAA coefficients of every sliding window of one
+/// series, for one `(n, w)` pair, row-major (`count × w`): each
+/// coefficient's interval in the all-alphabet breakpoint table.
 #[derive(Debug, Clone)]
 pub struct PaaStream {
     /// Sliding-window length the stream was computed with.
@@ -44,9 +45,8 @@ pub struct PaaStream {
     pub w: usize,
     /// Number of windows.
     pub count: usize,
-    /// Row-major coefficients: window `i` occupies `[i·w, (i+1)·w)`.
-    pub coeffs: Vec<f64>,
-    /// `cells[i]` is [`MultiResBreakpoints::all`]`.cell(coeffs[i])`.
+    /// Row-major cells: window `i` occupies `[i·w, (i+1)·w)`, and each
+    /// is [`MultiResBreakpoints::all`]`.cell` of its PAA coefficient.
     cells: Vec<u8>,
 }
 
@@ -75,14 +75,13 @@ impl PaaStream {
             n,
             w,
             count: 0,
-            coeffs: Vec::new(),
             cells: Vec::new(),
         }
     }
 
-    /// Appends the coefficient rows of every window the series behind
-    /// `stats` has completed beyond the stream's current coverage;
-    /// returns how many rows were added.
+    /// Appends the cell rows of every window the series behind `stats`
+    /// has completed beyond the stream's current coverage; returns how
+    /// many rows were added.
     ///
     /// `stats` must be the prefix-sum statistics of the *same* series
     /// the stream has seen so far, extended with the newly appended
@@ -90,7 +89,9 @@ impl PaaStream {
     /// touched: a window's coefficients read only the prefix sums in
     /// `[start, start + n]`, which `extend` leaves bit-identical, so
     /// after any append schedule the stream equals [`PaaStream::new`]
-    /// over the full series (property-tested).
+    /// over the full series (property-tested). Each window's
+    /// coefficients go through one reused row of `w` values and only
+    /// their cells are kept.
     ///
     /// # Panics
     ///
@@ -105,19 +106,12 @@ impl PaaStream {
             self.count
         );
         let fresh = target - self.count;
-        let from = self.count * self.w;
-        self.coeffs.resize(target * self.w, 0.0);
-        self.cells.resize(target * self.w, 0);
+        self.cells.reserve(fresh * self.w);
         let all = MultiResBreakpoints::all();
-        for ((row, cells), start) in self.coeffs[from..]
-            .chunks_exact_mut(self.w)
-            .zip(self.cells[from..].chunks_exact_mut(self.w))
-            .zip(self.count..target)
-        {
-            paa_znorm_from_stats(stats, start, self.n, row);
-            for (cell, &c) in cells.iter_mut().zip(row.iter()) {
-                *cell = all.cell(c);
-            }
+        let mut row = vec![0.0; self.w];
+        for start in self.count..target {
+            paa_znorm_from_stats(stats, start, self.n, &mut row);
+            self.cells.extend(row.iter().map(|&c| all.cell(c)));
         }
         self.count = target;
         fresh
@@ -125,21 +119,20 @@ impl PaaStream {
 
     /// Retires the windows evicted by dropping `points` from the front
     /// of the underlying series, recomputing every surviving row from
-    /// the **rebased** prefix sums `stats`
-    /// ([`PrefixStats::rebase`](egi_tskit::stats::PrefixStats::rebase)
-    /// over the suffix). Returns how many rows the rebuilt stream
-    /// holds.
+    /// `stats`, the prefix sums of the suffix
+    /// ([`PrefixStats::new`] over the surviving points). Returns how
+    /// many rows the rebuilt stream holds.
     ///
     /// Surviving windows cover the same raw points as before, but a
     /// row's z-normalization statistics are prefix-sum *differences*,
-    /// and rebased sums accumulate from a different origin — the stored
-    /// coefficients are not bitwise reusable, so the whole stream is
-    /// recomputed through the batch kernel (`O(remaining · w)`,
-    /// allocation-reusing). The result is **bit-identical** to
-    /// [`PaaStream::new`] over the suffix, which is what the streaming
-    /// detector's suffix-parity contract needs; the recompute cost is
-    /// the SAX-side mirror of the discord monitor's eviction
-    /// re-transform.
+    /// and the suffix's sums accumulate from a different origin — the
+    /// stored cells are not reusable (a coefficient near a breakpoint
+    /// may change cell), so the whole stream is recomputed through the
+    /// batch kernel (`O(remaining · w)`, allocation-reusing). The
+    /// result is **bit-identical** to [`PaaStream::new`] over the
+    /// suffix, which is what the streaming detector's suffix-parity
+    /// contract needs; the recompute cost is the SAX-side mirror of
+    /// the discord monitor's engine rebuild on eviction.
     ///
     /// The stream may lag the series when eviction strikes (appends
     /// extend streams lazily); the rebuild then also catches it up to
@@ -162,20 +155,39 @@ impl PaaStream {
             self.count
         );
         self.count = 0;
-        self.coeffs.clear();
         self.cells.clear();
         self.extend_from_stats(stats)
     }
 
-    /// Bytes retained by the coefficient and cell buffers — cheap
-    /// accessor for memory-bound assertions on eviction workloads.
+    /// Bytes retained by the cell buffer — cheap accessor for
+    /// memory-bound assertions on eviction workloads.
     pub fn capacity(&self) -> usize {
-        self.coeffs.capacity() * std::mem::size_of::<f64>() + self.cells.capacity()
+        self.cells.capacity()
     }
 
-    /// The coefficient row of window `start`.
-    pub fn row(&self, start: usize) -> &[f64] {
-        &self.coeffs[start * self.w..(start + 1) * self.w]
+    /// Every window's cells, row-major: window `i` occupies
+    /// `[i·w, (i+1)·w)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_sax::stream::PaaStream;
+    /// use egi_sax::{FastSax, MultiResBreakpoints};
+    ///
+    /// let series: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
+    /// let fast = FastSax::new(&series);
+    /// let stream = PaaStream::new(&fast, 16, 4);
+    /// assert_eq!(stream.cells().len(), stream.count * 4);
+    ///
+    /// // Window 5's row holds the cells of its PAA coefficients.
+    /// let mut coeffs = [0.0; 4];
+    /// fast.paa_znorm_into(5, 16, &mut coeffs);
+    /// let all = MultiResBreakpoints::all();
+    /// let row: Vec<u8> = coeffs.iter().map(|&c| all.cell(c)).collect();
+    /// assert_eq!(&stream.cells()[5 * 4..6 * 4], row.as_slice());
+    /// ```
+    pub fn cells(&self) -> &[u8] {
+        &self.cells
     }
 
     /// Folds windows `nr.end_offset..upto` into `nr` under alphabet `a`:
@@ -223,7 +235,7 @@ impl PaaStream {
     }
 }
 
-/// Discretizes a whole coefficient stream under alphabet `cfg.a` and
+/// Discretizes a whole cell stream under alphabet `cfg.a` and
 /// numerosity-reduces it ([`PaaStream::reduce_into`] over every window).
 ///
 /// `multi` is the caller's table for its alphabet range; the symbols
@@ -287,10 +299,16 @@ mod tests {
         let data = wave(120);
         let fast = FastSax::new(&data);
         let stream = PaaStream::new(&fast, 16, 4);
+        let all = MultiResBreakpoints::all();
         let mut direct = vec![0.0; 4];
         for start in [0usize, 7, stream.count - 1] {
             fast.paa_znorm_into(start, 16, &mut direct);
-            assert_eq!(stream.row(start), direct.as_slice(), "row {start}");
+            let cells: Vec<u8> = direct.iter().map(|&c| all.cell(c)).collect();
+            assert_eq!(
+                &stream.cells()[start * 4..(start + 1) * 4],
+                cells.as_slice(),
+                "row {start}"
+            );
         }
     }
 
@@ -319,7 +337,25 @@ mod tests {
                 grown.extend_from_stats(&stats);
             }
             assert_eq!(grown.count, batch.count, "chunk {chunk}");
-            assert_eq!(grown.coeffs, batch.coeffs, "chunk {chunk}");
+            assert_eq!(grown.cells(), batch.cells(), "chunk {chunk}");
+        }
+    }
+
+    /// A stream keeps one byte per PAA coefficient, its cell, and
+    /// `capacity` counts those bytes.
+    #[test]
+    fn capacity_counts_cell_bytes() {
+        let data = wave(400);
+        let stream = PaaStream::new(&FastSax::new(&data), 40, 8);
+        assert_eq!(stream.cells().len(), stream.count * 8);
+        assert_eq!(stream.capacity(), stream.cells().len());
+        let mut grown = PaaStream::empty(40, 8);
+        let mut stats = egi_tskit::PrefixStats::new(&[]);
+        for part in data.chunks(50) {
+            stats.extend(part);
+            grown.extend_from_stats(&stats);
+            assert!(grown.capacity() >= grown.cells().len());
+            assert!(grown.capacity() <= 2 * grown.cells().len().max(8));
         }
     }
 
@@ -343,14 +379,12 @@ mod tests {
         let n = 20;
         let w = 4;
         for cut in [1usize, 50, 201, 210, 220] {
-            let mut stats = egi_tskit::PrefixStats::new(&data);
             let mut stream = PaaStream::empty(n, w);
-            stream.extend_from_stats(&stats);
-            stats.rebase(&data[cut..]);
-            stream.evict_front(cut, &stats);
+            stream.extend_from_stats(&egi_tskit::PrefixStats::new(&data));
+            stream.evict_front(cut, &egi_tskit::PrefixStats::new(&data[cut..]));
             let fresh = PaaStream::new(&FastSax::new(&data[cut..]), n, w);
             assert_eq!(stream.count, fresh.count, "cut {cut}");
-            assert_eq!(stream.coeffs, fresh.coeffs, "cut {cut}");
+            assert_eq!(stream.cells(), fresh.cells(), "cut {cut}");
         }
     }
 
@@ -359,16 +393,15 @@ mod tests {
         let data = wave(180);
         let n = 16;
         let w = 5;
-        let mut stats = egi_tskit::PrefixStats::new(&data[..120]);
         let mut stream = PaaStream::empty(n, w);
-        stream.extend_from_stats(&stats);
-        stats.rebase(&data[70..120]);
+        stream.extend_from_stats(&egi_tskit::PrefixStats::new(&data[..120]));
+        let mut stats = egi_tskit::PrefixStats::new(&data[70..120]);
         stream.evict_front(70, &stats);
         stats.extend(&data[120..]);
         stream.extend_from_stats(&stats);
         let fresh = PaaStream::new(&FastSax::new(&data[70..]), n, w);
         assert_eq!(stream.count, fresh.count);
-        assert_eq!(stream.coeffs, fresh.coeffs);
+        assert_eq!(stream.cells(), fresh.cells());
     }
 
     #[test]
@@ -379,15 +412,13 @@ mod tests {
         let data = wave(200);
         let n = 16;
         let w = 4;
-        let mut stats = egi_tskit::PrefixStats::new(&data[..120]);
         let mut stream = PaaStream::empty(n, w);
-        stream.extend_from_stats(&stats); // current through point 120…
-        stats.extend(&data[120..]); // …but the series moved on
-        stats.rebase(&data[50..]);
-        stream.evict_front(50, &stats);
+        // Current through point 120, but the series moved on to 200.
+        stream.extend_from_stats(&egi_tskit::PrefixStats::new(&data[..120]));
+        stream.evict_front(50, &egi_tskit::PrefixStats::new(&data[50..]));
         let fresh = PaaStream::new(&FastSax::new(&data[50..]), n, w);
         assert_eq!(stream.count, fresh.count);
-        assert_eq!(stream.coeffs, fresh.coeffs);
+        assert_eq!(stream.cells(), fresh.cells());
     }
 
     #[test]

@@ -145,7 +145,7 @@ proptest! {
         let fast = FastSax::new(&data);
         let batch = PaaStream::new(&fast, n, w);
         prop_assert_eq!(grown.count, batch.count);
-        prop_assert_eq!(&grown.coeffs, &batch.coeffs);
+        prop_assert_eq!(grown.cells(), batch.cells());
         // Word + numerosity level: the online fold and the whole-stream
         // pass both equal the naive specification.
         let cfg = SaxConfig::new(w, a);
@@ -153,6 +153,25 @@ proptest! {
         let from_grown = discretize_from_stream(&grown, cfg, &MultiResBreakpoints::new(10));
         prop_assert_eq!(&online, &naive);
         prop_assert_eq!(from_grown, naive);
+    }
+
+    /// Eviction, SAX layer: a stream evicted at any cut, from the
+    /// statistics of the surviving suffix, holds exactly the cells of a
+    /// fresh stream over that suffix.
+    #[test]
+    fn evicted_stream_matches_the_fresh_suffix_stream(
+        data in series_strategy(180),
+        cut_pct in 0usize..=100,
+        w in 2usize..8,
+        n in 8usize..40,
+    ) {
+        prop_assume!(w <= n);
+        let cut = data.len() * cut_pct / 100;
+        let mut stream = PaaStream::new(&FastSax::new(&data), n, w);
+        stream.evict_front(cut, &PrefixStats::new(&data[cut..]));
+        let fresh = PaaStream::new(&FastSax::new(&data[cut..]), n, w);
+        prop_assert_eq!(stream.count, fresh.count);
+        prop_assert_eq!(stream.cells(), fresh.cells());
     }
 
     /// Online numerosity reduction (word-at-a-time fold) equals the

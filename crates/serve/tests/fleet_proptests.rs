@@ -336,6 +336,42 @@ proptest! {
 /// across **1,000 dirty streams** with the starvation bound proven —
 /// every stream receives ⌊U/1000⌋..⌈U/1000⌉ units, none starves — and
 /// per-stream finish still lands bit-identical to batch STAMP.
+/// The served matrix-profile baseline in miniature: monitors under a
+/// retention budget take a chunk past the budget every tick, each tick
+/// drains every query, and each stream still finishes bit for bit on
+/// batch STAMP over the points it retains.
+#[test]
+fn retained_monitor_streams_finish_on_their_suffix() {
+    let (streams, m, retain, chunk) = (3, 12, 160, 24);
+    let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
+    for id in 0..streams {
+        fleet.create(id, StreamingDiscordMonitor::new(m)).unwrap();
+        fleet.retain_last(id, retain).unwrap();
+    }
+    let mut fed = 0;
+    for _ in 0..12 {
+        for id in 0..streams {
+            let part: Vec<f64> = (fed..fed + chunk).map(|i| point(id, i)).collect();
+            fleet.ingest(id, &part).unwrap();
+        }
+        fed += chunk;
+        fleet.tick(Deadline::unbounded());
+        for id in 0..streams {
+            let session = fleet.session(id).unwrap();
+            assert_eq!(session.series_len(), fed.min(retain));
+            assert_eq!(session.stream_offset(), fed.saturating_sub(retain));
+            assert!(session.is_current(), "stream {id} after {fed} points");
+        }
+    }
+    for id in 0..streams {
+        let suffix: Vec<f64> = (fed - retain..fed).map(|i| point(id, i)).collect();
+        let finished = fleet.finish(id).unwrap();
+        let batch = stamp_with_exclusion(&suffix, m, m / 2);
+        assert_eq!(finished.profile, batch.profile, "stream {id}");
+        assert_eq!(finished.index, batch.index, "stream {id}");
+    }
+}
+
 #[test]
 fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     let m = 8usize;

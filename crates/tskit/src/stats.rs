@@ -142,8 +142,8 @@ impl PrefixStats {
     /// result is **bit-identical** to rebuilding from scratch over the
     /// concatenated series: `PrefixStats::new(&[a, b].concat())` and
     /// `{ let mut p = PrefixStats::new(&a); p.extend(&b); p }` hold the
-    /// same values in every slot. The online discord monitor relies on
-    /// this to keep its incremental window statistics exact.
+    /// same values in every slot. The streaming ensemble detector
+    /// relies on this to grow its PAA streams exactly.
     ///
     /// # Examples
     ///
@@ -172,53 +172,6 @@ impl PrefixStats {
             self.sum.push(s);
             self.sum_sq.push(ss);
         }
-    }
-
-    /// Rebuilds the prefix sums over `suffix` — the surviving points of
-    /// a front eviction — reusing the existing allocations.
-    ///
-    /// A prefix sum is a *cumulative* quantity: dropping the first
-    /// points of the series shifts every accumulation, and subtracting
-    /// the evicted head's totals from the stored sums is **not**
-    /// bit-identical to re-accumulating from the suffix's first point
-    /// (floating-point addition is not associative). Suffix parity —
-    /// the streaming subsystems' contract that a post-eviction state
-    /// equals a fresh batch build over the suffix — therefore requires
-    /// the re-accumulation this method performs. Cost: `O(suffix.len())`,
-    /// which every caller's eviction path already pays elsewhere (the
-    /// discord monitor's spectrum re-transform, the ensemble's PAA
-    /// stream rebuild).
-    ///
-    /// The result is **bit-identical** to `PrefixStats::new(suffix)` in
-    /// every slot (it runs the identical left-to-right accumulation).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use egi_tskit::PrefixStats;
-    ///
-    /// let full = [1.0, 2.5, -3.0, 4.0, 0.5];
-    /// let mut stats = PrefixStats::new(&full);
-    /// stats.rebase(&full[2..]); // evict the first two points
-    /// let fresh = PrefixStats::new(&full[2..]);
-    /// assert_eq!(stats.len(), 3);
-    /// assert_eq!(stats.range_sum(0, 3), fresh.range_sum(0, 3));
-    /// ```
-    pub fn rebase(&mut self, suffix: &[f64]) {
-        self.sum.clear();
-        self.sum_sq.clear();
-        self.sum.push(0.0);
-        self.sum_sq.push(0.0);
-        self.extend(suffix);
-    }
-
-    /// Releases slack capacity left behind by
-    /// [`rebase`](PrefixStats::rebase) (which truncates lengths but
-    /// keeps allocations for reuse) — the statistics layer of the
-    /// streaming monitors' `compact`. Values are untouched.
-    pub fn shrink_to_fit(&mut self) {
-        self.sum.shrink_to_fit();
-        self.sum_sq.shrink_to_fit();
     }
 
     /// Length of the underlying series.
@@ -438,46 +391,6 @@ mod tests {
         }
         let batch = PrefixStats::new(&full);
         for e in 0..=full.len() {
-            assert_eq!(inc.range_sum(0, e), batch.range_sum(0, e));
-            assert_eq!(inc.range_sum_sq(0, e), batch.range_sum_sq(0, e));
-        }
-    }
-
-    #[test]
-    fn prefix_rebase_is_bit_identical_to_fresh_build() {
-        let full: Vec<f64> = (0..150)
-            .map(|i| (i as f64 * 0.47).sin() * 9.0 + 0.3)
-            .collect();
-        for cut in [0usize, 1, 64, 149, 150] {
-            let mut rebased = PrefixStats::new(&full);
-            rebased.rebase(&full[cut..]);
-            let fresh = PrefixStats::new(&full[cut..]);
-            assert_eq!(rebased.len(), fresh.len(), "cut {cut}");
-            for e in 0..=rebased.len() {
-                assert_eq!(rebased.range_sum(0, e), fresh.range_sum(0, e), "cut {cut}");
-                assert_eq!(
-                    rebased.range_sum_sq(0, e),
-                    fresh.range_sum_sq(0, e),
-                    "cut {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_rebase_then_extend_matches_batch_over_suffix() {
-        // The eviction-then-append path of both streaming subsystems:
-        // rebase to a suffix, keep extending — every slot must stay
-        // bitwise on the batch path over the concatenation.
-        let head: Vec<f64> = (0..60).map(|i| (i as f64 * 0.9).cos() * 2.0).collect();
-        let tail: Vec<f64> = (0..40).map(|i| (i as f64 * 1.3).sin() - 0.7).collect();
-        let mut inc = PrefixStats::new(&head);
-        inc.rebase(&head[25..]);
-        inc.extend(&tail);
-        let mut suffix = head[25..].to_vec();
-        suffix.extend_from_slice(&tail);
-        let batch = PrefixStats::new(&suffix);
-        for e in 0..=suffix.len() {
             assert_eq!(inc.range_sum(0, e), batch.range_sum(0, e));
             assert_eq!(inc.range_sum_sq(0, e), batch.range_sum_sq(0, e));
         }
