@@ -124,15 +124,6 @@ impl RuleDensityCurve {
         self.values.is_empty()
     }
 
-    /// Population standard deviation of the curve — the ensemble's curve
-    /// quality score (Algorithm 1, line 7).
-    pub fn stddev(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        egi_tskit::stats::stddev_population(&self.values)
-    }
-
     /// Divides by the maximum so values land in `[0, 1]` (Algorithm 1,
     /// line 11). Deliberately *not* min–max normalization: zeros — the
     /// never-covered points — must stay exactly zero (Section 6.1.2).
@@ -250,7 +241,6 @@ mod tests {
         let g = induce(tokens.iter().copied());
         let curve = RuleDensityCurve::build(&g, &nr, 6);
         assert!(curve.values.iter().all(|&v| v == 0.0));
-        assert_eq!(curve.stddev(), 0.0);
     }
 
     #[test]
@@ -294,14 +284,6 @@ mod tests {
         // [2,4) → series [4, 6+2=8).
         assert!(curve.values[0] > 0.0);
         assert!(curve.values[7] > 0.0);
-    }
-
-    #[test]
-    fn stddev_of_varied_curve_positive() {
-        let curve = RuleDensityCurve {
-            values: vec![0.0, 1.0, 3.0, 1.0, 0.0],
-        };
-        assert!(curve.stddev() > 0.0);
     }
 
     #[test]

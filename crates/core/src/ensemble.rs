@@ -30,7 +30,11 @@ use crate::streaming::{distinct_ws, member_curve};
 /// choice, which egi-bench's `ablation_combiner` bench compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Combiner {
-    /// Point-wise median (the paper's choice, robust to outlier members).
+    /// Point-wise median (the paper's choice, robust to outlier members):
+    /// the middle value, or the mean of the middle pair for an even
+    /// member count. A Batcher odd–even sorting network orders the
+    /// members' values at 8 points at once; the multi-window extension's
+    /// median is the same code.
     #[default]
     Median,
     /// Point-wise arithmetic mean.
@@ -43,29 +47,207 @@ pub enum Combiner {
     Max,
 }
 
+/// Points the combine reads and merges at once: each comparator of the
+/// median's sorting network orders this many columns.
+const BLOCK: usize = 8;
+
+/// Members whose σ passes run together, so that their addition chains
+/// overlap instead of each waiting on its own.
+const LANES: usize = 4;
+
+/// A member curve as the combine reads it: its first `len` points
+/// (zero past its end, as `values.resize(len, 0.0)` would leave it),
+/// each divided by `max` when that is positive — Algorithm 1 line 11's
+/// [`RuleDensityCurve::normalize_by_max`], applied as the points are
+/// read instead of to a copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScaledCurve<'a> {
+    values: &'a [f64],
+    max: f64,
+}
+
+impl<'a> ScaledCurve<'a> {
+    /// `values` divided by `max` when `max` is positive.
+    pub(crate) fn new(values: &'a [f64], max: f64) -> Self {
+        Self { values, max }
+    }
+
+    /// Writes points `start..start + BLOCK` to `out`: zero past the
+    /// curve's end, and divided by the maximum when that is positive.
+    fn read_block(&self, start: usize, out: &mut [f64; BLOCK]) {
+        let src = self.values.get(start..).unwrap_or_default();
+        let n = src.len().min(BLOCK);
+        out[..n].copy_from_slice(&src[..n]);
+        out[n..].fill(0.0);
+        if self.max > 0.0 {
+            for v in out.iter_mut() {
+                *v /= self.max;
+            }
+        }
+    }
+}
+
 impl Combiner {
-    /// Merges one point's values across curves. Reorders `column`.
-    pub(crate) fn combine(self, column: &mut [f64]) -> f64 {
-        debug_assert!(!column.is_empty());
-        match self {
-            Combiner::Median => {
-                let mid = column.len() / 2;
-                column
-                    .select_nth_unstable_by(mid, |x, y| x.partial_cmp(y).expect("finite density"));
-                let hi = column[mid];
-                if column.len() % 2 == 1 {
-                    hi
-                } else {
-                    let lo = column[..mid]
-                        .iter()
-                        .cloned()
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    0.5 * (lo + hi)
+    /// Merges `members` point-wise into `len` values, [`BLOCK`] points at
+    /// a time. Mean, min and max fold each point's values in member
+    /// order; the median sorts each block's columns with
+    /// [`sorting_network`] and takes the middle value, or the mean of the
+    /// middle pair. Both read exactly the values a per-point gather of
+    /// normalized copies would, so every output bit is the one such a
+    /// gather gives.
+    pub(crate) fn combine(self, members: &[ScaledCurve<'_>], len: usize) -> Vec<f64> {
+        let k = members.len();
+        debug_assert!(k > 0);
+        let network = match self {
+            Combiner::Median => sorting_network(k),
+            _ => Vec::new(),
+        };
+        // `rows[j][l]`: member `j` at the block's point `l`.
+        let mut rows = vec![[0.0f64; BLOCK]; k];
+        let mut values = Vec::with_capacity(len);
+        for start in (0..len).step_by(BLOCK) {
+            for (row, member) in rows.iter_mut().zip(members) {
+                member.read_block(start, row);
+            }
+            let points = 0..BLOCK.min(len - start);
+            let column = |l: usize| rows.iter().map(move |row| row[l]);
+            match self {
+                Combiner::Median => {
+                    // Comparisons rather than `f64::min`/`max`: they
+                    // vectorize to one instruction per lane pair, and
+                    // differ only on a NaN, which the ranking rejects
+                    // before two members get here.
+                    for &(a, b) in &network {
+                        let (x, y) = (rows[a], rows[b]);
+                        rows[a] = std::array::from_fn(|l| if x[l] < y[l] { x[l] } else { y[l] });
+                        rows[b] = std::array::from_fn(|l| if x[l] < y[l] { y[l] } else { x[l] });
+                    }
+                    let mid = k / 2;
+                    values.extend(points.map(|l| {
+                        let hi = rows[mid][l];
+                        if k % 2 == 1 {
+                            hi
+                        } else {
+                            0.5 * (rows[mid - 1][l] + hi)
+                        }
+                    }));
+                }
+                Combiner::Mean => {
+                    values.extend(points.map(|l| column(l).sum::<f64>() / k as f64));
+                }
+                Combiner::Min => {
+                    values.extend(points.map(|l| column(l).fold(f64::INFINITY, f64::min)));
+                }
+                Combiner::Max => {
+                    values.extend(points.map(|l| column(l).fold(f64::NEG_INFINITY, f64::max)));
                 }
             }
-            Combiner::Mean => column.iter().sum::<f64>() / column.len() as f64,
-            Combiner::Min => column.iter().cloned().fold(f64::INFINITY, f64::min),
-            Combiner::Max => column.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        }
+        values
+    }
+}
+
+/// Batcher's odd–even merge sort network for `k` values: comparators
+/// `(a, b)` with `a < b`, in order, that leave any `k` values ascending
+/// when each puts the smaller of its two at `a`. Built for the next
+/// power of two, dropping every comparator that reaches past `k` (as if
+/// the missing values were +∞, which such a comparator leaves in place).
+fn sorting_network(k: usize) -> Vec<(usize, usize)> {
+    let n = k.next_power_of_two();
+    let mut network = Vec::new();
+    let mut p = 1;
+    while p < n {
+        let mut q = p;
+        while q >= 1 {
+            let mut j = q % p;
+            while j + q < n {
+                for i in 0..q.min(n - j - q) {
+                    let (a, b) = (i + j, i + j + q);
+                    if a / (2 * p) == b / (2 * p) && b < k {
+                        network.push((a, b));
+                    }
+                }
+                j += 2 * q;
+            }
+            q /= 2;
+        }
+        p *= 2;
+    }
+    network
+}
+
+/// One member curve's quality score and normalizer, read at the
+/// combined length: its population standard deviation (Algorithm 1
+/// line 7) and its maximum (line 11).
+#[derive(Debug, Clone, Copy)]
+struct MemberStats {
+    std: f64,
+    max: f64,
+}
+
+/// [`MemberStats`] of each curve read at `len` points as
+/// `values.resize(len, 0.0)` would leave it, in curve order, [`LANES`]
+/// curves per pass.
+fn member_stats(curves: &[&[f64]], len: usize) -> Vec<MemberStats> {
+    let mut stats = Vec::with_capacity(curves.len());
+    let mut groups = curves.chunks_exact(LANES);
+    for group in groups.by_ref() {
+        stats.extend(lane_stats::<LANES>(
+            group.try_into().expect("chunks_exact yields LANES curves"),
+            len,
+        ));
+    }
+    for &curve in groups.remainder() {
+        stats.extend(lane_stats([curve], len));
+    }
+    stats
+}
+
+/// [`member_stats`] of `L` curves at once. Each curve's sum, maximum and
+/// sum of squared deviations run over its points in order, with the
+/// arithmetic of `egi_tskit::stats::stddev_population` and
+/// [`RuleDensityCurve::normalize_by_max`], so every bit is the one a
+/// zero-padded copy of the curve would give; only the chains of
+/// different curves interleave. A read of no points scores 0.
+fn lane_stats<const L: usize>(curves: [&[f64]; L], len: usize) -> [MemberStats; L] {
+    if len == 0 {
+        return [MemberStats { std: 0.0, max: 0.0 }; L];
+    }
+    // `Iterator::sum` folds from -0.0.
+    let mut sum = [-0.0f64; L];
+    let mut max = [0.0f64; L];
+    for_each_point(&curves, len, |l, v| {
+        sum[l] += v;
+        // `f64::max` but for the sign of a zero maximum, which divides
+        // nothing either way.
+        max[l] = if v > max[l] { v } else { max[l] };
+    });
+    let mean = sum.map(|s| s / len as f64);
+    let mut squares = [-0.0f64; L];
+    for_each_point(&curves, len, |l, v| {
+        let d = v - mean[l];
+        squares[l] += d * d;
+    });
+    std::array::from_fn(|l| MemberStats {
+        std: (squares[l] / len as f64).sqrt(),
+        max: max[l],
+    })
+}
+
+/// Calls `f(l, v)` with every point `v` of every curve `l` read at `len`
+/// points (cut, or zero past its end), point by point, all curves at
+/// each point.
+fn for_each_point<const L: usize>(curves: &[&[f64]; L], len: usize, mut f: impl FnMut(usize, f64)) {
+    let common = curves.iter().map(|c| c.len()).min().unwrap_or(0).min(len);
+    let heads = curves.map(|c| &c[..common]);
+    for t in 0..common {
+        for (l, head) in heads.iter().enumerate() {
+            f(l, head[t]);
+        }
+    }
+    for t in common..len {
+        for (l, curve) in curves.iter().enumerate() {
+            f(l, curve.get(t).copied().unwrap_or(0.0));
         }
     }
 }
@@ -215,34 +397,48 @@ impl EnsembleDetector {
     }
 
     /// Filtering + normalization + combination (Algorithm 1 lines 7–14),
-    /// exposed separately so tests and ablations can inject curves.
+    /// exposed separately so tests and ablations can inject curves: the
+    /// owned-curve form of [`combine_members`](Self::combine_members) at
+    /// the first curve's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `curves` is empty.
     pub fn combine_curves(&self, curves: Vec<RuleDensityCurve>) -> RuleDensityCurve {
-        assert!(!curves.is_empty(), "no ensemble members");
-        let len = curves[0].len();
-        debug_assert!(curves.iter().all(|c| c.len() == len));
+        let members: Vec<&[f64]> = curves.iter().map(|c| c.values.as_slice()).collect();
+        self.combine_members(&members, curves.first().map_or(0, RuleDensityCurve::len))
+    }
 
-        // Keep the top τ·N members by standard deviation (lines 9–10)
-        // and normalize them (line 11).
-        let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        let mut kept: Vec<RuleDensityCurve> = self
+    /// Algorithm 1 lines 7–14 over borrowed member curves, `len` points
+    /// long: rank the members by standard deviation, keep the top
+    /// `round(τ·N)`, divide each kept curve by its maximum, and merge them
+    /// point-wise with the configured [`Combiner`].
+    ///
+    /// Each curve is read as `values.resize(len, 0.0)` would leave it —
+    /// cut at `len`, zero past its end — and nothing is copied: the
+    /// standard deviations take two passes over every member, four
+    /// members at a time, and the kept members are normalized as the
+    /// merge reads them, 8 points at a time. The result is bit
+    /// for bit that of zero-padded, normalized copies combined point by
+    /// point (property-tested against that reference), for curves holding
+    /// no negative zero; coverage counts never do.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `curves` is empty, or when a member read holds a NaN
+    /// and there are at least two members: the ranking cannot order it.
+    pub fn combine_members(&self, curves: &[&[f64]], len: usize) -> RuleDensityCurve {
+        assert!(!curves.is_empty(), "no ensemble members");
+        let stats = member_stats(curves, len);
+        let stds: Vec<f64> = stats.iter().map(|s| s.std).collect();
+        let kept: Vec<ScaledCurve<'_>> = self
             .kept_members(&stds)
             .into_iter()
-            .map(|i| curves[i].clone())
+            .map(|i| ScaledCurve::new(&curves[i][..curves[i].len().min(len)], stats[i].max))
             .collect();
-        for c in kept.iter_mut() {
-            c.normalize_by_max();
+        RuleDensityCurve {
+            values: self.config.combiner.combine(&kept, len),
         }
-
-        // Point-wise combination (line 14).
-        let mut values = Vec::with_capacity(len);
-        let mut column = vec![0.0f64; kept.len()];
-        for t in 0..len {
-            for (slot, c) in column.iter_mut().zip(&kept) {
-                *slot = c.values[t];
-            }
-            values.push(self.config.combiner.combine(&mut column));
-        }
-        RuleDensityCurve { values }
     }
 
     /// Per-member diagnostics: parameters, raw curves, standard
@@ -252,7 +448,11 @@ impl EnsembleDetector {
     pub fn diagnostics(&self, series: &[f64], seed: u64) -> MemberDiagnostics {
         let params = self.member_params(seed);
         let curves = self.member_curves(series, &params);
-        let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
+        let members: Vec<&[f64]> = curves.iter().map(|c| c.values.as_slice()).collect();
+        let stds: Vec<f64> = member_stats(&members, series.len())
+            .iter()
+            .map(|s| s.std)
+            .collect();
         let kept = self.kept_members(&stds);
         MemberDiagnostics {
             params,
@@ -492,18 +692,105 @@ mod tests {
         assert_eq!(combined.values, vec![1.0, 0.0, 1.0, 1.0]);
     }
 
+    /// Combines one point whose values across members are `column`.
+    fn combine_point(combiner: Combiner, column: &[f64]) -> f64 {
+        let members: Vec<ScaledCurve<'_>> = column
+            .iter()
+            .map(|v| ScaledCurve::new(std::slice::from_ref(v), 0.0))
+            .collect();
+        combiner.combine(&members, 1)[0]
+    }
+
     #[test]
     fn median_of_even_count_averages_middle_pair() {
-        assert_eq!(Combiner::Median.combine(&mut [1.0, 3.0]), 2.0);
-        assert_eq!(Combiner::Median.combine(&mut [1.0, 2.0, 4.0, 8.0]), 3.0);
-        assert_eq!(Combiner::Median.combine(&mut [5.0, 1.0, 9.0]), 5.0);
+        assert_eq!(combine_point(Combiner::Median, &[1.0, 3.0]), 2.0);
+        assert_eq!(combine_point(Combiner::Median, &[1.0, 2.0, 4.0, 8.0]), 3.0);
+        assert_eq!(combine_point(Combiner::Median, &[5.0, 1.0, 9.0]), 5.0);
     }
 
     #[test]
     fn mean_min_max_combiners() {
-        assert_eq!(Combiner::Mean.combine(&mut [1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(Combiner::Min.combine(&mut [3.0, 1.0, 2.0]), 1.0);
-        assert_eq!(Combiner::Max.combine(&mut [3.0, 1.0, 2.0]), 3.0);
+        assert_eq!(combine_point(Combiner::Mean, &[1.0, 2.0, 3.0]), 2.0);
+        assert_eq!(combine_point(Combiner::Min, &[3.0, 1.0, 2.0]), 1.0);
+        assert_eq!(combine_point(Combiner::Max, &[3.0, 1.0, 2.0]), 3.0);
+    }
+
+    /// Applies `network` to `values`, one comparator at a time.
+    fn run_network(network: &[(usize, usize)], values: &mut [f64]) {
+        for &(a, b) in network {
+            assert!(a < b && b < values.len(), "comparator ({a}, {b})");
+            if values[b] < values[a] {
+                values.swap(a, b);
+            }
+        }
+    }
+
+    /// The 0–1 principle: a comparator network that sorts every 0/1
+    /// input sorts every input. Checked exhaustively up to 12 values.
+    #[test]
+    fn sorting_network_sorts_every_zero_one_input() {
+        for k in 1..=12usize {
+            let network = sorting_network(k);
+            for bits in 0u32..1 << k {
+                let mut values: Vec<f64> = (0..k).map(|i| f64::from((bits >> i) & 1)).collect();
+                run_network(&network, &mut values);
+                let ones = bits.count_ones() as usize;
+                assert!(
+                    values[..k - ones].iter().all(|&v| v == 0.0)
+                        && values[k - ones..].iter().all(|&v| v == 1.0),
+                    "k={k} input {bits:b}: {values:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sorting_network_sorts_random_inputs_up_to_64_values() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for k in 1..=64usize {
+            let network = sorting_network(k);
+            for _ in 0..20 {
+                let mut values: Vec<f64> = (0..k)
+                    .map(|_| rand::Rng::gen_range(&mut rng, 0u32..9) as f64 / 4.0)
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_by(f64::total_cmp);
+                run_network(&network, &mut values);
+                assert_eq!(values, sorted, "k={k}");
+            }
+        }
+    }
+
+    /// σ is the population standard deviation of the curve zero-padded
+    /// or cut to the read length, bit for bit, and the maximum is the
+    /// curve's; an empty read scores 0, as does a flat one.
+    #[test]
+    fn member_stats_read_curves_as_resized() {
+        let curves: [&[f64]; 6] = [
+            &[0.0, 1.0, 3.0, 1.0, 0.0],
+            &[2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 9.0],
+            &[0.5, 4.25],
+            &[],
+            &[1.0, 0.0, 7.0, 7.0, 3.5, 1.0],
+            &[3.0; 5],
+        ];
+        for len in [0usize, 1, 3, 5, 6, 9] {
+            let stats = member_stats(&curves, len);
+            for (c, s) in curves.iter().zip(&stats) {
+                let mut padded = c.to_vec();
+                padded.resize(len, 0.0);
+                let std = if len == 0 {
+                    0.0
+                } else {
+                    egi_tskit::stats::stddev_population(&padded)
+                };
+                let max = padded.iter().cloned().fold(0.0f64, f64::max);
+                assert_eq!(s.std.to_bits(), std.to_bits(), "{c:?} at {len}");
+                assert_eq!(s.max, max, "{c:?} at {len}");
+            }
+        }
+        assert_eq!(member_stats(&curves, 5)[5].std, 0.0);
+        assert!(member_stats(&curves, 5)[0].std > 0.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::density::RuleDensityCurve;
 use crate::detector::{rank_anomalies, AnomalyReport, Candidate};
-use crate::ensemble::{Combiner, EnsembleConfig, EnsembleDetector};
+use crate::ensemble::{Combiner, EnsembleConfig, EnsembleDetector, ScaledCurve};
 use egi_tskit::window::intervals_overlap;
 
 /// Configuration of the multi-window extension.
@@ -90,19 +90,19 @@ impl MultiWindowEnsemble {
             .collect()
     }
 
-    /// The combined (point-wise median) curve across window lengths.
+    /// The combined (point-wise median) curve across window lengths: the
+    /// ensemble's own [`Combiner::Median`].
     pub fn combined_curve(&self, series: &[f64], seed: u64) -> RuleDensityCurve {
         let curves = self.window_curves(series, seed);
-        let len = curves[0].len();
-        let mut column = vec![0.0f64; curves.len()];
-        let mut values = Vec::with_capacity(len);
-        for t in 0..len {
-            for (slot, c) in column.iter_mut().zip(&curves) {
-                *slot = c.values[t];
-            }
-            values.push(Combiner::Median.combine(&mut column));
+        // Normalized already, so each is read as is (a maximum of 0
+        // divides nothing).
+        let members: Vec<ScaledCurve<'_>> = curves
+            .iter()
+            .map(|c| ScaledCurve::new(&c.values, 0.0))
+            .collect();
+        RuleDensityCurve {
+            values: Combiner::Median.combine(&members, curves[0].len()),
         }
-        RuleDensityCurve { values }
     }
 
     /// Detection with *variable-length* candidates: for each window

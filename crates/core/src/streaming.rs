@@ -41,8 +41,9 @@
 //!   rebuild* below).
 //!
 //! Member curves combine under the *batch* detector's own
-//! [`EnsembleDetector::combine_curves`] (σ-ranking, τ-filter,
-//! max-normalization, point-wise combiner), and batch
+//! [`EnsembleDetector::combine_members`] (σ-ranking, τ-filter,
+//! max-normalization, point-wise combiner), which borrows them where
+//! they live, and batch
 //! [`EnsembleDetector::member_curves`] runs each member through this
 //! module's member refresh from an empty engine, so there is one member
 //! pipeline and one Algorithm 1 implementation, not two.
@@ -141,7 +142,8 @@
 //! * **Numerically**, a window's z-normalization reads prefix-sum
 //!   *differences*, and after the front truncation the sums
 //!   re-accumulate from a new origin (the statistics are rebuilt over
-//!   the suffix with [`PrefixStats::new`]), so surviving windows can
+//!   the suffix, in place, with [`PrefixStats::clear`] and
+//!   [`PrefixStats::extend`]), so surviving windows can
 //!   re-discretize to different SAX words near breakpoint boundaries.
 //!   The shared PAA streams are therefore rebuilt from the suffix's
 //!   statistics at evict time ([`PaaStream::evict_front`],
@@ -663,7 +665,9 @@ impl StreamingEnsembleDetector {
         let span = egi_obs::SpanTimer::start();
         self.clock.record_evict(count);
         self.series.drain(..count);
-        self.stats = PrefixStats::new(&self.series);
+        // Rebuilt in the old allocation, so the next append need not grow it.
+        self.stats.clear();
+        self.stats.extend(&self.series);
         for stream in &mut self.streams {
             stream.evict_front(count, &self.stats);
         }
@@ -793,26 +797,25 @@ impl StreamingEnsembleDetector {
 
     /// The current best-known ensemble rule-density curve, combined
     /// from each member's cached curve under the batch combination rule
-    /// (σ-rank → τ-filter → max-normalize → point-wise combine).
+    /// (σ-rank → τ-filter → max-normalize → point-wise combine) of
+    /// [`EnsembleDetector::combine_members`].
     ///
-    /// Stale members contribute their last refresh zero-padded to the
-    /// current series length (the structural carry-over — see the
-    /// [module docs](self)); once
+    /// The members' curves are borrowed, not copied: stale members
+    /// contribute their last refresh read as zero-padded to the current
+    /// series length (the structural carry-over — see the
+    /// [module docs](self)). The cost is two σ passes over every member
+    /// curve and one normalizing, merging pass over the kept ones, and
+    /// no member curve is copied. Once
     /// [`is_current`](Self::is_current), the result is bit-identical to
     /// batch [`EnsembleDetector::ensemble_curve`] on the ingested
     /// series.
     pub fn snapshot(&self) -> RuleDensityCurve {
-        let len = self.series.len();
-        let curves: Vec<RuleDensityCurve> = self
+        let curves: Vec<&[f64]> = self
             .members
             .iter()
-            .map(|m| {
-                let mut curve = m.curve.clone();
-                curve.values.resize(len, 0.0);
-                curve
-            })
+            .map(|m| m.curve.values.as_slice())
             .collect();
-        self.detector.combine_curves(curves)
+        self.detector.combine_members(&curves, self.series.len())
     }
 
     /// Top-`k` non-overlapping anomaly candidates of the current
@@ -1884,6 +1887,23 @@ mod tests {
                 fresh.range_sum_sq(0, end)
             );
         }
+    }
+
+    /// Eviction rebuilds the prefix sums in their old allocation, so
+    /// appending no more points than were evicted reallocates nothing.
+    #[test]
+    fn evict_keeps_the_prefix_sum_allocation() {
+        let series = test_series(400);
+        let mut streaming = StreamingEnsembleDetector::new(config(24, 4), 3);
+        streaming.append(&series[..300]);
+        let capacity = streaming.stats.capacity();
+        assert!(capacity > 300);
+        streaming.evict(90).unwrap();
+        assert_eq!(streaming.stats.capacity(), capacity);
+        streaming.append(&series[300..340]);
+        streaming.append(&series[340..390]);
+        assert_eq!(streaming.series_len(), 300);
+        assert_eq!(streaming.stats.capacity(), capacity);
     }
 
     /// The shared PAA streams keep only each coefficient's one-byte

@@ -51,8 +51,116 @@ fn rank_by_full_sort(curve: &[f64], n: usize, k: usize) -> Vec<Candidate> {
     picked
 }
 
+/// The combine done the direct way, as the oracle: clone and zero-pad
+/// every member, score each with
+/// `stddev_population`, rank and cut as `kept_members` does, clone and
+/// `normalize_by_max` the kept ones, then merge each point's gathered
+/// column with `select_nth_unstable_by` or a fold.
+fn reference_combine(config: &EnsembleConfig, curves: &[&[f64]], len: usize) -> Vec<f64> {
+    let padded: Vec<RuleDensityCurve> = curves
+        .iter()
+        .map(|c| {
+            let mut values = c.to_vec();
+            values.resize(len, 0.0);
+            RuleDensityCurve { values }
+        })
+        .collect();
+    let stds: Vec<f64> = padded
+        .iter()
+        .map(|c| {
+            if c.is_empty() {
+                0.0
+            } else {
+                egi_tskit::stats::stddev_population(&c.values)
+            }
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..stds.len()).collect();
+    order.sort_by(|&x, &y| stds[y].partial_cmp(&stds[x]).unwrap().then(x.cmp(&y)));
+    let keep = ((config.selectivity * stds.len() as f64).round() as usize).clamp(1, stds.len());
+    let kept: Vec<RuleDensityCurve> = order[..keep]
+        .iter()
+        .map(|&i| {
+            let mut c = padded[i].clone();
+            c.normalize_by_max();
+            c
+        })
+        .collect();
+    let mut column = vec![0.0f64; kept.len()];
+    (0..len)
+        .map(|t| {
+            for (slot, c) in column.iter_mut().zip(&kept) {
+                *slot = c.values[t];
+            }
+            match config.combiner {
+                Combiner::Median => {
+                    let mid = column.len() / 2;
+                    column.select_nth_unstable_by(mid, |x, y| x.partial_cmp(y).unwrap());
+                    let hi = column[mid];
+                    if column.len() % 2 == 1 {
+                        hi
+                    } else {
+                        let lo = column[..mid]
+                            .iter()
+                            .cloned()
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        0.5 * (lo + hi)
+                    }
+                }
+                Combiner::Mean => column.iter().sum::<f64>() / column.len() as f64,
+                Combiner::Min => column.iter().cloned().fold(f64::INFINITY, f64::min),
+                Combiner::Max => column.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The borrowed combine is bit for bit the reference combine, for
+    /// every combiner: random member counts (odd and even kept counts
+    /// through τ), read lengths including 0, members shorter and longer
+    /// than the read length, all-zero members, duplicated members (σ
+    /// ties), and integer or non-integer values with tied points.
+    #[test]
+    fn combine_members_matches_the_cloning_reference(
+        levels in prop::collection::vec(prop::collection::vec(0u32..6, 0..90), 1..40),
+        len in 0usize..90,
+        scale_pick in 0usize..4,
+        zeroed in 0usize..5,
+        duplicated in 0usize..40,
+        tau_pick in 0usize..8,
+    ) {
+        let scale = [1.0, 0.25, 1.0 / 3.0, 1.7][scale_pick];
+        let mut rows: Vec<Vec<f64>> = levels
+            .iter()
+            .enumerate()
+            .map(|(m, row)| {
+                if zeroed > 0 && m % zeroed == 0 {
+                    vec![0.0; row.len()]
+                } else {
+                    row.iter().map(|&v| f64::from(v) * scale).collect()
+                }
+            })
+            .collect();
+        let copy = rows[duplicated % rows.len()].clone();
+        rows.push(copy);
+        let curves: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let tau = [0.05, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0][tau_pick];
+        for combiner in [Combiner::Median, Combiner::Mean, Combiner::Min, Combiner::Max] {
+            let config = EnsembleConfig {
+                window: 4,
+                selectivity: tau,
+                combiner,
+                ..EnsembleConfig::default()
+            };
+            let got = EnsembleDetector::new(config).combine_members(&curves, len);
+            let want = reference_combine(&config, &curves, len);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&got.values), bits(&want), "{:?}", combiner);
+        }
+    }
 
     /// Ranked candidates never overlap, have nondecreasing scores, each
     /// score equals the window's mean density, and the whole answer is

@@ -7,6 +7,10 @@
 //!         table13, fig8, fig9, multi, all }
 //! ```
 //!
+//! An unknown command or flag, or a missing or unparsable flag value,
+//! exits with status 2 and one line on stderr before anything is
+//! written.
+//!
 //! `table4` produces Tables 4, 5 and 6 plus the Figure 10 CSV in one pass
 //! (they share the same runs); `table10` produces Tables 10 and 11;
 //! `table13` produces Tables 13 and 14. `--quick` shrinks corpora and
@@ -27,11 +31,27 @@ use egi_tskit::gen::power::fridge_freezer_series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Every experiment, in the order `all` runs them.
+const COMMANDS: [&str; 11] = [
+    "fig1", "table4", "table7", "table8", "table9", "table10", "table12", "table13", "fig8",
+    "fig9", "multi",
+];
+
 struct Cli {
     cmd: String,
     quick: bool,
     out: String,
     seed: u64,
+}
+
+/// Rejects the command line: one line naming the fault and the usage on
+/// stderr, exit status 2, nothing created.
+fn usage_error(fault: &str) -> ! {
+    eprintln!(
+        "experiments: {fault}; usage: experiments [{}|all] [--quick] [--out DIR] [--seed S]",
+        COMMANDS.join("|")
+    );
+    std::process::exit(2);
 }
 
 fn parse_cli() -> Cli {
@@ -44,18 +64,27 @@ fn parse_cli() -> Cli {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => out = args.next().expect("--out needs a directory"),
-            "--seed" => {
-                seed = args
+            "--out" => {
+                out = args
                     .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be an integer")
+                    .unwrap_or_else(|| usage_error("--out needs a directory"))
             }
+            "--seed" => {
+                let value = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--seed needs a value"));
+                seed = value
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--seed: cannot parse {value:?}")));
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
             other if first => cmd = other.to_string(),
-            other => panic!("unknown argument {other:?}"),
+            other => usage_error(&format!("unexpected argument {other:?}")),
         }
         first = false;
+    }
+    if cmd != "all" && !COMMANDS.contains(&cmd.as_str()) {
+        usage_error(&format!("unknown command {cmd:?}"));
     }
     Cli {
         cmd,
@@ -99,14 +128,11 @@ fn main() {
         "fig8" => cmd_fig8(&sink, &p, &cli),
         "fig9" => cmd_fig9(&sink, &p, &cli),
         "multi" => cmd_multi(&sink, &p, &cli),
-        other => panic!("unknown command {other:?}"),
+        other => unreachable!("parse_cli accepted the unknown command {other:?}"),
     };
 
     if cli.cmd == "all" {
-        for cmd in [
-            "fig1", "table4", "table7", "table8", "table9", "table10", "table12", "table13",
-            "fig8", "fig9", "multi",
-        ] {
+        for cmd in COMMANDS {
             eprintln!("=== {cmd} ===");
             run_one(cmd);
         }

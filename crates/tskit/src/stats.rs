@@ -174,6 +174,21 @@ impl PrefixStats {
         }
     }
 
+    /// Empties the prefix sums down to their zero sentinel, keeping the
+    /// allocation: a following [`extend`](Self::extend) holds the same
+    /// bits as [`new`](Self::new) over the same points, without
+    /// allocating for as many points as were cleared.
+    pub fn clear(&mut self) {
+        self.sum.truncate(1);
+        self.sum_sq.truncate(1);
+    }
+
+    /// Points each running sum can hold, sentinel included, before it
+    /// reallocates.
+    pub fn capacity(&self) -> usize {
+        self.sum.capacity().min(self.sum_sq.capacity())
+    }
+
     /// Length of the underlying series.
     pub fn len(&self) -> usize {
         self.sum.len() - 1

@@ -36,6 +36,44 @@ proptest! {
         }
     }
 
+    /// Clearing prefix sums and extending them over a series holds the
+    /// same bits as building them over it, on every `range_*` value of
+    /// every range, and keeps the allocation of the cleared points.
+    #[test]
+    fn cleared_then_extended_prefix_stats_equal_new(
+        old in prop::collection::vec(-1e4f64..1e4, 0..120),
+        xs in prop::collection::vec(-1e4f64..1e4, 0..120),
+    ) {
+        let mut reused = PrefixStats::new(&old);
+        let capacity = reused.capacity();
+        reused.clear();
+        prop_assert!(reused.is_empty());
+        prop_assert_eq!(reused.capacity(), capacity);
+        reused.extend(&xs);
+        if xs.len() <= old.len() {
+            prop_assert_eq!(reused.capacity(), capacity);
+        }
+        let fresh = PrefixStats::new(&xs);
+        prop_assert_eq!(reused.len(), fresh.len());
+        for s in 0..=xs.len() {
+            for e in s..=xs.len() {
+                let ranges = |p: &PrefixStats| {
+                    [
+                        p.range_sum(s, e),
+                        p.range_sum_sq(s, e),
+                        p.range_mean(s, e),
+                        p.range_variance(s, e),
+                        p.range_stddev(s, e),
+                        p.range_variance_population(s, e),
+                        p.range_stddev_population(s, e),
+                    ]
+                    .map(f64::to_bits)
+                };
+                prop_assert_eq!(ranges(&reused), ranges(&fresh), "{}..{}", s, e);
+            }
+        }
+    }
+
     /// z-normalization: output has mean ≈ 0 and stddev ≈ 1 (or is all
     /// zeros for flat input), and is idempotent.
     #[test]

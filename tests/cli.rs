@@ -1,7 +1,7 @@
 //! The `egi` binary end to end: its error paths (an out-of-range flag
 //! or a CSV holding a non-finite value fails with exactly one line on
 //! stderr and a nonzero exit code — never a panic and its backtrace)
-//! and a pinned detection.
+//! and pinned answers of both detectors.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -94,23 +94,24 @@ fn missing_file_exits_1_with_one_line() {
     assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
 }
 
-/// The paper's detector end to end on a generated ECG: the top windows
-/// are pinned, and stdout and the curve file are byte-identical for
-/// every rayon worker count.
-#[test]
-fn detect_on_a_generated_ecg_is_pinned_for_every_worker_count() {
+/// Runs `egi` on `threads` rayon workers, asserts it succeeds, and
+/// returns its stdout.
+fn egi(args: &[&str], threads: &str) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_egi"))
+        .args(args)
+        .env("RAYON_NUM_THREADS", threads)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    out.stdout
+}
+
+/// Writes `egi generate ecg --len 4000 --seed 7` to `name` in the test
+/// directory and returns its path.
+fn generated_ecg(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("egi_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let series = dir.join("pinned_ecg.csv");
-    let egi = |args: &[&str], threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_egi"))
-            .args(args)
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{args:?}: {out:?}");
-        out.stdout
-    };
+    let series = dir.join(name);
     let csv = series.to_str().unwrap();
     egi(
         &[
@@ -118,10 +119,29 @@ fn detect_on_a_generated_ecg_is_pinned_for_every_worker_count() {
         ],
         "1",
     );
+    series
+}
+
+/// The `start` column of a ranked CSV report.
+fn starts(stdout: &[u8]) -> Vec<String> {
+    let text = String::from_utf8(stdout.to_vec()).unwrap();
+    text.lines()
+        .skip(1)
+        .map(|line| line.split(',').nth(1).unwrap().to_string())
+        .collect()
+}
+
+/// The paper's detector end to end on a generated ECG: the top windows
+/// are pinned, and stdout and the curve file are byte-identical for
+/// every rayon worker count.
+#[test]
+fn detect_on_a_generated_ecg_is_pinned_for_every_worker_count() {
+    let series = generated_ecg("pinned_ecg.csv");
+    let csv = series.to_str().unwrap();
     let runs: Vec<(Vec<u8>, Vec<u8>)> = ["1", "2", "4"]
         .iter()
         .map(|threads| {
-            let curve = dir.join(format!("pinned_ecg_curve_{threads}.csv"));
+            let curve = series.with_file_name(format!("pinned_ecg_curve_{threads}.csv"));
             let path = curve.to_str().unwrap();
             let args = [
                 "detect", csv, "--window", "100", "--seed", "7", "--curve", path,
@@ -133,16 +153,23 @@ fn detect_on_a_generated_ecg_is_pinned_for_every_worker_count() {
         })
         .collect();
     std::fs::remove_file(&series).ok();
-    let stdout = String::from_utf8(runs[0].0.clone()).unwrap();
-    let starts: Vec<&str> = stdout
-        .lines()
-        .skip(1)
-        .map(|line| line.split(',').nth(1).unwrap())
-        .collect();
-    assert_eq!(starts, ["3010", "2755", "3900"], "{stdout}");
+    assert_eq!(starts(&runs[0].0), ["3010", "2755", "3900"]);
     for run in &runs[1..] {
         assert!(run == &runs[0], "output depends on the worker count");
     }
+}
+
+/// The matrix-profile baseline end to end on the same ECG: the top
+/// discords are pinned.
+#[test]
+fn discord_on_a_generated_ecg_is_pinned() {
+    let series = generated_ecg("pinned_ecg_discord.csv");
+    let stdout = egi(
+        &["discord", series.to_str().unwrap(), "--window", "64"],
+        "1",
+    );
+    std::fs::remove_file(&series).ok();
+    assert_eq!(starts(&stdout), ["712", "2009", "1494"]);
 }
 
 #[test]
