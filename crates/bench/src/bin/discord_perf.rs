@@ -1,45 +1,21 @@
-//! Perf baseline for the discord fast paths and the ensemble detector.
+//! Perf baseline for the matrix-profile discord baseline and the
+//! streaming ensemble detector: the rows no other harness measures.
 //!
 //! Times, on deterministic fixtures:
 //!
-//! * **MASS** — per-query FFT (`mass_self`) vs shared-spectrum
-//!   (`MassPrecomputed`), over a fixed query subset;
-//! * **STAMP** — full run, naive per-query-FFT path vs shared-spectrum
-//!   path (the ≥ 2× acceptance gate of the shared-spectrum work);
+//! * **STAMP** — one full shared-spectrum run, the reference the
+//!   anytime and observability rows finish on;
 //! * **STOMP** — diagonal-parallel kernel across worker counts;
 //! * **Anytime STAMP** — a `StreamingDiscordMonitor` fed the whole
 //!   fixture once: wall-clock and fraction-of-profile-settled at query
 //!   budgets from 5% to 100% (finished run asserted bit-identical to
 //!   `stamp_with_exclusion`);
-//! * **Parallel STAMP** — `StreamingDiscordMonitor::finish` on a
-//!   monitor fed the whole fixture once, inside a rayon pool of each
-//!   worker count (each asserted bit-identical to the sequential
-//!   profile);
-//! * **Streaming** — `StreamingDiscordMonitor`: append throughput and
-//!   per-append refresh latency at several chunk sizes, streaming the
-//!   second half of the fixture (caught-up profile asserted
-//!   bit-identical to batch STAMP);
-//! * **Eviction** — `StreamingDiscordMonitor` in sliding-window steady
-//!   state: append a chunk, evict a chunk (live window pinned), refresh
-//!   — per-evict latency and sustained append+evict+refresh throughput
-//!   at several chunk sizes (finished profile asserted bit-identical to
-//!   batch STAMP over the surviving suffix);
 //! * **Streaming ensemble** — `StreamingEnsembleDetector`: append
 //!   throughput and per-append member-refresh latency at several chunk
-//!   sizes, streaming the second half of the fixture (finished report
-//!   asserted bit-identical to batch `EnsembleDetector::detect`);
-//! * **Serve fleet** — the `egi-serve` runtime at 10 / 100 / 1,000
-//!   concurrent streams: per-tick ingest-coalesce + fair-share refresh
-//!   latency (mean and p99) and sustained fleet-wide points/s, with
-//!   every stream's catch-up profile asserted bit-identical to batch
-//!   STAMP over its own series;
-//! * **Checkpoint** — the snapshot/restore subsystem: checkpoint size
-//!   and save/load latency for one mid-stream session per kind (monitor,
-//!   streaming ensemble, 100-stream fleet), with
-//!   every reload asserted onto the bit-identical finish of the session
-//!   it was saved from;
-//! * **Ensemble** — `EnsembleDetector::detect` on one rayon worker vs
-//!   the default worker count.
+//!   sizes, streaming the second half of the fixture (delta-maintained
+//!   curves asserted bit-identical to a rebuild, finished report to
+//!   batch `EnsembleDetector::detect`), with the delta-vs-rebuild
+//!   refresh ratio gated at ≥ 5× in full runs;
 //! * **Observability overhead** — the streaming schedule run
 //!   instrumented vs bare (`egi_obs::set_enabled(false)`), interleaved
 //!   min-of-N with alternating arm order, gated at < 3%
@@ -47,97 +23,26 @@
 //!   arms bit-identical to batch STAMP; the suite-wide `egi-obs`
 //!   registry dump is embedded under the `"obs"` key.
 //!
+//! The served fleets, eviction and checkpoints are timed by perfbench's
+//! `discord-fleet` and `ensemble-fleet` workloads, and their parity is
+//! checked by the property harnesses.
+//!
 //! Writes `BENCH_discord.json` into the current directory (override with
-//! the first CLI argument) so successive PRs accumulate a perf
-//! trajectory. Pass `--quick` for a fast smoke run at reduced sizes.
+//! the first CLI argument), replacing any earlier file. Pass `--quick`
+//! for a fast smoke run at reduced sizes.
 
 use std::time::Instant;
 
 use egi_bench::fixture_ecg;
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
-use egi_discord::dist::WindowStats;
-use egi_discord::mass::{mass_self, MassPrecomputed, MassScratch};
-use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
+use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
-use egi_serve::Fleet;
-use egi_tskit::checkpoint::Checkpoint;
-use egi_tskit::Deadline;
 
 fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)
-}
-
-/// Faithful re-creation of the pre-PR FFT path — full complex buffers,
-/// per-call trigonometric recurrence (no cached plan), convolution with
-/// the reversed query sized `next_pow2(m + n − 1)` — so the recorded
-/// baseline stays the true seed wall-clock even as the library paths
-/// improve.
-mod seed_baseline {
-    type Complex = (f64, f64);
-
-    fn c_mul(a: Complex, b: Complex) -> Complex {
-        (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
-    }
-
-    fn transform(buf: &mut [Complex], inverse: bool) {
-        let n = buf.len();
-        if n <= 1 {
-            return;
-        }
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2;
-        while len <= n {
-            let ang = sign * std::f64::consts::TAU / len as f64;
-            let wlen = (ang.cos(), ang.sin());
-            let mut i = 0;
-            while i < n {
-                let mut w: Complex = (1.0, 0.0);
-                for k in 0..len / 2 {
-                    let u = buf[i + k];
-                    let v = c_mul(buf[i + k + len / 2], w);
-                    buf[i + k] = (u.0 + v.0, u.1 + v.1);
-                    buf[i + k + len / 2] = (u.0 - v.0, u.1 - v.1);
-                    w = c_mul(w, wlen);
-                }
-                i += len;
-            }
-            len <<= 1;
-        }
-    }
-
-    pub fn sliding_dot_products(query: &[f64], series: &[f64]) -> Vec<f64> {
-        let m = query.len();
-        let n = series.len();
-        let out_len = m + n - 1;
-        let size = out_len.next_power_of_two();
-        let mut fa: Vec<Complex> = query.iter().rev().map(|&x| (x, 0.0)).collect();
-        let mut fb: Vec<Complex> = series.iter().map(|&x| (x, 0.0)).collect();
-        fa.resize(size, (0.0, 0.0));
-        fb.resize(size, (0.0, 0.0));
-        transform(&mut fa, false);
-        transform(&mut fb, false);
-        for (x, y) in fa.iter_mut().zip(&fb) {
-            *x = c_mul(*x, *y);
-        }
-        transform(&mut fa, true);
-        let scale = 1.0 / size as f64;
-        (m - 1..n).map(|i| fa[i].0 * scale).collect()
-    }
 }
 
 fn main() {
@@ -149,11 +54,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_discord.json".to_string());
 
-    let (series_len, m, mass_queries) = if quick {
-        (4_000, 64, 50)
-    } else {
-        (20_000, 256, 200)
-    };
+    let (series_len, m) = if quick { (4_000, 64) } else { (20_000, 256) };
     let series = fixture_ecg(series_len, 8);
     let exclusion = m / 2;
     let cores = std::thread::available_parallelism()
@@ -161,102 +62,10 @@ fn main() {
         .unwrap_or(1);
     eprintln!("fixture: ECG {series_len} points, m={m}, {cores} cores");
 
-    // MASS: K queries — seed path, improved per-query path, shared
-    // spectrum.
-    let ws = WindowStats::new(&series, m);
-    let count = ws.count();
-    let stride = (count / mass_queries).max(1);
-    let queries: Vec<usize> = (0..count).step_by(stride).take(mass_queries).collect();
-    let (mass_seed_secs, seed_sum) = seconds(|| {
-        let mut acc = 0.0;
-        for &q in &queries {
-            let dots = seed_baseline::sliding_dot_products(&series[q..q + m], &series);
-            acc += dots
-                .iter()
-                .enumerate()
-                .map(|(j, &qt)| ws.dist(q, j, qt))
-                .sum::<f64>();
-        }
-        acc
-    });
-    let (mass_naive_secs, naive_sum) = seconds(|| {
-        let mut acc = 0.0;
-        for &q in &queries {
-            acc += mass_self(&series, q, &ws).iter().sum::<f64>();
-        }
-        acc
-    });
-    let (mass_pre_secs, pre_sum) = seconds(|| {
-        let pre = MassPrecomputed::new(&series, m);
-        let mut scratch = MassScratch::default();
-        let mut dp = Vec::new();
-        let mut acc = 0.0;
-        for &q in &queries {
-            pre.distance_profile_into(q, &mut scratch, &mut dp);
-            acc += dp.iter().sum::<f64>();
-        }
-        acc
-    });
-    assert!(
-        (naive_sum - pre_sum).abs() < 1e-4 * (1.0 + naive_sum.abs()),
-        "MASS paths disagree: {naive_sum} vs {pre_sum}"
-    );
-    assert!(
-        (seed_sum - pre_sum).abs() < 1e-4 * (1.0 + seed_sum.abs()),
-        "MASS seed path disagrees: {seed_sum} vs {pre_sum}"
-    );
-    eprintln!(
-        "MASS   {} queries: seed {mass_seed_secs:.3}s, per-query rfft {mass_naive_secs:.3}s, \
-         shared-spectrum {mass_pre_secs:.3}s ({:.2}x vs seed)",
-        queries.len(),
-        mass_seed_secs / mass_pre_secs
-    );
-
-    // STAMP: full matrix profile. The seed-path run is extrapolated from
-    // the per-query MASS timing above (the full seed run at 20k points
-    // takes ~2 minutes and measures the identical inner loop), unless
-    // --full-seed is passed.
-    let full_seed = std::env::args().any(|a| a == "--full-seed");
-    let stamp_seed_secs = if full_seed {
-        let (secs, _) = seconds(|| {
-            let mut profile = vec![f64::INFINITY; count];
-            for q in 0..count {
-                let dots = seed_baseline::sliding_dot_products(&series[q..q + m], &series);
-                for (j, &qt) in dots.iter().enumerate() {
-                    if q.abs_diff(j) <= exclusion {
-                        continue;
-                    }
-                    let d = ws.dist(q, j, qt);
-                    if d < profile[q] {
-                        profile[q] = d;
-                    }
-                    if d < profile[j] {
-                        profile[j] = d;
-                    }
-                }
-            }
-            profile
-        });
-        secs
-    } else {
-        mass_seed_secs / queries.len() as f64 * count as f64
-    };
-    let (stamp_naive_secs, naive_mp) = seconds(|| stamp_per_query_fft(&series, m, exclusion));
+    // STAMP: full matrix profile on the shared-spectrum path.
     let (stamp_fast_secs, fast_mp) = seconds(|| stamp_with_exclusion(&series, m, exclusion));
-    let max_dev = naive_mp
-        .profile
-        .iter()
-        .zip(&fast_mp.profile)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_dev < 1e-6, "STAMP paths deviate by {max_dev}");
-    eprintln!(
-        "STAMP  full: seed {stamp_seed_secs:.3}s{}, per-query rfft {stamp_naive_secs:.3}s, \
-         shared-spectrum {stamp_fast_secs:.3}s ({:.2}x vs seed, {:.2}x vs rfft)",
-        if full_seed { "" } else { " (extrapolated)" },
-        stamp_seed_secs / stamp_fast_secs,
-        stamp_naive_secs / stamp_fast_secs
-    );
+    let count = fast_mp.len();
+    eprintln!("STAMP  full: shared-spectrum {stamp_fast_secs:.3}s");
 
     // STOMP: diagonal kernel across worker counts.
     let mut stomp_rows = Vec::new();
@@ -320,82 +129,15 @@ fn main() {
         ));
     }
 
-    // Parallel STAMP: batch mode across worker counts, each run pinned
-    // bit-identical to the sequential profile.
-    let mut pstamp_rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (secs, mp) = seconds(|| {
-            pool.install(|| {
-                let mut monitor = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
-                monitor.append(&series);
-                monitor.finish()
-            })
-        });
-        assert_eq!(
-            mp.profile, fast_mp.profile,
-            "parallel STAMP ({threads} workers) deviates from sequential"
-        );
-        assert_eq!(mp.index, fast_mp.index);
-        eprintln!("PSTAMP {threads} worker(s): {secs:.3}s");
-        pstamp_rows.push(format!(
-            "    {{ \"threads\": {threads}, \"secs\": {secs:.6} }}"
-        ));
-    }
-
-    // Streaming monitor: append throughput and per-append refresh
-    // latency at several chunk sizes. Each run warms up on the first
-    // half of the fixture, streams the second half in chunks (append +
-    // refresh of exactly the new windows), then catches up; the caught-
-    // up profile is asserted bit-identical to batch STAMP, so the CI
-    // perf smoke fails on any streaming/batch divergence.
+    // The streaming schedule the rows below share: warm up on the
+    // first half of the fixture, then stream the second half in
+    // chunks, each append followed by a refresh.
     let stream_chunks: [usize; 3] = if quick {
         [32, 128, 512]
     } else {
         [64, 256, 1024]
     };
     let warm = series_len / 2;
-    let mut streaming_rows = Vec::new();
-    for &chunk in &stream_chunks {
-        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exclusion);
-        monitor.append(&series[..warm]);
-        let (warm_secs, _) = seconds(|| monitor.run_for(usize::MAX));
-        let mut append_secs = 0.0f64;
-        let mut appends = 0usize;
-        let (mut refresh_total, mut refresh_max) = (0.0f64, 0.0f64);
-        for part in series[warm..].chunks(chunk) {
-            let (a, ()) = seconds(|| monitor.append(part));
-            append_secs += a;
-            appends += 1;
-            let (r, ran) = seconds(|| monitor.run_for(part.len()));
-            assert_eq!(ran, part.len(), "fresh windows must be first in the queue");
-            refresh_total += r;
-            refresh_max = refresh_max.max(r);
-        }
-        let (catchup_secs, finished) = seconds(|| monitor.finish());
-        assert_eq!(
-            finished.profile, fast_mp.profile,
-            "streaming monitor (chunk {chunk}) deviates from batch STAMP"
-        );
-        assert_eq!(finished.index, fast_mp.index);
-        let streamed = series_len - warm;
-        let points_per_sec = streamed as f64 / (append_secs + refresh_total);
-        let refresh_mean = refresh_total / appends as f64;
-        eprintln!(
-            "STREAM chunk {chunk:>4}: {appends} appends, append {append_secs:.3}s, \
-             refresh mean {refresh_mean:.4}s / max {refresh_max:.4}s, \
-             {points_per_sec:.0} pts/s sustained, catch-up {catchup_secs:.3}s"
-        );
-        streaming_rows.push(format!(
-            "    {{ \"chunk\": {chunk}, \"appends\": {appends}, \"warmup_secs\": {warm_secs:.6}, \
-             \"append_secs\": {append_secs:.6}, \"refresh_mean_secs\": {refresh_mean:.6}, \
-             \"refresh_max_secs\": {refresh_max:.6}, \"points_per_sec\": {points_per_sec:.1}, \
-             \"catchup_secs\": {catchup_secs:.6} }}"
-        ));
-    }
 
     // Observability overhead: the instrumented-vs-bare row. The same
     // streaming schedule (middle chunk size) runs alternately with
@@ -464,62 +206,6 @@ fn main() {
          overhead {:.2}% (min of {obs_reps} interleaved)",
         obs_overhead_frac * 100.0
     );
-
-    // Eviction: sliding-window steady state. Warm the monitor to
-    // `retain` points, then stream the rest of the fixture as
-    // append-chunk / evict-chunk / refresh cycles — the live window
-    // stays pinned at `retain`, so `evict_*` measures the front-
-    // truncation re-transform (the dominant eviction cost) at a fixed
-    // padded size, and `points_per_sec` is the sustained bounded-memory
-    // ingest rate. The finished profile is asserted bit-identical to
-    // batch STAMP over the surviving suffix (the PR 5 suffix-parity
-    // contract), so the CI perf smoke fails on any eviction/batch
-    // divergence.
-    let retain = series_len / 4;
-    let evict_reference = stamp_with_exclusion(&series[series_len - retain..], m, exclusion);
-    let mut eviction_rows = Vec::new();
-    for &chunk in &stream_chunks {
-        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exclusion);
-        monitor.append(&series[..retain]);
-        let (warm_secs, _) = seconds(|| monitor.run_for(usize::MAX));
-        let mut append_secs = 0.0f64;
-        let mut refresh_secs = 0.0f64;
-        let (mut evict_total, mut evict_max) = (0.0f64, 0.0f64);
-        let mut cycles = 0usize;
-        for part in series[retain..].chunks(chunk) {
-            let (a, ()) = seconds(|| monitor.append(part));
-            let (e, evicted) = seconds(|| monitor.evict(part.len()));
-            evicted.expect("steady-state eviction keeps at least one window");
-            let (f, _) = seconds(|| monitor.run_for(part.len()));
-            append_secs += a;
-            evict_total += e;
-            evict_max = evict_max.max(e);
-            refresh_secs += f;
-            cycles += 1;
-            assert_eq!(monitor.series_len(), retain, "live window must stay pinned");
-        }
-        let (evict_finish_secs, finished) = seconds(|| monitor.finish());
-        assert_eq!(
-            finished.profile, evict_reference.profile,
-            "eviction steady state (chunk {chunk}) deviates from suffix batch STAMP"
-        );
-        assert_eq!(finished.index, evict_reference.index);
-        assert_eq!(monitor.stream_offset(), series_len - retain);
-        let streamed = series_len - retain;
-        let points_per_sec = streamed as f64 / (append_secs + evict_total + refresh_secs);
-        let evict_mean = evict_total / cycles as f64;
-        eprintln!(
-            "EVICT  chunk {chunk:>4}: {cycles} cycles at window {retain}, \
-             evict mean {evict_mean:.4}s / max {evict_max:.4}s, \
-             {points_per_sec:.0} pts/s sustained, catch-up {evict_finish_secs:.3}s"
-        );
-        eviction_rows.push(format!(
-            "    {{ \"chunk\": {chunk}, \"cycles\": {cycles}, \"warmup_secs\": {warm_secs:.6}, \
-             \"append_secs\": {append_secs:.6}, \"evict_mean_secs\": {evict_mean:.6}, \
-             \"evict_max_secs\": {evict_max:.6}, \"refresh_secs\": {refresh_secs:.6}, \
-             \"points_per_sec\": {points_per_sec:.1}, \"catchup_secs\": {evict_finish_secs:.6} }}"
-        ));
-    }
 
     // Streaming ensemble: append throughput and per-append refresh
     // latency of StreamingEnsembleDetector at several chunk sizes,
@@ -630,423 +316,28 @@ fn main() {
         ));
     }
 
-    // Serve fleet: the multi-stream runtime measured end to end at
-    // 10 / 100 / 1,000 concurrent streams. Each stream is a distinct
-    // deterministic series (phase-offset per stream id), so per-stream
-    // parity is checked bitwise. Per tick every
-    // stream ingests one chunk through the coalescing front door, then
-    // one flush + fair-share refresh spreads a budget of exactly the
-    // fleet-wide pending queries across all dirty streams — so the
-    // scheduler must hand every stream precisely its own share for the
-    // fleet to come out clean (asserted). Recorded: per-tick
-    // latency mean/p99 and sustained fleet-wide points/s; afterwards
-    // every stream's catch-up profile is asserted bit-identical to
-    // batch STAMP over its own series, so the CI perf smoke fails on
-    // any fleet/standalone divergence.
-    let (fleet_warm, fleet_chunk, fleet_ticks, fleet_m) = if quick {
-        (96usize, 16usize, 4usize, 8usize)
-    } else {
-        (256, 32, 8, 16)
-    };
-    let serve_point = |id: u64, i: usize| {
-        let t = i as f64;
-        (t * 0.19 + id as f64 * 0.61).sin() * 1.2 + 0.4 * (t * 0.023 + id as f64 * 0.17).cos()
-    };
-    let mut serve_rows = Vec::new();
-    for &n_streams in &[10u64, 100, 1_000] {
-        let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
-        let (ingest_warm_secs, ()) = seconds(|| {
-            for id in 0..n_streams {
-                let warm_series: Vec<f64> = (0..fleet_warm).map(|i| serve_point(id, i)).collect();
-                let mut monitor = StreamingDiscordMonitor::with_exclusion(fleet_m, fleet_m / 2);
-                monitor.append(&warm_series);
-                fleet.create(id, monitor).unwrap();
-            }
-        });
-        let (fleet_warm_secs, _) = seconds(|| fleet.refresh(Deadline::unbounded()));
-        let mut tick_times = Vec::with_capacity(fleet_ticks);
-        let mut ingest_secs = 0.0f64;
-        let fresh_points = n_streams as usize * fleet_chunk;
-        for t in 0..fleet_ticks {
-            let base = fleet_warm + t * fleet_chunk;
-            let (i_secs, ()) = seconds(|| {
-                for id in 0..n_streams {
-                    let chunk: Vec<f64> = (base..base + fleet_chunk)
-                        .map(|i| serve_point(id, i))
-                        .collect();
-                    fleet.ingest(id, &chunk).unwrap();
-                }
-            });
-            ingest_secs += i_secs;
-            // One tick = flush every inbox (one coalesced append per
-            // stream), then refresh with a budget of exactly the
-            // fleet-wide pending queries — the monitor restarts its
-            // fold per append, so that is the full window count,
-            // and the fair-share rotation must drain every stream.
-            let (t_secs, ()) = seconds(|| {
-                let flushed = fleet.flush_all();
-                assert_eq!(flushed, fresh_points, "one coalesced append per stream");
-                let budget = fleet.pending_units();
-                let ran = fleet.refresh(Deadline::queries(budget));
-                assert_eq!(ran, budget, "refresh must consume the whole budget");
-                assert_eq!(
-                    fleet.dirty_count(),
-                    0,
-                    "fair share must hand every stream exactly its share"
-                );
-            });
-            tick_times.push(t_secs);
-        }
-        let (serve_catchup_secs, reports) = seconds(|| fleet.finish_all());
-        assert_eq!(reports.len(), n_streams as usize);
-        let total = fleet_warm + fleet_ticks * fleet_chunk;
-        for (id, profile) in &reports {
-            let full: Vec<f64> = (0..total).map(|i| serve_point(*id, i)).collect();
-            let reference = stamp_with_exclusion(&full, fleet_m, fleet_m / 2);
-            assert_eq!(
-                profile.profile, reference.profile,
-                "fleet stream {id} deviates from standalone batch STAMP"
-            );
-            assert_eq!(profile.index, reference.index);
-        }
-        let mut sorted = tick_times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let tick_p99 =
-            sorted[((sorted.len() as f64 * 0.99).ceil() as usize - 1).min(sorted.len() - 1)];
-        let tick_mean = tick_times.iter().sum::<f64>() / tick_times.len() as f64;
-        let streamed = fresh_points * fleet_ticks;
-        let serve_pps = streamed as f64 / (ingest_secs + tick_times.iter().sum::<f64>());
-        eprintln!(
-            "SERVE  {n_streams:>5} streams: {fleet_ticks} ticks of {fleet_chunk} pts/stream, \
-             tick mean {tick_mean:.4}s / p99 {tick_p99:.4}s, \
-             {serve_pps:.0} pts/s fleet-wide, catch-up {serve_catchup_secs:.3}s"
-        );
-        serve_rows.push(format!(
-            "    {{ \"streams\": {n_streams}, \"warm_points\": {fleet_warm}, \
-             \"chunk\": {fleet_chunk}, \"ticks\": {fleet_ticks}, \
-             \"create_secs\": {ingest_warm_secs:.6}, \"warmup_secs\": {fleet_warm_secs:.6}, \
-             \"ingest_secs\": {ingest_secs:.6}, \"tick_mean_secs\": {tick_mean:.6}, \
-             \"tick_p99_secs\": {tick_p99:.6}, \"points_per_sec\": {serve_pps:.1}, \
-             \"catchup_secs\": {serve_catchup_secs:.6} }}"
-        ));
-    }
-
-    // Ensemble serve fleet: the same 10 / 100 / 1,000-stream runtime
-    // with StreamingEnsembleDetector sessions, so the delta-maintained
-    // density curves are exercised behind the fleet scheduler at
-    // scale. Per tick every stream ingests one chunk, one flush +
-    // fair-share refresh drains the fleet (asserted), and the
-    // structural-staleness gauge is sampled fleet-wide right after the
-    // appends land (every curve is short by the fresh tail) and
-    // asserted back to zero once the refresh heals it. The delta
-    // parity oracle runs on sampled streams per tick and on every
-    // stream at catch-up; per-stream finishes are asserted
-    // bit-identical to batch EnsembleDetector::detect.
-    let (ens_fleet_warm, ens_fleet_chunk, ens_fleet_ticks, ens_fleet_window, ens_fleet_members) =
-        if quick {
-            (48usize, 8usize, 3usize, 16usize, 3usize)
-        } else {
-            (128, 16, 4, 32, 4)
-        };
-    let ens_fleet_config = EnsembleConfig {
-        window: ens_fleet_window,
-        ensemble_size: ens_fleet_members,
-        ..EnsembleConfig::default()
-    };
-    let mut ens_serve_rows = Vec::new();
-    for &n_streams in &[10u64, 100, 1_000] {
-        let mut fleet: Fleet<StreamingEnsembleDetector> = Fleet::new();
-        let (ens_create_secs, ()) = seconds(|| {
-            for id in 0..n_streams {
-                let warm_series: Vec<f64> =
-                    (0..ens_fleet_warm).map(|i| serve_point(id, i)).collect();
-                let mut session = StreamingEnsembleDetector::new(ens_fleet_config, id);
-                session.append(&warm_series);
-                fleet.create(id, session).unwrap();
-            }
-        });
-        let (ens_warm_secs, _) = seconds(|| fleet.refresh(Deadline::unbounded()));
-        let mut tick_times = Vec::with_capacity(ens_fleet_ticks);
-        let mut ingest_secs = 0.0f64;
-        let mut stale_after_append = 0u64;
-        let fresh_points = n_streams as usize * ens_fleet_chunk;
-        for t in 0..ens_fleet_ticks {
-            let base = ens_fleet_warm + t * ens_fleet_chunk;
-            let (i_secs, ()) = seconds(|| {
-                for id in 0..n_streams {
-                    let chunk: Vec<f64> = (base..base + ens_fleet_chunk)
-                        .map(|i| serve_point(id, i))
-                        .collect();
-                    fleet.ingest(id, &chunk).unwrap();
-                }
-            });
-            ingest_secs += i_secs;
-            let (t_secs, ()) = seconds(|| {
-                let flushed = fleet.flush_all();
-                assert_eq!(flushed, fresh_points, "one coalesced append per stream");
-                let budget = fleet.pending_units();
-                let ran = fleet.refresh(Deadline::queries(budget));
-                assert_eq!(ran, budget, "refresh must consume the whole budget");
-                assert_eq!(fleet.dirty_count(), 0, "fair share must drain every stream");
-            });
-            tick_times.push(t_secs);
-            // Gauge + parity gates, off the timed path. The appends
-            // have been healed by the refresh above, so staleness is
-            // re-sampled on a throwaway append pattern instead: the
-            // gauge reading comes from the *next* tick's flush; here
-            // assert the healed state and sampled delta parity.
-            for id in (0..n_streams).take(3) {
-                let session = fleet.session(id).unwrap();
-                assert_eq!(
-                    session.metrics().structural_staleness,
-                    0,
-                    "stream {id} still structurally stale after a drained tick"
-                );
-                assert!(
-                    session.delta_curves_match_rebuild(),
-                    "stream {id} delta curve diverged from rebuild at tick {t}"
-                );
-            }
-        }
-        // One more fleet-wide append sampled *before* the refresh, so
-        // the recorded gauge shows what operators see mid-tick: every
-        // curve short by exactly the fresh tail.
-        let base = ens_fleet_warm + ens_fleet_ticks * ens_fleet_chunk;
-        for id in 0..n_streams {
-            let chunk: Vec<f64> = (base..base + ens_fleet_chunk)
-                .map(|i| serve_point(id, i))
-                .collect();
-            fleet.ingest(id, &chunk).unwrap();
-        }
-        fleet.flush_all();
-        for id in 0..n_streams {
-            stale_after_append += fleet.session(id).unwrap().metrics().structural_staleness;
-        }
-        assert_eq!(
-            stale_after_append, fresh_points as u64,
-            "mid-tick structural staleness must be exactly the fresh tail"
-        );
-        let (ens_catchup_secs, reports) = seconds(|| fleet.finish_all());
-        assert_eq!(reports.len(), n_streams as usize);
-        let total = ens_fleet_warm + (ens_fleet_ticks + 1) * ens_fleet_chunk;
-        for (id, report) in &reports {
-            let session = fleet.session(*id).unwrap();
-            assert_eq!(session.metrics().structural_staleness, 0);
-            assert!(
-                session.delta_curves_match_rebuild(),
-                "stream {id} delta curve diverged from rebuild at catch-up"
-            );
-            let full: Vec<f64> = (0..total).map(|i| serve_point(*id, i)).collect();
-            // The trait-level finish reports every candidate
-            // (k = window_count), so the batch reference asks for the
-            // same.
-            let reference =
-                EnsembleDetector::new(ens_fleet_config).detect(&full, session.window_count(), *id);
-            assert_eq!(
-                report, &reference,
-                "ensemble fleet stream {id} deviates from batch detect"
-            );
-        }
-        let mut sorted = tick_times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let tick_p99 =
-            sorted[((sorted.len() as f64 * 0.99).ceil() as usize - 1).min(sorted.len() - 1)];
-        let tick_mean = tick_times.iter().sum::<f64>() / tick_times.len() as f64;
-        let streamed = fresh_points * ens_fleet_ticks;
-        let ens_pps = streamed as f64 / (ingest_secs + tick_times.iter().sum::<f64>());
-        eprintln!(
-            "ESERVE {n_streams:>5} streams: {ens_fleet_ticks} ticks of {ens_fleet_chunk} pts/stream, \
-             tick mean {tick_mean:.4}s / p99 {tick_p99:.4}s, \
-             {ens_pps:.0} pts/s fleet-wide, mid-tick staleness {stale_after_append} pts, \
-             catch-up {ens_catchup_secs:.3}s"
-        );
-        ens_serve_rows.push(format!(
-            "    {{ \"streams\": {n_streams}, \"warm_points\": {ens_fleet_warm}, \
-             \"chunk\": {ens_fleet_chunk}, \"ticks\": {ens_fleet_ticks}, \
-             \"create_secs\": {ens_create_secs:.6}, \"warmup_secs\": {ens_warm_secs:.6}, \
-             \"ingest_secs\": {ingest_secs:.6}, \"tick_mean_secs\": {tick_mean:.6}, \
-             \"tick_p99_secs\": {tick_p99:.6}, \"points_per_sec\": {ens_pps:.1}, \
-             \"mid_tick_structural_staleness\": {stale_after_append}, \
-             \"catchup_secs\": {ens_catchup_secs:.6} }}"
-        ));
-    }
-
-    // Checkpoint: persistence cost of the snapshot/restore subsystem.
-    // One mid-stream session per kind — the monitor, the streaming
-    // ensemble, and a 100-stream fleet — saved and reloaded once,
-    // recording checkpoint size and save/load latency.
-    // Every reload is asserted onto the bit-identical finish of the
-    // session it was saved from (the checkpoint-at-any-point contract),
-    // so the CI perf smoke fails on any persistence divergence.
-    let mut checkpoint_rows = Vec::new();
-    {
-        let label = "monitor_exact";
-        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exclusion);
-        monitor.append(&series[..warm]);
-        monitor.run_for(warm / 2);
-        monitor.append(&series[warm..]);
-        let (save_secs, bytes) = seconds(|| monitor.checkpoint_bytes().unwrap());
-        let (load_secs, restored) =
-            seconds(|| StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap());
-        let mut restored = restored;
-        let original = monitor.finish();
-        let resumed = restored.finish();
-        assert_eq!(
-            resumed.profile, original.profile,
-            "{label}: restored session deviates from the one it was saved from"
-        );
-        assert_eq!(resumed.index, original.index);
-        eprintln!(
-            "CKPT   {label:>17}: {} pts -> {} bytes, save {save_secs:.5}s, load {load_secs:.5}s",
-            series_len,
-            bytes.len()
-        );
-        checkpoint_rows.push(format!(
-            "    {{ \"kind\": \"{label}\", \"state_points\": {series_len}, \
-             \"bytes\": {}, \"save_secs\": {save_secs:.6}, \"load_secs\": {load_secs:.6} }}",
-            bytes.len()
-        ));
-    }
-    {
-        let mut detector = StreamingEnsembleDetector::new(es_config, es_seed);
-        detector.append(&series[..warm]);
-        detector.run_for(es_members / 2);
-        let (save_secs, bytes) = seconds(|| detector.checkpoint_bytes().unwrap());
-        let (load_secs, restored) =
-            seconds(|| StreamingEnsembleDetector::from_checkpoint_bytes(&bytes).unwrap());
-        let mut restored = restored;
-        assert_eq!(
-            restored.finish(3),
-            detector.finish(3),
-            "ensemble: restored session deviates from the one it was saved from"
-        );
-        eprintln!(
-            "CKPT   {:>17}: {warm} pts -> {} bytes, save {save_secs:.5}s, load {load_secs:.5}s",
-            "ensemble",
-            bytes.len()
-        );
-        checkpoint_rows.push(format!(
-            "    {{ \"kind\": \"ensemble\", \"state_points\": {warm}, \
-             \"bytes\": {}, \"save_secs\": {save_secs:.6}, \"load_secs\": {load_secs:.6} }}",
-            bytes.len()
-        ));
-    }
-    {
-        let ckpt_streams = 100u64;
-        let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
-        for id in 0..ckpt_streams {
-            let warm_series: Vec<f64> = (0..fleet_warm).map(|i| serve_point(id, i)).collect();
-            let mut monitor = StreamingDiscordMonitor::with_exclusion(fleet_m, fleet_m / 2);
-            monitor.append(&warm_series);
-            fleet.create(id, monitor).unwrap();
-        }
-        fleet.refresh(Deadline::queries(ckpt_streams as usize * 5));
-        let (save_secs, bytes) = seconds(|| fleet.checkpoint_bytes().unwrap());
-        let (load_secs, restored) =
-            seconds(|| Fleet::<StreamingDiscordMonitor>::from_checkpoint_bytes(&bytes).unwrap());
-        let mut restored = restored;
-        let original = fleet.finish_all();
-        let resumed = restored.finish_all();
-        assert_eq!(resumed.len(), original.len());
-        for ((id_a, fin_a), (id_b, fin_b)) in resumed.iter().zip(&original) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(
-                fin_a.profile, fin_b.profile,
-                "fleet stream {id_a}: restored session deviates from the one it was saved from"
-            );
-            assert_eq!(fin_a.index, fin_b.index);
-        }
-        let state_points = ckpt_streams as usize * fleet_warm;
-        eprintln!(
-            "CKPT   {:>17}: {state_points} pts over {ckpt_streams} streams -> {} bytes, \
-             save {save_secs:.5}s, load {load_secs:.5}s",
-            "fleet_100",
-            bytes.len()
-        );
-        checkpoint_rows.push(format!(
-            "    {{ \"kind\": \"fleet_100\", \"state_points\": {state_points}, \
-             \"bytes\": {}, \"save_secs\": {save_secs:.6}, \"load_secs\": {load_secs:.6} }}",
-            bytes.len()
-        ));
-    }
-
-    // Ensemble detection: members on one rayon worker vs the default
-    // worker count.
-    let (ens_len, ens_window, ens_members) = if quick {
-        (8_000, 128, 10)
-    } else {
-        (40_000, 300, 25)
-    };
-    let ens_series = fixture_ecg(ens_len, 9);
-    let ens_detector = EnsembleDetector::new(EnsembleConfig {
-        window: ens_window,
-        ensemble_size: ens_members,
-        ..EnsembleConfig::default()
-    });
-    let (ens_serial_secs, serial_report) = seconds(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| ens_detector.detect(&ens_series, 3, 1))
-    });
-    let (ens_parallel_secs, parallel_report) = seconds(|| ens_detector.detect(&ens_series, 3, 1));
-    assert_eq!(serial_report, parallel_report, "ensemble paths disagree");
-    eprintln!(
-        "ENSEMBLE {ens_len} pts, {ens_members} members: serial {ens_serial_secs:.3}s, parallel {ens_parallel_secs:.3}s"
-    );
-
     // The process-wide registry, as accumulated by every instrumented
     // tier across the whole suite, embedded verbatim (compact JSON).
     let obs_json = egi_obs::global().render_json();
 
     let json = format!(
         "{{\n  \"suite\": \"discord-perf\",\n  \"quick\": {quick},\n  \"host_cores\": {cores},\n  \
-         \"mass\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \"queries\": {nq},\n    \
-         \"seed_per_query_fft_secs\": {mass_seed_secs:.6},\n    \
-         \"per_query_rfft_secs\": {mass_naive_secs:.6},\n    \"shared_spectrum_secs\": {mass_pre_secs:.6},\n    \
-         \"speedup_vs_seed\": {mass_speedup:.3}\n  }},\n  \
          \"stamp\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
-         \"seed_per_query_fft_secs\": {stamp_seed_secs:.6},\n    \"seed_extrapolated\": {seed_extrapolated},\n    \
-         \"per_query_rfft_secs\": {stamp_naive_secs:.6},\n    \"shared_spectrum_secs\": {stamp_fast_secs:.6},\n    \
-         \"speedup_vs_seed\": {stamp_speedup:.3},\n    \"speedup_vs_rfft\": {stamp_speedup_rfft:.3}\n  }},\n  \
+         \"shared_spectrum_secs\": {stamp_fast_secs:.6}\n  }},\n  \
          \"stomp\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \"runs\": [\n{stomp_rows}\n    ]\n  }},\n  \
          \"anytime\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
          \"order_seed\": {anytime_seed},\n    \"settle_tol\": {settle_tol:e},\n    \
          \"snapshots\": [\n{anytime_rows}\n    ]\n  }},\n  \
-         \"parallel_stamp\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \"runs\": [\n{pstamp_rows}\n    ]\n  }},\n  \
-         \"streaming\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
-         \"warmup_points\": {warm},\n    \"runs\": [\n{streaming_rows}\n    ]\n  }},\n  \
-         \"eviction\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
-         \"retain\": {retain},\n    \"runs\": [\n{eviction_rows}\n    ]\n  }},\n  \
          \"ensemble_streaming\": {{\n    \"series_len\": {series_len},\n    \"window\": {es_window},\n    \
          \"members\": {es_members},\n    \"seed\": {es_seed},\n    \"warmup_points\": {warm},\n    \
          \"runs\": [\n{es_rows}\n    ]\n  }},\n  \
-         \"serve\": {{\n    \"m\": {fleet_m},\n    \"runs\": [\n{serve_rows}\n    ]\n  }},\n  \
-         \"ensemble_serve\": {{\n    \"window\": {ens_fleet_window},\n    \
-         \"members\": {ens_fleet_members},\n    \"runs\": [\n{ens_serve_rows}\n    ]\n  }},\n  \
-         \"checkpoint\": {{\n    \"runs\": [\n{checkpoint_rows}\n    ]\n  }},\n  \
-         \"ensemble\": {{\n    \"series_len\": {ens_len},\n    \"window\": {ens_window},\n    \
-         \"members\": {ens_members},\n    \"serial_secs\": {ens_serial_secs:.6},\n    \
-         \"parallel_secs\": {ens_parallel_secs:.6}\n  }},\n  \
          \"obs_overhead\": {{\n    \"chunk\": {obs_chunk},\n    \"reps\": {obs_reps},\n    \
          \"bare_secs\": {bare_min:.6},\n    \"instrumented_secs\": {instr_min:.6},\n    \
          \"overhead_frac\": {obs_overhead_frac:.6}\n  }},\n  \
          \"obs\": {obs_json}\n}}\n",
-        nq = queries.len(),
-        mass_speedup = mass_seed_secs / mass_pre_secs,
-        seed_extrapolated = !full_seed,
-        stamp_speedup = stamp_seed_secs / stamp_fast_secs,
-        stamp_speedup_rfft = stamp_naive_secs / stamp_fast_secs,
         stomp_rows = stomp_rows.join(",\n"),
         anytime_rows = anytime_rows.join(",\n"),
-        pstamp_rows = pstamp_rows.join(",\n"),
-        streaming_rows = streaming_rows.join(",\n"),
-        eviction_rows = eviction_rows.join(",\n"),
         es_rows = es_rows.join(",\n"),
-        serve_rows = serve_rows.join(",\n"),
-        ens_serve_rows = ens_serve_rows.join(",\n"),
-        checkpoint_rows = checkpoint_rows.join(",\n"),
     );
     std::fs::write(&out_path, json).expect("write bench json");
     eprintln!("wrote {out_path}");

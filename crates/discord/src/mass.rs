@@ -8,7 +8,7 @@
 //!
 //! * [`mass_self`] — the straightforward per-call path: every invocation
 //!   transforms the full series again. Kept as the executable
-//!   specification (and the bench baseline).
+//!   specification, a test oracle only.
 //! * [`MassPrecomputed`] — the shared-spectrum path: the series is padded
 //!   and transformed **once** at construction; each query then costs one
 //!   forward and one inverse *half-size real* transform against the

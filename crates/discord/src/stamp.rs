@@ -10,7 +10,7 @@
 //! half-size real transforms, instead of re-transforming the series per
 //! query. [`stamp_per_query_fft`] preserves the naive
 //! one-`sliding_dot_products`-call-per-query path as the executable
-//! specification and the bench baseline; the two are pinned to agree to
+//! specification, a test oracle only; the two are pinned to agree to
 //! 1e-9 by the property tests.
 
 use crate::dist::WindowStats;
@@ -47,8 +47,8 @@ pub fn stamp(series: &[f64], m: usize) -> MatrixProfile {
 /// The pre-shared-spectrum STAMP: every query re-transforms the full
 /// series (three full-size FFTs per query via
 /// [`crate::fft::sliding_dot_products`]). Kept as the executable
-/// specification and the baseline the perf suite measures the
-/// shared-spectrum speedup against.
+/// specification the property tests check the shared-spectrum path
+/// against.
 pub fn stamp_per_query_fft(series: &[f64], m: usize, exclusion: usize) -> MatrixProfile {
     let ws = WindowStats::new(series, m);
     let count = ws.count();

@@ -332,10 +332,6 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance criterion at scale: one global deadline spread
-/// across **1,000 dirty streams** with the starvation bound proven —
-/// every stream receives ⌊U/1000⌋..⌈U/1000⌉ units, none starves — and
-/// per-stream finish still lands bit-identical to batch STAMP.
 /// The served matrix-profile baseline in miniature: monitors under a
 /// retention budget take a chunk past the budget every tick, each tick
 /// drains every query, and each stream still finishes bit for bit on
@@ -372,6 +368,11 @@ fn retained_monitor_streams_finish_on_their_suffix() {
     }
 }
 
+/// The starvation bound at scale: one global deadline spread across
+/// **1,000 dirty streams** — every stream receives ⌊U/1000⌋..⌈U/1000⌉
+/// units, none starves — then a deadline of exactly the units left
+/// drains every stream, and per-stream finish still lands bit-identical
+/// to batch STAMP.
 #[test]
 fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     let m = 8usize;
@@ -407,7 +408,13 @@ fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     assert_eq!((floor_count, ceil_count), (500, 500));
     assert_eq!(fleet.dirty_count(), 1_000, "all streams still have work");
 
-    // Catch-up, then spot-check parity across the fleet.
+    // A budget of exactly the units left (38 or 39 per stream) drains
+    // every stream.
+    let rest = fleet.pending_units();
+    assert_eq!(fleet.refresh(Deadline::queries(rest)), rest);
+    assert_eq!(fleet.dirty_count(), 0, "a stream kept pending units");
+
+    // Finish, then spot-check parity across the fleet.
     let reports = fleet.finish_all();
     assert_eq!(reports.len(), 1_000);
     assert_eq!(fleet.pending_units(), 0);

@@ -21,9 +21,11 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::exit;
 
-fn usage() -> ! {
+/// Rejects the command line: one line naming the fault and the usage on
+/// stderr, exit status 2.
+fn usage_error(fault: &str) -> ! {
     eprintln!(
-        "usage:\n  egi detect  <series.csv> --window N [--k 3] [--seed 42] [--n 50] [--wmax 10] [--amax 10] [--tau 0.4] [--curve out.csv]\n  egi discord <series.csv> --window N [--k 3]\n  egi generate <ecg|eeg|walk|fridge|dishwasher|FAMILY> --len L [--seed 1] [--out series.csv]"
+        "egi: {fault}; usage: egi detect <series.csv> --window N [--k 3] [--seed 42] [--n 50] [--wmax 10] [--amax 10] [--tau 0.4] [--curve out.csv] | egi discord <series.csv> --window N [--k 3] | egi generate <ecg|eeg|walk|fridge|dishwasher|FAMILY> --len L [--seed 1] [--out series.csv]"
     );
     exit(2);
 }
@@ -86,7 +88,7 @@ fn validated(checked: Result<(), egi_tskit::ConfigError>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        usage();
+        usage_error("missing command");
     }
     let (cmd, rest) = (args[0].as_str(), &args[1..]);
     let (positional, flags) = parse_flags(rest);
@@ -94,12 +96,14 @@ fn main() {
         "detect" => cmd_detect(&positional, &flags),
         "discord" => cmd_discord(&positional, &flags),
         "generate" => cmd_generate(&positional, &flags),
-        _ => usage(),
+        other => usage_error(&format!("unknown command {other:?}")),
     }
 }
 
 fn load_series(positional: &[String]) -> Vec<f64> {
-    let path = positional.first().unwrap_or_else(|| usage());
+    let path = positional
+        .first()
+        .unwrap_or_else(|| usage_error("missing <series.csv>"));
     let series = io::read_series(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
@@ -175,7 +179,10 @@ fn cmd_discord(positional: &[String], flags: &HashMap<String, String>) {
 }
 
 fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) {
-    let kind = positional.first().unwrap_or_else(|| usage()).as_str();
+    let kind = positional
+        .first()
+        .unwrap_or_else(|| usage_error("missing the generator name"))
+        .as_str();
     let len: usize = flag(flags, "len", 20_000);
     let seed: u64 = flag(flags, "seed", 1);
     let out = flags

@@ -1,7 +1,7 @@
-//! The `egi` binary end to end: its error paths (an out-of-range flag
-//! or a CSV holding a non-finite value fails with exactly one line on
-//! stderr and a nonzero exit code — never a panic and its backtrace)
-//! and pinned answers of both detectors.
+//! The `egi` binary end to end: its error paths (a bad command line,
+//! an out-of-range flag or a CSV holding a non-finite value fails with
+//! exactly one line on stderr and a nonzero exit code — never a panic
+//! and its backtrace) and pinned answers of both detectors.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -36,6 +36,19 @@ fn assert_fails_cleanly(args: &[&str], code: i32) {
     assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr:?}");
+}
+
+#[test]
+fn bad_command_lines_exit_2_with_one_line() {
+    for args in [
+        &[][..],
+        &["frobnicate"],
+        &["detect", "--window", "32"],
+        &["discord", "--window", "32"],
+        &["generate", "--len", "100"],
+    ] {
+        assert_fails_cleanly(args, 2);
+    }
 }
 
 #[test]
