@@ -5,7 +5,7 @@
 //!   per-window z-normalize + PAA.
 //! * `ablation_multires` — merged-breakpoint multi-resolution SAX vs one
 //!   breakpoint table per alphabet size (Section 6.2).
-//! * `ablation_matrix_profile` — STOMP vs STAMP vs brute force.
+//! * `ablation_matrix_profile` — the STOMP kernel vs brute force.
 //! * `ablation_numerosity` — Sequitur on numerosity-reduced vs raw token
 //!   streams (Section 4.2's scalability claim).
 //! * `ablation_combiner` — median vs mean vs min ensemble combination.
@@ -100,9 +100,6 @@ fn bench_matrix_profile(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("stomp", |b| {
         b.iter(|| egi_discord::stomp(black_box(&series), m))
-    });
-    group.bench_function("stamp", |b| {
-        b.iter(|| egi_discord::stamp(black_box(&series), m))
     });
     group.bench_function("brute_force", |b| {
         b.iter(|| egi_discord::brute::brute_force(black_box(&series), m, m / 2))

@@ -3,13 +3,14 @@
 //!
 //! Times, on deterministic fixtures:
 //!
-//! * **STAMP** — one full shared-spectrum run, the reference the
-//!   anytime and observability rows finish on;
-//! * **STOMP** — diagonal-parallel kernel across worker counts;
-//! * **Anytime STAMP** — a `StreamingDiscordMonitor` fed the whole
-//!   fixture once: wall-clock and fraction-of-profile-settled at query
-//!   budgets from 5% to 100% (finished run asserted bit-identical to
-//!   `stamp_with_exclusion`);
+//! * **STOMP** — the matrix-profile kernel's diagonal-parallel batch
+//!   form across worker counts; its one-worker profile is the
+//!   reference the anytime and observability rows finish on (`stamp`
+//!   is an alias of the same kernel, so it is not timed again);
+//! * **Anytime** — a `StreamingDiscordMonitor` fed the whole fixture
+//!   once: wall-clock and fraction-of-profile-settled at unit budgets
+//!   from 5% to 100% of the epoch's units (finished run asserted
+//!   bit-identical to `stomp_with_exclusion`);
 //! * **Streaming ensemble** — `StreamingEnsembleDetector`: append
 //!   throughput and per-append member-refresh latency at several chunk
 //!   sizes, streaming the second half of the fixture (delta-maintained
@@ -20,7 +21,7 @@
 //!   instrumented vs bare (`egi_obs::set_enabled(false)`), interleaved
 //!   min-of-N with alternating arm order, gated at < 3%
 //!   sustained-throughput overhead with both
-//!   arms bit-identical to batch STAMP; the suite-wide `egi-obs`
+//!   arms bit-identical to batch STOMP; the suite-wide `egi-obs`
 //!   registry dump is embedded under the `"obs"` key.
 //!
 //! The served fleets, eviction and checkpoints are timed by perfbench's
@@ -29,13 +30,14 @@
 //!
 //! Writes `BENCH_discord.json` into the current directory (override with
 //! the first CLI argument), replacing any earlier file. Pass `--quick`
-//! for a fast smoke run at reduced sizes.
+//! for a fast smoke run at reduced sizes. Any other flag is rejected
+//! with one usage line on stderr and exit status 2, before any work or
+//! file write.
 
 use std::time::Instant;
 
 use egi_bench::fixture_ecg;
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
-use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
 
@@ -45,14 +47,25 @@ fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), out)
 }
 
+/// Rejects the command line: one line naming the fault and the usage
+/// on stderr, then exit status 2.
+fn usage_error(fault: &str) -> ! {
+    eprintln!("discord-perf: {fault}; usage: discord-perf [--quick] [OUT.json]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_discord.json".to_string());
+    let mut quick = false;
+    let mut out_path = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            _ if out_path.is_none() => out_path = Some(arg),
+            other => usage_error(&format!("unexpected argument {other}")),
+        }
+    }
+    let out_path = out_path.unwrap_or_else(|| "BENCH_discord.json".to_string());
 
     let (series_len, m) = if quick { (4_000, 64) } else { (20_000, 256) };
     let series = fixture_ecg(series_len, 8);
@@ -62,40 +75,42 @@ fn main() {
         .unwrap_or(1);
     eprintln!("fixture: ECG {series_len} points, m={m}, {cores} cores");
 
-    // STAMP: full matrix profile on the shared-spectrum path.
-    let (stamp_fast_secs, fast_mp) = seconds(|| stamp_with_exclusion(&series, m, exclusion));
-    let count = fast_mp.len();
-    eprintln!("STAMP  full: shared-spectrum {stamp_fast_secs:.3}s");
-
-    // STOMP: diagonal kernel across worker counts.
+    // STOMP: the kernel's batch form across worker counts. The
+    // one-worker profile is the reference the rows below finish on.
     let mut stomp_rows = Vec::new();
+    let mut fast_mp = None;
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         let (secs, mp) = seconds(|| pool.install(|| stomp_with_exclusion(&series, m, exclusion)));
-        assert_eq!(mp.len(), count);
+        let reference = fast_mp.get_or_insert_with(|| mp.clone());
+        assert_eq!(mp, *reference, "STOMP at {threads} workers deviates");
         eprintln!("STOMP  {threads} worker(s): {secs:.3}s");
         stomp_rows.push(format!(
             "    {{ \"threads\": {threads}, \"secs\": {secs:.6} }}"
         ));
     }
 
-    // Anytime STAMP: convergence trajectory. Queries run in the seeded
-    // random order; at each budget we record cumulative query-processing
-    // wall-clock (snapshot clones excluded from the timer) and
-    // (post-hoc, against the finished profile) the fraction of entries
-    // already settled to final.
+    let fast_mp = fast_mp.expect("at least one STOMP run");
+    let count = fast_mp.len();
+
+    // Anytime: convergence trajectory. Units run in the seeded random
+    // diagonal order; at each budget we record cumulative
+    // unit-processing wall-clock (snapshot clones excluded from the
+    // timer) and (post-hoc, against the finished profile) the fraction
+    // of entries already settled to final.
     let anytime_seed = 0xA17u64;
     let settle_tol = 1e-6f64;
     let fractions = [0.05f64, 0.10, 0.25, 0.50, 1.00];
     let mut driver = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
     driver.append(&series);
+    let units = driver.pending();
     let mut snapshots = Vec::new();
     let mut anytime_secs = 0.0;
     for &frac in &fractions {
-        let target = ((count as f64) * frac).round() as usize;
+        let target = ((units as f64) * frac).round() as usize;
         let (secs, _) = seconds(|| driver.run_for(target.saturating_sub(driver.processed())));
         anytime_secs += secs;
         snapshots.push((frac, driver.processed(), anytime_secs, driver.snapshot()));
@@ -103,14 +118,14 @@ fn main() {
     let anytime_final = driver.finish();
     assert_eq!(
         anytime_final.profile, fast_mp.profile,
-        "anytime STAMP profile deviates from sequential STAMP"
+        "anytime profile deviates from batch STOMP"
     );
     assert_eq!(
         anytime_final.index, fast_mp.index,
-        "anytime STAMP index deviates from sequential STAMP"
+        "anytime index deviates from batch STOMP"
     );
     let mut anytime_rows = Vec::new();
-    for (frac, queries, secs, snap) in &snapshots {
+    for (frac, ran, secs, snap) in &snapshots {
         let settled = snap
             .profile
             .iter()
@@ -119,12 +134,12 @@ fn main() {
             .count();
         let settled_frac = settled as f64 / count as f64;
         eprintln!(
-            "ANYTIME {:>3.0}% of queries ({queries}): {secs:.3}s, {:.1}% of profile settled",
+            "ANYTIME {:>3.0}% of units ({ran}): {secs:.3}s, {:.1}% of profile settled",
             frac * 100.0,
             settled_frac * 100.0
         );
         anytime_rows.push(format!(
-            "    {{ \"fraction\": {frac}, \"queries\": {queries}, \"secs\": {secs:.6}, \
+            "    {{ \"fraction\": {frac}, \"units\": {ran}, \"secs\": {secs:.6}, \
              \"settled_frac\": {settled_frac:.4} }}"
         ));
     }
@@ -150,7 +165,7 @@ fn main() {
     // frequency decay) land entirely on the second arm and read as
     // fake overhead. The gate asserts the sustained-throughput
     // overhead stays under 3% and both arms' finished profiles are
-    // bit-identical to batch STAMP — instrumentation never touches
+    // bit-identical to batch STOMP — instrumentation never touches
     // the f64 path, so parity must hold by construction.
     let obs_chunk = stream_chunks[1];
     let obs_reps = if quick { 3usize } else { 5usize };
@@ -322,8 +337,6 @@ fn main() {
 
     let json = format!(
         "{{\n  \"suite\": \"discord-perf\",\n  \"quick\": {quick},\n  \"host_cores\": {cores},\n  \
-         \"stamp\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
-         \"shared_spectrum_secs\": {stamp_fast_secs:.6}\n  }},\n  \
          \"stomp\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \"runs\": [\n{stomp_rows}\n    ]\n  }},\n  \
          \"anytime\": {{\n    \"series_len\": {series_len},\n    \"m\": {m},\n    \
          \"order_seed\": {anytime_seed},\n    \"settle_tol\": {settle_tol:e},\n    \

@@ -6,9 +6,9 @@
 //!   (Figure 1 grid, Table 4 per-method runs, Figure 9 case study).
 //! * `scalability` — Figure 8: ensemble vs STOMP across series lengths.
 //! * `ablations` — design-choice ablations: FastPAA vs
-//!   naive PAA, multi-resolution vs per-resolution SAX, STOMP vs STAMP vs
-//!   brute force, numerosity reduction on/off, median vs mean vs min
-//!   combiner.
+//!   naive PAA, multi-resolution vs per-resolution SAX, the STOMP
+//!   kernel vs brute force, numerosity reduction on/off, median vs mean
+//!   vs min combiner.
 //!
 //! This library only hosts shared fixture builders so the three bench
 //! binaries don't repeat corpus construction.

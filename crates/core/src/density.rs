@@ -50,19 +50,21 @@ impl RuleDensityCurve {
         nr: &NumerosityReduced,
         series_len: usize,
     ) -> Self {
-        let mut diff = vec![0.0f64; series_len + 1];
+        // The difference array becomes the curve in place: one buffer,
+        // the ±1 marks, a running sum, and the end mark cut off.
+        let mut values = vec![0.0f64; series_len + 1];
         for occ in occurrences {
             if let Some((lo, hi)) = series_interval(occ.start, occ.len, nr, series_len) {
-                diff[lo] += 1.0;
-                diff[hi] -= 1.0;
+                values[lo] += 1.0;
+                values[hi] -= 1.0;
             }
         }
-        let mut values = Vec::with_capacity(series_len);
         let mut acc = 0.0;
-        for d in diff.iter().take(series_len) {
-            acc += d;
-            values.push(acc);
+        for v in &mut values {
+            acc += *v;
+            *v = acc;
         }
+        values.truncate(series_len);
         Self { values }
     }
 
@@ -341,6 +343,29 @@ mod tests {
         let nr = identity_nr(&[0, 1, 2], 2);
         let curve = RuleDensityCurve::from_occurrences(&[], &nr, 4);
         assert_eq!(curve.values, vec![0.0; 4]);
+    }
+
+    /// The curve is built in its own difference array: one buffer of
+    /// `series_len + 1` entries, the end mark cut off.
+    #[test]
+    fn from_occurrences_builds_the_curve_in_its_difference_array() {
+        let nr = identity_nr(&[7, 8, 7, 8, 7, 8], 3);
+        let occ = [
+            egi_sequitur::RuleOccurrence {
+                rule: 1,
+                start: 0,
+                len: 2,
+            },
+            egi_sequitur::RuleOccurrence {
+                rule: 1,
+                start: 4,
+                len: 2,
+            },
+        ];
+        // [0, 4) and [4, 8): the second reaches the series' end.
+        let curve = RuleDensityCurve::from_occurrences(&occ, &nr, 8);
+        assert_eq!(curve.values, vec![1.0; 8]);
+        assert_eq!(curve.values.capacity(), 9);
     }
 
     #[test]

@@ -100,12 +100,11 @@
 //!
 //! # Why streaming SAX is *exactly* incremental here
 //!
-//! The discord monitor must re-run old queries after an append because
-//! its FFT rounding depends on the global transform length. The
-//! grammar-induction pipeline has no such global: a window's
-//! z-normalization statistics come from prefix sums over `[start,
-//! start + n]` only, and [`PrefixStats::extend`] leaves every existing
-//! slot bit-identical — so **nothing computed before an append ever
+//! Like the discord monitor's matrix-profile kernel, the
+//! grammar-induction pipeline depends on no global of the series: a
+//! window's z-normalization statistics come from prefix sums over
+//! `[start, start + n]` only, and [`PrefixStats::extend`] leaves every
+//! existing slot bit-identical — so **nothing computed before an append ever
 //! needs recomputation**. No numerical carry-over layer exists because
 //! none is needed.
 //!
@@ -116,7 +115,7 @@
 //! structural sense**: exact for the member's consumed prefix *as of
 //! its last refresh*, served zero-padded to the current series length
 //! by [`StreamingEnsembleDetector::snapshot`] until the member's next
-//! refresh (mirroring the discord monitor's live-snapshot carry). Once
+//! refresh. Once
 //! every member has caught up
 //! ([`StreamingEnsembleDetector::is_current`]), the snapshot *is* the
 //! batch ensemble curve, bit for bit.

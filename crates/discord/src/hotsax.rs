@@ -29,20 +29,22 @@ fn znorm_dist_early_abandon(
     best: f64,
 ) -> Option<f64> {
     let m = ws.m;
-    let (mi, si) = (ws.mu[i], ws.sigma[i]);
-    let (mj, sj) = (ws.mu[j], ws.sigma[j]);
-    if si == 0.0 && sj == 0.0 {
+    if ws.flat[i] && ws.flat[j] {
         return if 0.0 < best { Some(0.0) } else { None };
     }
-    if si == 0.0 || sj == 0.0 {
+    if ws.flat[i] || ws.flat[j] {
         let d = (2.0 * m as f64).sqrt();
         return if d < best { Some(d) } else { None };
     }
+    // z = (x − μ)/σ with σ = ‖x − μ‖/√m, the population deviation.
+    let root_m = (m as f64).sqrt();
+    let (mi, si) = (ws.mu[i], ws.inv_norm[i] * root_m);
+    let (mj, sj) = (ws.mu[j], ws.inv_norm[j] * root_m);
     let limit = best * best;
     let mut acc = 0.0;
     for k in 0..m {
-        let x = (series[i + k] - mi) / si;
-        let y = (series[j + k] - mj) / sj;
+        let x = (series[i + k] - mi) * si;
+        let y = (series[j + k] - mj) * sj;
         let d = x - y;
         acc += d * d;
         if acc >= limit {

@@ -7,13 +7,13 @@ use egi_tskit::window::intervals_overlap;
 /// `(best_d, best_idx)` iff it is strictly smaller under the total order
 /// *distance first, neighbor index second*.
 ///
-/// Every profile fold in this crate (STOMP's diagonal merge, STAMP's
-/// per-query fold, the anytime/parallel STAMP partial-profile merge) uses
-/// this single rule. Because min-folding under a total order is
-/// commutative and associative, any processing order — row sweep,
-/// diagonal chunks, random query permutations, per-thread partials —
-/// produces the *same* profile and index vectors, including on exact
-/// distance ties (the smallest neighbor index wins).
+/// Every profile fold in this crate (the kernel's per-cell fold and
+/// the per-worker partial-profile merge of STOMP and of the streaming
+/// monitor's finish) uses this single rule. Because min-folding under a
+/// total order is commutative and associative, any processing order —
+/// diagonal chunks, seeded diagonal orders, append schedules,
+/// per-thread partials — produces the *same* profile and index vectors,
+/// including on exact distance ties (the smallest neighbor index wins).
 ///
 /// A fresh slot is `(f64::INFINITY, usize::MAX)`: any finite distance
 /// improves it.
@@ -28,9 +28,8 @@ pub fn improves(d: f64, idx: usize, best_d: f64, best_idx: usize) -> bool {
 /// `src` may be shorter than `dst` (a partial computed before the series
 /// grew); entries past its end are left untouched. Because the underlying
 /// fold is commutative and associative, merging partials in any order
-/// yields the same result — this is the primitive behind parallel
-/// STAMP's per-worker merge and the streaming monitor's carry-over of
-/// pre-append evidence.
+/// yields the same result — this is the primitive behind the kernel's
+/// per-worker merge in STOMP and in the streaming monitor's finish.
 ///
 /// # Panics
 ///

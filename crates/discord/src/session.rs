@@ -17,20 +17,20 @@ use crate::profile::MatrixProfile;
 use crate::streaming::StreamingDiscordMonitor;
 
 impl StreamingDiscordMonitor {
-    /// Processes up to `n` pending queries; returns how many ran.
+    /// Runs up to `n` pending units; returns how many ran.
     pub fn run_for(&mut self, n: usize) -> usize {
         <Self as StreamSession>::run_for(self, n)
     }
 
-    /// Processes pending queries until `deadline` expires or the
-    /// monitor is current; returns how many ran. The deadline is
-    /// checked before each query, so it is never overshot by more than
-    /// one query's work, and an expired deadline runs no query.
+    /// Runs pending units until `deadline` expires or the monitor is
+    /// current; returns how many ran. The deadline is checked before
+    /// each unit, so it is never overshot by more than one unit's work,
+    /// and an expired deadline runs no unit.
     ///
     /// # Examples
     ///
-    /// Anytime STAMP: append a series once and tighten its profile
-    /// under a deadline.
+    /// The anytime matrix profile: append a series once and tighten
+    /// its profile under a deadline.
     ///
     /// ```
     /// use std::time::Duration;
@@ -41,20 +41,20 @@ impl StreamingDiscordMonitor {
     /// let mut monitor = StreamingDiscordMonitor::new(16);
     /// monitor.append(&series);
     ///
-    /// // Spend at most 2 ms (or 50 queries) tightening the profile…
+    /// // Spend at most 2 ms (or 50 units) tightening the profile…
     /// monitor.run_until(Deadline::after(Duration::from_millis(2)).with_query_cap(50));
     /// let partial = monitor.snapshot(); // an upper bound at any point
     ///
-    /// // …then run to completion: bit-identical to batch `stamp()`.
+    /// // …then run to completion: bit-identical to batch `stomp()`.
     /// let finished = monitor.finish();
     /// assert!(partial.profile.iter().zip(&finished.profile).all(|(p, f)| p >= f));
-    /// assert_eq!(finished.profile, egi_discord::stamp(&series, 16).profile);
+    /// assert_eq!(finished.profile, egi_discord::stomp(&series, 16).profile);
     /// ```
     pub fn run_until(&mut self, deadline: Deadline) -> usize {
         <Self as StreamSession>::run_until(self, deadline)
     }
 
-    /// Processes pending queries for (at most) `budget` of wall-clock
+    /// Runs pending units for (at most) `budget` of wall-clock
     /// time — the "hard latency budget between appends" entry point.
     pub fn run_for_duration(&mut self, budget: Duration) -> usize {
         <Self as StreamSession>::run_for_duration(self, budget)
@@ -64,7 +64,8 @@ impl StreamingDiscordMonitor {
 /// The shared streaming-session contract: every method forwards to the
 /// inherent implementation, so driving the monitor through the trait
 /// (e.g. from an `egi-serve` fleet) is bit-identical to calling it
-/// directly. One refresh *unit* is one MASS query.
+/// directly. One refresh *unit* is a run of diagonals of about one
+/// window count of cells (see [`crate::streaming`]).
 impl StreamSession for StreamingDiscordMonitor {
     type Snapshot = MatrixProfile;
     type Report = MatrixProfile;

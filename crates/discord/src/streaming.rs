@@ -2,131 +2,90 @@
 //!
 //! [`StreamingDiscordMonitor`] owns a growing time series and keeps its
 //! matrix profile — and therefore its discord set — current as points
-//! are appended, under hard wall-clock latency budgets between appends.
-//! It is the online driver the ROADMAP's production north-star asks for:
+//! are appended, under hard wall-clock latency budgets between appends:
 //! ingest a chunk of live traffic, spend a bounded slice of time
 //! tightening the profile, answer "best discords so far", repeat.
 //!
 //! # Architecture
 //!
-//! Three layers cooperate:
+//! The monitor runs the crate's one matrix-profile kernel
+//! ([`mod@crate::stomp`]) over its live series. It holds:
 //!
-//! * The monitor owns the **live series**, and its
-//!   [`MassPrecomputed`] engine is derived state: once the series holds
-//!   a window, the engine is rebuilt over it after every append and
-//!   every eviction — one `O(N)` window-statistics pass and one
-//!   `O(S log S)` forward transform at the padded size `S`, on the
-//!   process-wide cached FFT plan. Under a
+//! * the **live series** and its [`WindowStats`], which an append
+//!   extends over the new windows and an eviction drains at the front.
+//!   Each entry is computed over its own points, so the stats always
+//!   equal a fresh computation over the live series;
+//! * per admissible diagonal, the kernel's **progress**: the row of the
+//!   diagonal's next cell and the centered covariance of the cell before
+//!   it;
+//! * the **fold**: the partial matrix profile of every cell computed
+//!   since the last eviction, under the shared `(distance, index)` rule
+//!   of [`crate::profile::improves`]. A snapshot is the fold.
+//!
+//! Every cell is a function of the live window's points alone, so once
+//! every cell is computed the fold is bit-identical to batch
+//! [`stomp()`](crate::stomp::stomp) over the live series, whatever
+//! schedule of appends, evictions, units, checkpoints and workers led
+//! there.
+//!
+//! # Appends and evictions
+//!
+//! * An **append** of `c` points adds `c` rows to every diagonal (and
+//!   new diagonals). Each diagonal is extended from its stored
+//!   covariance, so the append costs `O(c·N)` cells over `N` windows,
+//!   plus `O(c·m)` for the new windows' statistics. Every cell computed
+//!   before the append is a cell of the grown profile too, so the fold
+//!   is kept.
+//! * An **eviction** moves every diagonal's first row, and a diagonal
+//!   seeded at its new first row rounds differently from one walked
+//!   past it. So an eviction re-seeds every diagonal and drops the fold,
+//!   whose entries may cite evicted neighbors: `O(N²)` cells to restore
+//!   full coverage, paid through the usual step budget. Callers should
+//!   batch evictions. Under a
 //!   [`retain_last`](StreamingDiscordMonitor::retain_last) policy an
-//!   append trims first, so it transforms once, at the retained size.
-//!   Every query therefore runs against exactly the engine batch STAMP
-//!   builds over the same series.
-//! * The monitor maintains an **exact fold**: the partial matrix
-//!   profile folded from distance profiles computed against the
-//!   *current* spectrum, under the shared `(distance, index)` rule of
-//!   [`crate::profile::improves`]. Once every window has been processed
-//!   as a query in the current epoch, the fold is bit-identical to a
-//!   from-scratch [`stamp()`](crate::stamp::stamp) on the full series.
-//! * A **carry-over** layer keeps the evidence accumulated before the
-//!   latest append. Those folds were computed against a shorter
-//!   series' spectrum; they are numerically within FFT round-off
-//!   (~1e-9) of the current-spectrum values but not bitwise equal, so
-//!   they serve [`StreamingDiscordMonitor::snapshot`] (live monitoring
-//!   wants the tightest available bound *now*) and never contaminate
-//!   the exact fold.
+//!   append that overflows the retention trims first, so it re-seeds
+//!   once.
 //!
-//! # Why appends re-enqueue old queries
+//! [`StreamingDiscordMonitor::evict`] and
+//! [`StreamingDiscordMonitor::retain_last`] bound the monitor's memory
+//! for indefinitely-running streams. All indices are *local to the live
+//! window*; the global position of local index `i` is
+//! `stream_offset() + i` via [`StreamingDiscordMonitor::stream_offset`].
 //!
-//! An FFT's rounding depends on its transform length, so the same
-//! mathematical distance computed against the grown series' spectrum
-//! differs in the last bits from the value computed before the append.
-//! A finished profile that mixed pre- and post-append folds would
-//! therefore disagree with batch STAMP at the ulp level — and the
-//! crate's contract (PR 1/2 standard) is *bit*-identity. The monitor
-//! resolves the tension by priority, not by discarding work:
+//! # Units: the anytime matrix profile
 //!
-//! 1. **fresh queries** (the windows the append created) run first —
-//!    they are the only ones that carry genuinely new information, so
-//!    snapshot quality after an append needs exactly `chunk` queries;
-//! 2. never-processed older queries run next;
-//! 3. queries already processed in an earlier epoch re-run last — pure
-//!    numerical refresh, deferred until the stream goes quiet.
-//!
-//! Between appends the carry-over keeps every pair ever examined in the
-//! live view, so *new points only add candidate queries* as far as
-//! monitoring is concerned; the re-runs exist solely to restore
-//! bit-exactness once the monitor catches up.
-//!
-//! # Sliding-window eviction
-//!
-//! [`StreamingDiscordMonitor::evict`] retires the oldest points, and
-//! [`StreamingDiscordMonitor::retain_last`] installs a retention policy
-//! that trims automatically after every append — together they bound
-//! the monitor's memory for indefinitely-running streams. The contract
-//! mirrors the append side one level up: **after any interleaving of
-//! appends and evictions, [`finish`](StreamingDiscordMonitor::finish)
-//! is bit-identical to a fresh batch [`stamp()`](crate::stamp::stamp)
-//! over the surviving suffix** (property-tested). All indices are
-//! *local to the live window*; the global position of local index `i`
-//! is `stream_offset() + i` via
-//! [`StreamingDiscordMonitor::stream_offset`].
-//!
-//! ## Eviction cost model (and why evidence is discarded)
-//!
-//! Appending only *adds* candidate neighbors, so pre-append evidence
-//! keeps its meaning and is preserved (the carry-over). Eviction is the
-//! opposite: it *removes* candidates, so a pre-eviction profile entry
-//! may cite a neighbor that no longer exists — and since the suffix
-//! profile's nearest-neighbor distances can only be **larger** than the
-//! full-series ones, stale entries would under-report discord distances
-//! and point outside the live window. The monitor therefore drops the
-//! exact fold *and* the carry on eviction and re-enqueues every
-//! surviving window; snapshots restart from `+∞` and re-tighten as
-//! queries run. Per eviction of `c` points from a series of `N` the
-//! immediate cost is the engine rebuild over the suffix (`O(N − c)`
-//! statistics and one `O(S log S)` transform at the shrunken padded
-//! size `S`: an FFT's rounding depends on the whole buffer, so no
-//! cached state survives a front truncation), and restoring full
-//! snapshot coverage costs one query per surviving window, paid
-//! through the usual [`step`](StreamingDiscordMonitor::step) budget.
-//! As with appends, **callers should batch evictions**: the rebuild
-//! amortizes to `O((S log S)/c)` per retired point.
-//!
-//! # Anytime and parallel STAMP
-//!
-//! A monitor fed one series is STAMP run as an anytime algorithm (Yeh
-//! et al., "Matrix Profile I", ICDM 2016): every processed query
-//! tightens the profile, so the run can stop at any point and still
+//! A monitor fed one series is an anytime matrix profile: every unit of
+//! work adds exact cells, so the run can stop at any point and still
 //! hand back an upper bound on the final profile.
 //!
-//! * Each epoch's queries run in a seeded pseudo-random order
-//!   ([`pseudo_random_order`], salted with the epoch count), so the
-//!   partial profile converges evenly across the series instead of
-//!   front to back.
-//! * [`run_for`](StreamingDiscordMonitor::run_for) spends a query
-//!   budget and [`run_until`](StreamingDiscordMonitor::run_until) a
+//! * After every append and eviction, the diagonals with cells left are
+//!   queued in a seeded pseudo-random order ([`pseudo_random_order`],
+//!   salted with the epoch count), as SCRIMP++ does (Zhu et al., ICDM
+//!   2018), so the partial profile converges evenly across the series
+//!   instead of along the main diagonal.
+//! * One **unit** ([`step`](StreamingDiscordMonitor::step)) is a run of
+//!   consecutive diagonals of that order, cut to about one window count
+//!   of cells.
+//! * [`run_for`](StreamingDiscordMonitor::run_for) spends a unit budget
+//!   and [`run_until`](StreamingDiscordMonitor::run_until) a
 //!   [`Deadline`](egi_tskit::Deadline). The deadline is checked before
-//!   each query, so it is overshot by at most one query's work.
-//! * [`finish`](StreamingDiscordMonitor::finish) fans the remaining
-//!   queries out across rayon workers, and steps them when one worker
-//!   or one query is left.
+//!   each unit, so it is overshot by at most one unit's work.
+//! * [`finish`](StreamingDiscordMonitor::finish) splits the pending
+//!   diagonals across rayon workers, and steps them when one worker or
+//!   one diagonal is left.
 //!
 //! # Convergence contract
 //!
-//! * Within an epoch (between appends), snapshots tighten
-//!   monotonically.
-//! * Across an append, the snapshot is unchanged (new entries start at
-//!   `+∞`) and then resumes tightening.
-//! * When the monitor catches up ([`StreamingDiscordMonitor::is_current`]),
-//!   the stale carry is dropped and the snapshot equals the exact fold;
-//!   entries may move by FFT round-off (≤ ~1e-9) at that transition,
-//!   which is the only departure from bitwise monotonicity.
-//! * [`StreamingDiscordMonitor::finish`], for every rayon worker
-//!   count, returns a profile bit-identical to
-//!   [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
-//!   the full series — property-tested across append schedules, seeds,
-//!   chunk sizes, and thread counts — because every query of an epoch
-//!   runs against the engine built over exactly that series.
+//! * Every snapshot entry is an exact cell (or `+∞`), so it is an upper
+//!   bound on the final profile.
+//! * Snapshots never loosen between evictions: a unit and an append only
+//!   add cells, and an append's new windows start at `+∞`.
+//! * An eviction resets every entry to `+∞`.
+//! * [`StreamingDiscordMonitor::finish`], for every rayon worker count,
+//!   returns a profile bit-identical to
+//!   [`stomp_with_exclusion`](crate::stomp::stomp_with_exclusion) over
+//!   the live series — property-tested across append, evict, step and
+//!   checkpoint schedules, seeds and worker counts.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -151,12 +110,10 @@ use egi_tskit::session::StreamClock;
 /// from [`egi_tskit::session`]: import it to drive the monitor
 /// generically (e.g. from an `egi-serve` fleet).
 pub use egi_tskit::session::StreamSession;
-use rayon::prelude::*;
 
-use crate::mass::{MassPrecomputed, MassScratch};
-use crate::profile::{merge_min_into, Discord, MatrixProfile};
-use crate::stamp::update_from_profile;
-use crate::stomp::default_exclusion;
+use crate::dist::WindowStats;
+use crate::profile::{Discord, MatrixProfile};
+use crate::stomp::{default_exclusion, walk, walk_all, Diagonal};
 
 /// Seed used by [`StreamingDiscordMonitor::new`] when the caller does
 /// not pick one.
@@ -165,7 +122,7 @@ pub const DEFAULT_MONITOR_SEED: u64 = 0x5EED_CAFE;
 /// Deterministic pseudo-random permutation of `0..n` (SplitMix64-keyed
 /// Fisher–Yates).
 ///
-/// Used for the monitor's per-epoch query order and for HOTSAX's
+/// Used for the monitor's per-epoch diagonal order and for HOTSAX's
 /// inner-loop visit order, where the literature prescribes "random" but
 /// reproducibility demands a seeded generator.
 pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
@@ -187,8 +144,8 @@ pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
 
 /// An online discord monitor over an append-only time series.
 ///
-/// See the [module docs](self) for the architecture, the exact-fold /
-/// carry-over split, and the convergence contract.
+/// See the [module docs](self) for the architecture, the unit of work,
+/// and the convergence contract.
 ///
 /// # Examples
 ///
@@ -207,14 +164,14 @@ pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
 /// monitor.run_for(usize::MAX);             // catch up completely
 /// for chunk in series[128..].chunks(32) {
 ///     monitor.append(chunk);               // live traffic arrives…
-///     monitor.run_for(chunk.len());        // …refresh the new windows
+///     monitor.run_for(chunk.len());        // …extend the diagonals
 /// }
 /// let top = monitor.discords(1);           // best discord so far
 /// assert!((170..=190).contains(&top[0].start), "found {}", top[0].start);
 ///
-/// // Once caught up, the profile is bit-identical to batch STAMP.
+/// // Once caught up, the profile is bit-identical to batch STOMP.
 /// let finished = monitor.finish();
-/// let batch = egi_discord::stamp(&series, m);
+/// let batch = egi_discord::stomp(&series, m);
 /// assert_eq!(finished.profile, batch.profile);
 /// assert_eq!(finished.index, batch.index);
 /// ```
@@ -223,29 +180,26 @@ pub struct StreamingDiscordMonitor {
     m: usize,
     exclusion: usize,
     seed: u64,
-    /// Epoch (salts the per-epoch query order), stream offset, and
+    /// Epoch (salts the per-epoch diagonal order), stream offset, and
     /// retention bookkeeping — the [`StreamClock`] shared by every
     /// [`StreamSession`] implementor.
     clock: StreamClock,
     /// The live series: every point appended and not yet evicted.
     series: Vec<f64>,
-    /// The MASS engine over `series`, rebuilt after every append and
-    /// eviction; `None` while the series is shorter than one window.
-    mass: Option<MassPrecomputed>,
-    /// Queries to process in the current epoch: fresh windows first,
-    /// then never-processed older windows, then numerical re-runs.
+    /// Statistics of every window of `series`.
+    windows: WindowStats,
+    /// The kernel's progress along diagonal `exclusion + 1 + d`, at `d`.
+    diagonals: Vec<Diagonal>,
+    /// The diagonals with cells left, in the epoch's seeded order.
     pending: VecDeque<usize>,
-    /// Queries already folded in the current epoch, in processing order.
-    done: Vec<usize>,
-    /// The exact fold: evidence computed against the current spectrum.
+    /// How many diagonals of `pending`, front first, each unit holds.
+    units: VecDeque<usize>,
+    /// Units run since the last append or eviction.
+    processed: usize,
+    /// The fold of every cell computed since the last eviction.
     fold_profile: Vec<f64>,
     fold_index: Vec<usize>,
-    /// Pre-append evidence (within FFT round-off of exact); dropped the
-    /// moment the exact fold reaches full coverage.
-    carry: Option<(Vec<f64>, Vec<usize>)>,
-    scratch: MassScratch,
-    dp: Vec<f64>,
-    /// Lifetime telemetry (appends, queries served, staleness) — pure
+    /// Lifetime telemetry (appends, units served, staleness) — pure
     /// `u64` bookkeeping, deliberately outside the checkpoint payload
     /// and every parity contract.
     stats: SessionStats,
@@ -268,8 +222,8 @@ impl StreamingDiscordMonitor {
     }
 
     /// Builds an empty monitor with an explicit exclusion half-width
-    /// and query-order seed. The seed affects only the order pending
-    /// queries are processed in, never any finished profile.
+    /// and diagonal-order seed. The seed affects only the order pending
+    /// diagonals are walked in, never any finished profile.
     pub fn with_seed(m: usize, exclusion: usize, seed: u64) -> Self {
         assert!(m > 0, "window must be positive");
         Self {
@@ -278,14 +232,13 @@ impl StreamingDiscordMonitor {
             seed,
             clock: StreamClock::new(),
             series: Vec::new(),
-            mass: None,
+            windows: WindowStats::empty(m),
+            diagonals: Vec::new(),
             pending: VecDeque::new(),
-            done: Vec::new(),
+            units: VecDeque::new(),
+            processed: 0,
             fold_profile: Vec::new(),
             fold_index: Vec::new(),
-            carry: None,
-            scratch: MassScratch::default(),
-            dp: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -313,18 +266,17 @@ impl StreamingDiscordMonitor {
     /// Number of sliding windows (profile length); zero until `m`
     /// points have arrived.
     pub fn window_count(&self) -> usize {
-        self.mass.as_ref().map_or(0, MassPrecomputed::window_count)
+        self.windows.count()
     }
 
-    /// Queries awaiting processing in the current epoch (fresh windows
-    /// plus numerical re-runs scheduled by appends).
+    /// Units awaiting processing in the current epoch.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.units.len()
     }
 
-    /// Queries folded since the last append.
+    /// Units run since the last append or eviction.
     pub fn processed(&self) -> usize {
-        self.done.len()
+        self.processed
     }
 
     /// Ingest events (appends and evictions) seen so far.
@@ -352,63 +304,90 @@ impl StreamingDiscordMonitor {
         self.series.capacity()
     }
 
-    /// Current FFT transform size: the live series length's next power
-    /// of two, or 0 before the first window materializes — bounded by
-    /// `O(retention)` under a
-    /// [`retain_last`](StreamingDiscordMonitor::retain_last) policy.
-    pub fn padded_size(&self) -> usize {
-        self.mass.as_ref().map_or(0, MassPrecomputed::padded_size)
-    }
-
-    /// `true` once the exact fold covers every window of the current
-    /// series — from here, [`StreamingDiscordMonitor::snapshot`] is
-    /// bit-identical to batch STAMP on the ingested series.
+    /// `true` once every cell of the current series is in the fold —
+    /// from here, [`StreamingDiscordMonitor::snapshot`] is
+    /// bit-identical to batch STOMP on the ingested series.
     pub fn is_current(&self) -> bool {
-        self.pending.is_empty()
+        self.units.is_empty()
     }
 
-    /// Lifetime telemetry for this monitor: appends, evictions,
-    /// queries served, and staleness (points appended since the fold
-    /// last caught up). Pure `u64` counters — reading or keeping them
-    /// never touches the numeric path — and deliberately not part of
+    /// Lifetime telemetry for this monitor: appends, evictions, units
+    /// served, and staleness (points appended since the fold last
+    /// caught up). Pure `u64` counters — reading or keeping them never
+    /// touches the numeric path — and deliberately not part of
     /// checkpoints (a restored monitor starts from zero).
     pub fn metrics(&self) -> SessionStats {
         self.stats
     }
 
-    /// Deterministic processing order for `fresh` new queries of the
-    /// current epoch: a seeded shuffle, so anytime coverage spreads
-    /// evenly.
-    fn epoch_order(&self, offset: usize, fresh: usize) -> Vec<usize> {
+    /// The first diagonal outside the exclusion zone.
+    fn first_diagonal(&self) -> usize {
+        self.exclusion.saturating_add(1)
+    }
+
+    /// Starts the epoch of an append or an eviction: extends the window
+    /// statistics over the live series (an eviction may follow an
+    /// append that left them to it), grows the fold and the diagonal
+    /// progress to the live windows, queues every diagonal with cells
+    /// left in the epoch's seeded order, and cuts the queue into units.
+    fn start_epoch(&mut self) {
+        self.windows.extend(&self.series);
+        let (count, first) = (self.window_count(), self.first_diagonal());
+        self.fold_profile.resize(count, f64::INFINITY);
+        self.fold_index.resize(count, usize::MAX);
+        self.diagonals
+            .resize(count.saturating_sub(first), Diagonal::default());
         let salt = self
             .seed
             .wrapping_add(self.clock.epochs().wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        pseudo_random_order(fresh, salt)
-            .into_iter()
-            .map(|i| i + offset)
-            .collect()
+        let diagonals = &self.diagonals;
+        self.pending.clear();
+        self.pending.extend(
+            pseudo_random_order(diagonals.len(), salt)
+                .into_iter()
+                .filter(|&d| diagonals[d].next < count - first - d)
+                .map(|d| first + d),
+        );
+        self.processed = 0;
+        self.cut_units();
+    }
+
+    /// Cuts the pending diagonals, front first, into units of at least
+    /// one window count of cells each (the last one may hold fewer).
+    fn cut_units(&mut self) {
+        let (count, first) = (self.window_count(), self.first_diagonal());
+        self.units.clear();
+        let (mut cells, mut size) = (0, 0);
+        for &k in &self.pending {
+            cells += count - k - self.diagonals[k - first].next;
+            size += 1;
+            if cells >= count {
+                self.units.push_back(size);
+                (cells, size) = (0, 0);
+            }
+        }
+        if size > 0 {
+            self.units.push_back(size);
+        }
     }
 
     /// Ingests new points. Never blocks on profile work: the append
-    /// cost is one engine build over the live series (see the
-    /// [module docs](self)) plus `O(1)` bookkeeping per
-    /// already-processed query, and all query processing is deferred to
-    /// [`step`](Self::step) / [`run_until`](Self::run_until) so the
-    /// caller controls the latency budget.
+    /// computes the new windows' statistics (`O(m)` each) and queues
+    /// the epoch, and all cells are deferred to [`step`](Self::step) /
+    /// [`run_until`](Self::run_until) so the caller controls the
+    /// latency budget.
     ///
-    /// New windows are enqueued ahead of everything else; queries
-    /// processed in earlier epochs are re-enqueued last (see the
-    /// [module docs](self) for why bit-exactness requires that). Under
-    /// a [`retain_last`](Self::retain_last) policy the trim runs before
-    /// the build, so an append that overflows the retention builds the
-    /// engine once, over the retained suffix.
+    /// Every diagonal keeps its progress, so the next units only walk
+    /// the cells the new points created, and the snapshot keeps every
+    /// cell computed so far. Under a [`retain_last`](Self::retain_last)
+    /// policy an append that overflows the retention evicts the excess
+    /// at once, which re-seeds every diagonal.
     pub fn append(&mut self, points: &[f64]) {
         if points.is_empty() {
             return;
         }
         let span = egi_obs::SpanTimer::start();
         self.clock.record_append();
-        let old_count = self.window_count();
         self.series.extend_from_slice(points);
         let excess = self.clock.excess(self.series.len());
         if excess > 0 {
@@ -417,45 +396,11 @@ impl StreamingDiscordMonitor {
             self.evict(excess)
                 .expect("retention >= m leaves a viable suffix");
         } else {
-            self.ingest(old_count);
+            self.start_epoch();
         }
         self.stats
-            .record_append(points.len() as u64, self.pending.is_empty());
+            .record_append(points.len() as u64, self.is_current());
         span.record(egi_obs::histogram!("egi_monitor_append_nanos"));
-    }
-
-    /// Rebuilds the engine over the grown series and queues the epoch:
-    /// the windows past `old_count` first, then the old backlog, then
-    /// the old epoch's processed queries as numerical re-runs.
-    fn ingest(&mut self, old_count: usize) {
-        self.mass = engine(&self.series, self.m);
-        let new_count = self.window_count();
-        if new_count == 0 {
-            return;
-        }
-        if old_count > 0 {
-            // Preserve pre-append evidence for live snapshots…
-            let (cp, ci) = self.carry.get_or_insert_with(|| {
-                (vec![f64::INFINITY; old_count], vec![usize::MAX; old_count])
-            });
-            cp.resize(new_count, f64::INFINITY);
-            ci.resize(new_count, usize::MAX);
-            merge_min_into(cp, ci, &self.fold_profile, &self.fold_index);
-        }
-        // …and restart the exact fold against the new spectrum.
-        self.reset_fold(new_count);
-        let mut pending = VecDeque::from(self.epoch_order(old_count, new_count - old_count));
-        pending.append(&mut self.pending);
-        pending.extend(self.done.drain(..));
-        self.pending = pending;
-    }
-
-    /// Sets the exact fold to `count` entries no query has reached.
-    fn reset_fold(&mut self, count: usize) {
-        self.fold_profile.clear();
-        self.fold_profile.resize(count, f64::INFINITY);
-        self.fold_index.clear();
-        self.fold_index.resize(count, usize::MAX);
     }
 
     /// Retires the oldest `count` points from the live window. After
@@ -463,14 +408,13 @@ impl StreamingDiscordMonitor {
     /// operation — like a fresh monitor that ingested only the
     /// surviving suffix (plus the [`stream_offset`] bookkeeping), so
     /// [`finish`](Self::finish) lands on batch
-    /// [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion)
+    /// [`stomp_with_exclusion`](crate::stomp::stomp_with_exclusion)
     /// over that suffix.
     ///
-    /// All accumulated evidence (exact fold and carry-over) is
-    /// discarded and every surviving window re-enqueued — eviction
-    /// shrinks the candidate-pair set, so pre-eviction profile entries
-    /// are no longer upper bounds and may cite retired neighbors (see
-    /// the [module docs](self) for the full cost model).
+    /// The fold is dropped and every diagonal re-seeded at the new first
+    /// row — eviction shrinks the candidate-pair set, so pre-eviction
+    /// profile entries are no longer upper bounds and may cite retired
+    /// neighbors (see the [module docs](self) for the cost model).
     ///
     /// # Errors
     ///
@@ -496,10 +440,10 @@ impl StreamingDiscordMonitor {
     ///     Err(EvictError::BelowMinimum { remaining: 10, minimum: 16 })
     /// );
     ///
-    /// // The finish is batch STAMP over the surviving suffix, in local
+    /// // The finish is batch STOMP over the surviving suffix, in local
     /// // indices.
     /// let finished = monitor.finish();
-    /// let batch = egi_discord::stamp(&series[100..], 16);
+    /// let batch = egi_discord::stomp(&series[100..], 16);
     /// assert_eq!(finished.profile, batch.profile);
     /// assert_eq!(finished.index, batch.index);
     /// ```
@@ -513,14 +457,12 @@ impl StreamingDiscordMonitor {
         let span = egi_obs::SpanTimer::start();
         self.clock.record_evict(count);
         self.series.drain(..count);
-        self.mass = engine(&self.series, self.m);
-        let windows = self.window_count();
-        self.done.clear();
-        self.carry = None;
-        self.reset_fold(windows);
-        self.pending = self.epoch_order(0, windows).into();
-        self.stats
-            .record_evict(count as u64, self.pending.is_empty());
+        self.windows.evict_front(count);
+        self.fold_profile.clear();
+        self.fold_index.clear();
+        self.diagonals.clear();
+        self.start_epoch();
+        self.stats.record_evict(count as u64, self.is_current());
         span.record(egi_obs::histogram!("egi_monitor_evict_nanos"));
         Ok(())
     }
@@ -552,10 +494,10 @@ impl StreamingDiscordMonitor {
     /// assert_eq!(monitor.series_len(), 256);
     /// assert_eq!(monitor.stream_offset(), 600 - 256);
     ///
-    /// // The finished profile is bit-identical to batch STAMP over the
+    /// // The finished profile is bit-identical to batch STOMP over the
     /// // surviving suffix.
     /// let finished = monitor.finish();
-    /// let batch = egi_discord::stamp(&series[600 - 256..], m);
+    /// let batch = egi_discord::stomp(&series[600 - 256..], m);
     /// assert_eq!(finished.profile, batch.profile);
     /// assert_eq!(finished.index, batch.index);
     /// ```
@@ -574,31 +516,27 @@ impl StreamingDiscordMonitor {
         Ok(excess)
     }
 
-    /// Processes the next pending query into the exact fold. Returns
-    /// `false` when the monitor is already current (or has no windows).
+    /// Runs the next pending unit: walks each of its diagonals to the
+    /// diagonal's last row, folding every new cell. Returns `false`
+    /// when the monitor is already current.
     pub fn step(&mut self) -> bool {
-        let Some(mass) = &self.mass else {
+        let Some(size) = self.units.pop_front() else {
             return false;
         };
-        let Some(q) = self.pending.pop_front() else {
-            return false;
-        };
-        mass.distance_profile_into(q, &mut self.scratch, &mut self.dp);
-        update_from_profile(
-            q,
-            &self.dp,
-            self.exclusion,
-            &mut self.fold_profile,
-            &mut self.fold_index,
-        );
-        self.done.push(q);
-        if self.pending.is_empty() {
-            // Full coverage on the current spectrum: the stale carry can
-            // only differ in the last bits, so drop it and let snapshots
-            // return the exact (batch-bit-identical) profile.
-            self.carry = None;
+        let (count, first) = (self.window_count(), self.first_diagonal());
+        for k in self.pending.drain(..size) {
+            walk(
+                &self.series,
+                &self.windows,
+                k,
+                &mut self.diagonals[k - first],
+                count - k,
+                &mut self.fold_profile,
+                &mut self.fold_index,
+            );
         }
-        self.stats.record_step(self.pending.is_empty());
+        self.processed += 1;
+        self.stats.record_step(self.is_current());
         true
     }
 
@@ -610,41 +548,30 @@ impl StreamingDiscordMonitor {
     /// Eviction truncates *lengths* but deliberately keeps *capacity*
     /// (the steady-state append/evict cycle reuses it); after a heavy
     /// one-off eviction that capacity is dead weight. `compact` shrinks
-    /// the series buffer, the query queue, the fold, and the per-query
-    /// scratch down to the live working set; the engine holds none,
-    /// since every append and eviction builds it at the live size.
-    /// Purely an allocation-level operation: no observable state
-    /// changes, and every parity contract is untouched.
+    /// the series, the window statistics, the diagonal progress, the
+    /// queue and the fold down to the live working set. Purely an
+    /// allocation-level operation: no observable state changes, and
+    /// every parity contract is untouched.
     pub fn compact(&mut self) {
         self.series.shrink_to_fit();
+        self.windows.shrink_to_fit();
+        self.diagonals.shrink_to_fit();
         self.pending.shrink_to_fit();
-        self.done.shrink_to_fit();
+        self.units.shrink_to_fit();
         self.fold_profile.shrink_to_fit();
         self.fold_index.shrink_to_fit();
-        self.dp.shrink_to_fit();
-        self.scratch = MassScratch::default();
     }
 
-    /// The current best-known matrix profile: the exact fold min-merged
-    /// with the pre-append carry-over. Entries no processed query has
-    /// reached are `+∞` / `usize::MAX`; every entry is an upper bound
-    /// on the batch profile of the ingested series, up to FFT round-off
-    /// (carry-over evidence was computed against a shorter series'
-    /// spectrum and may sit ~1e-9 below the batch value — see the
-    /// [module docs](self); once
-    /// [`is_current`](StreamingDiscordMonitor::is_current) the bound is
-    /// exact and bitwise).
+    /// The current best-known matrix profile: the fold of every cell
+    /// computed since the last eviction. Entries no cell has reached
+    /// yet are `+∞` / `usize::MAX`; every other entry is an exact cell,
+    /// so an upper bound on the batch profile of the ingested series.
     pub fn snapshot(&self) -> MatrixProfile {
-        let mut profile = self.fold_profile.clone();
-        let mut index = self.fold_index.clone();
-        if let Some((cp, ci)) = &self.carry {
-            merge_min_into(&mut profile, &mut index, cp, ci);
-        }
         MatrixProfile {
             m: self.m,
             exclusion: self.exclusion,
-            profile,
-            index,
+            profile: self.fold_profile.clone(),
+            index: self.fold_index.clone(),
         }
     }
 
@@ -654,21 +581,20 @@ impl StreamingDiscordMonitor {
         self.snapshot().discords(k)
     }
 
-    /// Processes every pending query and returns the finished profile —
+    /// Runs every pending unit and returns the finished profile —
     /// bit-identical to
-    /// [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
-    /// the full ingested series. On a monitor fed one series this is
-    /// parallel STAMP.
+    /// [`stomp_with_exclusion`](crate::stomp::stomp_with_exclusion) on
+    /// the full ingested series.
     ///
-    /// When more than one query is pending and rayon has more than one
-    /// worker, the pending queries are split into one chunk per worker.
-    /// Each worker folds its chunk into a thread-local partial profile
-    /// with its own [`MassScratch`], and the partials merge under
-    /// [`merge_min_into`]. That merge is commutative and associative,
-    /// so the result, the queue state and the metrics are bit-identical
-    /// to stepping every query in turn, which is what `finish` does
-    /// otherwise. The worker count follows rayon's current
-    /// configuration.
+    /// When more than one diagonal is pending and rayon has more than
+    /// one worker, the pending diagonals are split into one chunk per
+    /// worker of about equal cells. Each worker folds its chunk into a
+    /// thread-local partial profile, and the partials merge under
+    /// [`merge_min_into`](crate::profile::merge_min_into). That merge is
+    /// commutative and associative, so the result, the diagonal state
+    /// and the metrics are bit-identical to stepping every unit in
+    /// turn, which is what `finish` does otherwise. The worker count
+    /// follows rayon's current configuration.
     ///
     /// # Examples
     ///
@@ -679,97 +605,65 @@ impl StreamingDiscordMonitor {
     /// let mut monitor = StreamingDiscordMonitor::with_seed(16, 8, 7);
     /// monitor.append(&series);
     /// let finished = monitor.finish();
-    /// let batch = egi_discord::stamp(&series, 16);
+    /// let batch = egi_discord::stomp(&series, 16);
     /// assert_eq!(finished.profile, batch.profile);
     /// assert_eq!(finished.index, batch.index);
     /// ```
     pub fn finish(&mut self) -> MatrixProfile {
-        let threads = rayon::current_num_threads();
-        let mass = match &self.mass {
-            Some(mass) if threads > 1 && self.pending.len() > 1 => mass,
-            _ => {
-                while self.step() {}
-                return self.snapshot();
-            }
-        };
-        let remaining: Vec<usize> = self.pending.drain(..).collect();
-        let count = mass.window_count();
-        let exclusion = self.exclusion;
-        let chunk_len = remaining.len().div_ceil(threads);
-        let partials: Vec<(Vec<f64>, Vec<usize>)> = remaining
-            .chunks(chunk_len)
-            .map(<[usize]>::to_vec)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|chunk| {
-                let mut scratch = MassScratch::default();
-                let mut dp = Vec::new();
-                let mut profile = vec![f64::INFINITY; count];
-                let mut index = vec![usize::MAX; count];
-                for q in chunk {
-                    mass.distance_profile_into(q, &mut scratch, &mut dp);
-                    update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
-                }
-                (profile, index)
-            })
-            .collect();
-        for (profile, index) in partials {
-            merge_min_into(
-                &mut self.fold_profile,
-                &mut self.fold_index,
-                &profile,
-                &index,
-            );
+        if rayon::current_num_threads() <= 1 || self.pending.len() <= 1 {
+            while self.step() {}
+            return self.snapshot();
         }
-        self.stats.steps += remaining.len() as u64;
+        let first = self.first_diagonal();
+        let diagonals = self
+            .pending
+            .drain(..)
+            .map(|k| (k, self.diagonals[k - first]))
+            .collect();
+        let walked = walk_all(
+            &self.series,
+            &self.windows,
+            diagonals,
+            &mut self.fold_profile,
+            &mut self.fold_index,
+        );
+        for (k, diagonal) in walked {
+            self.diagonals[k - first] = diagonal;
+        }
+        let units = self.units.len();
+        self.units.clear();
+        self.processed += units;
+        self.stats.steps += units as u64;
         self.stats.caught_up += 1;
         self.stats.staleness_points = 0;
-        self.done.extend(remaining);
-        self.carry = None;
         self.snapshot()
     }
 }
 
-/// The MASS engine over `series` for window `m`, or `None` while the
-/// series is shorter than one window. Every build is counted in
-/// `egi_mass_exact_retransforms_total`.
-fn engine(series: &[f64], m: usize) -> Option<MassPrecomputed> {
-    (series.len() >= m).then(|| {
-        egi_obs::counter!("egi_mass_exact_retransforms_total").inc();
-        MassPrecomputed::new(series, m)
-    })
-}
-
 /// Section tag of the monitor-state section (`b"MON1"` little-endian).
 const CKPT_SECTION_MONITOR: u32 = u32::from_le_bytes(*b"MON1");
-/// Section tag of the engine-state section (`b"ENG1"`), present only
-/// once the monitor has left warm-up.
-const CKPT_SECTION_ENGINE: u32 = u32::from_le_bytes(*b"ENG1");
-const CKPT_MONITOR_VERSION: u32 = 1;
-const CKPT_ENGINE_VERSION: u32 = 1;
-/// The kernel tag the monitor section carries. Only this value loads:
-/// checkpoints of the removed segmented kernel carry tag 1 and are
-/// rejected as `Corrupt`.
-const CKPT_BACKEND_TAG: u32 = 0;
+/// Payload version of the monitor section. Version 1 held the fold and
+/// the query queue of the MASS engine the kernel replaced; it is
+/// rejected as [`CheckpointError::UnsupportedSection`].
+const CKPT_MONITOR_VERSION: u32 = 2;
 
 fn corrupt(what: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(what.into())
 }
 
 /// Persistence for the monitor (see [`Checkpoint`] for the container
-/// format). The checkpoint holds the series plus the fold/queue
-/// bookkeeping. The engine is derived state — the monitor itself
-/// rebuilds it from the series after every append and eviction — so
-/// the loader builds it the same way, and checkpoints stay
-/// `O(series)` small. Until the series holds a window it is stored in
-/// the monitor section's warm-up field; after that, in the engine
-/// section.
+/// format). The checkpoint is one section: the series, the clock, each
+/// diagonal's progress, the pending diagonals in order, and the units
+/// run this epoch. The window statistics, the covariances and the fold
+/// are derived state: the loader recomputes the statistics from the
+/// series and replays every computed cell, the same arithmetic the
+/// saved monitor ran, so checkpoints stay `O(series)` small.
 ///
 /// The loader rejects, as [`CheckpointError::Corrupt`], every
-/// checksum-valid payload that no monitor could have written and that
-/// would finish with a wrong answer: non-finite points, negative or NaN
-/// fold and carry entries, a queue that does not hold each window
-/// exactly once, and a carry on a monitor with nothing pending.
+/// checksum-valid payload that no monitor could have written:
+/// non-finite points, a retention below the window, progress past a
+/// diagonal's length, and a pending queue that does not hold each
+/// diagonal with cells left exactly once.
 ///
 /// # Examples
 ///
@@ -794,69 +688,47 @@ fn corrupt(what: impl Into<String>) -> CheckpointError {
 /// ```
 impl Checkpoint for StreamingDiscordMonitor {
     fn save_checkpoint(&self, writer: &mut impl Write) -> Result<(), CheckpointError> {
-        let sections = 1 + u32::from(self.mass.is_some());
-        let mut out = CheckpointWriter::begin(writer, sections)?;
+        let mut out = CheckpointWriter::begin(writer, 1)?;
         let mut f = FieldWriter::new();
         f.usize(self.m);
         f.usize(self.exclusion);
         f.u64(self.seed);
-        f.u32(CKPT_BACKEND_TAG);
         f.u64(self.clock.epochs());
         f.usize(self.clock.offset());
         f.opt_usize(self.clock.retention());
-        let warmup: &[f64] = if self.mass.is_some() {
-            &[]
-        } else {
-            &self.series
-        };
-        f.f64_slice(warmup);
-        f.f64_slice(&self.fold_profile);
-        f.usize_slice(&self.fold_index);
+        f.f64_slice(&self.series);
+        let progress: Vec<usize> = self.diagonals.iter().map(|d| d.next).collect();
+        f.usize_slice(&progress);
         let pending: Vec<usize> = self.pending.iter().copied().collect();
         f.usize_slice(&pending);
-        f.usize_slice(&self.done);
-        match &self.carry {
-            None => f.bool(false),
-            Some((cp, ci)) => {
-                f.bool(true);
-                f.f64_slice(cp);
-                f.usize_slice(ci);
-            }
-        }
-        out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &f.into_bytes())?;
-        if self.mass.is_none() {
-            return Ok(());
-        }
-        let mut f = FieldWriter::new();
-        f.f64_slice(&self.series);
-        out.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION, &f.into_bytes())?;
-        Ok(())
+        f.usize(self.processed);
+        out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &f.into_bytes())
     }
 
     fn load_checkpoint(reader: &mut impl Read) -> Result<Self, CheckpointError> {
         let mut input = CheckpointReader::begin(reader)?;
-        let (_, payload) = input.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION)?;
+        let (version, payload) = input.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION)?;
+        if version != CKPT_MONITOR_VERSION {
+            return Err(CheckpointError::UnsupportedSection {
+                tag: CKPT_SECTION_MONITOR,
+                found: version,
+                supported: CKPT_MONITOR_VERSION,
+            });
+        }
+        if input.sections_remaining() != 0 {
+            return Err(corrupt("sections after the monitor section"));
+        }
         let mut f = FieldReader::new(&payload);
         let m = f.usize()?;
         let exclusion = f.usize()?;
         let seed = f.u64()?;
-        let tag = f.u32()?;
-        if tag != CKPT_BACKEND_TAG {
-            return Err(corrupt(format!("unknown backend tag {tag}")));
-        }
         let epochs = f.u64()?;
         let offset = f.usize()?;
         let retention = f.opt_usize()?;
-        let warmup = f.f64_vec()?;
-        let fold_profile = f.f64_vec()?;
-        let fold_index = f.usize_vec()?;
+        let series = f.f64_vec()?;
+        let progress = f.usize_vec()?;
         let pending = f.usize_vec()?;
-        let done = f.usize_vec()?;
-        let carry = if f.bool()? {
-            Some((f.f64_vec()?, f.usize_vec()?))
-        } else {
-            None
-        };
+        let processed = f.usize()?;
         f.finish()?;
         if m == 0 {
             return Err(corrupt("window m must be positive"));
@@ -868,102 +740,66 @@ impl Checkpoint for StreamingDiscordMonitor {
                 return Err(corrupt(format!("retention {n} below window {m}")));
             }
         }
-        if !warmup.iter().all(|v| v.is_finite()) {
-            return Err(corrupt("warm-up buffer contains non-finite values"));
+        if !series.iter().all(|v| v.is_finite()) {
+            return Err(corrupt("series contains non-finite values"));
         }
 
-        let series = if input.sections_remaining() == 0 {
-            // Warm-up phase: no windows yet, all per-window state empty.
-            if warmup.len() >= m {
-                return Err(corrupt("warm-up buffer holds a full window"));
+        let mut monitor = Self::with_seed(m, exclusion, seed);
+        monitor.clock = StreamClock::with_state(epochs, offset, retention);
+        monitor.series = series;
+        monitor.windows.extend(&monitor.series);
+        let (count, first) = (monitor.window_count(), monitor.first_diagonal());
+        if progress.len() != count.saturating_sub(first) {
+            return Err(corrupt("progress length disagrees with the diagonal count"));
+        }
+        // Each diagonal with cells left is pending exactly once, and no
+        // other diagonal is: a missing one would never reach the fold.
+        let mut queued = vec![false; progress.len()];
+        for &k in &pending {
+            if k < first || k >= count {
+                return Err(corrupt(format!("pending diagonal {k} out of range")));
             }
-            if !fold_profile.is_empty()
-                || !fold_index.is_empty()
-                || !pending.is_empty()
-                || !done.is_empty()
-                || carry.is_some()
-            {
-                return Err(corrupt("per-window state present without an engine"));
+            if std::mem::replace(&mut queued[k - first], true) {
+                return Err(corrupt(format!("diagonal {k} pending twice")));
             }
-            warmup
-        } else {
-            let (_, payload) = input.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION)?;
-            let mut f = FieldReader::new(&payload);
-            if !warmup.is_empty() {
-                return Err(corrupt("warm-up buffer non-empty alongside an engine"));
+        }
+        for (d, (&next, &queued)) in progress.iter().zip(&queued).enumerate() {
+            let (k, len) = (first + d, count - first - d);
+            if next > len {
+                return Err(corrupt(format!(
+                    "progress {next} past the {len} cells of diagonal {k}"
+                )));
             }
-            let series = f.f64_vec()?;
-            f.finish()?;
-            if series.len() < m {
-                return Err(corrupt("series shorter than the window"));
+            if queued != (next < len) {
+                return Err(corrupt(format!(
+                    "diagonal {k} with {} cells left is {}pending",
+                    len - next,
+                    if queued { "" } else { "not " }
+                )));
             }
-            if !series.iter().all(|v| v.is_finite()) {
-                return Err(corrupt("series contains non-finite values"));
-            }
-            let count = series.len() - m + 1;
-            if fold_profile.len() != count || fold_index.len() != count {
-                return Err(corrupt("fold length disagrees with the window count"));
-            }
-            // Distances are non-negative; `+∞` marks an entry no query
-            // has reached yet. `>=` also rejects NaN.
-            if !fold_profile.iter().all(|&d| d >= 0.0) {
-                return Err(corrupt("fold entry is negative or NaN"));
-            }
-            if !fold_index.iter().all(|&i| i == usize::MAX || i < count) {
-                return Err(corrupt("fold neighbor index out of range"));
-            }
-            // Every window of the epoch is either still queued or
-            // already folded: a window missing from both would never
-            // reach the fold, and one listed twice would mean the queue
-            // was not written by a monitor.
-            if pending.len() + done.len() != count {
-                return Err(corrupt("pending and done do not cover each window once"));
-            }
-            let mut seen = vec![false; count];
-            for &q in pending.iter().chain(&done) {
-                if q >= count {
-                    return Err(corrupt("query index out of range"));
-                }
-                if std::mem::replace(&mut seen[q], true) {
-                    return Err(corrupt(format!("window {q} queued twice")));
-                }
-            }
-            if let Some((cp, ci)) = &carry {
-                // `step` drops the carry the moment the queue empties.
-                if pending.is_empty() {
-                    return Err(corrupt("carry present with nothing pending"));
-                }
-                if cp.len() != count || ci.len() != count {
-                    return Err(corrupt("carry length disagrees with the window count"));
-                }
-                if !cp.iter().all(|&d| d >= 0.0) {
-                    return Err(corrupt("carry entry is negative or NaN"));
-                }
-                if !ci.iter().all(|&i| i == usize::MAX || i < count) {
-                    return Err(corrupt("carry neighbor index out of range"));
-                }
-            }
-            series
-        };
+        }
 
-        Ok(Self {
-            m,
-            exclusion,
-            seed,
-            clock: StreamClock::with_state(epochs, offset, retention),
-            mass: engine(&series, m),
-            series,
-            pending: pending.into(),
-            done,
-            fold_profile,
-            fold_index,
-            carry,
-            scratch: MassScratch::default(),
-            dp: Vec::new(),
-            // Telemetry describes a process, not resumable state: a
-            // restored monitor starts counting from zero.
-            stats: SessionStats::default(),
-        })
+        // Replay every computed cell.
+        monitor.fold_profile = vec![f64::INFINITY; count];
+        monitor.fold_index = vec![usize::MAX; count];
+        monitor.diagonals = vec![Diagonal::default(); progress.len()];
+        for (d, &next) in progress.iter().enumerate() {
+            walk(
+                &monitor.series,
+                &monitor.windows,
+                first + d,
+                &mut monitor.diagonals[d],
+                next,
+                &mut monitor.fold_profile,
+                &mut monitor.fold_index,
+            );
+        }
+        monitor.pending = pending.into();
+        monitor.cut_units();
+        monitor.processed = processed;
+        // Telemetry describes a process, not resumable state: the
+        // restored monitor's metrics start counting from zero.
+        Ok(monitor)
     }
 }
 
@@ -974,7 +810,7 @@ mod tests {
     use egi_tskit::Deadline;
 
     use super::*;
-    use crate::stamp::stamp_with_exclusion;
+    use crate::stomp::stomp_with_exclusion;
 
     fn test_series(n: usize) -> Vec<f64> {
         (0..n)
@@ -985,12 +821,35 @@ mod tests {
             .collect()
     }
 
+    /// The kernel's fold of every cell of the given diagonals, each
+    /// walked from its seed to its last row — what the monitor holds
+    /// once exactly those diagonals have run since the last eviction.
+    fn fold_of(series: &[f64], m: usize, diagonals: &[usize]) -> (Vec<f64>, Vec<usize>) {
+        let ws = WindowStats::new(series, m);
+        let count = ws.count();
+        let mut profile = vec![f64::INFINITY; count];
+        let mut index = vec![usize::MAX; count];
+        for &k in diagonals {
+            let mut diagonal = Diagonal::default();
+            walk(
+                series,
+                &ws,
+                k,
+                &mut diagonal,
+                count - k,
+                &mut profile,
+                &mut index,
+            );
+        }
+        (profile, index)
+    }
+
     #[test]
-    fn finished_profile_matches_batch_stamp_bitwise() {
+    fn finished_profile_matches_the_batch_kernel_bitwise() {
         let series = test_series(240);
         let m = 8;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         for chunk in [1usize, 7, 64, 240] {
             let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
             for part in series.chunks(chunk) {
@@ -1008,12 +867,12 @@ mod tests {
         let series = test_series(200);
         let m = 10;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         for seed in [0u64, 9, 0xFEED] {
             let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
             for part in series.chunks(23) {
                 monitor.append(part);
-                monitor.run_for(11); // leave a backlog on purpose
+                monitor.run_for(3); // leave a backlog on purpose
                 let _ = monitor.snapshot();
             }
             let finished = monitor.finish();
@@ -1027,12 +886,12 @@ mod tests {
         let series = test_series(220);
         let m = 9;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         for threads in [1usize, 2, 3, 8] {
             let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
             for part in series.chunks(31) {
                 monitor.append(part);
-                monitor.run_for(5);
+                monitor.run_for(2);
             }
             let finished = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -1055,7 +914,11 @@ mod tests {
         monitor.append(&test_series(13));
         assert_eq!(monitor.series_len(), 16);
         assert_eq!(monitor.window_count(), 9);
-        assert_eq!(monitor.pending(), 9);
+        // Diagonals 5..=8 lie outside the exclusion zone of 4.
+        let mut queued: Vec<usize> = monitor.pending.iter().copied().collect();
+        queued.sort_unstable();
+        assert_eq!(queued, [5, 6, 7, 8]);
+        assert!(monitor.pending() >= 1);
     }
 
     #[test]
@@ -1064,7 +927,7 @@ mod tests {
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
         monitor.append(&series[..120]);
-        monitor.run_for(40);
+        monitor.run_for(10);
         let before = monitor.snapshot();
         monitor.append(&series[120..]);
         let after = monitor.snapshot();
@@ -1076,61 +939,61 @@ mod tests {
             .all(|d| d.is_infinite()));
     }
 
+    /// Units and appends only add exact cells, so between evictions no
+    /// snapshot entry ever rises — bitwise, with no slack at appends.
     #[test]
-    fn snapshots_tighten_within_an_epoch() {
-        let series = test_series(160);
+    fn snapshots_never_loosen_between_evictions() {
+        let series = test_series(200);
         let mut monitor = StreamingDiscordMonitor::new(8);
         monitor.append(&series[..100]);
-        monitor.run_for(usize::MAX);
-        monitor.append(&series[100..]);
         let mut previous = monitor.snapshot();
-        let mut was_current = monitor.is_current();
-        while monitor.run_for(13) > 0 {
-            let current = monitor.snapshot();
-            for i in 0..previous.len() {
-                // Bitwise monotone while the carry is live; the
-                // catch-up transition (stale carry dropped in favor of
-                // the exact fold) may move entries by FFT round-off —
-                // the one documented departure.
-                let slack = if monitor.is_current() && !was_current {
-                    1e-9 * (1.0 + previous.profile[i].abs())
-                } else {
-                    0.0
-                };
-                assert!(
-                    current.profile[i] <= previous.profile[i] + slack,
-                    "entry {i} rose: {} -> {}",
-                    previous.profile[i],
-                    current.profile[i]
-                );
+        for part in series[100..].chunks(25) {
+            for _ in 0..4 {
+                monitor.run_for(5);
+                let current = monitor.snapshot();
+                for i in 0..previous.len() {
+                    assert!(
+                        current.profile[i] <= previous.profile[i],
+                        "entry {i} rose: {} -> {}",
+                        previous.profile[i],
+                        current.profile[i]
+                    );
+                }
+                previous = current;
             }
-            was_current = monitor.is_current();
-            previous = current;
+            monitor.append(part);
         }
+        monitor.finish();
         assert!(monitor.is_current());
     }
 
+    /// An append keeps every diagonal's progress: no diagonal is
+    /// re-seeded, and each one walks on from the row where it stopped.
     #[test]
-    fn fresh_queries_run_before_the_backlog() {
+    fn an_append_extends_the_diagonals_where_they_stopped() {
         let series = test_series(150);
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
         monitor.append(&series[..100]);
-        monitor.run_for(usize::MAX);
-        assert!(monitor.is_current());
-        let old_count = monitor.window_count();
+        monitor.finish();
+        let (old_count, first) = (monitor.window_count(), monitor.first_diagonal());
+        let walked = monitor.diagonals.clone();
         monitor.append(&series[100..]);
-        let fresh = monitor.window_count() - old_count;
-        // Processing exactly the fresh queries covers every new window.
-        assert_eq!(monitor.run_for(fresh), fresh);
-        let snap = monitor.snapshot();
-        assert!(
-            snap.profile[old_count..].iter().all(|d| d.is_finite()),
-            "new windows must be covered after `fresh` steps"
-        );
-        // The backlog (numerical re-runs) is still pending.
-        assert_eq!(monitor.pending(), old_count);
-        assert!(!monitor.is_current());
+        assert_eq!(&monitor.diagonals[..walked.len()], &walked[..]);
+        for (d, diagonal) in walked.iter().enumerate() {
+            assert_eq!(
+                diagonal.next,
+                old_count - first - d,
+                "diagonal {}",
+                first + d
+            );
+        }
+        // Every old diagonal has 50 new cells and each new one all of its
+        // cells, so every diagonal is pending once.
+        assert_eq!(monitor.pending.len(), monitor.diagonals.len());
+        monitor.finish();
+        let reference = stomp_with_exclusion(&series, m, m / 2);
+        assert_eq!(monitor.snapshot(), reference);
     }
 
     #[test]
@@ -1161,12 +1024,12 @@ mod tests {
         let series = test_series(170);
         let m = 7;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         for seed in 0..5u64 {
             let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
             for part in series.chunks(41) {
                 monitor.append(part);
-                monitor.run_for(17);
+                monitor.run_for(4);
             }
             let finished = monitor.finish();
             assert_eq!(finished.profile, reference.profile, "seed {seed}");
@@ -1175,16 +1038,14 @@ mod tests {
     }
 
     #[test]
-    fn single_append_equals_anytime_stamp() {
-        // With one append and no interleaving, the monitor is just
-        // anytime STAMP over the batch series.
+    fn single_append_finishes_on_the_batch_kernel() {
         let series = test_series(130);
         let m = 6;
         let exc = 3;
         let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
         monitor.append(&series);
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
     }
@@ -1202,81 +1063,54 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Anytime STAMP: a monitor fed one series. The properties in
-    // tests/proptests.rs cover random series and seeds; these pin the
-    // deadline contract and the edges.
+    // The anytime matrix profile: a monitor fed one series. The
+    // properties in tests/proptests.rs cover random series and seeds;
+    // these pin the unit, the deadline contract and the edges.
     // ------------------------------------------------------------------
-
-    /// The acceptance contract against STOMP: on deterministic
-    /// fixtures the finished anytime profile agrees with STOMP to 1e-6
-    /// (the permutation proptest uses 1e-5 because adversarial random
-    /// series amplify FFT-vs-incremental error through the sqrt near
-    /// zero distances).
-    #[test]
-    fn finished_profile_matches_stomp_to_1e6() {
-        let series = test_series(250);
-        for &m in &[6usize, 12] {
-            let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m / 2);
-            monitor.append(&series);
-            let anytime = monitor.finish();
-            let stomp = crate::stomp::stomp_with_exclusion(&series, m, m / 2);
-            for i in 0..anytime.len() {
-                assert!(
-                    (anytime.profile[i] - stomp.profile[i]).abs() < 1e-6,
-                    "m={m} i={i}: {} vs {}",
-                    anytime.profile[i],
-                    stomp.profile[i]
-                );
-            }
-        }
-    }
 
     #[test]
     fn partial_profile_is_upper_bound_on_final() {
         let series = test_series(140);
         let m = 7;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 3);
         monitor.append(&series);
-        monitor.run_for(monitor.window_count() / 4);
+        monitor.run_for(monitor.pending() / 4);
         let partial = monitor.snapshot();
+        assert!(partial.profile.iter().any(|d| d.is_finite()));
         for i in 0..partial.len() {
-            assert!(
-                partial.profile[i] >= reference.profile[i] - 1e-12,
-                "entry {i}"
-            );
+            assert!(partial.profile[i] >= reference.profile[i], "entry {i}");
         }
     }
 
-    /// A processed query has folded its whole row, so its own entry is
-    /// final up to FFT round-off. After `k` queries at least `k` entries
-    /// have settled, wherever the seeded order put them.
+    /// Every unit but the last holds at least one window count of
+    /// cells, and would hold fewer without its last diagonal.
     #[test]
-    fn each_processed_query_settles_its_own_entry() {
-        let series = test_series(220);
-        let m = 8;
-        let reference = stamp_with_exclusion(&series, m, m / 2);
-        let mut monitor = StreamingDiscordMonitor::with_seed(m, m / 2, 11);
-        monitor.append(&series);
-        while monitor.run_for(19) > 0 {
-            let partial = monitor.snapshot();
-            let settled = partial
-                .profile
-                .iter()
-                .zip(&reference.profile)
-                .filter(|(p, f)| (*p - *f).abs() <= 1e-9 * (1.0 + f.abs()))
-                .count();
-            assert!(
-                settled >= monitor.processed(),
-                "{settled} entries settled after {} queries",
-                monitor.processed()
-            );
+    fn each_unit_holds_about_one_window_count_of_cells() {
+        let series = test_series(300);
+        let mut monitor = StreamingDiscordMonitor::with_seed(12, 6, 4);
+        monitor.append(&series[..200]);
+        monitor.run_for(7);
+        monitor.append(&series[200..]);
+        let (count, first) = (monitor.window_count(), monitor.first_diagonal());
+        let left = |k: usize| count - k - monitor.diagonals[k - first].next;
+        let pending: Vec<usize> = monitor.pending.iter().copied().collect();
+        let mut at = 0;
+        for (u, &size) in monitor.units.iter().enumerate() {
+            let unit = &pending[at..at + size];
+            at += size;
+            let cells: usize = unit.iter().map(|&k| left(k)).sum();
+            if u + 1 < monitor.units.len() {
+                assert!(cells >= count, "unit {u}: {cells} cells");
+                assert!(cells - left(unit[size - 1]) < count, "unit {u} overran");
+            }
         }
+        assert_eq!(at, pending.len());
     }
 
-    /// The seed picks the query order: the same seed reaches the same
-    /// partial profile, and another seed a different one.
+    /// The seed picks the diagonal order: the same seed reaches the
+    /// same partial profile, and another seed a different one.
     #[test]
     fn seed_steers_the_partial_snapshot() {
         let series = test_series(200);
@@ -1289,36 +1123,30 @@ mod tests {
         let (a, b, c) = (partial(1), partial(1), partial(2));
         assert_eq!(a.profile, b.profile);
         assert_eq!(a.index, b.index);
-        assert_ne!(a.profile, c.profile, "seed 2 runs other queries first");
+        assert_ne!(a.profile, c.profile, "seed 2 walks other diagonals first");
     }
 
-    /// Anytime STAMP is STAMP over a prefix of the epoch's seeded order:
-    /// after `k` queries, the snapshot of a monitor fed one series is,
-    /// bit for bit, the STAMP fold of the first `k` windows of that
-    /// order.
+    /// After `u` units of a monitor fed one series, the snapshot is, bit
+    /// for bit, the kernel's fold of the diagonals those units held:
+    /// the first ones of the epoch's seeded order.
     #[test]
-    fn partial_snapshot_is_the_stamp_fold_of_the_order_prefix() {
+    fn partial_snapshot_is_the_fold_of_the_walked_diagonals() {
         let series = test_series(180);
         let (m, exc) = (8, 4);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 21);
         monitor.append(&series);
-        let count = monitor.window_count();
-        let order = monitor.epoch_order(0, count);
-        let mass = MassPrecomputed::new(&series, m);
-        let mut profile = vec![f64::INFINITY; count];
-        let mut index = vec![usize::MAX; count];
-        let (mut scratch, mut dp) = (MassScratch::default(), Vec::new());
-        let mut folded = 0;
-        for k in [1, 9, 40, count] {
-            assert_eq!(monitor.run_for(k - folded), k - folded);
-            for &q in &order[folded..k] {
-                mass.distance_profile_into(q, &mut scratch, &mut dp);
-                update_from_profile(q, &dp, exc, &mut profile, &mut index);
+        let order: Vec<usize> = monitor.pending.iter().copied().collect();
+        let total = monitor.pending();
+        let mut walked = 0;
+        for u in [1, 3, 20, total] {
+            while monitor.processed() < u {
+                walked += monitor.units[0];
+                assert!(monitor.step());
             }
-            folded = k;
+            let (profile, index) = fold_of(&series, m, &order[..walked]);
             let snapshot = monitor.snapshot();
-            assert_eq!(snapshot.profile, profile, "after {k} queries");
-            assert_eq!(snapshot.index, index, "after {k} queries");
+            assert_eq!(snapshot.profile, profile, "after {u} units");
+            assert_eq!(snapshot.index, index, "after {u} units");
         }
         assert!(monitor.is_current());
     }
@@ -1326,7 +1154,7 @@ mod tests {
     #[test]
     fn exact_ties_are_seed_independent() {
         // Flat plateaus tie at exactly 0.0; the index vector must not
-        // depend on which query reached them first.
+        // depend on which diagonal reached them first.
         let mut series = Vec::new();
         series.extend(std::iter::repeat_n(1.0, 8));
         series.extend((0..8).map(|i| (i as f64 * 0.9).sin()));
@@ -1335,7 +1163,7 @@ mod tests {
         series.extend(std::iter::repeat_n(2.0, 8));
         let m = 4;
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         for seed in 0..6u64 {
             let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
             monitor.append(&series);
@@ -1346,19 +1174,21 @@ mod tests {
     }
 
     #[test]
-    fn single_window_series_is_immediately_done_after_one_step() {
+    fn single_window_series_has_nothing_to_walk() {
         let series = vec![1.0, 2.0, 3.0];
         let mut monitor = StreamingDiscordMonitor::with_exclusion(3, 1);
         monitor.append(&series);
         assert_eq!(monitor.window_count(), 1);
+        assert!(monitor.is_current());
+        assert!(!monitor.step());
         let mp = monitor.finish();
         assert!(mp.profile[0].is_infinite());
         assert_eq!(mp.index[0], usize::MAX);
     }
 
-    /// `run_until` checks the clock *before* each query, so an
-    /// already-expired deadline runs zero queries — the structural half
-    /// of the "never overshoots by more than one query's work"
+    /// `run_until` checks the clock *before* each unit, so an
+    /// already-expired deadline runs zero units — the structural half
+    /// of the "never overshoots by more than one unit's work"
     /// guarantee.
     #[test]
     fn expired_deadline_runs_nothing() {
@@ -1374,15 +1204,14 @@ mod tests {
     }
 
     /// The wall-clock half: overshoot beyond the deadline is bounded by
-    /// one query's work. The load-bearing asserts are structural (some
+    /// one unit's work. The load-bearing asserts are structural (some
     /// progress was made; the run stopped on the clock, far short of
-    /// completion — thousands of queries short, so no scheduler stall
-    /// can fake it). The elapsed-time bound uses a very generous
+    /// completion). The elapsed-time bound uses a very generous
     /// absolute slack: it exists to catch "run_until ignores the clock
-    /// entirely" regressions (which would run ~seconds), not to measure
-    /// scheduling jitter, so CI noise cannot flake it.
+    /// entirely" regressions, not to measure scheduling jitter, so CI
+    /// noise cannot flake it.
     #[test]
-    fn run_until_overshoot_is_bounded_by_one_query() {
+    fn run_until_overshoot_is_bounded_by_one_unit() {
         let series: Vec<f64> = (0..6000)
             .map(|i| (i as f64 * 0.11).sin() + 0.3 * (i as f64 * 0.013).cos())
             .collect();
@@ -1394,18 +1223,18 @@ mod tests {
         let start = Instant::now();
         let ran = monitor.run_until(Deadline::after(budget));
         let elapsed = start.elapsed();
-        assert!(ran > 0, "a 10ms budget must admit at least one query");
+        assert!(ran > 0, "a 10ms budget must admit at least one unit");
         assert!(
             !monitor.is_current(),
             "the run must have been stopped by the clock, not completion \
-             ({} of {} queries processed)",
+             ({} units run, {} pending)",
             monitor.processed(),
-            monitor.window_count()
+            monitor.pending()
         );
         let slack = Duration::from_millis(250);
         assert!(
             elapsed <= budget + slack,
-            "overshoot: ran {ran} queries in {elapsed:?} against a {budget:?} budget"
+            "overshoot: ran {ran} units in {elapsed:?} against a {budget:?} budget"
         );
     }
 
@@ -1423,7 +1252,7 @@ mod tests {
         // Unbounded deadline = run to completion.
         b.run_until(Deadline::unbounded());
         assert!(b.is_current());
-        // Query cap composes with (not yet expired) wall-clock bounds.
+        // Unit cap composes with (not yet expired) wall-clock bounds.
         let far = Deadline::at(Instant::now() + Duration::from_secs(3600)).with_query_cap(7);
         let ran = a.run_until(far);
         assert_eq!(ran, 7);
@@ -1446,9 +1275,9 @@ mod tests {
         for part in series.chunks(33) {
             a.append(part);
             b.append(part);
-            a.run_for(9);
-            b.run_for(9);
-            // Same exclusion and seed: the same queue, fold and carry.
+            a.run_for(3);
+            b.run_for(3);
+            // Same exclusion and seed: the same queue and progress.
             assert_eq!(a.checkpoint_bytes().unwrap(), b.checkpoint_bytes().unwrap());
         }
         let (fa, fb) = (a.finish(), b.finish());
@@ -1457,23 +1286,22 @@ mod tests {
     }
 
     #[test]
-    fn finish_with_one_query_left_matches_stamp() {
+    fn finish_with_one_unit_left_matches_the_batch_kernel() {
         let series = test_series(240);
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
         monitor.append(&series);
-        monitor.run_for(monitor.window_count() - 1);
+        monitor.run_for(monitor.pending() - 1);
         assert_eq!(monitor.pending(), 1);
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
             .unwrap()
             .install(|| monitor.finish());
-        let reference = stamp_with_exclusion(&series, m, m / 2);
+        let reference = stomp_with_exclusion(&series, m, m / 2);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
         assert!(monitor.is_current());
-        assert_eq!(monitor.processed(), monitor.window_count());
     }
 
     #[test]
@@ -1482,7 +1310,7 @@ mod tests {
         let mut par = StreamingDiscordMonitor::new(8);
         for part in series.chunks(40) {
             par.append(part);
-            par.run_for(15);
+            par.run_for(4);
         }
         let mut seq = par.clone();
         let finish_on = |threads: usize, monitor: &mut StreamingDiscordMonitor| {
@@ -1497,13 +1325,14 @@ mod tests {
         assert_eq!(a.profile, b.profile);
         assert_eq!(a.index, b.index);
         assert_eq!(par.processed(), seq.processed());
+        assert_eq!(par.diagonals, seq.diagonals);
         assert_eq!(par.metrics(), seq.metrics());
         assert_eq!(par.metrics().staleness_points, 0);
     }
 
-    /// With no query pending (during warm-up, or once current),
-    /// `finish` runs nothing: it returns the snapshot and leaves the
-    /// state and the metrics as they were.
+    /// With nothing pending (during warm-up, or once current), `finish`
+    /// runs nothing: it returns the snapshot and leaves the state and
+    /// the metrics as they were.
     #[test]
     fn finish_with_nothing_pending_changes_nothing() {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -1526,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_ingest_and_queries() {
+    fn metrics_count_ingest_and_units() {
         let series = test_series(150);
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
@@ -1537,13 +1366,14 @@ mod tests {
         assert_eq!(monitor.metrics().staleness_points, 95);
         assert_eq!(monitor.run_for(10), 10);
         monitor.evict(20).unwrap();
+        let requeued = monitor.pending();
         monitor.finish();
         let stats = monitor.metrics();
         assert_eq!(stats.appends, 2);
         assert_eq!(stats.points_appended, 100);
         assert_eq!((stats.evictions, stats.points_evicted), (1, 20));
-        // 10 queries before the eviction, then all 73 surviving windows.
-        assert_eq!(stats.steps, 10 + 73);
+        // 10 units before the eviction, then every unit it queued.
+        assert_eq!(stats.steps, 10 + requeued as u64);
         assert_eq!((stats.caught_up, stats.staleness_points), (1, 0));
         // A retention trim counts as an eviction.
         monitor.retain_last(50).unwrap();
@@ -1552,24 +1382,25 @@ mod tests {
     }
 
     #[test]
-    fn evict_mid_epoch_drops_the_carry_and_requeues_the_survivors() {
+    fn evict_mid_epoch_drops_the_fold_and_reseeds_every_diagonal() {
         let series = test_series(220);
         let m = 8;
         let mut monitor = StreamingDiscordMonitor::new(m);
         monitor.append(&series[..150]);
         monitor.run_for(usize::MAX);
         monitor.append(&series[150..]);
-        monitor.run_for(30);
-        // The carry still holds pre-append evidence for the old windows.
+        monitor.run_for(5);
+        // The fold still holds the pre-append cells of the old windows.
         assert!(monitor.snapshot().profile[..143]
             .iter()
             .all(|d| d.is_finite()));
         monitor.evict(40).unwrap();
         assert_eq!(monitor.processed(), 0);
-        assert_eq!(monitor.pending(), monitor.window_count());
+        assert!(monitor.diagonals.iter().all(|d| d.next == 0));
+        assert_eq!(monitor.pending.len(), monitor.diagonals.len());
         assert!(monitor.snapshot().profile.iter().all(|d| d.is_infinite()));
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[40..], m, m / 2);
+        let reference = stomp_with_exclusion(&series[40..], m, m / 2);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
     }
@@ -1580,9 +1411,9 @@ mod tests {
         let m = 9;
         let mut live = StreamingDiscordMonitor::new(m);
         live.append(&series[..300]);
-        live.run_for(120);
+        live.run_for(20);
         live.append(&series[300..]);
-        live.run_for(40); // a carry and a backlog are both live
+        live.run_for(8); // old and new cells both pending
         let mut twin = live.clone();
         live.compact();
         assert_eq!(
@@ -1590,7 +1421,7 @@ mod tests {
             twin.checkpoint_bytes().unwrap()
         );
         for monitor in [&mut live, &mut twin] {
-            monitor.run_for(50);
+            monitor.run_for(10);
         }
         let (a, b) = (live.snapshot(), twin.snapshot());
         assert_eq!(a.profile, b.profile);
@@ -1598,7 +1429,7 @@ mod tests {
         let (fa, fb) = (live.finish(), twin.finish());
         assert_eq!(fa.profile, fb.profile);
         assert_eq!(fa.index, fb.index);
-        let reference = stamp_with_exclusion(&series, m, m / 2);
+        let reference = stomp_with_exclusion(&series, m, m / 2);
         assert_eq!(fa.profile, reference.profile);
     }
 
@@ -1617,12 +1448,12 @@ mod tests {
             let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
             for part in series.chunks(33) {
                 monitor.append(part);
-                monitor.run_for(7);
+                monitor.run_for(2);
             }
             monitor.evict(cut).unwrap();
             assert_eq!(monitor.stream_offset(), cut);
             let finished = monitor.finish();
-            let reference = stamp_with_exclusion(&series[cut..], m, exc);
+            let reference = stomp_with_exclusion(&series[cut..], m, exc);
             assert_eq!(finished.profile, reference.profile, "cut {cut}");
             assert_eq!(finished.index, reference.index, "cut {cut}");
         }
@@ -1638,7 +1469,7 @@ mod tests {
         assert_eq!(monitor.series_len(), m);
         assert_eq!(monitor.window_count(), 1);
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[series.len() - m..], m, m / 2);
+        let reference = stomp_with_exclusion(&series[series.len() - m..], m, m / 2);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
     }
@@ -1683,7 +1514,7 @@ mod tests {
         let exc = m / 2;
         let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
         monitor.append(&series[..90]);
-        monitor.run_for(20);
+        monitor.run_for(5);
         monitor.evict(90).unwrap();
         assert_eq!(monitor.series_len(), 0);
         assert_eq!(monitor.window_count(), 0);
@@ -1695,7 +1526,7 @@ mod tests {
         assert_eq!(monitor.window_count(), 0, "back in warm-up");
         monitor.append(&series[93..]);
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[90..], m, exc);
+        let reference = stomp_with_exclusion(&series[90..], m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
         assert_eq!(monitor.stream_offset(), 90);
@@ -1714,7 +1545,7 @@ mod tests {
             monitor.run_for(3);
         }
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[20..], m, exc);
+        let reference = stomp_with_exclusion(&series[20..], m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
     }
@@ -1740,11 +1571,11 @@ mod tests {
         let series = test_series(80);
         let mut monitor = StreamingDiscordMonitor::new(8);
         monitor.append(&series);
-        monitor.run_for(10);
+        monitor.run_for(3);
         let epochs = monitor.epochs();
         monitor.evict(0).unwrap();
         assert_eq!(monitor.epochs(), epochs);
-        assert_eq!(monitor.processed(), 10);
+        assert_eq!(monitor.processed(), 3);
     }
 
     #[test]
@@ -1758,21 +1589,21 @@ mod tests {
         for part in series.chunks(30) {
             monitor.append(part);
             assert!(monitor.series_len() <= 100);
-            monitor.run_for(11);
+            monitor.run_for(3);
         }
         assert_eq!(monitor.series_len(), 100);
         assert_eq!(monitor.stream_offset(), 300);
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[300..], m, exc);
+        let reference = stomp_with_exclusion(&series[300..], m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
     }
 
-    /// An append that overflows a `retain_last(n)` policy trims before
-    /// it builds the engine. It must leave the monitor exactly where an
-    /// unbounded twin lands by appending and then evicting the excess
-    /// itself: the same epoch salts, queue order, folds and counters,
-    /// after every append, eviction and step.
+    /// An append that overflows a `retain_last(n)` policy trims at once.
+    /// It must leave the monitor exactly where an unbounded twin lands
+    /// by appending and then evicting the excess itself: the same epoch
+    /// salts, queue order, folds and counters, after every append,
+    /// eviction and step.
     #[test]
     fn retention_trim_equals_an_explicit_eviction() {
         let series = test_series(320);
@@ -1782,7 +1613,10 @@ mod tests {
         let mut twin = StreamingDiscordMonitor::with_seed(m, m / 2, 17);
         let same = |a: &StreamingDiscordMonitor, b: &StreamingDiscordMonitor, at: &str| {
             assert_eq!(a.series(), b.series(), "{at}");
-            assert_eq!(a.pending(), b.pending(), "{at}");
+            assert_eq!(a.windows, b.windows, "{at}");
+            assert_eq!(a.diagonals, b.diagonals, "{at}");
+            assert_eq!(a.pending, b.pending, "{at}");
+            assert_eq!(a.units, b.units, "{at}");
             assert_eq!(a.processed(), b.processed(), "{at}");
             assert_eq!(a.epochs(), b.epochs(), "{at}");
             assert_eq!(a.stream_offset(), b.stream_offset(), "{at}");
@@ -1790,24 +1624,24 @@ mod tests {
             assert_eq!(a.metrics(), b.metrics(), "{at}");
         };
         // Point counts after each op: 5 (warm-up), 100 (first windows
-        // and a trim in one append), 60, 80 (a carry), 100 (trim), 60,
-        // 90 (a carry), 100 (trim), 100 (one-point trim), 100 (trim).
+        // and a trim in one append), 60, 80, 100 (trim), 60, 90, 100
+        // (trim), 100 (one-point trim), 100 (trim).
         let schedule = [
             ("append", 5),
             ("append", 110),
             ("step", 9),
             ("evict", 40),
             ("append", 20),
-            ("step", 30),
+            ("step", 12),
             ("append", 50),
             ("step", 2),
             ("evict", 40),
             ("append", 30),
-            ("step", 70),
+            ("step", 20),
             ("append", 64),
             ("step", 5),
             ("append", 1),
-            ("step", 40),
+            ("step", 20),
             ("append", 40),
         ];
         let mut fed = 0;
@@ -1839,65 +1673,39 @@ mod tests {
         assert_eq!(trimmed.finish(), twin.finish());
     }
 
-    /// The engine's transform size is the live series' next power of
-    /// two: appends that cross a power of two grow it, and evictions
-    /// that shrink the series below one shrink it back.
-    #[test]
-    fn padded_size_follows_the_live_series() {
-        let series = test_series(700);
-        let expected =
-            |monitor: &StreamingDiscordMonitor| monitor.series_len().next_power_of_two().max(2);
-        let mut monitor = StreamingDiscordMonitor::new(8);
-        monitor.append(&series[..5]);
-        assert_eq!(monitor.padded_size(), 0, "no window yet");
-        let mut fed = 5;
-        // 100, 128, 129, 132, 632 and 700 points.
-        for chunk in [95, 28, 1, 3, 500, 68] {
-            monitor.append(&series[fed..fed + chunk]);
-            fed += chunk;
-            assert_eq!(monitor.padded_size(), expected(&monitor), "{fed} points");
-        }
-        assert_eq!(monitor.padded_size(), 1024);
-        // 512, 511, 211, 11 and 8 points.
-        for cut in [188, 1, 300, 200, 3] {
-            monitor.evict(cut).unwrap();
-            let live = monitor.series_len();
-            assert_eq!(monitor.padded_size(), expected(&monitor), "{live} points");
-        }
-        assert_eq!(monitor.padded_size(), 8);
-        monitor.evict(8).unwrap();
-        assert_eq!(monitor.padded_size(), 0, "no window left");
-    }
-
     /// An empty append is not an ingest event: the epoch does not
-    /// advance, nothing is queued or rebuilt, and no metric moves —
-    /// before the first window, and mid-epoch with a carry live.
+    /// advance, nothing is queued, and no metric moves — before the
+    /// first window, and mid-epoch with cells pending.
     #[test]
     fn append_of_no_points_changes_nothing() {
         let series = test_series(140);
         let mut monitor = StreamingDiscordMonitor::new(8);
         let unchanged = |monitor: &mut StreamingDiscordMonitor| {
             let (bytes, stats) = (monitor.checkpoint_bytes().unwrap(), monitor.metrics());
-            let (epochs, padded) = (monitor.epochs(), monitor.padded_size());
+            let (epochs, windows) = (monitor.epochs(), monitor.window_count());
             monitor.append(&[]);
             assert_eq!(monitor.checkpoint_bytes().unwrap(), bytes);
             assert_eq!(monitor.metrics(), stats);
-            assert_eq!((monitor.epochs(), monitor.padded_size()), (epochs, padded));
+            assert_eq!(
+                (monitor.epochs(), monitor.window_count()),
+                (epochs, windows)
+            );
         };
         unchanged(&mut monitor);
         monitor.append(&series[..5]);
         unchanged(&mut monitor);
         monitor.append(&series[5..120]);
-        monitor.run_for(30);
+        monitor.run_for(6);
         monitor.append(&series[120..]);
-        monitor.run_for(10);
+        monitor.run_for(2);
         unchanged(&mut monitor);
     }
 
     /// The series is the monitor's one record of the stream: through
     /// warm-up, the first window, appends, evictions, retention trims
     /// and a full drain it holds exactly the points appended and not
-    /// yet evicted, and the engine spans exactly its windows.
+    /// yet evicted, and its window statistics are those of exactly
+    /// that series, computed afresh.
     #[test]
     fn series_is_every_point_not_yet_evicted() {
         let stream = test_series(300);
@@ -1935,24 +1743,27 @@ mod tests {
             assert_eq!(monitor.series(), live, "after {op} {amount}");
             assert_eq!(monitor.stream_offset(), offset, "after {op} {amount}");
             assert_eq!(monitor.window_count(), (live.len() + 1).saturating_sub(m));
+            let mut fresh = WindowStats::empty(m);
+            fresh.extend(live);
+            assert_eq!(monitor.windows, fresh, "after {op} {amount}");
         }
         assert_eq!((offset, fed), (157, 167));
     }
 
     /// End to end against the per-pair definition: a monitor grown and
-    /// trimmed several times finishes within 1e-6 of the brute-force
-    /// matrix profile of its live series, an oracle that shares no code
-    /// with MASS.
+    /// trimmed several times finishes within 1e-9 of the brute-force
+    /// matrix profile of its live series, an oracle that shares no
+    /// arithmetic with the kernel.
     #[test]
     fn evolved_monitor_matches_the_brute_force_profile() {
         let stream = test_series(260);
         let m = 10;
         let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m / 2);
         monitor.append(&stream[..90]);
-        monitor.run_for(20);
+        monitor.run_for(5);
         monitor.append(&stream[90..170]);
         monitor.evict(35).unwrap();
-        monitor.run_for(15);
+        monitor.run_for(4);
         monitor.append(&stream[170..]);
         monitor.evict(20).unwrap();
         let live = &stream[55..];
@@ -1961,43 +1772,196 @@ mod tests {
         let brute = crate::brute::brute_force(live, m, m / 2);
         assert_eq!(finished.len(), brute.len());
         for (i, (d, b)) in finished.profile.iter().zip(&brute.profile).enumerate() {
-            assert!((d - b).abs() < 1e-6, "entry {i}: {d} vs {b}");
+            assert!((d - b).abs() < 1e-9, "entry {i}: {d} vs {b}");
         }
     }
 
-    /// After appends and a retention trim, the monitor's queries run on
-    /// the engine built over its live series in the trim's epoch
-    /// order: after `k` queries the snapshot is, bit for bit, the STAMP
-    /// fold over `MassPrecomputed::new(series)` of the first `k`
-    /// windows of that order.
+    /// After appends and a retention trim, units walk the suffix's
+    /// diagonals from fresh seeds in the trim's epoch order: after `u`
+    /// units the snapshot is, bit for bit, the kernel's fold over the
+    /// suffix of the diagonals those units held.
     #[test]
-    fn queries_after_a_trim_run_on_the_suffix_engine() {
+    fn units_after_a_trim_walk_the_suffix_from_fresh_seeds() {
         let stream = test_series(260);
         let (m, exc) = (8, 4);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 5);
         monitor.retain_last(150).unwrap();
         monitor.append(&stream[..120]);
-        monitor.run_for(30);
+        monitor.run_for(8);
         monitor.append(&stream[120..]);
         assert_eq!(monitor.series(), &stream[110..]);
-        let count = monitor.window_count();
-        assert_eq!(monitor.pending(), count, "the trim requeues every window");
-        let order = monitor.epoch_order(0, count);
-        let mass = MassPrecomputed::new(&stream[110..], m);
-        let mut profile = vec![f64::INFINITY; count];
-        let mut index = vec![usize::MAX; count];
-        let (mut scratch, mut dp) = (MassScratch::default(), Vec::new());
-        let mut folded = 0;
-        for k in [1, 17, 60, count] {
-            assert_eq!(monitor.run_for(k - folded), k - folded);
-            for &q in &order[folded..k] {
-                mass.distance_profile_into(q, &mut scratch, &mut dp);
-                update_from_profile(q, &dp, exc, &mut profile, &mut index);
+        assert_eq!(monitor.pending.len(), monitor.diagonals.len());
+        let order: Vec<usize> = monitor.pending.iter().copied().collect();
+        let total = monitor.pending();
+        let mut walked = 0;
+        for u in [1, 5, 17, total] {
+            while monitor.processed() < u {
+                walked += monitor.units[0];
+                assert!(monitor.step());
             }
-            folded = k;
+            let (profile, index) = fold_of(&stream[110..], m, &order[..walked]);
             let snapshot = monitor.snapshot();
-            assert_eq!(snapshot.profile, profile, "after {k} queries");
-            assert_eq!(snapshot.index, index, "after {k} queries");
+            assert_eq!(snapshot.profile, profile, "after {u} units");
+            assert_eq!(snapshot.index, index, "after {u} units");
+        }
+    }
+
+    /// Cells the monitor has left to walk before it is current.
+    fn cells_left(monitor: &StreamingDiscordMonitor) -> usize {
+        let (count, first) = (monitor.window_count(), monitor.first_diagonal());
+        let diagonals = monitor.diagonals.iter().enumerate();
+        diagonals.map(|(d, g)| count - first - d - g.next).sum()
+    }
+
+    /// An append of `c` points leaves `c` new cells on every old
+    /// diagonal plus the new diagonals' cells — `O(c·N)` — while an
+    /// eviction leaves every cell of the live series to walk again.
+    #[test]
+    fn an_append_leaves_only_its_new_cells_and_an_eviction_all() {
+        let series = test_series(200);
+        let (m, exc) = (8, 4);
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
+        monitor.append(&series[..150]);
+        monitor.finish();
+        assert_eq!(cells_left(&monitor), 0);
+        let old = monitor.diagonals.len();
+        monitor.append(&series[150..170]);
+        let new_diagonals: usize = (1..=20).sum();
+        assert_eq!(cells_left(&monitor), 20 * old + new_diagonals);
+        monitor.run_for(3);
+        monitor.evict(30).unwrap();
+        let d = monitor.diagonals.len();
+        assert_eq!(cells_left(&monitor), d * (d + 1) / 2);
+    }
+
+    /// The units partition the pending queue, and after each unit every
+    /// diagonal it held is walked to its end while the others are
+    /// untouched.
+    #[test]
+    fn each_unit_finishes_the_diagonals_it_holds() {
+        let series = test_series(180);
+        let mut monitor = StreamingDiscordMonitor::with_seed(9, 4, 13);
+        monitor.append(&series[..120]);
+        monitor.run_for(4);
+        monitor.append(&series[120..]);
+        assert_eq!(monitor.units.iter().sum::<usize>(), monitor.pending.len());
+        let (count, first) = (monitor.window_count(), monitor.first_diagonal());
+        while let Some(&size) = monitor.units.front() {
+            let held: Vec<usize> = monitor.pending.iter().take(size).copied().collect();
+            let before = monitor.diagonals.clone();
+            assert!(monitor.step());
+            for (d, (was, now)) in before.iter().zip(&monitor.diagonals).enumerate() {
+                let k = first + d;
+                if held.contains(&k) {
+                    assert_eq!(now.next, count - k, "diagonal {k} left unfinished");
+                } else {
+                    assert_eq!(was, now, "diagonal {k} moved outside its unit");
+                }
+            }
+        }
+        assert_eq!(cells_left(&monitor), 0);
+        assert!(monitor.is_current());
+    }
+
+    /// An append that overflows the retention re-seeds every diagonal
+    /// and drops the fold in the same call.
+    #[test]
+    fn an_overflowing_append_reseeds_every_diagonal() {
+        let series = test_series(200);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.retain_last(120).unwrap();
+        monitor.append(&series[..110]);
+        monitor.finish();
+        monitor.append(&series[110..140]);
+        assert_eq!(monitor.series(), &series[20..140]);
+        assert!(monitor.diagonals.iter().all(|d| *d == Diagonal::default()));
+        assert!(monitor.snapshot().profile.iter().all(|d| d.is_infinite()));
+        assert_eq!(monitor.pending.len(), monitor.diagonals.len());
+    }
+
+    /// `processed` counts the units run since the last append or
+    /// eviction, and is carried by checkpoints.
+    #[test]
+    fn processed_counts_units_since_the_last_ingest_event() {
+        let series = test_series(160);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series[..100]);
+        assert_eq!(monitor.run_for(3), 3);
+        assert_eq!(monitor.processed(), 3);
+        let bytes = monitor.checkpoint_bytes().unwrap();
+        let restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+        assert_eq!(restored.processed(), 3);
+        monitor.append(&series[100..]);
+        assert_eq!(monitor.processed(), 0);
+        monitor.run_for(2);
+        monitor.evict(10).unwrap();
+        assert_eq!(monitor.processed(), 0);
+        let total = monitor.pending();
+        monitor.finish();
+        assert_eq!(monitor.processed(), total);
+    }
+
+    /// Every finite snapshot entry is an exact cell: a neighbor outside
+    /// the exclusion zone, at the distance the definition gives the
+    /// pair — through appends, units and an eviction.
+    #[test]
+    fn snapshot_entries_are_exact_cells() {
+        let series = test_series(220);
+        let (m, exc) = (9, 4);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 8);
+        for (part, units) in series.chunks(55).zip([2, 5, 1, 3]) {
+            monitor.append(part);
+            monitor.run_for(units);
+            if monitor.series_len() > 150 {
+                monitor.evict(40).unwrap();
+                monitor.run_for(units);
+            }
+            let live = monitor.series();
+            let snap = monitor.snapshot();
+            for (i, (&d, &j)) in snap.profile.iter().zip(&snap.index).enumerate() {
+                if d.is_infinite() {
+                    assert_eq!(j, usize::MAX);
+                    continue;
+                }
+                assert!(i.abs_diff(j) > exc, "entry {i} cites {j}");
+                let direct = crate::brute::znormalized_distance(&live[i..i + m], &live[j..j + m]);
+                assert!((d - direct).abs() < 1e-9, "entry {i}: {d} vs {direct}");
+            }
+        }
+    }
+
+    #[test]
+    fn is_current_once_every_diagonal_is_walked() {
+        let series = test_series(130);
+        let mut monitor = StreamingDiscordMonitor::new(7);
+        monitor.append(&series);
+        while !monitor.is_current() {
+            assert!(cells_left(&monitor) > 0);
+            monitor.step();
+        }
+        assert_eq!(cells_left(&monitor), 0);
+        assert!(monitor.pending.is_empty());
+    }
+
+    /// An exclusion zone as wide as the series leaves no admissible
+    /// diagonal: the monitor is current after every append, and its
+    /// profile stays `+∞` — up to an exclusion of `usize::MAX`.
+    #[test]
+    fn an_exclusion_wider_than_the_series_leaves_nothing_to_walk() {
+        let series = test_series(90);
+        for exclusion in [85, usize::MAX] {
+            let mut monitor = StreamingDiscordMonitor::with_exclusion(6, exclusion);
+            for part in series.chunks(30) {
+                monitor.append(part);
+                assert!(monitor.is_current(), "exclusion {exclusion}");
+                assert!(monitor.diagonals.is_empty());
+            }
+            let finished = monitor.finish();
+            assert_eq!(finished.len(), 85);
+            assert!(finished.profile.iter().all(|d| d.is_infinite()));
+            let bytes = monitor.checkpoint_bytes().unwrap();
+            let restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+            assert_eq!(restored.snapshot(), finished);
         }
     }
 
@@ -2027,7 +1991,7 @@ mod tests {
         let exc = m / 2;
         let mut live = StreamingDiscordMonitor::with_seed(m, exc, 7);
         live.append(&series[..180]);
-        live.run_for(55); // mid-epoch: fold, pending, and carry all populated
+        live.run_for(30); // mid-epoch: fold, progress and queue all populated
         live.append(&series[180..240]);
         live.run_for(13);
         live.evict(40).unwrap();
@@ -2083,7 +2047,7 @@ mod tests {
         let mut live = StreamingDiscordMonitor::new(m);
         live.retain_last(120).unwrap();
         live.append(&series[..300]);
-        live.run_for(31);
+        live.run_for(5);
         let mut restored =
             StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
                 .unwrap();
@@ -2104,19 +2068,19 @@ mod tests {
         let m = 8;
         let mut live = StreamingDiscordMonitor::new(m);
         live.append(&series[..150]);
-        live.run_for(30);
+        live.run_for(8);
         live.append(&series[150..]);
         let finished = live.finish();
         let mut restored =
             StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
                 .unwrap();
         assert!(restored.is_current());
-        assert_eq!(restored.processed(), restored.window_count());
+        assert_eq!(restored.processed(), live.processed());
         let snap = restored.snapshot();
         assert_eq!(snap.profile, finished.profile);
         assert_eq!(snap.index, finished.index);
         assert!(!restored.step());
-        // The next append re-queues every window on both sides alike.
+        // The next append queues every diagonal on both sides alike.
         live.append(&series[..20]);
         restored.append(&series[..20]);
         assert_eq!(restored.pending(), live.pending());
@@ -2130,15 +2094,16 @@ mod tests {
         let series = test_series(120);
         let mut live = StreamingDiscordMonitor::new(8);
         live.append(&series);
-        live.run_for(25);
-        assert_eq!(live.metrics().steps, 25);
+        live.run_for(5);
+        assert_eq!(live.metrics().steps, 5);
         let mut restored =
             StreamingDiscordMonitor::from_checkpoint_bytes(&live.checkpoint_bytes().unwrap())
                 .unwrap();
         assert_eq!(restored.metrics(), SessionStats::default());
+        let left = restored.pending();
         restored.finish();
         let stats = restored.metrics();
-        assert_eq!(stats.steps, (restored.window_count() - 25) as u64);
+        assert_eq!(stats.steps, left as u64);
         assert_eq!((stats.appends, stats.caught_up), (0, 1));
     }
 
@@ -2147,7 +2112,7 @@ mod tests {
         let series = test_series(150);
         let mut monitor = StreamingDiscordMonitor::new(8);
         monitor.append(&series);
-        monitor.run_for(40);
+        monitor.run_for(10);
         let bytes = monitor.checkpoint_bytes().unwrap();
 
         // Wrong magic.
@@ -2172,73 +2137,59 @@ mod tests {
     }
 
     /// Monitor-section fields in `save_checkpoint`'s layout (exclusion
-    /// `m / 2`, the default seed), plus the engine series if any.
+    /// `m / 2`, the default seed, one epoch, no offset).
     #[derive(Clone)]
     struct Frame {
         m: usize,
         retention: Option<usize>,
-        warmup: Vec<f64>,
-        fold: Vec<f64>,
-        fold_index: Vec<usize>,
+        series: Vec<f64>,
+        progress: Vec<usize>,
         pending: Vec<usize>,
-        done: Vec<usize>,
-        carry: Option<(Vec<f64>, Vec<usize>)>,
-        series: Option<Vec<f64>>,
+        processed: usize,
     }
 
-    /// Windows of [`Frame::fresh`]: 16 points at `m = 8`.
-    const FRAME_WINDOWS: usize = 9;
-
     impl Frame {
-        /// 16 points at `m = 8`: every window queued, nothing folded.
+        /// 16 points at `m = 8`: nine windows, diagonals 5..=8 of 4, 3,
+        /// 2 and 1 cells, all queued and none walked.
         fn fresh() -> Self {
             Self {
                 m: 8,
                 retention: None,
-                warmup: Vec::new(),
-                fold: vec![f64::INFINITY; FRAME_WINDOWS],
-                fold_index: vec![usize::MAX; FRAME_WINDOWS],
-                pending: (0..FRAME_WINDOWS).collect(),
-                done: Vec::new(),
-                carry: None,
-                series: Some(test_series(16)),
+                series: test_series(16),
+                progress: vec![0; 4],
+                pending: vec![5, 6, 7, 8],
+                processed: 0,
             }
         }
 
-        /// Three points at `m = 8`: still warming up, no engine.
+        /// Three points at `m = 8`: still warming up, no windows.
         fn warming() -> Self {
             Self {
-                warmup: test_series(3),
-                fold: Vec::new(),
-                fold_index: Vec::new(),
+                series: test_series(3),
+                progress: Vec::new(),
                 pending: Vec::new(),
-                series: None,
                 ..Self::fresh()
             }
         }
 
-        /// Every window folded in this epoch.
+        /// Every diagonal walked to its end.
         fn caught_up() -> Self {
-            let mut frame = Self::fresh();
-            frame.fold = vec![0.5; FRAME_WINDOWS];
-            frame.fold_index = (0..FRAME_WINDOWS).rev().collect();
-            frame.done = std::mem::take(&mut frame.pending);
-            frame
+            Self {
+                progress: vec![4, 3, 2, 1],
+                pending: Vec::new(),
+                processed: 1,
+                ..Self::fresh()
+            }
         }
 
-        /// Mid-epoch after an append: part folded, a carry live.
-        fn carrying() -> Self {
-            let mut frame = Self::fresh();
-            frame.done = frame.pending.split_off(4);
-            frame.carry = Some(Self::empty_carry());
-            frame
-        }
-
-        fn empty_carry() -> (Vec<f64>, Vec<usize>) {
-            (
-                vec![f64::INFINITY; FRAME_WINDOWS],
-                vec![usize::MAX; FRAME_WINDOWS],
-            )
+        /// Mid-epoch: diagonals 5 and 8 done, 6 and 7 part-way.
+        fn partial() -> Self {
+            Self {
+                progress: vec![4, 1, 0, 1],
+                pending: vec![7, 6],
+                processed: 1,
+                ..Self::fresh()
+            }
         }
 
         fn with(&self, edit: impl Fn(&mut Frame)) -> Frame {
@@ -2247,40 +2198,28 @@ mod tests {
             frame
         }
 
-        /// A checksum-valid checkpoint holding exactly these fields.
-        fn bytes(&self) -> Vec<u8> {
-            let mut bytes = Vec::new();
-            let sections = 1 + u32::from(self.series.is_some());
-            let mut out = CheckpointWriter::begin(&mut bytes, sections).unwrap();
+        /// The monitor-section payload holding exactly these fields.
+        fn payload(&self) -> Vec<u8> {
             let mut f = FieldWriter::new();
             f.usize(self.m);
             f.usize(self.m / 2);
             f.u64(DEFAULT_MONITOR_SEED);
-            f.u32(CKPT_BACKEND_TAG);
             f.u64(1);
             f.usize(0);
             f.opt_usize(self.retention);
-            f.f64_slice(&self.warmup);
-            f.f64_slice(&self.fold);
-            f.usize_slice(&self.fold_index);
+            f.f64_slice(&self.series);
+            f.usize_slice(&self.progress);
             f.usize_slice(&self.pending);
-            f.usize_slice(&self.done);
-            match &self.carry {
-                None => f.bool(false),
-                Some((cp, ci)) => {
-                    f.bool(true);
-                    f.f64_slice(cp);
-                    f.usize_slice(ci);
-                }
-            }
-            out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &f.into_bytes())
+            f.usize(self.processed);
+            f.into_bytes()
+        }
+
+        /// A checksum-valid checkpoint holding exactly these fields.
+        fn bytes(&self) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            let mut out = CheckpointWriter::begin(&mut bytes, 1).unwrap();
+            out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &self.payload())
                 .unwrap();
-            if let Some(series) = &self.series {
-                let mut f = FieldWriter::new();
-                f.f64_slice(series);
-                out.section(CKPT_SECTION_ENGINE, CKPT_ENGINE_VERSION, &f.into_bytes())
-                    .unwrap();
-            }
             bytes
         }
     }
@@ -2300,87 +2239,77 @@ mod tests {
     #[test]
     fn checkpoint_rejects_states_no_monitor_writes() {
         let (fresh, warming) = (Frame::fresh(), Frame::warming());
-        let (caught_up, carrying) = (Frame::caught_up(), Frame::carrying());
-        for frame in [&fresh, &warming, &caught_up, &carrying] {
+        let (caught_up, partial) = (Frame::caught_up(), Frame::partial());
+        for frame in [&fresh, &warming, &caught_up, &partial] {
             StreamingDiscordMonitor::from_checkpoint_bytes(&frame.bytes())
                 .expect("a state the monitor writes must load");
         }
         assert_all_corrupt([
-            (
-                "NaN series point",
-                fresh.with(|f| f.series.as_mut().unwrap()[5] = f64::NAN),
-            ),
+            ("NaN series point", fresh.with(|f| f.series[5] = f64::NAN)),
             (
                 "infinite series point",
-                fresh.with(|f| f.series.as_mut().unwrap()[0] = f64::INFINITY),
+                fresh.with(|f| f.series[0] = f64::INFINITY),
             ),
             (
                 "infinite warm-up point",
-                warming.with(|f| f.warmup[1] = f64::NEG_INFINITY),
-            ),
-            ("NaN fold entry", caught_up.with(|f| f.fold[2] = f64::NAN)),
-            ("negative fold entry", caught_up.with(|f| f.fold[2] = -1.0)),
-            (
-                "NaN carry entry",
-                carrying.with(|f| f.carry.as_mut().unwrap().0[3] = f64::NAN),
+                warming.with(|f| f.series[1] = f64::NEG_INFINITY),
             ),
             (
-                "negative carry entry",
-                carrying.with(|f| f.carry.as_mut().unwrap().0[3] = -0.5),
-            ),
-            ("nothing pending or done", fresh.with(|f| f.pending.clear())),
-            ("window missing", fresh.with(|f| f.pending.truncate(8))),
-            ("window listed twice", fresh.with(|f| f.pending[8] = 0)),
-            (
-                "window both pending and done",
-                carrying.with(|f| f.done[0] = 0),
+                "progress past a diagonal's length",
+                caught_up.with(|f| f.progress[3] = 2),
             ),
             (
-                "carry with nothing pending",
-                caught_up.with(|f| f.carry = Some(Frame::empty_carry())),
+                "progress past a pending diagonal's length",
+                partial.with(|f| f.progress[1] = 4),
+            ),
+            ("diagonal pending twice", fresh.with(|f| f.pending.push(6))),
+            (
+                "diagonal with cells left missing",
+                partial.with(|f| f.pending.truncate(1)),
+            ),
+            (
+                "complete diagonal pending",
+                partial.with(|f| f.pending.push(5)),
+            ),
+            (
+                "pending diagonal inside the exclusion zone",
+                caught_up.with(|f| f.pending = vec![4]),
+            ),
+            (
+                "pending diagonal past the last window",
+                caught_up.with(|f| f.pending = vec![9]),
             ),
         ]);
     }
 
     #[test]
-    fn checkpoint_rejects_per_window_state_that_disagrees_with_the_series() {
-        let (fresh, carrying) = (Frame::fresh(), Frame::carrying());
-        let last = FRAME_WINDOWS - 1;
+    fn checkpoint_rejects_per_diagonal_state_that_disagrees_with_the_series() {
+        let (fresh, warming) = (Frame::fresh(), Frame::warming());
         assert_all_corrupt([
             (
-                "series shorter than the window",
-                fresh.with(|f| f.series = Some(test_series(7))),
-            ),
-            (
-                "warm-up points beside an engine",
-                fresh.with(|f| f.warmup = test_series(2)),
-            ),
-            (
-                "fold one window short",
+                "progress one diagonal short",
                 fresh.with(|f| {
-                    f.fold.pop();
-                    f.fold_index.pop();
+                    f.progress.pop();
+                    f.pending.retain(|&k| k != 8);
                 }),
             ),
             (
-                "fold neighbor past the last window",
-                fresh.with(|f| f.fold_index[0] = FRAME_WINDOWS),
+                "progress one diagonal long",
+                fresh.with(|f| f.progress.push(0)),
             ),
             (
-                "queued window past the last one",
-                fresh.with(|f| f.pending[last] = FRAME_WINDOWS),
+                "progress while warming up",
+                warming.with(|f| f.progress = vec![0]),
             ),
             (
-                "carry one window short",
-                carrying.with(|f| {
-                    let (cp, ci) = f.carry.as_mut().unwrap();
-                    cp.pop();
-                    ci.pop();
+                "a queue while warming up",
+                warming.with(|f| f.pending = vec![0]),
+            ),
+            (
+                "one point fewer than the progress needs",
+                fresh.with(|f| {
+                    f.series.pop();
                 }),
-            ),
-            (
-                "carry neighbor past the last window",
-                carrying.with(|f| f.carry.as_mut().unwrap().1[0] = FRAME_WINDOWS),
             ),
         ]);
     }
@@ -2398,25 +2327,12 @@ mod tests {
                 "retention below the window",
                 warming.with(|f| f.retention = Some(7)),
             ),
-            (
-                "a full window still warming up",
-                warming.with(|f| f.warmup = test_series(8)),
-            ),
-            (
-                "a queue without an engine",
-                warming.with(|f| f.pending = vec![0]),
-            ),
-            (
-                "a carry without an engine",
-                warming.with(|f| f.carry = Some((Vec::new(), Vec::new()))),
-            ),
         ]);
     }
 
-    /// The one series field keeps the v1 layout: before the first
-    /// window the series travels in the monitor section's warm-up field
-    /// and no engine section is written; from the first window on it
-    /// travels in the engine section and the warm-up field is empty.
+    /// The monitor writes the frame layout: its live state is the
+    /// series, the progress, the queue in the epoch's order, and the
+    /// units run.
     #[test]
     fn checkpoint_layout_is_the_frame_layout() {
         let mut warming = StreamingDiscordMonitor::new(8);
@@ -2427,35 +2343,100 @@ mod tests {
         );
         let mut fresh = StreamingDiscordMonitor::new(8);
         fresh.append(&test_series(16));
-        let order = fresh.epoch_order(0, FRAME_WINDOWS);
+        let order: Vec<usize> = fresh.pending.iter().copied().collect();
         let frame = Frame::fresh().with(|f| f.pending = order.clone());
         assert_eq!(fresh.checkpoint_bytes().unwrap(), frame.bytes());
     }
 
-    /// The engine is not in the checkpoint: a restore rebuilds it from
-    /// the saved series — none while warming up, and otherwise the
-    /// engine the live monitor holds, so the next query of either side
-    /// folds the same distances.
+    /// The mid-epoch frame restores with its partly walked diagonals
+    /// replayed: its snapshot is the fold of exactly those cells, and
+    /// it finishes on the batch kernel.
     #[test]
-    fn restore_rebuilds_the_engine_of_the_saved_series() {
+    fn checkpoint_restores_partly_walked_diagonals() {
+        let frame = Frame::partial();
+        let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&frame.bytes()).unwrap();
+        let progress: Vec<usize> = restored.diagonals.iter().map(|d| d.next).collect();
+        assert_eq!(progress, frame.progress);
+        let ws = WindowStats::new(&frame.series, 8);
+        let (mut profile, mut index) = (vec![f64::INFINITY; 9], vec![usize::MAX; 9]);
+        for (d, &next) in frame.progress.iter().enumerate() {
+            let mut diagonal = Diagonal::default();
+            walk(
+                &frame.series,
+                &ws,
+                5 + d,
+                &mut diagonal,
+                next,
+                &mut profile,
+                &mut index,
+            );
+        }
+        assert_eq!(restored.snapshot().profile, profile);
+        assert_eq!(restored.snapshot().index, index);
+        assert_eq!((restored.pending(), restored.processed()), (1, 1));
+        let reference = stomp_with_exclusion(&frame.series, 8, 4);
+        assert_eq!(restored.finish(), reference);
+    }
+
+    /// A monitor checkpoint is exactly one section.
+    #[test]
+    fn checkpoint_rejects_sections_after_the_monitor() {
+        let mut bytes = Vec::new();
+        let mut out = CheckpointWriter::begin(&mut bytes, 2).unwrap();
+        let payload = Frame::fresh().payload();
+        out.section(CKPT_SECTION_MONITOR, CKPT_MONITOR_VERSION, &payload)
+            .unwrap();
+        out.section(u32::from_le_bytes(*b"ENG1"), 1, &[0; 8])
+            .unwrap();
+        assert!(matches!(
+            StreamingDiscordMonitor::from_checkpoint_bytes(&bytes),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    /// A version 1 payload — the MASS engine's layout — is rejected by
+    /// its version, not misread.
+    #[test]
+    fn checkpoint_rejects_the_version_1_payload() {
+        let mut bytes = Vec::new();
+        let mut out = CheckpointWriter::begin(&mut bytes, 1).unwrap();
+        out.section(CKPT_SECTION_MONITOR, 1, &Frame::fresh().payload())
+            .unwrap();
+        assert!(matches!(
+            StreamingDiscordMonitor::from_checkpoint_bytes(&bytes),
+            Err(CheckpointError::UnsupportedSection {
+                found: 1,
+                supported: 2,
+                ..
+            })
+        ));
+    }
+
+    /// The fold, the covariances and the window statistics are not in
+    /// the checkpoint: a restore recomputes the statistics and replays
+    /// every computed cell, landing on exactly the live monitor's state.
+    #[test]
+    fn restore_replays_the_computed_cells() {
         let series = test_series(260);
         let mut live = StreamingDiscordMonitor::new(8);
         live.retain_last(200).unwrap();
         let mut fed = 0;
-        for (end, steps) in [(5, 0), (70, 12), (150, 30), (260, 9)] {
+        for (end, steps) in [(5, 0), (70, 3), (150, 6), (260, 2), (260, 9)] {
             live.append(&series[fed..end]);
             fed = end;
             live.run_for(steps);
             let bytes = live.checkpoint_bytes().unwrap();
             let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
             assert_eq!(restored.series(), live.series(), "{end} points");
-            assert_eq!(restored.padded_size(), live.padded_size(), "{end} points");
-            assert_eq!(restored.window_count(), live.window_count(), "{end} points");
+            assert_eq!(restored.windows, live.windows, "{end} points");
+            assert_eq!(restored.diagonals, live.diagonals, "{end} points");
+            assert_eq!(restored.pending, live.pending, "{end} points");
+            assert_eq!(restored.units, live.units, "{end} points");
+            assert_eq!(restored.snapshot(), live.snapshot(), "{end} points");
             let mut twin = live.clone();
             assert_eq!(restored.step(), twin.step(), "{end} points");
             assert_eq!(restored.snapshot(), twin.snapshot(), "{end} points");
         }
-        assert_eq!(live.padded_size(), 256);
     }
 
     #[test]
@@ -2471,7 +2452,7 @@ mod tests {
         // neighbors); re-tightening stays in local coordinates.
         let snap = monitor.snapshot();
         assert!(snap.profile.iter().all(|d| d.is_infinite()));
-        monitor.run_for(25);
+        monitor.run_for(6);
         let snap = monitor.snapshot();
         for &idx in &snap.index {
             assert!(idx == usize::MAX || idx < windows, "index {idx} escaped");

@@ -16,13 +16,14 @@
 //!   never a silently-wrong session.
 //!
 //! A third family edits checkpoints field by field through
-//! [`MonitorFields`], an outside decoder of the MON1/ENG1 v1 layout:
+//! [`MonitorFields`], an outside decoder of the MON1 v2 layout:
 //! re-encoding what it decodes reproduces the bytes, any order of the
-//! query queue finishes bit-identical, and a checksum-valid payload
-//! that no monitor writes (a non-finite point, a negative or NaN
-//! distance, a queue that misses or repeats a window) loads as
-//! [`CheckpointError::Corrupt`].
+//! pending diagonals finishes bit-identical, and a checksum-valid
+//! payload that no monitor writes (a non-finite point, progress past a
+//! diagonal's length, a queue that misses, repeats or adds a diagonal)
+//! loads as [`CheckpointError::Corrupt`].
 
+use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{
     pseudo_random_order, Checkpoint, CheckpointError, StreamingDiscordMonitor,
 };
@@ -200,6 +201,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The contract end to end: a random append/evict/step schedule
+    /// with a save and restore after any step finishes, at any worker
+    /// count from 1 to 8, bit-identical to the batch kernel over the
+    /// surviving suffix.
+    #[test]
+    fn restored_schedules_finish_on_the_kernel_at_every_worker_count(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..33, 0usize..3), 2..10),
+        threads in 1usize..9,
+    ) {
+        let gen = PointGen::discord();
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, m / 2, seed);
+        let mut shadow = ShadowSuffix::new();
+        for &(kind, amount, restore) in &raw_ops {
+            drive(&mut monitor, &mut shadow, &gen, m, decode_op(kind, amount));
+            if restore == 0 {
+                let bytes = monitor.checkpoint_bytes().unwrap();
+                monitor = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap();
+            }
+        }
+        let finished = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| monitor.finish());
+        let suffix = shadow.suffix(&gen);
+        if suffix.len() >= m {
+            let reference = stomp_with_exclusion(&suffix, m, m / 2);
+            prop_assert_eq!(&finished.profile, &reference.profile);
+            prop_assert_eq!(&finished.index, &reference.index);
+        } else {
+            prop_assert!(finished.is_empty());
+        }
+    }
+}
+
 /// A shadow cursor consistent with a restored monitor: the restored
 /// session knows its global offset and live length, which is all the
 /// replay needs to keep generating the same stream.
@@ -211,103 +252,72 @@ fn shadow_at(_gen: &PointGen, monitor: &StreamingDiscordMonitor) -> ShadowSuffix
 }
 
 const MON1: u32 = u32::from_le_bytes(*b"MON1");
-const ENG1: u32 = u32::from_le_bytes(*b"ENG1");
 
 /// A monitor checkpoint decoded field by field through the public
-/// container API: the MON1 v1 section, then the ENG1 v1 series once
-/// the monitor has left warm-up.
+/// container API: the one MON1 v2 section.
 #[derive(Debug, Clone, PartialEq)]
 struct MonitorFields {
     m: usize,
     exclusion: usize,
     seed: u64,
-    backend: u32,
     epochs: u64,
     offset: usize,
     retention: Option<usize>,
-    warmup: Vec<f64>,
-    fold: Vec<f64>,
-    fold_index: Vec<usize>,
+    series: Vec<f64>,
+    progress: Vec<usize>,
     pending: Vec<usize>,
-    done: Vec<usize>,
-    carry: Option<(Vec<f64>, Vec<usize>)>,
-    series: Option<Vec<f64>>,
+    processed: usize,
 }
 
 impl MonitorFields {
     fn decode(bytes: &[u8]) -> Self {
         let mut input = bytes;
         let mut reader = CheckpointReader::begin(&mut input).unwrap();
-        let (_, payload) = reader.section(MON1, 1).unwrap();
+        let (version, payload) = reader.section(MON1, 2).unwrap();
+        assert_eq!((version, reader.sections_remaining()), (2, 0));
         let mut f = FieldReader::new(&payload);
-        let mut fields = Self {
+        let fields = Self {
             m: f.usize().unwrap(),
             exclusion: f.usize().unwrap(),
             seed: f.u64().unwrap(),
-            backend: f.u32().unwrap(),
             epochs: f.u64().unwrap(),
             offset: f.usize().unwrap(),
             retention: f.opt_usize().unwrap(),
-            warmup: f.f64_vec().unwrap(),
-            fold: f.f64_vec().unwrap(),
-            fold_index: f.usize_vec().unwrap(),
+            series: f.f64_vec().unwrap(),
+            progress: f.usize_vec().unwrap(),
             pending: f.usize_vec().unwrap(),
-            done: f.usize_vec().unwrap(),
-            carry: None,
-            series: None,
+            processed: f.usize().unwrap(),
         };
-        if f.bool().unwrap() {
-            fields.carry = Some((f.f64_vec().unwrap(), f.usize_vec().unwrap()));
-        }
         f.finish().unwrap();
-        if reader.sections_remaining() > 0 {
-            let (_, payload) = reader.section(ENG1, 1).unwrap();
-            let mut f = FieldReader::new(&payload);
-            fields.series = Some(f.f64_vec().unwrap());
-            f.finish().unwrap();
-        }
         fields
     }
 
     fn encode(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let sections = 1 + u32::from(self.series.is_some());
-        let mut out = CheckpointWriter::begin(&mut bytes, sections).unwrap();
+        let mut out = CheckpointWriter::begin(&mut bytes, 1).unwrap();
         let mut f = FieldWriter::new();
         f.usize(self.m);
         f.usize(self.exclusion);
         f.u64(self.seed);
-        f.u32(self.backend);
         f.u64(self.epochs);
         f.usize(self.offset);
         f.opt_usize(self.retention);
-        f.f64_slice(&self.warmup);
-        f.f64_slice(&self.fold);
-        f.usize_slice(&self.fold_index);
+        f.f64_slice(&self.series);
+        f.usize_slice(&self.progress);
         f.usize_slice(&self.pending);
-        f.usize_slice(&self.done);
-        f.bool(self.carry.is_some());
-        if let Some((cp, ci)) = &self.carry {
-            f.f64_slice(cp);
-            f.usize_slice(ci);
-        }
-        out.section(MON1, 1, &f.into_bytes()).unwrap();
-        if let Some(series) = &self.series {
-            let mut f = FieldWriter::new();
-            f.f64_slice(series);
-            out.section(ENG1, 1, &f.into_bytes()).unwrap();
-        }
+        f.usize(self.processed);
+        out.section(MON1, 2, &f.into_bytes()).unwrap();
         bytes
     }
 
-    /// Slot `k` of the queue read as `pending` followed by `done`.
-    fn queue_slot(&mut self, k: usize) -> &mut usize {
-        let split = self.pending.len();
-        if k < split {
-            &mut self.pending[k]
-        } else {
-            &mut self.done[k - split]
-        }
+    /// The diagonal offset `k` of progress slot `d`.
+    fn diagonal(&self, d: usize) -> usize {
+        self.exclusion + 1 + d
+    }
+
+    /// The cells of the diagonal at progress slot `d`.
+    fn cells(&self, d: usize) -> usize {
+        self.series.len() + 1 - self.m - self.diagonal(d)
     }
 
     fn loads_as_corrupt(&self) -> bool {
@@ -319,7 +329,7 @@ impl MonitorFields {
 }
 
 /// Replays a random schedule, then tops the stream up to at least
-/// `2m` live points so the saved state always holds windows.
+/// `2m` live points so the saved state always holds diagonals.
 fn monitor_with_windows(
     m: usize,
     seed: u64,
@@ -354,24 +364,21 @@ proptest! {
         let fields = MonitorFields::decode(&bytes);
         prop_assert_eq!(fields.encode(), bytes);
         prop_assert_eq!((fields.m, fields.exclusion, fields.seed), (m, m / 2, seed));
-        prop_assert_eq!(fields.backend, 0);
         prop_assert_eq!(fields.epochs, monitor.epochs());
         prop_assert_eq!(fields.offset, monitor.stream_offset());
-        prop_assert_eq!(fields.pending.len(), monitor.pending());
-        prop_assert_eq!(fields.done.len(), monitor.processed());
-        match &fields.series {
-            Some(series) => {
-                prop_assert_eq!(series.as_slice(), monitor.series());
-                prop_assert!(fields.warmup.is_empty());
-                prop_assert_eq!(fields.fold.len(), monitor.window_count());
-            }
-            None => prop_assert_eq!(fields.warmup.as_slice(), monitor.series()),
-        }
+        prop_assert_eq!(fields.series.as_slice(), monitor.series());
+        prop_assert_eq!(
+            fields.progress.len(),
+            monitor.window_count().saturating_sub(m / 2 + 1)
+        );
+        prop_assert!(fields.pending.len() >= monitor.pending());
+        prop_assert_eq!(fields.pending.is_empty(), monitor.is_current());
+        prop_assert_eq!(fields.processed, monitor.processed());
     }
 
-    /// The queue's order steers only which window is refreshed next:
-    /// any permutation of the saved `pending` and `done` lists loads
-    /// and finishes bit-identical to the monitor it was saved from.
+    /// The queue's order steers only which diagonals are walked next:
+    /// any permutation of the saved pending diagonals loads and
+    /// finishes bit-identical to the monitor it was saved from.
     #[test]
     fn any_queue_order_finishes_bit_identical(
         m in 4usize..10,
@@ -381,57 +388,41 @@ proptest! {
     ) {
         let mut monitor = monitor_with_windows(m, seed, &raw_ops);
         let mut fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
-        for (list, salt) in [(&mut fields.pending, shuffle), (&mut fields.done, !shuffle)] {
-            let order = pseudo_random_order(list.len(), salt);
-            *list = order.iter().map(|&i| list[i]).collect();
-        }
+        let order = pseudo_random_order(fields.pending.len(), shuffle);
+        fields.pending = order.iter().map(|&i| fields.pending[i]).collect();
         let mut restored =
             StreamingDiscordMonitor::from_checkpoint_bytes(&fields.encode()).unwrap();
-        prop_assert_eq!(restored.pending(), monitor.pending());
+        prop_assert_eq!(restored.snapshot(), monitor.snapshot());
         let (a, b) = (restored.finish(), monitor.finish());
         prop_assert_eq!(&a.profile, &b.profile);
         prop_assert_eq!(&a.index, &b.index);
     }
 
-    /// A non-finite point, or a fold or carry entry that is negative or
-    /// NaN, never loads: `finish` would report wrong discords from it.
+    /// A non-finite point never loads: `finish` would report wrong
+    /// discords from it.
     #[test]
-    fn non_finite_points_and_invalid_distances_are_corrupt(
+    fn non_finite_points_are_corrupt(
         m in 4usize..10,
         seed in 0u64..1_000_000_000,
         raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
         at in 0usize..10_000,
-        pick in 0usize..5,
+        pick in 0usize..3,
     ) {
-        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-300, -2.5][pick];
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick];
         let monitor = monitor_with_windows(m, seed, &raw_ops);
-        let fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
-        let mut point = fields.clone();
-        let series = point.series.as_mut().unwrap();
-        let i = at % series.len();
-        let value = if bad.is_finite() { f64::NAN } else { bad };
-        series[i] = value;
-        prop_assert!(point.loads_as_corrupt(), "series point {} set to {}", i, value);
-        if bad != f64::INFINITY {
-            let mut fold = fields.clone();
-            let i = at % fold.fold.len();
-            fold.fold[i] = bad;
-            prop_assert!(fold.loads_as_corrupt(), "fold entry {} set to {}", i, bad);
-            if fields.carry.is_some() {
-                let mut carry = fields.clone();
-                let cp = &mut carry.carry.as_mut().unwrap().0;
-                let i = at % cp.len();
-                cp[i] = bad;
-                prop_assert!(carry.loads_as_corrupt(), "carry entry {} set to {}", i, bad);
-            }
-        }
+        let mut fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
+        let i = at % fields.series.len();
+        fields.series[i] = bad;
+        prop_assert!(fields.loads_as_corrupt(), "series point {} set to {}", i, bad);
     }
 
-    /// `pending` and `done` must hold each window exactly once: a
-    /// dropped window would never reach the fold, and a repeated one
-    /// means the queue was not written by a monitor.
+    /// The pending queue must hold each diagonal with cells left
+    /// exactly once and no other: a dropped diagonal would never reach
+    /// the fold, and a repeated or complete one means the queue was not
+    /// written by a monitor. Progress past a diagonal's last cell is
+    /// corrupt too.
     #[test]
-    fn queues_that_miss_or_repeat_a_window_are_corrupt(
+    fn queues_that_miss_or_repeat_a_diagonal_are_corrupt(
         m in 4usize..10,
         seed in 0u64..1_000_000_000,
         raw_ops in prop::collection::vec((0usize..10, 1usize..33), 1..8),
@@ -440,24 +431,26 @@ proptest! {
     ) {
         let monitor = monitor_with_windows(m, seed, &raw_ops);
         let fields = MonitorFields::decode(&monitor.checkpoint_bytes().unwrap());
-        let queued = fields.pending.len() + fields.done.len();
-        let (i, j) = (at % queued, other % queued);
-        let mut dropped = fields.clone();
-        if i < dropped.pending.len() {
-            dropped.pending.remove(i);
-        } else {
-            dropped.done.remove(i - dropped.pending.len());
-        }
-        prop_assert!(dropped.loads_as_corrupt(), "window at queue slot {} dropped", i);
-        if i != j {
+        let slots = fields.progress.len();
+        prop_assume!(slots > 0);
+        let d = at % slots;
+        let mut past = fields.clone();
+        past.progress[d] = fields.cells(d) + 1 + other % 3;
+        prop_assert!(past.loads_as_corrupt(), "progress of slot {} past its cells", d);
+        let k = fields.diagonal(d);
+        if fields.pending.contains(&k) {
+            let mut dropped = fields.clone();
+            dropped.pending.retain(|&p| p != k);
+            prop_assert!(dropped.loads_as_corrupt(), "diagonal {} dropped", k);
             let mut repeated = fields.clone();
-            let window = *repeated.queue_slot(j);
-            *repeated.queue_slot(i) = window;
-            prop_assert!(repeated.loads_as_corrupt(), "slot {} repeats slot {}", i, j);
+            let slot = other % (repeated.pending.len() + 1);
+            repeated.pending.insert(slot, k);
+            prop_assert!(repeated.loads_as_corrupt(), "diagonal {} listed twice", k);
+        } else {
+            let mut complete = fields.clone();
+            let slot = other % (complete.pending.len() + 1);
+            complete.pending.insert(slot, k);
+            prop_assert!(complete.loads_as_corrupt(), "complete diagonal {} pending", k);
         }
-        let mut extra = fields.clone();
-        let window = *extra.queue_slot(i);
-        extra.done.push(window);
-        prop_assert!(extra.loads_as_corrupt(), "window {} listed twice", window);
     }
 }

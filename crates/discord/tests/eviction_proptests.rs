@@ -4,12 +4,12 @@
 //! Random interleavings of `append` / `evict` / `step` schedules are
 //! driven against a shadow model of the surviving suffix; at every
 //! point the monitor must report only indices inside the live window,
-//! and `finish()` must land **bit-identical** to a fresh batch
-//! [`stamp_with_exclusion`] over exactly the suffix the shadow model
+//! and `finish()` must land **bit-identical** to the batch kernel
+//! ([`stomp_with_exclusion`]) over exactly the suffix the shadow model
 //! says survived — for every seed, chunk size, eviction schedule, and
 //! worker count.
 
-use egi_discord::stamp::stamp_with_exclusion;
+use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{EvictError, StreamingDiscordMonitor};
 use egi_testkit::{choose_evict, PointGen};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ proptest! {
 
     /// The tentpole acceptance property: for random append/evict/step
     /// interleavings, seeds, and chunk sizes, the finished profile is
-    /// bit-identical to batch STAMP over the surviving suffix, and no
+    /// bit-identical to the batch kernel over the surviving suffix, and no
     /// snapshot ever reports an index outside the live window.
     #[test]
     fn interleaved_append_evict_step_converges_to_suffix_batch(
@@ -77,11 +77,68 @@ proptest! {
         let finished = monitor.finish();
         prop_assert!(monitor.is_current());
         if suffix.len() >= m {
-            let reference = stamp_with_exclusion(&suffix, m, exc);
+            let reference = stomp_with_exclusion(&suffix, m, exc);
             prop_assert_eq!(&finished.profile, &reference.profile);
             prop_assert_eq!(&finished.index, &reference.index);
         } else {
             prop_assert!(finished.is_empty());
+        }
+    }
+
+    /// The snapshot contract under random append/evict/step schedules:
+    /// every entry is an upper bound on the batch profile of the live
+    /// suffix, and between evictions no entry ever rises (an append
+    /// keeps every entry and opens the new windows at `+∞`).
+    #[test]
+    fn snapshots_are_upper_bounds_and_never_loosen_between_evictions(
+        m in 4usize..10,
+        seed in 0u64..1_000_000_000,
+        ops in prop::collection::vec((0usize..10, 1usize..33), 3..14),
+    ) {
+        let exc = m / 2;
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+        let (mut appended, mut offset) = (0usize, 0usize);
+        let mut previous = monitor.snapshot();
+        for &(kind, amount) in &ops {
+            let mut evicted = false;
+            match kind {
+                0..=4 => {
+                    let chunk: Vec<f64> =
+                        (0..amount).map(|j| point(appended + j)).collect();
+                    monitor.append(&chunk);
+                    appended += amount;
+                }
+                5..=6 => {
+                    let c = choose_evict(monitor.series_len(), m, amount);
+                    monitor.evict(c).unwrap();
+                    offset += c;
+                    evicted = c > 0;
+                }
+                _ => {
+                    monitor.run_for(amount);
+                }
+            }
+            let snap = monitor.snapshot();
+            if monitor.series_len() >= m {
+                let suffix: Vec<f64> = (offset..appended).map(point).collect();
+                let batch = stomp_with_exclusion(&suffix, m, exc);
+                for i in 0..snap.len() {
+                    prop_assert!(
+                        snap.profile[i] >= batch.profile[i],
+                        "entry {} undershot the batch profile", i
+                    );
+                }
+            }
+            // Retention trims happen only on explicit evictions here.
+            if !evicted {
+                for i in 0..previous.len() {
+                    prop_assert!(
+                        snap.profile[i] <= previous.profile[i],
+                        "entry {} rose without an eviction", i
+                    );
+                }
+            }
+            previous = snap;
         }
     }
 
@@ -151,7 +208,7 @@ proptest! {
             .build()
             .unwrap()
             .install(|| monitor.finish());
-        let reference = stamp_with_exclusion(&series[cut..], m, exc);
+        let reference = stomp_with_exclusion(&series[cut..], m, exc);
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }
@@ -181,13 +238,13 @@ proptest! {
         prop_assert_eq!(monitor.series_len(), survived);
         prop_assert_eq!(monitor.stream_offset(), total - survived);
         let finished = monitor.finish();
-        let reference = stamp_with_exclusion(&series[total - survived..], m, exc);
+        let reference = stomp_with_exclusion(&series[total - survived..], m, exc);
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }
 
-    /// An append that overflows `retain_last(n)` trims before it
-    /// builds the engine, and lands exactly where an unbounded twin
+    /// An append that overflows `retain_last(n)` trims at once, and
+    /// lands exactly where an unbounded twin
     /// does by appending and then evicting the excess itself: the same
     /// series, queue, epochs, snapshot and counters after every op of
     /// any schedule.
@@ -234,16 +291,15 @@ proptest! {
 }
 
 /// Memory-bound regression: a long run under `retain_last(n)` keeps
-/// the live series buffer and the FFT transform size at
-/// `O(n + chunk)`, independent of how many points were streamed, and
-/// still finishes on the exact suffix profile.
+/// the live series buffer at `O(n + chunk)`, independent of how many
+/// points were streamed, and still finishes on the exact suffix
+/// profile.
 #[test]
 fn memory_stays_bounded_under_retention() {
     let m = 16usize;
     let n = 384usize;
     let chunk = 128usize;
     let total = 8_000usize;
-    let pow2_bound = (n + chunk).next_power_of_two();
     let mut monitor = StreamingDiscordMonitor::new(m);
     monitor.retain_last(n).unwrap();
     let mut fed = 0usize;
@@ -254,11 +310,6 @@ fn memory_stays_bounded_under_retention() {
         monitor.run_for(32);
         assert!(monitor.series_len() <= n);
         assert!(
-            monitor.padded_size() <= pow2_bound,
-            "padded transform grew to {} (bound {pow2_bound})",
-            monitor.padded_size()
-        );
-        assert!(
             monitor.series_capacity() <= 2 * (n + chunk),
             "series capacity {} exceeds {}",
             monitor.series_capacity(),
@@ -268,7 +319,7 @@ fn memory_stays_bounded_under_retention() {
     assert_eq!(monitor.stream_offset(), fed - n);
     let finished = monitor.finish();
     let suffix: Vec<f64> = ((fed - n)..fed).map(point).collect();
-    let reference = stamp_with_exclusion(&suffix, m, m / 2);
+    let reference = stomp_with_exclusion(&suffix, m, m / 2);
     assert_eq!(finished.profile, reference.profile);
     assert_eq!(finished.index, reference.index);
 }
@@ -306,7 +357,7 @@ fn compact_reclaims_capacity_after_heavy_eviction() {
     );
     // Observationally invisible: the finish contract holds.
     let finished = monitor.finish();
-    let reference = stamp_with_exclusion(&series[series.len() - keep..], m, exc);
+    let reference = stomp_with_exclusion(&series[series.len() - keep..], m, exc);
     assert_eq!(finished.profile, reference.profile);
     assert_eq!(finished.index, reference.index);
 }

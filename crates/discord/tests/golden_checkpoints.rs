@@ -7,17 +7,18 @@
 //! bit-identical finish. A failure here means the on-disk format
 //! changed without a version bump — bump the payload version and add a
 //! new fixture instead of regenerating the old one.
-//! `monitor_segmented_v1.ckpt` was written on the removed segmented
-//! MASS kernel; it pins that such checkpoints fail with a typed error.
+//! `monitor_exact_v1.ckpt` holds the canonical session as the MASS
+//! engine wrote it (payload version 1); it pins that such checkpoints
+//! fail with a typed error.
 //!
-//! To (re)generate `monitor_exact_v1.ckpt` after an intentional format
+//! To (re)generate `monitor_exact_v2.ckpt` after an intentional format
 //! change:
 //!
 //! ```text
 //! cargo test -p egi-discord --test golden_checkpoints -- --ignored
 //! ```
 
-use egi_discord::stamp::stamp_with_exclusion;
+use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{Checkpoint, CheckpointError, StreamingDiscordMonitor};
 use egi_testkit::PointGen;
 use std::path::PathBuf;
@@ -49,7 +50,7 @@ fn canonical_monitor() -> StreamingDiscordMonitor {
 
 #[test]
 fn golden_exact_checkpoint_still_loads() {
-    let bytes = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
+    let bytes = std::fs::read(fixture_path("monitor_exact_v2.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
     let mut restored = StreamingDiscordMonitor::from_checkpoint_bytes(&bytes)
         .expect("golden exact checkpoint no longer loads: format broke without a version bump");
@@ -62,7 +63,7 @@ fn golden_exact_checkpoint_still_loads() {
     let expected = canonical_monitor().finish();
     assert_eq!(finished.profile, expected.profile);
     assert_eq!(finished.index, expected.index);
-    let reference = stamp_with_exclusion(&PointGen::discord().slice(12..80), M, EXC);
+    let reference = stomp_with_exclusion(&PointGen::discord().slice(12..80), M, EXC);
     assert_eq!(finished.profile, reference.profile);
     assert_eq!(finished.index, reference.index);
 }
@@ -71,29 +72,31 @@ fn golden_exact_checkpoint_still_loads() {
 /// session reproduces the committed bytes exactly.
 #[test]
 fn golden_exact_checkpoint_reencodes_byte_for_byte() {
-    let committed = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
+    let committed = std::fs::read(fixture_path("monitor_exact_v2.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
     let restored = StreamingDiscordMonitor::from_checkpoint_bytes(&committed).unwrap();
     assert_eq!(
         restored.checkpoint_bytes().unwrap(),
         committed,
-        "monitor_exact_v1.ckpt: load then save changed the bytes"
+        "monitor_exact_v2.ckpt: load then save changed the bytes"
     );
 }
 
-/// Checkpoints of the removed segmented MASS kernel (backend tag 1)
-/// fail loudly with a typed error instead of restoring onto a kernel
-/// whose answers they were never computed against.
+/// The canonical session as the MASS engine wrote it (monitor payload
+/// version 1) fails with the typed version error instead of restoring
+/// onto a kernel whose state it does not describe.
 #[test]
-fn golden_segmented_checkpoint_is_rejected() {
-    let bytes = std::fs::read(fixture_path("monitor_segmented_v1.ckpt"))
+fn golden_v1_checkpoint_is_rejected_by_its_version() {
+    let bytes = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
         .expect("fixture missing: it is committed and never regenerated");
     match StreamingDiscordMonitor::from_checkpoint_bytes(&bytes) {
-        Err(CheckpointError::Corrupt(what)) => {
-            assert!(what.contains("backend tag 1"), "unexpected reason: {what}")
-        }
-        Err(other) => panic!("expected Corrupt, got {other:?}"),
-        Ok(_) => panic!("a segmented checkpoint must not restore"),
+        Err(CheckpointError::UnsupportedSection {
+            found: 1,
+            supported: 2,
+            ..
+        }) => {}
+        Err(other) => panic!("expected UnsupportedSection, got {other:?}"),
+        Ok(_) => panic!("a version 1 checkpoint must not restore"),
     }
 }
 
@@ -103,12 +106,12 @@ fn golden_segmented_checkpoint_is_rejected() {
 /// change, which is the early warning to bump a payload version.
 #[test]
 fn canonical_checkpoint_bytes_are_stable() {
-    let committed = std::fs::read(fixture_path("monitor_exact_v1.ckpt"))
+    let committed = std::fs::read(fixture_path("monitor_exact_v2.ckpt"))
         .expect("fixture missing — run the ignored regen test and commit the file");
     let fresh = canonical_monitor().checkpoint_bytes().unwrap();
     assert_eq!(
         fresh, committed,
-        "monitor_exact_v1.ckpt: today's encoder no longer reproduces the committed bytes"
+        "monitor_exact_v2.ckpt: today's encoder no longer reproduces the committed bytes"
     );
 }
 
@@ -117,5 +120,5 @@ fn canonical_checkpoint_bytes_are_stable() {
 fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
     let bytes = canonical_monitor().checkpoint_bytes().unwrap();
-    std::fs::write(fixture_path("monitor_exact_v1.ckpt"), &bytes).unwrap();
+    std::fs::write(fixture_path("monitor_exact_v2.ckpt"), &bytes).unwrap();
 }

@@ -1,14 +1,12 @@
-//! Property-based cross-checks of the matrix profile implementations.
+//! Property-based checks of the matrix-profile kernel.
 //!
-//! STOMP and STAMP take completely different routes to the same numbers
-//! (incremental dot products vs FFT convolutions); agreement with each
-//! other and with the brute-force oracle over random inputs is the
-//! strongest correctness evidence available without external fixtures.
+//! STOMP, the `stamp` aliases and the streaming monitor all run one
+//! kernel, so agreement among them is a contract, checked bit for bit.
+//! The independent evidence is [`brute_force`], which computes every
+//! pair's z-normalized distance from the definition and shares no
+//! arithmetic with the kernel.
 
-use egi_discord::brute::brute_force;
-use egi_discord::dist::WindowStats;
-use egi_discord::mass::{mass_self, MassPrecomputed};
-use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
+use egi_discord::brute::{brute_force, znormalized_distance};
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
 use proptest::prelude::*;
@@ -17,35 +15,126 @@ fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, 40..120)
 }
 
+/// Overwrites, for each `(at, len, value)`, up to `len` points from
+/// position `at % series.len()` on with `value`: flat runs whose
+/// windows exercise the flat-window conventions.
+fn with_flat_runs(mut series: Vec<f64>, runs: &[(usize, usize, f64)]) -> Vec<f64> {
+    for &(at, len, value) in runs {
+        let at = at % series.len();
+        let end = (at + len).min(series.len());
+        series[at..end].fill(value);
+    }
+    series
+}
+
+/// The kernel-vs-definition tolerance, in distance or in squared
+/// distance: near zero, the square root amplifies a rounding error of
+/// the squared distance.
+const TOL: f64 = 1e-9;
+
+/// `a` and `b` agree within `tol` in distance or squared distance
+/// (both `+∞` — no admissible neighbor — also agree).
+fn close(a: f64, b: f64, tol: f64) -> bool {
+    (a.is_infinite() && b.is_infinite()) || (a - b).abs() <= tol || (a * a - b * b).abs() <= tol
+}
+
+/// `b` exceeds `a` by more than `gap` in distance and in squared
+/// distance: a margin no rounding within tolerance can close.
+fn clearly_above(b: f64, a: f64, gap: f64) -> bool {
+    b - a > gap && b * b - a * a > gap
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// STOMP ≡ brute force over random series and window lengths.
+    /// The kernel against the definition, on random series with flat
+    /// runs: every profile entry within [`TOL`] of brute force, and the
+    /// same neighbor wherever brute force's best neighbor beats its
+    /// runner-up by more than `2·TOL`.
     #[test]
-    fn stomp_matches_brute(series in series_strategy(), m in 4usize..16) {
+    fn kernel_matches_brute_force_on_series_with_flat_runs(
+        series in series_strategy(),
+        runs in prop::collection::vec((0usize..1_000, 1usize..24, -100.0f64..100.0), 0..4),
+        m in 4usize..16,
+        strict in 0usize..2,
+    ) {
+        let series = with_flat_runs(series, &runs);
         prop_assume!(series.len() >= 2 * m);
-        let exc = m - 1;
-        let fast = stomp_with_exclusion(&series, m, exc);
-        let slow = brute_force(&series, m, exc);
-        for i in 0..fast.len() {
-            let (f, s) = (fast.profile[i], slow.profile[i]);
-            // Windows with no admissible neighbor stay at +inf on both
-            // sides; inf − inf is NaN, so equality is checked explicitly.
-            let equal = (f.is_infinite() && s.is_infinite()) || (f - s).abs() < 1e-5;
-            prop_assert!(equal, "i={}: {} vs {}", i, f, s);
+        let exc = if strict == 1 { m - 1 } else { m / 2 };
+        let kernel = stomp_with_exclusion(&series, m, exc);
+        let brute = brute_force(&series, m, exc);
+        prop_assert_eq!(kernel.len(), brute.len());
+        let window = |i: usize| &series[i..i + m];
+        for i in 0..kernel.len() {
+            let (k, b) = (kernel.profile[i], brute.profile[i]);
+            prop_assert!(close(k, b, TOL), "entry {}: kernel {} vs brute {}", i, k, b);
+            let runner_up = (0..brute.len())
+                .filter(|&j| i.abs_diff(j) > exc && j != brute.index[i])
+                .map(|j| znormalized_distance(window(i), window(j)))
+                .fold(f64::INFINITY, f64::min);
+            if b.is_finite() && clearly_above(runner_up, b, 2.0 * TOL) {
+                prop_assert_eq!(
+                    kernel.index[i], brute.index[i],
+                    "entry {}: best {} runner-up {}", i, b, runner_up
+                );
+            }
         }
     }
 
-    /// STAMP ≡ STOMP (FFT route vs incremental route).
+    /// Every neighbor the kernel cites is admissible and sits at the
+    /// profile distance by the definition, within [`TOL`] — also where
+    /// near-ties let the kernel and brute force pick different
+    /// neighbors.
     #[test]
-    fn stamp_matches_stomp(series in series_strategy(), m in 4usize..16) {
+    fn kernel_cites_each_neighbor_at_its_distance(
+        series in series_strategy(),
+        runs in prop::collection::vec((0usize..1_000, 1usize..24, -100.0f64..100.0), 0..4),
+        m in 4usize..16,
+    ) {
+        let series = with_flat_runs(series, &runs);
         prop_assume!(series.len() >= 2 * m);
-        let a = stamp_with_exclusion(&series, m, m / 2);
-        let b = stomp_with_exclusion(&series, m, m / 2);
+        let exc = m / 2;
+        let kernel = stomp_with_exclusion(&series, m, exc);
+        for (i, (&d, &j)) in kernel.profile.iter().zip(&kernel.index).enumerate() {
+            prop_assert!(i.abs_diff(j) > exc, "entry {} cites {}", i, j);
+            let direct = znormalized_distance(&series[i..i + m], &series[j..j + m]);
+            prop_assert!(close(d, direct, TOL), "entry {}: {} vs {}", i, d, direct);
+        }
+    }
+
+    /// Centered arithmetic keeps the kernel on the scale of the signal:
+    /// shifting a series by up to `1e4·σ` moves no profile entry by more
+    /// than 1e-6 (in distance or squared distance), and keeps the top
+    /// discord wherever it leads the next non-overlapping window by more
+    /// than twice that.
+    #[test]
+    fn shifting_the_series_keeps_the_profile_and_the_top_discord(
+        series in series_strategy(),
+        m in 4usize..16,
+        sigmas in -1e4f64..1e4,
+    ) {
+        prop_assume!(series.len() >= 2 * m);
+        let tol = 1e-6;
+        let n = series.len() as f64;
+        let mean = series.iter().sum::<f64>() / n;
+        let sigma = (series.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt();
+        let shifted: Vec<f64> = series.iter().map(|x| x + sigmas * sigma).collect();
+        let a = stomp_with_exclusion(&series, m, m / 2);
+        let b = stomp_with_exclusion(&shifted, m, m / 2);
         for i in 0..a.len() {
-            let (x, y) = (a.profile[i], b.profile[i]);
-            let equal = (x.is_infinite() && y.is_infinite()) || (x - y).abs() < 1e-5;
-            prop_assert!(equal, "i={}: {} vs {}", i, x, y);
+            prop_assert!(
+                close(a.profile[i], b.profile[i], tol),
+                "entry {}: {} vs {} shifted by {}σ", i, a.profile[i], b.profile[i], sigmas
+            );
+        }
+        let top = a.discords(1)[0];
+        let runner_up = (0..a.len())
+            .filter(|&j| !egi_tskit::window::intervals_overlap(top.start, m, j, m))
+            .map(|j| a.profile[j])
+            .filter(|d| d.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max);
+        if clearly_above(top.distance, runner_up, 2.0 * tol) {
+            prop_assert_eq!(b.discords(1)[0].start, top.start);
         }
     }
 
@@ -65,41 +154,6 @@ proptest! {
                     j, mp.profile[j], i, mp.profile[i]
                 );
             }
-        }
-    }
-
-    /// Shared-spectrum MASS ([`MassPrecomputed`]) equals the per-query
-    /// FFT path to 1e-9 on random inputs — the parity contract of the
-    /// fast path.
-    #[test]
-    fn mass_precomputed_matches_mass_self(series in series_strategy(), m in 4usize..16) {
-        prop_assume!(series.len() >= 2 * m);
-        let ws = WindowStats::new(&series, m);
-        let pre = MassPrecomputed::new(&series, m);
-        let count = ws.count();
-        for q in [0, count / 3, count - 1] {
-            let naive = mass_self(&series, q, &ws);
-            let fast = pre.distance_profile(q);
-            prop_assert_eq!(naive.len(), fast.len());
-            for j in 0..naive.len() {
-                prop_assert!(
-                    (naive[j] - fast[j]).abs() < 1e-9,
-                    "q={} j={}: {} vs {}", q, j, naive[j], fast[j]
-                );
-            }
-        }
-    }
-
-    /// Shared-spectrum STAMP equals the per-query-FFT STAMP to 1e-9.
-    #[test]
-    fn stamp_fast_path_matches_naive_path(series in series_strategy(), m in 4usize..16) {
-        prop_assume!(series.len() >= 2 * m);
-        let fast = stamp_with_exclusion(&series, m, m / 2);
-        let naive = stamp_per_query_fft(&series, m, m / 2);
-        for i in 0..fast.len() {
-            let (f, s) = (fast.profile[i], naive.profile[i]);
-            let equal = (f.is_infinite() && s.is_infinite()) || (f - s).abs() < 1e-9;
-            prop_assert!(equal, "i={}: {} vs {}", i, f, s);
         }
     }
 
@@ -126,34 +180,28 @@ proptest! {
         prop_assert_eq!(&single.index, &multi.index);
     }
 
-    /// Anytime STAMP (a monitor fed one series), for *every* query
-    /// permutation (seed), finishes on a profile and index vector
-    /// bit-identical to sequential STAMP — and within 1e-5 of STOMP: the
-    /// whole point of the shared `(distance, index)` fold.
+    /// The anytime matrix profile (a monitor fed one series), for
+    /// *every* diagonal order (seed), finishes on a profile and index
+    /// vector bit-identical to the batch kernel: the whole point of the
+    /// shared `(distance, index)` fold.
     #[test]
-    fn anytime_any_permutation_matches_stamp_and_stomp(
+    fn anytime_any_permutation_matches_the_batch_kernel(
         series in series_strategy(),
         m in 4usize..16,
         seed in 0u64..1_000_000_000,
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
         monitor.append(&series);
         let finished = monitor.finish();
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
-        let stomp = stomp_with_exclusion(&series, m, exc);
-        for i in 0..finished.len() {
-            let (x, y) = (finished.profile[i], stomp.profile[i]);
-            let equal = (x.is_infinite() && y.is_infinite()) || (x - y).abs() < 1e-5;
-            prop_assert!(equal, "i={}: {} vs {}", i, x, y);
-        }
     }
 
-    /// Parallel STAMP is bit-identical to sequential STAMP for every
-    /// worker count, seed, and partial sequential prefix (mixing
+    /// The parallel finish is bit-identical to the batch kernel for
+    /// every worker count, seed, and partial sequential prefix (mixing
     /// `run_for` stepping with a parallel finish).
     #[test]
     fn anytime_parallel_finish_deterministic(
@@ -165,10 +213,10 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut driver = StreamingDiscordMonitor::with_seed(m, exc, seed);
         driver.append(&series);
-        driver.run_for(driver.window_count() * prefix_pct / 100);
+        driver.run_for(driver.pending() * prefix_pct / 100);
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -179,8 +227,8 @@ proptest! {
     }
 
     /// Partial anytime profiles converge monotonically: pointwise
-    /// non-increasing in the number of processed queries, and always an
-    /// upper bound on the finished profile.
+    /// non-increasing in the number of units run, and always an upper
+    /// bound on the finished profile.
     #[test]
     fn anytime_snapshots_monotone_and_upper_bound(
         series in series_strategy(),
@@ -190,7 +238,7 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut driver = StreamingDiscordMonitor::with_seed(m, exc, seed);
         driver.append(&series);
         let mut previous = driver.snapshot();
@@ -199,7 +247,7 @@ proptest! {
             for i in 0..current.len() {
                 prop_assert!(
                     current.profile[i] <= previous.profile[i],
-                    "entry {} rose after {} queries", i, driver.processed()
+                    "entry {} rose after {} units", i, driver.processed()
                 );
                 prop_assert!(
                     current.profile[i] >= reference.profile[i],
@@ -214,7 +262,8 @@ proptest! {
 
     /// The streaming monitor converges to the batch profile, bitwise,
     /// for every seed, chunk size, and interleaving of
-    /// `append`/`step`/`snapshot` — the tentpole acceptance contract.
+    /// `append`/`step`/`snapshot`, and every snapshot on the way is an
+    /// upper bound on it.
     #[test]
     fn streaming_interleaved_converges_to_batch(
         series in series_strategy(),
@@ -225,20 +274,29 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+        let mut fed = 0;
         for part in series.chunks(chunk) {
+            let previous = monitor.snapshot();
             monitor.append(part);
+            fed += part.len();
             monitor.run_for(budget);
             let snap = monitor.snapshot();
             prop_assert_eq!(snap.len(), monitor.window_count());
-            // Every snapshot entry is an upper bound on the batch
-            // profile (up to FFT round-off on carry-over evidence).
+            if fed < m {
+                continue;
+            }
+            let live = stomp_with_exclusion(&series[..fed], m, exc);
             for i in 0..snap.len() {
                 prop_assert!(
-                    snap.profile[i] >= reference.profile[i] - 1e-9 * (1.0 + reference.profile[i]),
+                    snap.profile[i] >= live.profile[i],
                     "entry {} undershot the batch profile", i
                 );
+                // No eviction here, so no entry ever loosens.
+                if i < previous.len() {
+                    prop_assert!(snap.profile[i] <= previous.profile[i], "entry {} rose", i);
+                }
             }
         }
         let finished = monitor.finish();
@@ -259,11 +317,11 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        let reference = stomp_with_exclusion(&series, m, exc);
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
         for part in series.chunks(chunk) {
             monitor.append(part);
-            monitor.run_for(chunk / 2);
+            monitor.run_for(chunk / 8);
         }
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)

@@ -31,8 +31,8 @@
 //! `egi_<tier>_<what>[_<unit>]`, snake_case: counters end in
 //! `_total`, latency histograms in `_nanos`, size histograms in
 //! `_bytes` or `_points`; gauges are bare nouns
-//! (`egi_fleet_dirty_streams`). Tiers in this workspace: `fft`,
-//! `mass`, `session`, `monitor`, `fleet`, `checkpoint`.
+//! (`egi_fleet_dirty_streams`). Tiers in this workspace: `discord`,
+//! `core`, `session`, `monitor`, `fleet`, `checkpoint`.
 //!
 //! ## The never-touches-f64 invariant
 //!

@@ -7,7 +7,7 @@
 //! every seed, chunk size, stream count, and worker count:
 //!
 //! * each stream's [`Fleet::finish`] is **bit-identical** to its shadow
-//!   (and, transitively, to batch [`stamp_with_exclusion`] /
+//!   (and, transitively, to the batch kernel [`stomp_with_exclusion`] /
 //!   [`EnsembleDetector::detect`] over the surviving suffix);
 //! * the fair-share scheduler's starvation bound is observed — every
 //!   dirty stream receives ⌊U/d⌋..⌈U/d⌉ units from a `U`-unit budget
@@ -19,7 +19,7 @@
 //!   restored inbox.
 
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
-use egi_discord::stamp::stamp_with_exclusion;
+use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{StreamSession, StreamingDiscordMonitor};
 use egi_serve::fleet::{Checkpoint, CheckpointError};
 use egi_serve::{Fleet, FleetError, StreamId};
@@ -64,7 +64,7 @@ proptest! {
     /// The tentpole acceptance property: random multi-stream schedules
     /// of buffered ingest, direct appends, evictions, and budgeted
     /// refreshes leave every stream's `finish` bit-identical to a
-    /// standalone monitor fed the same schedule, and to batch STAMP
+    /// standalone monitor fed the same schedule, and to batch STOMP
     /// over the surviving suffix.
     #[test]
     fn multi_stream_schedules_match_shadow_monitors(
@@ -159,7 +159,7 @@ proptest! {
             let suffix: Vec<f64> =
                 (shadow.offset..shadow.appended).map(|i| point(id, i)).collect();
             if suffix.len() >= m {
-                let batch = stamp_with_exclusion(&suffix, m, exc);
+                let batch = stomp_with_exclusion(&suffix, m, exc);
                 prop_assert_eq!(&finished.profile, &batch.profile);
                 prop_assert_eq!(&finished.index, &batch.index);
             } else {
@@ -178,13 +178,15 @@ proptest! {
         extra in 8usize..40,
         budget_per in 1usize..12,
     ) {
-        let len = m + extra; // pending units per stream = extra + 1
-        let pending_each = len - m + 1;
+        let len = m + extra;
         let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
+        let mut pending_each = 0;
         for id in 0..streams {
             let series: Vec<f64> = (0..len).map(|i| point(id, i)).collect();
             let mut monitor = StreamingDiscordMonitor::new(m);
             monitor.append(&series);
+            // Same length, window and seed: the same units per stream.
+            pending_each = monitor.pending();
             fleet.create(id, monitor).unwrap();
         }
         let d = streams as usize;
@@ -272,7 +274,7 @@ proptest! {
             let finished = fleet.finish(id).unwrap();
             let series: Vec<f64> = (0..len).map(|i| point(id, i)).collect();
             if len >= m {
-                let batch = stamp_with_exclusion(&series, m, m / 2);
+                let batch = stomp_with_exclusion(&series, m, m / 2);
                 prop_assert_eq!(&finished.profile, &batch.profile);
                 prop_assert_eq!(&finished.index, &batch.index);
             }
@@ -334,8 +336,8 @@ proptest! {
 
 /// The served matrix-profile baseline in miniature: monitors under a
 /// retention budget take a chunk past the budget every tick, each tick
-/// drains every query, and each stream still finishes bit for bit on
-/// batch STAMP over the points it retains.
+/// drains every unit, and each stream still finishes bit for bit on
+/// batch STOMP over the points it retains.
 #[test]
 fn retained_monitor_streams_finish_on_their_suffix() {
     let (streams, m, retain, chunk) = (3, 12, 160, 24);
@@ -362,7 +364,7 @@ fn retained_monitor_streams_finish_on_their_suffix() {
     for id in 0..streams {
         let suffix: Vec<f64> = (fed - retain..fed).map(|i| point(id, i)).collect();
         let finished = fleet.finish(id).unwrap();
-        let batch = stamp_with_exclusion(&suffix, m, m / 2);
+        let batch = stomp_with_exclusion(&suffix, m, m / 2);
         assert_eq!(finished.profile, batch.profile, "stream {id}");
         assert_eq!(finished.index, batch.index, "stream {id}");
     }
@@ -372,20 +374,23 @@ fn retained_monitor_streams_finish_on_their_suffix() {
 /// **1,000 dirty streams** — every stream receives ⌊U/1000⌋..⌈U/1000⌉
 /// units, none starves — then a deadline of exactly the units left
 /// drains every stream, and per-stream finish still lands bit-identical
-/// to batch STAMP.
+/// to batch STOMP.
 #[test]
 fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     let m = 8usize;
-    let len = 48usize; // 41 pending query units per stream
+    let len = 48usize;
     let streams = 1_000u64;
-    let pending_each = len - m + 1;
     let mut fleet: Fleet<StreamingDiscordMonitor> = Fleet::new();
+    let mut pending_each = 0;
     for id in 0..streams {
         let series: Vec<f64> = (0..len).map(|i| point(id, i)).collect();
         let mut monitor = StreamingDiscordMonitor::new(m);
         monitor.append(&series);
+        // Same length, window and seed: the same units per stream.
+        pending_each = monitor.pending();
         fleet.create(id, monitor).unwrap();
     }
+    assert!(pending_each > 3, "{pending_each} units per stream");
     assert_eq!(fleet.dirty_count(), 1_000);
     assert_eq!(fleet.pending_units(), 1_000 * pending_each);
 
@@ -408,8 +413,8 @@ fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     assert_eq!((floor_count, ceil_count), (500, 500));
     assert_eq!(fleet.dirty_count(), 1_000, "all streams still have work");
 
-    // A budget of exactly the units left (38 or 39 per stream) drains
-    // every stream.
+    // A budget of exactly the units left (all but 2 or 3 per stream)
+    // drains every stream.
     let rest = fleet.pending_units();
     assert_eq!(fleet.refresh(Deadline::queries(rest)), rest);
     assert_eq!(fleet.dirty_count(), 0, "a stream kept pending units");
@@ -420,7 +425,7 @@ fn fair_share_spreads_one_deadline_across_1000_dirty_streams() {
     assert_eq!(fleet.pending_units(), 0);
     for (id, profile) in reports.into_iter().step_by(97) {
         let series: Vec<f64> = (0..len).map(|i| point(id, i)).collect();
-        let reference = stamp_with_exclusion(&series, m, m / 2);
+        let reference = stomp_with_exclusion(&series, m, m / 2);
         assert_eq!(profile.profile, reference.profile, "stream {id}");
         assert_eq!(profile.index, reference.index, "stream {id}");
     }
@@ -509,7 +514,7 @@ fn non_finite_chunks_never_reach_a_discord_session() {
     for id in 0..2 {
         let series: Vec<f64> = (0..160).map(|i| point(id, i)).collect();
         let finished = fleet.finish(id).unwrap();
-        let reference = stamp_with_exclusion(&series, m, m / 2);
+        let reference = stomp_with_exclusion(&series, m, m / 2);
         assert_eq!(finished.profile, reference.profile, "stream {id}");
         assert_eq!(finished.index, reference.index, "stream {id}");
     }

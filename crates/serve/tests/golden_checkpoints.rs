@@ -2,11 +2,14 @@
 //!
 //! `tests/fixtures/fleet_v1.ckpt` holds committed bytes — a
 //! three-stream fleet with staggered progress, an undrained inbox, and
-//! a rotated fair-share queue — written when the format was
-//! introduced. This proves today's code still loads them and resumes
-//! onto the same bit-identical per-stream profiles. A failure means
-//! the on-disk format (outer framing or the nested per-session
-//! containers) changed without a version bump.
+//! a rotated fair-share queue — written when the nested monitor
+//! payload went to version 2. This proves today's code still loads them
+//! and resumes onto the same bit-identical per-stream profiles. A
+//! failure means the on-disk format (outer framing or the nested
+//! per-session containers) changed without a version bump.
+//! `tests/fixtures/fleet_v1_monitor_v1.ckpt` is the same canonical
+//! fleet as written when its monitors held payload version 1; it pins
+//! that such a fleet fails to load with a typed error.
 //!
 //! Regenerate after an intentional format change with:
 //!
@@ -15,7 +18,7 @@
 //! ```
 
 use egi_discord::streaming::StreamingDiscordMonitor;
-use egi_serve::fleet::Checkpoint;
+use egi_serve::fleet::{Checkpoint, CheckpointError};
 use egi_serve::Fleet;
 use egi_testkit::PointGen;
 use egi_tskit::Deadline;
@@ -67,6 +70,23 @@ fn golden_fleet_checkpoint_still_loads() {
         assert_eq!(id_a, id_b);
         assert_eq!(fin_a.profile, fin_b.profile, "stream {id_a} profile");
         assert_eq!(fin_a.index, fin_b.index, "stream {id_a} index");
+    }
+}
+
+/// A fleet whose monitors were saved at payload version 1 fails with
+/// the nested monitor's typed version error, not a panic.
+#[test]
+fn golden_fleet_with_version_1_monitors_is_rejected() {
+    let bytes = std::fs::read(fixture_path("fleet_v1_monitor_v1.ckpt"))
+        .expect("fixture missing: it is committed and never regenerated");
+    match Fleet::<StreamingDiscordMonitor>::from_checkpoint_bytes(&bytes) {
+        Err(CheckpointError::UnsupportedSection {
+            found: 1,
+            supported: 2,
+            ..
+        }) => {}
+        Err(other) => panic!("expected UnsupportedSection, got {other:?}"),
+        Ok(_) => panic!("a fleet of version 1 monitors must not restore"),
     }
 }
 

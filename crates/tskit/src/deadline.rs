@@ -13,9 +13,9 @@
 //!
 //! The contract every driver honors: the condition is checked **before**
 //! each unit of work, so a wall-clock deadline is overshot by at most
-//! one unit's work (one MASS query for the discord monitor, one member
-//! refresh for the ensemble detector) and an already-expired deadline
-//! runs zero units.
+//! one unit's work (a run of diagonals of about one window count of
+//! cells for the discord monitor, one member refresh for the ensemble
+//! detector) and an already-expired deadline runs zero units.
 
 use std::time::{Duration, Instant};
 
@@ -23,8 +23,9 @@ use std::time::{Duration, Instant};
 /// instant, a unit-of-work budget, or both.
 ///
 /// "Units" are whatever the driving loop processes between checks —
-/// MASS queries for `StreamingDiscordMonitor` (which also runs anytime
-/// STAMP), member refreshes for `StreamingEnsembleDetector`. Drivers check the
+/// runs of diagonals for `StreamingDiscordMonitor` (which is also the
+/// anytime matrix profile), member refreshes for
+/// `StreamingEnsembleDetector`. Drivers check the
 /// condition **before** each unit, so a wall-clock deadline is overshot
 /// by at most one unit's work and an already-expired deadline runs zero
 /// units.

@@ -43,8 +43,9 @@ use crate::evict::EvictError;
 /// The lifecycle every implementor honors:
 ///
 /// 1. [`append`](Self::append) ingests points and *enqueues* refresh
-///    work ("units": one MASS query for the discord monitor, one
-///    member refresh for the ensemble detector) without doing it.
+///    work ("units": a run of diagonals of about one window count of
+///    cells for the discord monitor, one member refresh for the
+///    ensemble detector) without doing it.
 /// 2. [`step`](Self::step) performs exactly one pending unit; the
 ///    provided drivers spread units under a [`Deadline`].
 /// 3. [`evict`](Self::evict) retires points from the front under the

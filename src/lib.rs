@@ -33,7 +33,7 @@
 //! | [`sax`] | `egi-sax` | PAA, SAX, numerosity reduction, multi-resolution SAX |
 //! | [`sequitur`] | `egi-sequitur` | linear-time grammar induction |
 //! | [`core`] | `egi-core` | rule density curves, single & ensemble detectors |
-//! | [`discord`] | `egi-discord` | FFT plans + shared-spectrum MASS, matrix profile (diagonal-parallel STOMP, STAMP), HOTSAX |
+//! | [`discord`] | `egi-discord` | one centered diagonal matrix-profile kernel (diagonal-parallel STOMP, the streaming monitor), HOTSAX |
 //! | [`serve`] | `egi-serve` | multi-stream fleet runtime: batched ingest, fair-share refresh over [`StreamSession`](tskit::session::StreamSession) monitors |
 //! | [`eval`] | `egi-eval` | metrics and the experiment harness for every table/figure |
 
@@ -51,9 +51,7 @@ pub mod prelude {
         AnomalyReport, Candidate, EnsembleConfig, EnsembleDetector, GiConfig, MultiWindowConfig,
         MultiWindowEnsemble, RuleDensityCurve, SingleGiDetector,
     };
-    pub use egi_discord::{
-        DiscordConfig, DiscordDetector, FftPlan, MassPrecomputed, MatrixProfile, RealFftPlan,
-    };
+    pub use egi_discord::{DiscordConfig, DiscordDetector, MatrixProfile};
     pub use egi_sax::{NumerosityReduced, SaxConfig, SaxWord};
     pub use egi_sequitur::{Grammar, Sequitur};
     pub use egi_serve::{Fleet, FleetError};

@@ -185,6 +185,42 @@ fn discord_on_a_generated_ecg_is_pinned() {
     assert_eq!(starts(&stdout), ["712", "2009", "1494"]);
 }
 
+/// The matrix-profile baseline splits its diagonals across rayon
+/// workers; stdout is byte-identical for every worker count.
+#[test]
+fn discord_output_is_identical_for_every_worker_count() {
+    let series = generated_ecg("pinned_ecg_discord_workers.csv");
+    let csv = series.to_str().unwrap();
+    let runs: Vec<Vec<u8>> = ["1", "2", "4"]
+        .iter()
+        .map(|threads| egi(&["discord", csv, "--window", "64", "--k", "5"], threads))
+        .collect();
+    std::fs::remove_file(&series).ok();
+    assert_eq!(starts(&runs[0]).len(), 5);
+    for run in &runs[1..] {
+        assert!(run == &runs[0], "output depends on the worker count");
+    }
+}
+
+/// The matrix-profile baseline is shift-invariant end to end: the same
+/// ECG shifted by +1e4 reports the clean answer.
+#[test]
+fn discord_on_the_pinned_ecg_shifted_by_1e4_reports_the_clean_answer() {
+    let series = generated_ecg("pinned_ecg_discord_shifted.csv");
+    let shifted: String = std::fs::read_to_string(&series)
+        .unwrap()
+        .lines()
+        .map(|v| format!("{}\n", v.trim().parse::<f64>().unwrap() + 1e4))
+        .collect();
+    std::fs::write(&series, shifted).unwrap();
+    let stdout = egi(
+        &["discord", series.to_str().unwrap(), "--window", "64"],
+        "1",
+    );
+    std::fs::remove_file(&series).ok();
+    assert_eq!(starts(&stdout), ["712", "2009", "1494"]);
+}
+
 #[test]
 fn valid_flags_still_detect() {
     let path = series_csv("valid.csv", None);
