@@ -132,18 +132,13 @@ fn bench_numerosity(c: &mut Criterion) {
             .iter()
             .map(|w| {
                 let next = table.len() as u32;
-                *table.entry(w.clone()).or_insert(next)
+                *table.entry(*w).or_insert(next)
             })
             .collect()
     };
     let raw_tokens = intern(&raw_words);
-    let reduced_tokens: Vec<u32> = intern(
-        &reduced
-            .tokens
-            .iter()
-            .map(|t| t.word.clone())
-            .collect::<Vec<_>>(),
-    );
+    let reduced_tokens: Vec<u32> =
+        intern(&reduced.tokens.iter().map(|t| t.word).collect::<Vec<_>>());
 
     let mut group = c.benchmark_group("ablation_numerosity");
     group.sample_size(10);

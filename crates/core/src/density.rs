@@ -197,7 +197,7 @@ mod tests {
         numerosity_reduce(
             words
                 .iter()
-                .map(|&w| SaxWord(vec![w as u8, (w >> 8) as u8]))
+                .map(|&w| SaxWord::from(vec![w as u8, (w >> 8) as u8]))
                 .collect(),
             window,
         )
@@ -268,13 +268,13 @@ mod tests {
         // Two tokens with a run: ba,ba,ba,dc → NR ba@0, dc@3. Rules: none
         // (no repeats), so zero curve; but with repeats the offsets matter.
         let words = vec![
-            SaxWord(vec![9]),
-            SaxWord(vec![9]),
-            SaxWord(vec![9]),
-            SaxWord(vec![7]),
-            SaxWord(vec![9]),
-            SaxWord(vec![9]),
-            SaxWord(vec![7]),
+            SaxWord::from(vec![9]),
+            SaxWord::from(vec![9]),
+            SaxWord::from(vec![9]),
+            SaxWord::from(vec![7]),
+            SaxWord::from(vec![9]),
+            SaxWord::from(vec![9]),
+            SaxWord::from(vec![7]),
         ];
         let nr = numerosity_reduce(words, 2);
         // NR tokens: 9@0, 7@3, 9@4, 7@6 → interned 0,1,0,1.

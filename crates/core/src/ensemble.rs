@@ -13,7 +13,7 @@
 
 use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
 use egi_sax::stream::PaaStream;
-use egi_sax::{FastSax, SaxConfig};
+use egi_sax::{FastSax, SaxConfig, MAX_WORD_LEN};
 use egi_tskit::ConfigError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -304,8 +304,9 @@ pub struct MemberDiagnostics {
 
 impl EnsembleConfig {
     /// Checks every field against its range: `window ≥ 2`,
-    /// `ensemble_size ≥ 1`, `wmax ≥ 2`, `amax` within the SAX alphabet
-    /// range `[2, 26]`, and `selectivity ∈ (0, 1]`. The one place these
+    /// `ensemble_size ≥ 1`, `wmax ∈ [2, 25]` (the longest packed SAX
+    /// word, [`MAX_WORD_LEN`]), `amax` within the SAX alphabet range
+    /// `[2, 26]`, and `selectivity ∈ (0, 1]`. The one place these
     /// rules live: [`EnsembleDetector::new`] panics on the error, the
     /// streaming checkpoint loader and the `egi` CLI report it.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -316,7 +317,12 @@ impl EnsembleConfig {
             "at least 1",
             self.ensemble_size,
         )?;
-        ConfigError::check(self.wmax >= 2, "wmax", "at least 2", self.wmax)?;
+        ConfigError::check(
+            (2..=MAX_WORD_LEN).contains(&self.wmax),
+            "wmax",
+            format_args!("in [2, {MAX_WORD_LEN}]"),
+            self.wmax,
+        )?;
         ConfigError::check(
             (MIN_ALPHABET..=MAX_ALPHABET).contains(&self.amax),
             "amax",
@@ -339,8 +345,8 @@ impl EnsembleDetector {
     ///
     /// Panics when [`EnsembleConfig::validate`] rejects the
     /// configuration: a window shorter than 2 points,
-    /// `ensemble_size == 0`, `wmax < 2`, an alphabet `amax` outside
-    /// `[2, 26]`, or a selectivity outside `(0, 1]`.
+    /// `ensemble_size == 0`, `wmax` outside `[2, 25]`, an alphabet
+    /// `amax` outside `[2, 26]`, or a selectivity outside `(0, 1]`.
     pub fn new(config: EnsembleConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid ensemble configuration: {e}");
@@ -852,6 +858,19 @@ mod tests {
             unfiltered.combine_curves(kept).values,
             det.ensemble_curve(&series, 9).values
         );
+    }
+
+    #[test]
+    fn wmax_stops_at_the_longest_packed_word() {
+        let with_wmax = |wmax| EnsembleConfig {
+            wmax,
+            ..EnsembleConfig::default()
+        };
+        assert_eq!(with_wmax(MAX_WORD_LEN).validate(), Ok(()));
+        let err = with_wmax(MAX_WORD_LEN + 1).validate().unwrap_err();
+        assert_eq!(err.field, "wmax");
+        assert_eq!(err.reason, "must be in [2, 25], got 26");
+        assert_eq!(with_wmax(1).validate().unwrap_err().field, "wmax");
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! order, which keeps the mapping deterministic for a given input (the
 //! evaluation harness relies on run-to-run reproducibility).
 
-use std::collections::HashMap;
-
 use egi_sax::{NumerosityReduced, SaxWord};
+use rustc_hash::FxHashMap;
 
 /// Interns the words of a numerosity-reduced token sequence: a fold of
 /// its words through a fresh [`OnlineInterner`].
 ///
 /// Returns one token id per retained token, in order. Identical words get
-/// identical ids; ids are dense starting at 0.
+/// identical ids; ids are dense starting at 0. The table keys are copies
+/// of the packed words, so nothing is cloned onto the heap.
 pub fn intern_tokens(nr: &NumerosityReduced) -> Vec<u32> {
     let mut interner = OnlineInterner::new();
-    nr.tokens.iter().map(|t| interner.intern(&t.word)).collect()
+    nr.tokens.iter().map(|t| interner.intern(t.word)).collect()
 }
 
 /// An interning table that assigns ids one word at a time, as the
@@ -25,10 +25,12 @@ pub fn intern_tokens(nr: &NumerosityReduced) -> Vec<u32> {
 /// Ids are dense `u32`s in first-seen order, so feeding the words of a
 /// token sequence through [`OnlineInterner::intern`] in order yields
 /// exactly the ids [`intern_tokens`] assigns to the whole sequence at
-/// once, for every append schedule.
+/// once, for every append schedule. The table is keyed by the packed
+/// 16-byte word itself under the Fx hash: one hash per lookup and no
+/// heap clone of a word.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineInterner {
-    table: HashMap<SaxWord, u32>,
+    table: FxHashMap<SaxWord, u32>,
 }
 
 impl OnlineInterner {
@@ -37,15 +39,10 @@ impl OnlineInterner {
         Self::default()
     }
 
-    /// The id of `word`, assigning the next dense id on first sight
-    /// (the word is cloned into the table only in that case).
-    pub fn intern(&mut self, word: &SaxWord) -> u32 {
-        if let Some(&id) = self.table.get(word) {
-            return id;
-        }
-        let id = self.table.len() as u32;
-        self.table.insert(word.clone(), id);
-        id
+    /// The id of `word`, assigning the next dense id on first sight.
+    pub fn intern(&mut self, word: SaxWord) -> u32 {
+        let next = self.table.len() as u32;
+        *self.table.entry(word).or_insert(next)
     }
 
     /// Forgets every assignment, reusing the table allocation — the
@@ -72,8 +69,13 @@ mod tests {
     use super::*;
     use egi_sax::{numerosity_reduce, SaxWord};
 
+    /// The word spelled by lowercase `letters` (`b"ab"` is `[0, 1]`).
+    fn word(letters: &[u8]) -> SaxWord {
+        SaxWord::from(letters.iter().map(|&c| c - b'a').collect::<Vec<u8>>())
+    }
+
     fn nr_from(words: &[&[u8]]) -> NumerosityReduced {
-        numerosity_reduce(words.iter().map(|w| SaxWord(w.to_vec())).collect(), 4)
+        numerosity_reduce(words.iter().map(|w| word(w)).collect(), 4)
     }
 
     #[test]
@@ -106,7 +108,7 @@ mod tests {
         let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd", b"ff", b"ab"]);
         let batch = intern_tokens(&nr);
         let mut online = OnlineInterner::new();
-        let incremental: Vec<u32> = nr.tokens.iter().map(|t| online.intern(&t.word)).collect();
+        let incremental: Vec<u32> = nr.tokens.iter().map(|t| online.intern(t.word)).collect();
         assert_eq!(incremental, batch);
         assert_eq!(online.len(), 4);
         assert!(!online.is_empty());
@@ -120,18 +122,18 @@ mod tests {
         // the live table holds.
         let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd", b"ff", b"ab"]);
         let mut live = OnlineInterner::new();
-        let live_ids: Vec<u32> = nr.tokens.iter().map(|t| live.intern(&t.word)).collect();
+        let live_ids: Vec<u32> = nr.tokens.iter().map(|t| live.intern(t.word)).collect();
         let mut replay = OnlineInterner::new();
-        for word in [b"zz", b"ee", b"yy"] {
-            replay.intern(&SaxWord(word.to_vec()));
+        for letters in [b"zz", b"ee", b"yy"] {
+            replay.intern(word(letters));
         }
         replay.clear();
         assert!(replay.is_empty());
-        let replay_ids: Vec<u32> = nr.tokens.iter().map(|t| replay.intern(&t.word)).collect();
+        let replay_ids: Vec<u32> = nr.tokens.iter().map(|t| replay.intern(t.word)).collect();
         assert_eq!(replay_ids, live_ids);
         assert_eq!(replay.len(), live.len());
-        let next = SaxWord(b"qq".to_vec());
-        assert_eq!(replay.intern(&next), live.intern(&next));
-        assert_eq!(replay.intern(&next), 4);
+        let next = word(b"qq");
+        assert_eq!(replay.intern(next), live.intern(next));
+        assert_eq!(replay.intern(next), 4);
     }
 }

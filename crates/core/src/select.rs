@@ -22,6 +22,12 @@ use crate::intern::intern_tokens;
 /// training prefix is clamped to at least two windows so every candidate
 /// can be evaluated; ties break toward smaller `(w, a)` (coarser, cheaper
 /// models), matching the "prefer simpler" reading of \[19\].
+///
+/// # Panics
+///
+/// Panics if `window < 2`, `train_fraction` is outside `(0, 1]`, or
+/// `min(wmax, window)` exceeds the longest SAX word
+/// ([`MAX_WORD_LEN`](egi_sax::MAX_WORD_LEN)).
 pub fn select_parameters(
     series: &[f64],
     window: usize,

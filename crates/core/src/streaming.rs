@@ -301,7 +301,7 @@ fn refresh_member(member: &mut MemberState, stream: &PaaStream, target: usize, s
     let retained = member.nr.len();
     stream.reduce_into(&mut member.nr, member.sax.a, target);
     for token in &member.nr.tokens[retained..] {
-        let id = member.interner.intern(&token.word);
+        let id = member.interner.intern(token.word);
         member.seq.push(id);
     }
     let written = if fresh {
@@ -1816,7 +1816,7 @@ mod tests {
                 assert_eq!(r.nr, l.nr, "{at}");
                 let ids = |interner: &OnlineInterner, nr: &NumerosityReduced| {
                     let mut table = interner.clone();
-                    let ids: Vec<u32> = nr.tokens.iter().map(|t| table.intern(&t.word)).collect();
+                    let ids: Vec<u32> = nr.tokens.iter().map(|t| table.intern(t.word)).collect();
                     (ids, table.len())
                 };
                 assert_eq!(ids(&r.interner, &r.nr), ids(&l.interner, &l.nr), "{at}");

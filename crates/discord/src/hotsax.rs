@@ -8,9 +8,8 @@
 //! fast). The search is exact: pruning only skips pairs that provably
 //! cannot change the result.
 
-use std::collections::HashMap;
-
 use egi_sax::{BreakpointTable, SaxConfig, SaxWord};
+use rustc_hash::FxHashMap;
 
 use crate::dist::WindowStats;
 use crate::profile::Discord;
@@ -109,8 +108,8 @@ fn hotsax_discord_masked(
     let words: Vec<SaxWord> = (0..count)
         .map(|i| egi_sax::sax_word(&series[i..i + m], sax, &table))
         .collect();
-    let mut buckets: HashMap<&SaxWord, Vec<usize>> = HashMap::new();
-    for (i, word) in words.iter().enumerate() {
+    let mut buckets: FxHashMap<SaxWord, Vec<usize>> = FxHashMap::default();
+    for (i, &word) in words.iter().enumerate() {
         buckets.entry(word).or_default().push(i);
     }
 

@@ -15,7 +15,7 @@ use crate::multires::MultiResBreakpoints;
 use crate::numerosity::{numerosity_reduce, NumerosityReduced};
 use crate::paa::segment_bound;
 use crate::stream::{discretize_from_stream, PaaStream};
-use crate::word::{sax_word, SaxConfig, SaxWord};
+use crate::word::{sax_word, SaxConfig, SaxWord, MAX_WORD_LEN};
 
 /// Prefix-sum-accelerated SAX over one series (paper Algorithm 2).
 ///
@@ -78,10 +78,16 @@ impl<'a> FastSax<'a> {
 
     /// SAX word of window `[start, start + n)` under a single-resolution
     /// breakpoint table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is out of bounds, `w > n` or
+    /// `w > MAX_WORD_LEN`.
     pub fn word(&self, start: usize, n: usize, w: usize, table: &BreakpointTable) -> SaxWord {
-        let mut coeffs = vec![0.0; w];
-        self.paa_znorm_into(start, n, &mut coeffs);
-        SaxWord(coeffs.iter().map(|&c| table.symbol(c)).collect())
+        let mut coeffs = [0.0; MAX_WORD_LEN];
+        let coeffs = &mut coeffs[..w];
+        self.paa_znorm_into(start, n, coeffs);
+        SaxWord::pack(coeffs.iter().map(|&c| table.symbol(c)))
     }
 
     /// SAX word of window `[start, start + n)` under alphabet `a`, using a
@@ -97,7 +103,7 @@ impl<'a> FastSax<'a> {
         scratch.clear();
         scratch.resize(cfg.w, 0.0);
         self.paa_znorm_into(start, n, scratch);
-        SaxWord(scratch.iter().map(|&c| multi.symbol(c, cfg.a)).collect())
+        SaxWord::pack(scratch.iter().map(|&c| multi.symbol(c, cfg.a)))
     }
 }
 

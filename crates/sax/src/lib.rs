@@ -7,7 +7,9 @@
 //!   subsequences, plus the prefix-sum **FastPAA** of Algorithm 2.
 //! * [`breakpoints`] — Gaussian equiprobable breakpoint tables for any
 //!   alphabet size, computed from the inverse normal CDF.
-//! * [`word`] — [`SaxWord`] and single-subsequence discretization.
+//! * [`word`] — [`SaxWord`], a word packed into one 16-byte `Copy`
+//!   value (at most [`MAX_WORD_LEN`] symbols), and single-subsequence
+//!   discretization.
 //! * [`discretize`] — whole-series discretization via a sliding window.
 //! * [`numerosity`] — numerosity reduction: collapse runs of identical
 //!   consecutive words, keeping the first offset (Section 4.2).
@@ -66,4 +68,4 @@ pub use multires::MultiResBreakpoints;
 pub use numerosity::{numerosity_reduce, NumerosityReduced, Token};
 pub use paa::{paa, paa_into};
 pub use stream::{discretize_from_stream, PaaStream};
-pub use word::{sax_word, SaxConfig, SaxWord};
+pub use word::{sax_word, SaxConfig, SaxWord, MAX_WORD_LEN};

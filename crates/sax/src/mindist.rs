@@ -64,9 +64,8 @@ impl MindistTable {
         let w = q.len();
         let sum: f64 = q
             .symbols()
-            .iter()
             .zip(c.symbols())
-            .map(|(&a, &b)| {
+            .map(|(a, b)| {
                 let d = self.cell(a, b);
                 d * d
             })
@@ -115,7 +114,7 @@ mod tests {
     #[test]
     fn identical_words_have_zero_mindist() {
         let t = MindistTable::new(5);
-        let w = SaxWord(vec![0, 2, 4, 1]);
+        let w = SaxWord::from(vec![0, 2, 4, 1]);
         assert_eq!(t.mindist(&w, &w, 64), 0.0);
     }
 
@@ -157,6 +156,10 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_words_panic() {
         let t = MindistTable::new(4);
-        t.mindist(&SaxWord(vec![0, 1]), &SaxWord(vec![0, 1, 2]), 16);
+        t.mindist(
+            &SaxWord::from(vec![0, 1]),
+            &SaxWord::from(vec![0, 1, 2]),
+            16,
+        );
     }
 }

@@ -10,7 +10,7 @@
 use crate::word::SaxWord;
 
 /// One retained token: a SAX word plus the offset (window start) of its
-/// first occurrence in the run it represents.
+/// first occurrence in the run it represents (24 bytes, no heap).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// The SAX word.
@@ -57,7 +57,7 @@ impl NumerosityReduced {
     /// [`numerosity_reduce`] — the batch function is implemented as
     /// this fold. The detectors fold PAA streams through
     /// [`PaaStream::reduce_into`](crate::stream::PaaStream::reduce_into),
-    /// the same fold without a word per window.
+    /// the same fold over each window's packed word.
     pub fn push_word(&mut self, word: SaxWord) -> bool {
         let offset = self.end_offset;
         self.end_offset += 1;
@@ -127,8 +127,9 @@ pub fn numerosity_reduce(words: Vec<SaxWord>, window: usize) -> NumerosityReduce
 mod tests {
     use super::*;
 
-    fn w(s: &[u8]) -> SaxWord {
-        SaxWord(s.to_vec())
+    /// The word spelled by lowercase `letters` (`b"ba"` is `[1, 0]`).
+    fn w(letters: &[u8]) -> SaxWord {
+        SaxWord::from(letters.iter().map(|&c| c - b'a').collect::<Vec<u8>>())
     }
 
     #[test]
@@ -149,7 +150,7 @@ mod tests {
         let got: Vec<(String, usize)> = nr
             .tokens
             .iter()
-            .map(|t| (String::from_utf8(t.word.0.clone()).unwrap(), t.offset))
+            .map(|t| (t.word.to_letters(), t.offset))
             .collect();
         assert_eq!(
             got,
@@ -186,7 +187,7 @@ mod tests {
 
     #[test]
     fn all_distinct_keeps_everything() {
-        let words: Vec<SaxWord> = (0..5u8).map(|i| w(&[i])).collect();
+        let words: Vec<SaxWord> = (0..5u8).map(|i| SaxWord::from(vec![i])).collect();
         let nr = numerosity_reduce(words, 1);
         assert_eq!(nr.len(), 5);
         for (i, t) in nr.tokens.iter().enumerate() {
@@ -262,7 +263,7 @@ mod tests {
             if pick.is_multiple_of(9) {
                 nr.clear();
             } else {
-                nr.push_word(w(&[(pick % 3) as u8]));
+                nr.push_word(SaxWord::from(vec![(pick % 3) as u8]));
             }
             if let Some(first) = nr.tokens.first() {
                 assert_eq!(first.offset, 0, "step {step}");

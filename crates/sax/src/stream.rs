@@ -11,9 +11,9 @@
 //! every alphabet size, so [`PaaStream::reduce_into`] — the one
 //! discretization kernel every detector runs — turns a stream into a
 //! numerosity-reduced token sequence for any alphabet with one table
-//! lookup per coefficient, no search and no PAA recomputation, and
-//! allocates a word only when a new run opens. A cell takes one byte
-//! against an `f64` coefficient's eight.
+//! lookup per coefficient, no search and no PAA recomputation, and no
+//! allocation: each window's symbols fold into one packed [`SaxWord`]
+//! value. A cell takes one byte against an `f64` coefficient's eight.
 //!
 //! For append-only workloads (the streaming ensemble detector), a
 //! stream also grows incrementally: [`PaaStream::empty`] starts with no
@@ -31,7 +31,7 @@ use egi_tskit::window::window_count;
 
 use crate::discretize::{paa_znorm_from_stats, FastSax};
 use crate::multires::MultiResBreakpoints;
-use crate::numerosity::{NumerosityReduced, Token};
+use crate::numerosity::NumerosityReduced;
 use crate::word::{SaxConfig, SaxWord};
 
 /// The cells of the PAA coefficients of every sliding window of one
@@ -192,20 +192,22 @@ impl PaaStream {
 
     /// Folds windows `nr.end_offset..upto` into `nr` under alphabet `a`:
     /// each coefficient's cell maps through the all-alphabet table's
-    /// [`lookup`](MultiResBreakpoints::lookup) for `a`, a window whose
-    /// symbols equal the current run's word only extends the run, and a
-    /// new [`SaxWord`] is allocated only when a run opens.
+    /// [`lookup`](MultiResBreakpoints::lookup) for `a`, the window's
+    /// symbols fold into one packed [`SaxWord`] value, and a window
+    /// whose word equals the current run's only extends the run. Nothing
+    /// is allocated per window; `nr.tokens` grows when a run opens.
     ///
     /// This is numerosity reduction ([`NumerosityReduced::push_word`])
-    /// over the stream's words without materializing a word per window:
-    /// folding a stream in any sequence of `upto` steps yields the same
-    /// tokens as folding it in one, and as [`discretize_series_naive`].
+    /// over the stream's words: folding a stream in any sequence of
+    /// `upto` steps yields the same tokens as folding it in one, and as
+    /// [`discretize_series_naive`].
     ///
     /// # Panics
     ///
     /// Panics if `nr` was built for another window length, `upto`
     /// exceeds the stream's window count or lies before
-    /// `nr.end_offset`, or `a` is outside `2..=MAX_ALPHABET`.
+    /// `nr.end_offset`, `a` is outside `2..=MAX_ALPHABET`, or a window
+    /// is folded while `w > MAX_WORD_LEN`.
     ///
     /// [`discretize_series_naive`]: crate::discretize::discretize_series_naive
     pub fn reduce_into(&self, nr: &mut NumerosityReduced, a: usize, upto: usize) {
@@ -217,21 +219,9 @@ impl PaaStream {
             self.count
         );
         let lookup = MultiResBreakpoints::all().lookup(a);
-        let rows = self.cells[nr.end_offset * self.w..upto * self.w].chunks_exact(self.w);
-        for (offset, cells) in (nr.end_offset..).zip(rows) {
-            let extends_run = nr.tokens.last().is_some_and(|last| {
-                last.word
-                    .0
-                    .iter()
-                    .zip(cells)
-                    .all(|(&s, &c)| s == lookup[usize::from(c)])
-            });
-            if !extends_run {
-                let word = SaxWord(cells.iter().map(|&c| lookup[usize::from(c)]).collect());
-                nr.tokens.push(Token { word, offset });
-            }
+        for cells in self.cells[nr.end_offset * self.w..upto * self.w].chunks_exact(self.w) {
+            nr.push_word(SaxWord::pack(cells.iter().map(|&c| lookup[usize::from(c)])));
         }
-        nr.end_offset = upto;
     }
 }
 
@@ -449,6 +439,14 @@ mod tests {
         let stream = PaaStream::new(&fast, 12, 4);
         let multi = MultiResBreakpoints::new(4);
         discretize_from_stream(&stream, SaxConfig::new(3, 3), &multi);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the longest")]
+    fn rows_longer_than_a_packed_word_panic() {
+        let data = wave(100);
+        let stream = PaaStream::new(&FastSax::new(&data), 40, crate::MAX_WORD_LEN + 1);
+        stream.reduce_into(&mut NumerosityReduced::empty(40), 4, stream.count);
     }
 
     #[test]

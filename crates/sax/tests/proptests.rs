@@ -2,12 +2,13 @@
 //!
 //! These pin the invariants the detectors rely on: the fast prefix-sum path
 //! matches the naive specification, numerosity reduction is lossless about
-//! run structure, and symbol assignment is consistent across resolutions.
+//! run structure, symbol assignment is consistent across resolutions, and
+//! a packed word holds exactly its symbol sequence.
 
 use egi_sax::stream::{discretize_from_stream, PaaStream};
 use egi_sax::{
     discretize_series, discretize_series_naive, numerosity_reduce, BreakpointTable, FastSax,
-    MultiResBreakpoints, NumerosityReduced, SaxConfig, SaxWord,
+    MultiResBreakpoints, NumerosityReduced, SaxConfig, SaxWord, Token, MAX_WORD_LEN,
 };
 use egi_tskit::PrefixStats;
 use proptest::prelude::*;
@@ -30,6 +31,14 @@ fn append_schedule<'a>(data: &'a [f64], cuts: &[usize]) -> Vec<&'a [f64]> {
 
 fn series_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3f64..1e3, 8..max_len)
+}
+
+/// The layout behind the per-token memory: a word is two `u64` halves
+/// (8-byte aligned, no heap), so a token is the word plus its offset.
+#[test]
+fn packed_word_and_token_sizes() {
+    assert_eq!(std::mem::size_of::<SaxWord>(), 16);
+    assert_eq!(std::mem::size_of::<Token>(), 24);
 }
 
 proptest! {
@@ -92,6 +101,48 @@ proptest! {
         }
     }
 
+    /// A packed word holds exactly its symbol sequence, for every length
+    /// up to `MAX_WORD_LEN` and every alphabet: it gives the symbols and
+    /// their count back, renders their letters, and equals (and hashes
+    /// with) another word exactly when the sequences are equal. The
+    /// other sequence is the same one, a prefix of it, one that differs
+    /// only by an extra leading or trailing symbol 0 (`"a"` against
+    /// `"aa"`), one with a single symbol changed, or an unrelated one.
+    #[test]
+    fn packed_word_round_trips_its_symbol_sequence(
+        raw in prop::collection::vec(0u8..26, 0..26),
+        a in 2u8..27,
+        edit in 0usize..6,
+        at in 0usize..26,
+        unrelated in prop::collection::vec(0u8..26, 0..26),
+    ) {
+        let v: Vec<u8> = raw.iter().map(|&s| s % a).collect();
+        let word = SaxWord::from(v.clone());
+        prop_assert_eq!(word.symbols().collect::<Vec<u8>>(), v.clone());
+        prop_assert_eq!(word, SaxWord::from_symbols(&v));
+        prop_assert_eq!(word.len(), v.len());
+        prop_assert_eq!(word.is_empty(), v.is_empty());
+        let letters: String = v.iter().map(|&s| char::from(b'a' + s)).collect();
+        prop_assert_eq!(word.to_letters(), letters);
+
+        let mut u = match edit {
+            0 | 4 => v.clone(),
+            1 => v[..at.min(v.len())].to_vec(),
+            2 => [&[0], &v[..]].concat(),
+            3 => [&v[..], &[0]].concat(),
+            _ => unrelated.iter().map(|&s| s % a).collect(),
+        };
+        if edit == 4 && !u.is_empty() {
+            let i = at % u.len();
+            u[i] = (u[i] + 1) % a;
+        }
+        u.truncate(MAX_WORD_LEN);
+        let other = SaxWord::from(u.clone());
+        prop_assert_eq!(word == other, v == u, "{:?} against {:?}", v, u);
+        let distinct: std::collections::HashSet<SaxWord> = [word, other].into_iter().collect();
+        prop_assert_eq!(distinct.len() == 1, v == u);
+    }
+
     /// Symbols from a finer alphabet refine (never contradict) the coarse
     /// ordering: if value x < y then symbol(x) <= symbol(y) for every a.
     #[test]
@@ -108,13 +159,13 @@ proptest! {
     /// `S_NR` retains all information).
     #[test]
     fn numerosity_reduction_is_lossless(symbols in prop::collection::vec(0u8..4, 1..80)) {
-        let words: Vec<SaxWord> = symbols.iter().map(|&s| SaxWord(vec![s])).collect();
+        let words: Vec<SaxWord> = symbols.iter().map(|&s| SaxWord::from(vec![s])).collect();
         let nr = numerosity_reduce(words.clone(), 4);
         let mut rebuilt = Vec::with_capacity(words.len());
         for i in 0..nr.len() {
             let (s, e) = nr.run_range(i);
             for _ in s..e {
-                rebuilt.push(nr.tokens[i].word.clone());
+                rebuilt.push(nr.tokens[i].word);
             }
         }
         prop_assert_eq!(rebuilt, words);
@@ -181,7 +232,7 @@ proptest! {
         symbols in prop::collection::vec(0u8..5, 0..120),
         window in 1usize..10,
     ) {
-        let words: Vec<SaxWord> = symbols.iter().map(|&s| SaxWord(vec![s])).collect();
+        let words: Vec<SaxWord> = symbols.iter().map(|&s| SaxWord::from(vec![s])).collect();
         let batch = numerosity_reduce(words.clone(), window);
         let mut online = NumerosityReduced::empty(window);
         let mut retained = 0;

@@ -36,10 +36,9 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            let value = it.next().unwrap_or_else(|| {
-                eprintln!("flag --{name} needs a value");
-                exit(2);
-            });
+            let value = it
+                .next()
+                .unwrap_or_else(|| usage_error(&format!("flag --{name} needs a value")));
             flags.insert(name.to_string(), value.clone());
         } else {
             positional.push(a.clone());
@@ -48,30 +47,24 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     (positional, flags)
 }
 
+fn parsed<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("flag --{name}: cannot parse {value:?}")))
+}
+
 fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
-    match flags.get(name) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("flag --{name}: cannot parse {v:?}");
-            exit(2);
-        }),
-        None => default,
-    }
+    flags.get(name).map_or(default, |v| parsed(name, v))
 }
 
 fn required<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> T {
     match flags.get(name) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("flag --{name}: cannot parse {v:?}");
-            exit(2);
-        }),
-        None => {
-            eprintln!("missing required flag --{name}");
-            exit(2);
-        }
+        Some(v) => parsed(name, v),
+        None => usage_error(&format!("missing required flag --{name}")),
     }
 }
 
-/// Exits with status 2 and a one-line message naming the flag when a
+/// Rejects the command line ([`usage_error`]) naming the flag when a
 /// configuration built from the flags is out of range.
 fn validated(checked: Result<(), egi_tskit::ConfigError>) {
     if let Err(e) = checked {
@@ -80,8 +73,7 @@ fn validated(checked: Result<(), egi_tskit::ConfigError>) {
             "selectivity" => "tau",
             field => field,
         };
-        eprintln!("flag --{flag}: {e}");
-        exit(2);
+        usage_error(&format!("flag --{flag}: {e}"));
     }
 }
 
@@ -220,10 +212,7 @@ fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) {
                 );
                 ls.series.into_vec()
             }
-            None => {
-                eprintln!("unknown generator {family:?}");
-                exit(2);
-            }
+            None => usage_error(&format!("unknown generator {family:?}")),
         },
     };
     io::write_series(&out, &series).unwrap_or_else(|e| {

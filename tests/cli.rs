@@ -25,7 +25,8 @@ fn series_csv(name: &str, poison: Option<&str>) -> PathBuf {
 }
 
 /// Runs `egi` and asserts it exits with `code` after printing exactly
-/// one line to stderr, none of it a panic.
+/// one line to stderr, none of it a panic. A rejected command line
+/// (code 2) names its fault and the usage: `egi: …; usage: …`.
 fn assert_fails_cleanly(args: &[&str], code: i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_egi"))
         .args(args)
@@ -36,6 +37,12 @@ fn assert_fails_cleanly(args: &[&str], code: i32) {
     assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr:?}");
+    if code == 2 {
+        assert!(
+            stderr.starts_with("egi: ") && stderr.contains("; usage: egi detect"),
+            "{args:?}: stderr {stderr:?}"
+        );
+    }
 }
 
 #[test]
@@ -60,6 +67,7 @@ fn out_of_range_flags_exit_2_with_one_line() {
         &["--window", "1"],
         &["--window", "32", "--n", "0"],
         &["--window", "32", "--wmax", "1"],
+        &["--window", "100", "--wmax", "26"],
         &["--window", "32", "--amax", "30"],
         &["--window", "32", "--tau", "1.5"],
         &["--window", "32", "--tau", "nan"],
