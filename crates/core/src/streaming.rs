@@ -164,11 +164,7 @@
 //! `O(remaining)`-shaped, i.e. `O(remaining / c)` per retired point.
 //! Until a member's replay completes, [`snapshot`](StreamingEnsembleDetector::snapshot)
 //! serves its pre-eviction curve shifted into suffix coordinates — the
-//! structural carry-over again, healed by the next refresh. For
-//! long-running services,
-//! [`compact`](StreamingEnsembleDetector::compact) additionally
-//! defragments each member's grammar slab
-//! ([`Sequitur::compact`]) without observable effect on any result.
+//! structural carry-over again, healed by the next refresh.
 //!
 //! # Parity and budget contract
 //!
@@ -757,18 +753,6 @@ impl StreamingEnsembleDetector {
             self.evict(excess)?;
         }
         Ok(excess)
-    }
-
-    /// Defragments every member's grammar slab
-    /// ([`Sequitur::compact`]), reclaiming free-list holes and
-    /// tombstoned rule records left by rule churn on long streams.
-    /// Observationally invisible: snapshots, future refreshes, and
-    /// [`finish`](Self::finish) are bit-identical with or without
-    /// compaction (property-tested).
-    pub fn compact(&mut self) {
-        for member in &mut self.members {
-            member.seq.compact();
-        }
     }
 
     /// Refreshes the next stale member (one unit of work): advances the
@@ -1682,37 +1666,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn compact_is_observationally_invisible() {
-        let series = test_series(320);
-        let cfg = config(16, 7);
-        let batch = EnsembleDetector::new(cfg).detect(&series[40..], 2, 13);
-        let run = |compact: bool| {
-            let mut streaming = StreamingEnsembleDetector::new(cfg, 13);
-            for (i, part) in series.chunks(64).enumerate() {
-                streaming.append(part);
-                streaming.run_for(3);
-                if compact && i % 2 == 0 {
-                    streaming.compact();
-                }
-            }
-            streaming.evict(40).unwrap();
-            streaming.run_for(2);
-            if compact {
-                streaming.compact();
-            }
-            streaming
-        };
-        let mut streaming = run(true);
-        // Checkpoints store no slab layout, so compaction leaves no
-        // trace in them either.
-        let bytes = streaming.checkpoint_bytes().unwrap();
-        assert_eq!(bytes, run(false).checkpoint_bytes().unwrap());
-        let mut restored = StreamingEnsembleDetector::from_checkpoint_bytes(&bytes).unwrap();
-        assert_eq!(streaming.finish(2), batch);
-        assert_eq!(restored.finish(2), batch);
-    }
-
     // ------------------------------------------------------------------
     // Member payload v3: what a checkpoint keeps of a member, and why
     // replaying the rest is exact.
@@ -1724,15 +1677,13 @@ mod tests {
         Append(usize, usize),
         Run(usize),
         Evict(usize),
-        Compact,
     }
 
     /// Appends, partial refreshes, an eviction whose carries are only
-    /// partly replayed, one-point appends and compaction.
-    const SCHEDULE: [Op; 12] = [
+    /// partly replayed, and one-point appends.
+    const SCHEDULE: [Op; 11] = [
         Op::Append(0, 180),
         Op::Run(3),
-        Op::Compact,
         Op::Append(180, 181),
         Op::Run(2),
         Op::Evict(40),
@@ -1751,7 +1702,6 @@ mod tests {
                 detector.run_for(units);
             }
             Op::Evict(count) => detector.evict(count).unwrap(),
-            Op::Compact => detector.compact(),
         }
     }
 
@@ -1836,7 +1786,7 @@ mod tests {
     fn member_payloads_hold_only_a_refresh_length_or_a_carry() {
         let series = test_series(300);
         let mut detector = StreamingEnsembleDetector::new(config(20, 6), 5);
-        for op in &SCHEDULE[..7] {
+        for op in &SCHEDULE[..6] {
             apply(&mut detector, &series, *op);
         }
         let bytes = detector.checkpoint_bytes().unwrap();

@@ -117,8 +117,7 @@ proptest! {
     }
 
     /// The parallel catch-up stays bit-identical to the suffix batch
-    /// for every worker count, with an eviction landing mid-stream and
-    /// slab compaction sprinkled in.
+    /// for every worker count, with an eviction landing mid-stream.
     #[test]
     fn parallel_finish_after_eviction_matches_suffix_batch(
         window in 8usize..18,
@@ -136,11 +135,9 @@ proptest! {
             streaming.append(part);
             streaming.run_for(1);
         }
-        streaming.compact();
         let cut = ((total - window) * cut_pct / 100).min(total - window);
         streaming.evict(cut).unwrap();
         streaming.run_for(1);
-        streaming.compact();
         let report = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()

@@ -119,15 +119,6 @@ impl WindowStats {
         self.dg.drain(..slides);
     }
 
-    /// Releases the capacity the vectors hold past their length.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.mu.shrink_to_fit();
-        self.inv_norm.shrink_to_fit();
-        self.flat.shrink_to_fit();
-        self.df.shrink_to_fit();
-        self.dg.shrink_to_fit();
-    }
-
     /// The centered covariance `c(i, j)` of windows `i` and `j` of
     /// `series`, computed directly over their points: the seed of the
     /// diagonal through `(i, j)`.

@@ -29,8 +29,6 @@
 //!   of diagonals under unit budgets or wall-clock deadlines, snapshot
 //!   the converging profile, and finish sequentially or on rayon
 //!   workers.
-//! * [`hotsax`] — the original HOTSAX discord search \[9\] with SAX-bucket
-//!   outer-loop ordering and early abandoning.
 //! * [`detector`] — [`DiscordDetector`]: the "Discord" baseline of the
 //!   evaluation (top-k non-overlapping discords via STOMP).
 //!
@@ -61,7 +59,6 @@
 pub mod brute;
 pub mod detector;
 pub mod dist;
-pub mod hotsax;
 pub mod profile;
 pub mod session;
 pub mod stamp;
@@ -69,7 +66,6 @@ pub mod stomp;
 pub mod streaming;
 
 pub use detector::{DiscordConfig, DiscordDetector};
-pub use hotsax::{hotsax_discord, hotsax_discords};
 pub use profile::{Discord, MatrixProfile};
 pub use stamp::stamp;
 pub use stomp::stomp;

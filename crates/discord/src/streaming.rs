@@ -122,9 +122,8 @@ pub const DEFAULT_MONITOR_SEED: u64 = 0x5EED_CAFE;
 /// Deterministic pseudo-random permutation of `0..n` (SplitMix64-keyed
 /// Fisher–Yates).
 ///
-/// Used for the monitor's per-epoch diagonal order and for HOTSAX's
-/// inner-loop visit order, where the literature prescribes "random" but
-/// reproducibility demands a seeded generator.
+/// Sets the monitor's per-epoch diagonal order, where the literature
+/// prescribes "random" but reproducibility demands a seeded generator.
 pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
@@ -538,28 +537,6 @@ impl StreamingDiscordMonitor {
         self.processed += 1;
         self.stats.record_step(self.is_current());
         true
-    }
-
-    /// Releases the slack capacity the streaming buffers accumulated —
-    /// the memory-reclamation counterpart of
-    /// [`retain_last`](Self::retain_last), mirroring
-    /// `StreamingEnsembleDetector::compact` for API symmetry.
-    ///
-    /// Eviction truncates *lengths* but deliberately keeps *capacity*
-    /// (the steady-state append/evict cycle reuses it); after a heavy
-    /// one-off eviction that capacity is dead weight. `compact` shrinks
-    /// the series, the window statistics, the diagonal progress, the
-    /// queue and the fold down to the live working set. Purely an
-    /// allocation-level operation: no observable state changes, and
-    /// every parity contract is untouched.
-    pub fn compact(&mut self) {
-        self.series.shrink_to_fit();
-        self.windows.shrink_to_fit();
-        self.diagonals.shrink_to_fit();
-        self.pending.shrink_to_fit();
-        self.units.shrink_to_fit();
-        self.fold_profile.shrink_to_fit();
-        self.fold_index.shrink_to_fit();
     }
 
     /// The current best-known matrix profile: the fold of every cell
@@ -1403,34 +1380,6 @@ mod tests {
         let reference = stomp_with_exclusion(&series[40..], m, m / 2);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
-    }
-
-    #[test]
-    fn compact_mid_epoch_changes_nothing_observable() {
-        let series = test_series(400);
-        let m = 9;
-        let mut live = StreamingDiscordMonitor::new(m);
-        live.append(&series[..300]);
-        live.run_for(20);
-        live.append(&series[300..]);
-        live.run_for(8); // old and new cells both pending
-        let mut twin = live.clone();
-        live.compact();
-        assert_eq!(
-            live.checkpoint_bytes().unwrap(),
-            twin.checkpoint_bytes().unwrap()
-        );
-        for monitor in [&mut live, &mut twin] {
-            monitor.run_for(10);
-        }
-        let (a, b) = (live.snapshot(), twin.snapshot());
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(a.index, b.index);
-        let (fa, fb) = (live.finish(), twin.finish());
-        assert_eq!(fa.profile, fb.profile);
-        assert_eq!(fa.index, fb.index);
-        let reference = stomp_with_exclusion(&series, m, m / 2);
-        assert_eq!(fa.profile, reference.profile);
     }
 
     // ------------------------------------------------------------------

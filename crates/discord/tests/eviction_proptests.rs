@@ -323,41 +323,3 @@ fn memory_stays_bounded_under_retention() {
     assert_eq!(finished.profile, reference.profile);
     assert_eq!(finished.index, reference.index);
 }
-
-/// Capacity-reclamation regression for `compact()`: a heavy one-off
-/// eviction leaves dead capacity behind (by design — the steady-state
-/// append/evict cycle reuses it), and `compact()` returns every buffer
-/// to the live working set without disturbing the finish parity
-/// contract.
-#[test]
-fn compact_reclaims_capacity_after_heavy_eviction() {
-    let m = 8;
-    let exc = m / 2;
-    let keep = 128usize;
-    let series: Vec<f64> = (0..4096).map(point).collect();
-    let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
-    for part in series.chunks(256) {
-        monitor.append(part);
-        monitor.run_for(16);
-    }
-    monitor.evict(series.len() - keep).unwrap();
-    // Eviction truncates lengths but keeps capacity for reuse…
-    let series_before = monitor.series_capacity();
-    assert!(
-        series_before >= 2048,
-        "pre-compact capacity {series_before} should still hold most of \
-         the 4096-point history"
-    );
-    monitor.compact();
-    // …and compact shrinks the buffer to the suffix itself.
-    assert!(
-        monitor.series_capacity() <= keep,
-        "series capacity {} exceeds {keep}",
-        monitor.series_capacity()
-    );
-    // Observationally invisible: the finish contract holds.
-    let finished = monitor.finish();
-    let reference = stomp_with_exclusion(&series[series.len() - keep..], m, exc);
-    assert_eq!(finished.profile, reference.profile);
-    assert_eq!(finished.index, reference.index);
-}

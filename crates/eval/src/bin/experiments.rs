@@ -9,7 +9,8 @@
 //!
 //! An unknown command or flag, or a missing or unparsable flag value,
 //! exits with status 2 and one line on stderr before anything is
-//! written.
+//! written. A failed write exits with status 1 and one line naming the
+//! path.
 //!
 //! `table4` produces Tables 4, 5 and 6 plus the Figure 10 CSV in one pass
 //! (they share the same runs); `table10` produces Tables 10 and 11;
@@ -17,15 +18,20 @@
 //! ensembles for smoke runs; the defaults match the paper (25 series per
 //! dataset, `N = 50`, `wmax = amax = 10`, `τ = 40%`).
 
+use std::io;
+
 use egi_core::EnsembleDetector;
 use egi_eval::report::ReportSink;
 use egi_eval::runner::{EnsembleParams, ExperimentParams};
-use egi_eval::scalability::{render_fig8, run_scalability, SeriesKind};
+use egi_eval::scalability::{render_fig8, run_scalability, ScalabilityPoint, SeriesKind};
 use egi_eval::sweeps::{
     render_metric_sweep, render_tau_table, render_wtl_sweep, run_sweep, run_tau_sweep,
-    table10_arms, table13_arms, table7_arms, table8_arms, table9_arms, SweepMetric,
+    table10_arms, table13_arms, table7_arms, table8_arms, table9_arms, SweepArm, SweepMetric,
+    TauCell,
 };
-use egi_eval::table45::{fig10_csv, render_table4, render_table5, render_table6, run_all};
+use egi_eval::table45::{
+    fig10_csv, render_table4, render_table5, render_table6, run_all, DatasetResult,
+};
 use egi_eval::{fig1, multi};
 use egi_tskit::gen::power::fridge_freezer_series;
 use rand::rngs::StdRng;
@@ -106,8 +112,15 @@ fn params(cli: &Cli) -> ExperimentParams {
 
 fn main() {
     let cli = parse_cli();
-    let sink = ReportSink::new(&cli.out).expect("create output directory");
-    let p = params(&cli);
+    if let Err(e) = run(&cli) {
+        eprintln!("experiments: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run(cli: &Cli) -> io::Result<()> {
+    let sink = ReportSink::new(&cli.out)?;
+    let p = params(cli);
     eprintln!(
         "running {} (quick={}, seed={:#x}) → {}",
         cli.cmd,
@@ -117,31 +130,32 @@ fn main() {
     );
 
     let run_one = |cmd: &str| match cmd {
-        "fig1" => cmd_fig1(&sink, &cli),
+        "fig1" => cmd_fig1(&sink, cli),
         "table4" => cmd_table4(&sink, &p),
         "table7" => cmd_wtl_sweep(&sink, &p, "table7", table7_arms(p.ensemble)),
         "table8" => cmd_wtl_sweep(&sink, &p, "table8", table8_arms(p.ensemble)),
         "table9" => cmd_wtl_sweep(&sink, &p, "table9", table9_arms(p.ensemble)),
         "table10" => cmd_metric_sweep(&sink, &p, "table10_11", table10_arms(p.ensemble)),
-        "table12" => cmd_table12(&sink, &p, &cli),
+        "table12" => cmd_table12(&sink, &p, cli),
         "table13" => cmd_metric_sweep(&sink, &p, "table13_14", table13_arms(p.ensemble)),
-        "fig8" => cmd_fig8(&sink, &p, &cli),
-        "fig9" => cmd_fig9(&sink, &p, &cli),
-        "multi" => cmd_multi(&sink, &p, &cli),
+        "fig8" => cmd_fig8(&sink, &p, cli),
+        "fig9" => cmd_fig9(&sink, &p, cli),
+        "multi" => cmd_multi(&sink, &p, cli),
         other => unreachable!("parse_cli accepted the unknown command {other:?}"),
     };
 
     if cli.cmd == "all" {
         for cmd in COMMANDS {
             eprintln!("=== {cmd} ===");
-            run_one(cmd);
+            run_one(cmd)?;
         }
+        Ok(())
     } else {
-        run_one(&cli.cmd);
+        run_one(&cli.cmd)
     }
 }
 
-fn cmd_fig1(sink: &ReportSink, cli: &Cli) {
+fn cmd_fig1(sink: &ReportSink, cli: &Cli) -> io::Result<()> {
     let (wmax, amax) = if cli.quick { (6, 6) } else { (10, 10) };
     let r = fig1::run_fig1(wmax, amax, cli.seed);
     let mut body = fig1::render_fig1(&r, wmax, amax);
@@ -160,25 +174,24 @@ fn cmd_fig1(sink: &ReportSink, cli: &Cli) {
         "fig1",
         "Figure 1: Score per (w, a) on dishwasher data",
         &body,
-    )
-    .unwrap();
-    sink.json("fig1", &r).unwrap();
+    )?;
+    sink.json("fig1", &r.to_json())
 }
 
-fn cmd_table4(sink: &ReportSink, p: &ExperimentParams) {
+fn cmd_table4(sink: &ReportSink, p: &ExperimentParams) -> io::Result<()> {
     let results = run_all(p);
-    sink.markdown("table4", "Table 4: average Score", &render_table4(&results))
-        .unwrap();
-    sink.markdown("table5", "Table 5: HitRate", &render_table5(&results))
-        .unwrap();
+    sink.markdown("table4", "Table 4: average Score", &render_table4(&results))?;
+    sink.markdown("table5", "Table 5: HitRate", &render_table5(&results))?;
     sink.markdown(
         "table6",
         "Table 6: wins/ties/losses vs all baselines",
         &render_table6(&results),
+    )?;
+    sink.csv("fig10", &fig10_csv(&results))?;
+    sink.json(
+        "table4_5_6",
+        &results.iter().map(DatasetResult::to_json).collect(),
     )
-    .unwrap();
-    sink.csv("fig10", &fig10_csv(&results)).unwrap();
-    sink.json("table4_5_6", &results).unwrap();
 }
 
 fn cmd_wtl_sweep(
@@ -186,15 +199,14 @@ fn cmd_wtl_sweep(
     p: &ExperimentParams,
     name: &str,
     arms: Vec<(String, EnsembleParams, f64)>,
-) {
+) -> io::Result<()> {
     let result = run_sweep(&arms, p);
     sink.markdown(
         name,
         &format!("{name}: wins/ties/losses vs best GI baseline"),
         &render_wtl_sweep(&result),
-    )
-    .unwrap();
-    sink.json(name, &result).unwrap();
+    )?;
+    sink.json(name, &result.iter().map(SweepArm::to_json).collect())
 }
 
 fn cmd_metric_sweep(
@@ -202,19 +214,18 @@ fn cmd_metric_sweep(
     p: &ExperimentParams,
     name: &str,
     arms: Vec<(String, EnsembleParams, f64)>,
-) {
+) -> io::Result<()> {
     let result = run_sweep(&arms, p);
     let body = format!(
         "Average Score:\n\n{}\nHitRate:\n\n{}",
         render_metric_sweep(&result, SweepMetric::Score),
         render_metric_sweep(&result, SweepMetric::HitRate)
     );
-    sink.markdown(name, &format!("{name}: Score and HitRate sweep"), &body)
-        .unwrap();
-    sink.json(name, &result).unwrap();
+    sink.markdown(name, &format!("{name}: Score and HitRate sweep"), &body)?;
+    sink.json(name, &result.iter().map(SweepArm::to_json).collect())
 }
 
-fn cmd_table12(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
+fn cmd_table12(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) -> io::Result<()> {
     let taus = [0.05, 0.10, 0.20, 0.40, 0.80, 1.0];
     let repeats = if cli.quick { 3 } else { 20 };
     let cells = run_tau_sweep(&taus, repeats, p);
@@ -222,12 +233,11 @@ fn cmd_table12(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
         "table12",
         "Table 12: mean (std) of average Score vs τ",
         &render_tau_table(&cells, &taus),
-    )
-    .unwrap();
-    sink.json("table12", &cells).unwrap();
+    )?;
+    sink.json("table12", &cells.iter().map(TauCell::to_json).collect())
 }
 
-fn cmd_fig8(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
+fn cmd_fig8(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) -> io::Result<()> {
     let lengths: Vec<usize> = if cli.quick {
         vec![5_000, 10_000, 20_000]
     } else {
@@ -250,26 +260,27 @@ fn cmd_fig8(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
         "fig8",
         "Figure 8: computation time vs series length (ensemble vs STOMP)",
         &render_fig8(&points),
-    )
-    .unwrap();
-    sink.json("fig8", &points).unwrap();
+    )?;
+    sink.json(
+        "fig8",
+        &points.iter().map(ScalabilityPoint::to_json).collect(),
+    )?;
     let cols: Vec<f64> = points.iter().map(|pt| pt.len as f64).collect();
     let ens: Vec<f64> = points.iter().map(|pt| pt.ensemble_secs).collect();
     let sto: Vec<f64> = points.iter().map(|pt| pt.stomp_secs).collect();
     let any10: Vec<f64> = points.iter().map(|pt| pt.anytime10_secs).collect();
-    egi_tskit::io::write_columns(
-        sink.dir().join("fig8.csv"),
-        &[
+    sink.csv(
+        "fig8",
+        &egi_tskit::io::columns_to_csv(&[
             ("length", &cols),
             ("ensemble_secs", &ens),
             ("stomp_secs", &sto),
             ("anytime10_secs", &any10),
-        ],
+        ]),
     )
-    .unwrap();
 }
 
-fn cmd_fig9(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
+fn cmd_fig9(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) -> io::Result<()> {
     let total_len = if cli.quick { 60_000 } else { 600_000 };
     let cycle = 900;
     let mut rng = StdRng::seed_from_u64(p.seed);
@@ -306,17 +317,15 @@ fn cmd_fig9(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
         profile.anomalies.len()
     ));
     sink.markdown("fig9", "Figure 9: fridge-freezer case study", &body)
-        .unwrap();
 }
 
-fn cmd_multi(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) {
+fn cmd_multi(sink: &ReportSink, p: &ExperimentParams, cli: &Cli) -> io::Result<()> {
     let series_count = if cli.quick { 3 } else { 10 };
     let r = multi::run_multi_anomaly(series_count, 2, &p.ensemble, 3, p.seed);
     sink.markdown(
         "multi_anomaly",
         "Section 7.5: multiple anomalies (StarLightCurve)",
         &multi::render_multi(&r),
-    )
-    .unwrap();
-    sink.json("multi_anomaly", &r).unwrap();
+    )?;
+    sink.json("multi_anomaly", &r.to_json())
 }

@@ -11,12 +11,12 @@ use egi_sax::SaxConfig;
 use egi_tskit::gen::power::dishwasher_series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use crate::metrics::best_score;
+use crate::report::Json;
 
 /// Score of one `(w, a)` cell.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GridCell {
     /// PAA size.
     pub w: usize,
@@ -27,7 +27,7 @@ pub struct GridCell {
 }
 
 /// Result of the Figure 1 experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Result {
     /// All grid cells, row-major in `w` then `a`.
     pub grid: Vec<GridCell>,
@@ -38,6 +38,26 @@ pub struct Fig1Result {
 }
 
 impl Fig1Result {
+    /// The result as written to `fig1.json`.
+    pub fn to_json(&self) -> Json {
+        let grid = self.grid.iter().map(|c| {
+            Json::Obj(vec![
+                ("w", Json::UInt(c.w as u64)),
+                ("a", Json::UInt(c.a as u64)),
+                ("score", Json::Float(c.score)),
+            ])
+        });
+        let (gt_start, gt_len) = self.gt;
+        Json::Obj(vec![
+            ("grid", grid.collect()),
+            ("series_len", Json::UInt(self.series_len as u64)),
+            (
+                "gt",
+                Json::Arr(vec![Json::UInt(gt_start as u64), Json::UInt(gt_len as u64)]),
+            ),
+        ])
+    }
+
     /// Cells sorted by descending score.
     pub fn ranked(&self) -> Vec<GridCell> {
         let mut cells = self.grid.clone();

@@ -29,7 +29,7 @@ pub fn hit(candidates: &[usize], gt_start: usize, gt_len: usize) -> bool {
 
 /// Wins/ties/losses of the proposed method against one baseline
 /// (Tables 6–9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Wtl {
     /// Series where the proposed method scored strictly higher.
     pub wins: usize,

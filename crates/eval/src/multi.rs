@@ -10,12 +10,12 @@ use egi_tskit::gen::UcrFamily;
 use egi_tskit::window::intervals_overlap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
+use crate::report::Json;
 use crate::runner::{run_proposed, subseed, EnsembleParams};
 
 /// Result of the multi-anomaly experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MultiAnomalyResult {
     /// Per-series count of ground-truth anomalies detected (0..=2).
     pub detected_per_series: Vec<usize>,
@@ -24,6 +24,19 @@ pub struct MultiAnomalyResult {
 }
 
 impl MultiAnomalyResult {
+    /// The result as written to `multi_anomaly.json`.
+    pub fn to_json(&self) -> Json {
+        let detected = self
+            .detected_per_series
+            .iter()
+            .map(|&d| Json::UInt(d as u64))
+            .collect();
+        Json::Obj(vec![
+            ("detected_per_series", detected),
+            ("planted", Json::UInt(self.planted as u64)),
+        ])
+    }
+
     /// Series where every planted anomaly was found.
     pub fn fully_detected(&self) -> usize {
         self.detected_per_series

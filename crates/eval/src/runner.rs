@@ -9,11 +9,10 @@ use egi_discord::{DiscordConfig, DiscordDetector};
 use egi_sax::SaxConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Ensemble hyper-parameters as the experiments vary them
 /// (paper defaults: `N = 50`, `wmax = amax = 10`, `τ = 0.4`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnsembleParams {
     /// Ensemble size `N`.
     pub n: usize,
@@ -51,7 +50,7 @@ impl EnsembleParams {
 }
 
 /// The four baselines of Section 7.1.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Baseline {
     /// Grammar induction with one random `(w, a)` draw.
     GiRandom,
@@ -90,7 +89,7 @@ impl std::fmt::Display for Baseline {
 }
 
 /// Whole-experiment knobs shared by the table runners.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExperimentParams {
     /// Series generated per dataset (paper: 25).
     pub series_per_dataset: usize,

@@ -12,12 +12,12 @@ use egi_discord::streaming::StreamingDiscordMonitor;
 use egi_tskit::gen::{ecg_series, eeg_series, random_walk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
+use crate::report::Json;
 use crate::runner::EnsembleParams;
 
 /// The three Figure 8 workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesKind {
     /// Gaussian random walk (Figure 8a).
     RandomWalk,
@@ -52,7 +52,7 @@ impl SeriesKind {
 }
 
 /// One measured point of Figure 8.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalabilityPoint {
     /// Workload.
     pub kind: &'static str,
@@ -66,6 +66,19 @@ pub struct ScalabilityPoint {
     /// unit budget (partial profile snapshot; subject to the same skip
     /// cap as STOMP).
     pub anytime10_secs: f64,
+}
+
+impl ScalabilityPoint {
+    /// The point as written to `fig8.json`.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("kind", Json::Str(self.kind.to_string())),
+            ("len", Json::UInt(self.len as u64)),
+            ("ensemble_secs", Json::Float(self.ensemble_secs)),
+            ("stomp_secs", Json::Float(self.stomp_secs)),
+            ("anytime10_secs", Json::Float(self.anytime10_secs)),
+        ])
+    }
 }
 
 /// Measures both methods over `lengths` for one workload.

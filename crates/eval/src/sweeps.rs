@@ -7,9 +7,9 @@ use egi_tskit::corpus::{CorpusSpec, LabeledSeries};
 use egi_tskit::gen::UcrFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use crate::metrics::{best_score, mean_or_zero, Wtl};
+use crate::report::Json;
 use crate::runner::{
     run_baseline, run_proposed, subseed, Baseline, EnsembleParams, ExperimentParams,
 };
@@ -67,7 +67,7 @@ pub fn best_gi_baseline(
 }
 
 /// Result of one sweep arm on one dataset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Dataset name.
     pub dataset: String,
@@ -80,12 +80,39 @@ pub struct SweepCell {
 }
 
 /// One sweep arm (a row in Tables 7–9 / a column in Tables 10–14).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepArm {
     /// Human-readable arm label (e.g. `"amax=10, wmax=15"`).
     pub label: String,
     /// One cell per dataset family.
     pub cells: Vec<SweepCell>,
+}
+
+impl SweepArm {
+    /// The arm as written to a sweep's JSON file.
+    pub fn to_json(&self) -> Json {
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                let wtl = Json::Obj(vec![
+                    ("wins", Json::UInt(c.wtl.wins as u64)),
+                    ("ties", Json::UInt(c.wtl.ties as u64)),
+                    ("losses", Json::UInt(c.wtl.losses as u64)),
+                ]);
+                Json::Obj(vec![
+                    ("dataset", Json::Str(c.dataset.clone())),
+                    ("avg_score", Json::Float(c.avg_score)),
+                    ("hit_rate", Json::Float(c.hit_rate)),
+                    ("wtl", wtl),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("label", Json::Str(self.label.clone())),
+            ("cells", cells),
+        ])
+    }
 }
 
 /// Runs the proposed method with per-arm overrides and tallies cells.
@@ -201,7 +228,7 @@ pub fn table13_arms(base: EnsembleParams) -> Vec<(String, EnsembleParams, f64)> 
 /// Table 12: τ sweep with repetitions — per dataset and τ, the mean and
 /// standard deviation of `repeats` average-Score evaluations (each with a
 /// different ensemble seed).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TauCell {
     /// Dataset name.
     pub dataset: String,
@@ -211,6 +238,18 @@ pub struct TauCell {
     pub mean: f64,
     /// Standard deviation of the repeated average Scores.
     pub std: f64,
+}
+
+impl TauCell {
+    /// The cell as written to `table12.json`.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("dataset", Json::Str(self.dataset.clone())),
+            ("tau", Json::Float(self.tau)),
+            ("mean", Json::Float(self.mean)),
+            ("std", Json::Float(self.std)),
+        ])
+    }
 }
 
 /// Runs the Table 12 τ sweep.

@@ -11,14 +11,14 @@ use egi_tskit::corpus::CorpusSpec;
 use egi_tskit::gen::UcrFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 use crate::metrics::{best_score, mean_or_zero, Wtl};
+use crate::report::Json;
 use crate::runner::{run_baseline, run_proposed, subseed, Baseline, ExperimentParams};
 
 /// Per-series scores of every method (one Figure 10 scatter point per
 /// baseline).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesScores {
     /// Eq. (5) Score of the proposed ensemble.
     pub proposed: f64,
@@ -27,7 +27,7 @@ pub struct SeriesScores {
 }
 
 /// All scores for one dataset family.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetResult {
     /// Dataset name as in the paper's tables.
     pub dataset: String,
@@ -36,6 +36,27 @@ pub struct DatasetResult {
 }
 
 impl DatasetResult {
+    /// The result as written to `table4_5_6.json`, one per dataset.
+    pub fn to_json(&self) -> Json {
+        let per_series = self
+            .per_series
+            .iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("proposed", Json::Float(s.proposed)),
+                    (
+                        "baselines",
+                        s.baselines.map(Json::Float).into_iter().collect(),
+                    ),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("dataset", Json::Str(self.dataset.clone())),
+            ("per_series", per_series),
+        ])
+    }
+
     /// Table 4 row: average Score of the proposed method.
     pub fn avg_score_proposed(&self) -> f64 {
         mean_or_zero(

@@ -1,6 +1,8 @@
 //! The `experiments` binary's boundary: a bad command line exits with
 //! status 2 after one line on stderr, prints nothing to stdout, and
-//! creates no output directory.
+//! creates no output directory; an output it cannot write exits with
+//! status 1 after one line naming the path; and the JSON it writes is
+//! pinned byte for byte.
 
 use std::path::Path;
 use std::process::Command;
@@ -42,4 +44,48 @@ fn bad_arguments_exit_2_with_one_line_and_create_nothing() {
 
 fn is_empty_dir(dir: &Path) -> bool {
     std::fs::read_dir(dir).unwrap().next().is_none()
+}
+
+#[test]
+fn an_unwritable_output_exits_1_with_one_line() {
+    let root = std::env::temp_dir().join("egi_eval_cli_unwritable");
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    let file = root.join("file");
+    std::fs::write(&file, "").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--quick", "--out"])
+        .arg(file.join("out"))
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&root).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "stderr {stderr:?}");
+    assert!(
+        stderr.starts_with(&format!(
+            "experiments: cannot write {}: ",
+            file.join("out").display()
+        )),
+        "stderr {stderr:?}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr {stderr:?}");
+}
+
+/// `experiments fig1 --quick` writes `fig1.json` byte for byte as the
+/// committed fixture.
+#[test]
+fn quick_fig1_json_matches_the_fixture() {
+    let dir = std::env::temp_dir().join("egi_eval_fig1_json");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--quick", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let json = std::fs::read_to_string(dir.join("fig1.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(json, include_str!("fixtures/fig1_quick.json"));
 }

@@ -13,8 +13,6 @@
 //! * [`discretize`] — whole-series discretization via a sliding window.
 //! * [`numerosity`] — numerosity reduction: collapse runs of identical
 //!   consecutive words, keeping the first offset (Section 4.2).
-//! * [`mindist`] — the classic SAX lower-bounding distance (MINDIST),
-//!   for downstream similarity-search users of this crate.
 //! * [`multires`] — the multi-resolution symbol matrix of Section 6.2:
 //!   one binary search per PAA coefficient finds its cell in the merged
 //!   breakpoint table, and the cell yields its symbol under *every*
@@ -54,7 +52,6 @@
 
 pub mod breakpoints;
 pub mod discretize;
-pub mod mindist;
 pub mod multires;
 pub mod numerosity;
 pub mod paa;
@@ -63,7 +60,6 @@ pub mod word;
 
 pub use breakpoints::BreakpointTable;
 pub use discretize::{discretize_series, discretize_series_naive, paa_znorm_from_stats, FastSax};
-pub use mindist::MindistTable;
 pub use multires::MultiResBreakpoints;
 pub use numerosity::{numerosity_reduce, NumerosityReduced, Token};
 pub use paa::{paa, paa_into};

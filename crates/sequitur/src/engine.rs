@@ -242,111 +242,6 @@ impl Sequitur {
         self.new_rule();
     }
 
-    /// Compacts the slab in place: drops free-list holes and
-    /// tombstoned (expanded-away) rule records, remapping every node
-    /// and rule id, and shrinks the allocations to fit — the
-    /// "reclaim symbol storage" operation for long-running streams
-    /// whose peak slab usage exceeded the current live grammar.
-    ///
-    /// Compaction is **observationally invisible**: the grammar
-    /// ([`Sequitur::to_grammar`]), the occurrence spans
-    /// ([`Sequitur::occurrences`]), and — because the digram table's
-    /// *contents* are preserved under the remap — the evolution under
-    /// every future [`push`](Sequitur::push) are identical to the
-    /// uncompacted engine's, bit for bit (property-tested). Cost:
-    /// `O(live nodes + rules + digrams)`.
-    pub fn compact(&mut self) {
-        // Dense remaps for live nodes (slab order) and live rules
-        // (id order; the root is never tombstoned, so it stays 0).
-        let mut node_map = vec![NIL; self.nodes.len()];
-        let mut live_nodes = 0u32;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !matches!(node.kind, Kind::Free) {
-                node_map[i] = live_nodes;
-                live_nodes += 1;
-            }
-        }
-        let mut rule_map = vec![NIL; self.rules.len()];
-        let mut live_rules = 0u32;
-        for (i, rec) in self.rules.iter().enumerate() {
-            if rec.guard != NIL {
-                rule_map[i] = live_rules;
-                live_rules += 1;
-            }
-        }
-        let map_node = |i: u32| {
-            if i == NIL {
-                NIL
-            } else {
-                node_map[i as usize]
-            }
-        };
-        let map_sym = |s: Sym| match s {
-            Sym::T(t) => Sym::T(t),
-            Sym::R(r) => Sym::R(rule_map[r as usize]),
-        };
-
-        let mut nodes = Vec::with_capacity(live_nodes as usize);
-        for node in &self.nodes {
-            if matches!(node.kind, Kind::Free) {
-                continue;
-            }
-            nodes.push(Node {
-                kind: match node.kind {
-                    Kind::Guard { rule } => Kind::Guard {
-                        rule: rule_map[rule as usize],
-                    },
-                    Kind::Sym(s) => Kind::Sym(map_sym(s)),
-                    Kind::Free => unreachable!("filtered above"),
-                },
-                prev: map_node(node.prev),
-                next: map_node(node.next),
-                occ_prev: map_node(node.occ_prev),
-                occ_next: map_node(node.occ_next),
-                pos: node.pos,
-                owner: {
-                    debug_assert_ne!(
-                        rule_map[node.owner as usize], NIL,
-                        "live node owned by a dead rule"
-                    );
-                    rule_map[node.owner as usize]
-                },
-            });
-        }
-        self.nodes = nodes;
-        self.free = Vec::new();
-
-        let mut rules = Vec::with_capacity(live_rules as usize);
-        for rec in &self.rules {
-            if rec.guard == NIL {
-                continue;
-            }
-            rules.push(RuleRec {
-                guard: map_node(rec.guard),
-                occ_head: map_node(rec.occ_head),
-                uses: rec.uses,
-                exp_len: rec.exp_len,
-            });
-        }
-        self.rules = rules;
-
-        // The table's invariant — every entry points at a live node
-        // whose digram is its key — makes the rebuild a pure remap.
-        let mut digrams =
-            FxHashMap::with_capacity_and_hasher(self.digrams.len(), Default::default());
-        for (&(a, b), &n) in &self.digrams {
-            debug_assert_ne!(node_map[n as usize], NIL, "digram table cites a free node");
-            digrams.insert((map_sym(a), map_sym(b)), node_map[n as usize]);
-        }
-        self.digrams = digrams;
-
-        // Drained after every push; remap defensively anyway.
-        self.underused.retain(|&r| rule_map[r as usize] != NIL);
-        for r in &mut self.underused {
-            *r = rule_map[*r as usize];
-        }
-    }
-
     // ------------------------------------------------------------------
     // Slab plumbing
     // ------------------------------------------------------------------
@@ -1125,87 +1020,6 @@ mod tests {
         assert!(reused.slab_capacity() >= reused.slab_len());
     }
 
-    /// Compaction must be observationally invisible: same grammar, same
-    /// occurrence spans, and identical evolution under further pushes —
-    /// while actually reclaiming free-list holes.
-    #[test]
-    fn compact_preserves_grammar_and_future_evolution() {
-        // Inputs chosen to churn rules (substitutions + inline
-        // expansions leave holes and tombstones behind).
-        let inputs: Vec<Vec<u32>> = vec![
-            (0..240).map(|i| ((i * 13) % 9) as u32).collect(),
-            (0..160).map(|i| ((i * i) % 7) as u32).collect(),
-            vec![5; 40],
-            (0..120).map(|i| (i % 3) as u32).collect(),
-        ];
-        for input in inputs {
-            for cut in [1usize, input.len() / 3, input.len() / 2, input.len() - 1] {
-                let mut compacted = Sequitur::new();
-                let mut plain = Sequitur::new();
-                for &t in &input[..cut] {
-                    compacted.push(t);
-                    plain.push(t);
-                }
-                compacted.compact();
-                assert!(
-                    compacted.slab_len() <= plain.slab_len(),
-                    "compaction grew the slab"
-                );
-                let mut live: Vec<(usize, usize)> = compacted
-                    .occurrences()
-                    .iter()
-                    .map(|o| (o.start, o.len))
-                    .collect();
-                let mut reference: Vec<(usize, usize)> = plain
-                    .occurrences()
-                    .iter()
-                    .map(|o| (o.start, o.len))
-                    .collect();
-                live.sort_unstable();
-                reference.sort_unstable();
-                assert_eq!(live, reference, "cut {cut}");
-                assert_eq!(compacted.to_grammar(), plain.to_grammar(), "cut {cut}");
-                // Future pushes evolve identically.
-                for &t in &input[cut..] {
-                    compacted.push(t);
-                    plain.push(t);
-                }
-                assert_eq!(compacted.to_grammar(), plain.to_grammar(), "cut {cut}");
-                assert_eq!(compacted.to_grammar(), induce(input.iter().copied()));
-            }
-        }
-    }
-
-    #[test]
-    fn compact_reclaims_free_slots_after_rule_churn() {
-        // A run of identical tokens builds and expands nested rules,
-        // leaving free-list holes; compaction must shrink the slab to
-        // the live node count.
-        let mut s = Sequitur::new();
-        for _ in 0..64 {
-            s.push(9);
-        }
-        let before = s.slab_len();
-        s.compact();
-        assert!(s.slab_len() <= before);
-        // Every slot is now live: a further compaction is a no-op.
-        let len = s.slab_len();
-        s.compact();
-        assert_eq!(s.slab_len(), len);
-        assert_eq!(s.to_grammar(), induce(std::iter::repeat_n(9u32, 64)));
-    }
-
-    #[test]
-    fn compact_on_empty_engine_is_a_noop() {
-        let mut s = Sequitur::new();
-        s.compact();
-        assert_eq!(s.token_count(), 0);
-        assert!(s.occurrences().is_empty());
-        s.push(1);
-        s.push(2);
-        assert_eq!(s.to_grammar(), induce([1u32, 2]));
-    }
-
     /// Folds a batch of deltas into a span-count multiset, panicking on
     /// a destroy without a matching create.
     fn fold_deltas(
@@ -1306,8 +1120,7 @@ mod tests {
 
     /// A fresh engine fed a live engine's tokens stands in for it: the
     /// same occurrence spans, and per further push the same deltas (as
-    /// a multiset, the order a fold ignores), even when the live engine
-    /// was compacted along the way.
+    /// a multiset, the order a fold ignores).
     #[test]
     fn replayed_engine_continues_like_the_live_one() {
         let sorted = |deltas: Vec<OccDelta>| {
@@ -1324,11 +1137,8 @@ mod tests {
             for cut in [0usize, 1, input.len() / 3, input.len() - 1] {
                 let mut live = Sequitur::new();
                 live.set_delta_tracking(true);
-                for (i, &t) in input[..cut].iter().enumerate() {
+                for &t in &input[..cut] {
                     live.push(t);
-                    if i % 16 == 0 {
-                        live.compact();
-                    }
                 }
                 let live_pending = live.take_deltas();
                 let mut replay = Sequitur::new();

@@ -11,9 +11,9 @@
 ///
 /// Subsequences that are (numerically) constant carry no shape information;
 /// z-normalizing them would divide by ~0 and amplify floating-point noise
-/// into arbitrary shapes. Every consumer in the workspace (SAX, matrix
-/// profile, HOTSAX) uses this same threshold so that flat regions are
-/// handled consistently.
+/// into arbitrary shapes. Every consumer in the workspace (SAX and the
+/// matrix profile) applies one flatness rule, [`is_flat`], so that flat
+/// regions are handled consistently.
 pub const FLAT_EPSILON: f64 = 1e-10;
 
 /// Relative variance tolerance for flatness detection.

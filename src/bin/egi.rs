@@ -13,6 +13,10 @@
 //! STOMP baseline, `generate` any of the built-in synthetic generators
 //! (FAMILY is a UCR-style family name such as `GunPoint`, producing a
 //! labeled corpus series whose ground truth is printed to stderr).
+//!
+//! Each command takes one positional argument and only the flags shown
+//! for it. A bad command line exits with status 2 and one line on
+//! stderr before anything is read or written.
 
 use egi::prelude::*;
 use egi_tskit::io;
@@ -30,20 +34,35 @@ fn usage_error(fault: &str) -> ! {
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
+/// Splits the arguments of command `cmd` into its one positional
+/// argument and its flags. A flag outside `takes`, a flag without a
+/// value, a second positional argument or none at all ([`usage_error`]
+/// with `missing`) rejects the command line.
+fn parse_args(
+    cmd: &str,
+    args: &[String],
+    takes: &[&str],
+    missing: &str,
+) -> (String, HashMap<String, String>) {
+    let mut positional = None;
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !takes.contains(&name) {
+                usage_error(&format!("{cmd} does not take --{name}"));
+            }
             let value = it
                 .next()
                 .unwrap_or_else(|| usage_error(&format!("flag --{name} needs a value")));
             flags.insert(name.to_string(), value.clone());
+        } else if positional.is_some() {
+            usage_error(&format!("unexpected argument {a:?}"));
         } else {
-            positional.push(a.clone());
+            positional = Some(a.clone());
         }
     }
+    let positional = positional.unwrap_or_else(|| usage_error(missing));
     (positional, flags)
 }
 
@@ -83,19 +102,15 @@ fn main() {
         usage_error("missing command");
     }
     let (cmd, rest) = (args[0].as_str(), &args[1..]);
-    let (positional, flags) = parse_flags(rest);
     match cmd {
-        "detect" => cmd_detect(&positional, &flags),
-        "discord" => cmd_discord(&positional, &flags),
-        "generate" => cmd_generate(&positional, &flags),
+        "detect" => cmd_detect(rest),
+        "discord" => cmd_discord(rest),
+        "generate" => cmd_generate(rest),
         other => usage_error(&format!("unknown command {other:?}")),
     }
 }
 
-fn load_series(positional: &[String]) -> Vec<f64> {
-    let path = positional
-        .first()
-        .unwrap_or_else(|| usage_error("missing <series.csv>"));
+fn load_series(path: &str) -> Vec<f64> {
     let series = io::read_series(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
@@ -107,20 +122,26 @@ fn load_series(positional: &[String]) -> Vec<f64> {
     series.into_vec()
 }
 
-fn cmd_detect(positional: &[String], flags: &HashMap<String, String>) {
-    let series = load_series(positional);
-    let window: usize = required(flags, "window");
-    let k: usize = flag(flags, "k", 3);
-    let seed: u64 = flag(flags, "seed", 42);
+fn cmd_detect(args: &[String]) {
+    let (path, flags) = parse_args(
+        "detect",
+        args,
+        &["window", "k", "seed", "n", "wmax", "amax", "tau", "curve"],
+        "missing <series.csv>",
+    );
+    let window: usize = required(&flags, "window");
+    let k: usize = flag(&flags, "k", 3);
+    let seed: u64 = flag(&flags, "seed", 42);
     let config = EnsembleConfig {
         window,
-        ensemble_size: flag(flags, "n", 50),
-        wmax: flag(flags, "wmax", 10),
-        amax: flag(flags, "amax", 10),
-        selectivity: flag(flags, "tau", 0.4),
+        ensemble_size: flag(&flags, "n", 50),
+        wmax: flag(&flags, "wmax", 10),
+        amax: flag(&flags, "amax", 10),
+        selectivity: flag(&flags, "tau", 0.4),
         ..EnsembleConfig::default()
     };
     validated(config.validate());
+    let series = load_series(&path);
     let detector = EnsembleDetector::new(config);
     let t0 = std::time::Instant::now();
     let report = detector.detect(&series, k, seed);
@@ -144,12 +165,13 @@ fn cmd_detect(positional: &[String], flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_discord(positional: &[String], flags: &HashMap<String, String>) {
-    let series = load_series(positional);
-    let window: usize = required(flags, "window");
-    let k: usize = flag(flags, "k", 3);
+fn cmd_discord(args: &[String]) {
+    let (path, flags) = parse_args("discord", args, &["window", "k"], "missing <series.csv>");
+    let window: usize = required(&flags, "window");
+    let k: usize = flag(&flags, "k", 3);
     let config = DiscordConfig::new(window);
     validated(config.validate());
+    let series = load_series(&path);
     let detector = DiscordDetector::new(config);
     let t0 = std::time::Instant::now();
     let discords = detector.detect(&series, k);
@@ -170,19 +192,21 @@ fn cmd_discord(positional: &[String], flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) {
-    let kind = positional
-        .first()
-        .unwrap_or_else(|| usage_error("missing the generator name"))
-        .as_str();
-    let len: usize = flag(flags, "len", 20_000);
-    let seed: u64 = flag(flags, "seed", 1);
+fn cmd_generate(args: &[String]) {
+    let (kind, flags) = parse_args(
+        "generate",
+        args,
+        &["len", "seed", "out"],
+        "missing the generator name",
+    );
+    let len: usize = flag(&flags, "len", 20_000);
+    let seed: u64 = flag(&flags, "seed", 1);
     let out = flags
         .get("out")
         .cloned()
         .unwrap_or_else(|| "series.csv".to_string());
     let mut rng = StdRng::seed_from_u64(seed);
-    let series: Vec<f64> = match kind {
+    let series: Vec<f64> = match kind.as_str() {
         "ecg" => egi::tskit::gen::ecg_series(len, 256, 0.02, &mut rng),
         "eeg" => egi::tskit::gen::eeg_series(len, 128.0, 0.2, &mut rng),
         "walk" => egi::tskit::gen::random_walk(len, 1.0, &mut rng),

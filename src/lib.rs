@@ -33,7 +33,7 @@
 //! | [`sax`] | `egi-sax` | PAA, SAX, numerosity reduction, multi-resolution SAX |
 //! | [`sequitur`] | `egi-sequitur` | linear-time grammar induction |
 //! | [`core`] | `egi-core` | rule density curves, single & ensemble detectors |
-//! | [`discord`] | `egi-discord` | one centered diagonal matrix-profile kernel (diagonal-parallel STOMP, the streaming monitor), HOTSAX |
+//! | [`discord`] | `egi-discord` | one centered diagonal matrix-profile kernel (diagonal-parallel STOMP, the streaming monitor) |
 //! | [`serve`] | `egi-serve` | multi-stream fleet runtime: batched ingest, fair-share refresh over [`StreamSession`](tskit::session::StreamSession) monitors |
 //! | [`eval`] | `egi-eval` | metrics and the experiment harness for every table/figure |
 

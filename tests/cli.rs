@@ -88,6 +88,21 @@ fn unparsable_or_missing_flags_still_exit_2_with_one_line() {
     assert_fails_cleanly(&["detect", csv, "--window", "abc"], 2);
     assert_fails_cleanly(&["detect", csv], 2);
     assert_fails_cleanly(&["discord", csv], 2);
+    // A flag another command takes, a misspelt flag, or a second
+    // positional argument is rejected, not ignored.
+    assert_fails_cleanly(&["detect", csv, "--window", "100", "--tua", "0.1"], 2);
+    assert_fails_cleanly(&["discord", csv, "--window", "64", "--seed", "3"], 2);
+    assert_fails_cleanly(&["detect", csv, csv, "--window", "100"], 2);
+    let out = path.with_file_name("misspelt_seed.csv");
+    std::fs::remove_file(&out).ok();
+    let out_arg = out.to_str().unwrap();
+    assert_fails_cleanly(
+        &[
+            "generate", "ecg", "--len", "100", "--sed", "9", "--out", out_arg,
+        ],
+        2,
+    );
+    assert!(!out.exists(), "a rejected generate wrote {out_arg}");
     std::fs::remove_file(&path).ok();
 }
 
