@@ -996,6 +996,24 @@ mod tests {
         );
     }
 
+    /// Under the discord definition's exclusion (`m − 1`) a finished
+    /// monitor reports the batch [`DiscordDetector`]'s top-`k`
+    /// discords: the "Discord" baseline, answered from a stream.
+    #[test]
+    fn finished_monitor_reports_the_batch_detector_discords() {
+        let series = test_series(300);
+        let m = 12;
+        let batch = crate::DiscordDetector::new(crate::DiscordConfig::new(m)).detect(&series, 3);
+        assert_eq!(batch.len(), 3);
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(m, m - 1);
+        for part in series.chunks(45) {
+            monitor.append(part);
+            monitor.run_for(2);
+        }
+        monitor.finish();
+        assert_eq!(monitor.discords(3), batch);
+    }
+
     #[test]
     fn seed_changes_order_not_result() {
         let series = test_series(170);

@@ -323,3 +323,33 @@ fn memory_stays_bounded_under_retention() {
     assert_eq!(finished.profile, reference.profile);
     assert_eq!(finished.index, reference.index);
 }
+
+/// Eviction truncates the series but keeps its allocation, so after a
+/// heavy one-off eviction the appends that follow reuse it: appending
+/// as many points as were evicted reallocates nothing, and the finish
+/// contract holds on the new suffix.
+#[test]
+fn evict_keeps_the_series_allocation() {
+    let m = 8;
+    let exc = m / 2;
+    let keep = 128usize;
+    let series: Vec<f64> = (0..6144).map(point).collect();
+    let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
+    for part in series[..4096].chunks(256) {
+        monitor.append(part);
+        monitor.run_for(16);
+    }
+    let capacity = monitor.series_capacity();
+    assert!(capacity >= 4096, "capacity {capacity}");
+    monitor.evict(4096 - keep).unwrap();
+    assert_eq!(monitor.series_capacity(), capacity);
+    for part in series[4096..].chunks(256) {
+        monitor.append(part);
+        monitor.run_for(16);
+        assert_eq!(monitor.series_capacity(), capacity);
+    }
+    let finished = monitor.finish();
+    let reference = stomp_with_exclusion(&series[4096 - keep..], m, exc);
+    assert_eq!(finished.profile, reference.profile);
+    assert_eq!(finished.index, reference.index);
+}

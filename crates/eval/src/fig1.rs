@@ -179,4 +179,23 @@ mod tests {
         let md = render_fig1(&r, 4, 5);
         assert_eq!(md.lines().count(), 2 + 3); // header+sep + w∈{2,3,4}
     }
+
+    /// `fig1.json` names the fields in declaration order and writes the
+    /// ground truth as a `[start, len]` pair.
+    #[test]
+    fn json_writes_the_grid_then_the_ground_truth_pair() {
+        let r = Fig1Result {
+            grid: vec![GridCell {
+                w: 3,
+                a: 4,
+                score: 0.25,
+            }],
+            series_len: 700,
+            gt: (350, 40),
+        };
+        assert_eq!(
+            r.to_json().pretty(),
+            "{\n  \"grid\": [\n    {\n      \"w\": 3,\n      \"a\": 4,\n      \"score\": 0.25\n    }\n  ],\n  \"series_len\": 700,\n  \"gt\": [\n    350,\n    40\n  ]\n}"
+        );
+    }
 }

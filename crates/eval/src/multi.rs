@@ -134,4 +134,16 @@ mod tests {
         assert!(md.contains("2 of 3"));
         assert!(md.contains("5/6"));
     }
+
+    #[test]
+    fn json_lists_the_detections_per_series_then_the_planted_count() {
+        let r = MultiAnomalyResult {
+            detected_per_series: vec![2, 0],
+            planted: 2,
+        };
+        assert_eq!(
+            r.to_json().pretty(),
+            "{\n  \"detected_per_series\": [\n    2,\n    0\n  ],\n  \"planted\": 2\n}"
+        );
+    }
 }

@@ -184,6 +184,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A sink that cannot create its directory, and a write that fails
+    /// inside it, each name the path they failed on.
+    #[test]
+    fn a_failed_write_names_its_path() {
+        let root = std::env::temp_dir().join("egi_eval_report_unwritable");
+        std::fs::remove_dir_all(&root).ok();
+        std::fs::create_dir_all(&root).unwrap();
+        let file = root.join("file");
+        std::fs::write(&file, "").unwrap();
+        let under_file = file.join("out");
+        let err = ReportSink::new(&under_file).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", under_file.display())),
+            "{err}"
+        );
+        let sink = ReportSink::new(root.join("out")).unwrap();
+        std::fs::create_dir(root.join("out").join("t.json")).unwrap();
+        let err = sink.json("t", &Json::UInt(1)).unwrap_err();
+        let path = root.join("out").join("t.json");
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", path.display())),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn non_finite_floats_render_as_null() {
         for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -202,6 +230,37 @@ mod tests {
         assert_eq!(Json::Float(1e15).pretty(), "1000000000000000");
         assert_eq!(Json::Float(0.1 + 0.2).pretty(), "0.30000000000000004");
         assert_eq!(Json::UInt(u64::MAX).pretty(), "18446744073709551615");
+    }
+
+    /// Every finite float reads back as the value it was written from,
+    /// so results re-plotted from the JSON are the measured ones.
+    #[test]
+    fn finite_floats_read_back_exactly() {
+        for f in [
+            0.9878048780487805,
+            -2.5,
+            1e-7,
+            5e-324,
+            1.5e16,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let text = Json::Float(f).pretty();
+            assert_eq!(text.parse::<f64>(), Ok(f), "{f:e} wrote {text}");
+        }
+    }
+
+    #[test]
+    fn object_keys_keep_insertion_order() {
+        let obj = Json::Obj(vec![
+            ("stomp_secs", Json::UInt(2)),
+            ("kind", Json::UInt(0)),
+            ("len", Json::UInt(1)),
+        ]);
+        assert_eq!(
+            obj.pretty(),
+            "{\n  \"stomp_secs\": 2,\n  \"kind\": 0,\n  \"len\": 1\n}"
+        );
     }
 
     #[test]

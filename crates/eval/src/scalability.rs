@@ -231,4 +231,20 @@ mod tests {
             ]
         );
     }
+
+    /// A timing the STOMP cap skipped (NaN) is written as `null`.
+    #[test]
+    fn json_writes_a_skipped_timing_as_null() {
+        let p = ScalabilityPoint {
+            kind: "EEG",
+            len: 2400,
+            ensemble_secs: 0.5,
+            stomp_secs: f64::NAN,
+            anytime10_secs: f64::NAN,
+        };
+        assert_eq!(
+            p.to_json().pretty(),
+            "{\n  \"kind\": \"EEG\",\n  \"len\": 2400,\n  \"ensemble_secs\": 0.5,\n  \"stomp_secs\": null,\n  \"anytime10_secs\": null\n}"
+        );
+    }
 }

@@ -452,4 +452,39 @@ mod tests {
         let hr = render_metric_sweep(&result, SweepMetric::HitRate);
         assert!(hr.contains("GunPoint"));
     }
+
+    #[test]
+    fn arm_json_nests_each_cell_and_its_wtl() {
+        let arm = SweepArm {
+            label: "N=6".to_string(),
+            cells: vec![SweepCell {
+                dataset: "GunPoint".to_string(),
+                avg_score: 0.75,
+                hit_rate: 1.0,
+                wtl: Wtl {
+                    wins: 2,
+                    ties: 0,
+                    losses: 1,
+                },
+            }],
+        };
+        assert_eq!(
+            arm.to_json().pretty(),
+            "{\n  \"label\": \"N=6\",\n  \"cells\": [\n    {\n      \"dataset\": \"GunPoint\",\n      \"avg_score\": 0.75,\n      \"hit_rate\": 1.0,\n      \"wtl\": {\n        \"wins\": 2,\n        \"ties\": 0,\n        \"losses\": 1\n      }\n    }\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn tau_cell_json_names_its_four_fields_in_order() {
+        let cell = TauCell {
+            dataset: "Wafer".to_string(),
+            tau: 0.05,
+            mean: 0.5,
+            std: 0.0,
+        };
+        assert_eq!(
+            cell.to_json().pretty(),
+            "{\n  \"dataset\": \"Wafer\",\n  \"tau\": 0.05,\n  \"mean\": 0.5,\n  \"std\": 0.0\n}"
+        );
+    }
 }

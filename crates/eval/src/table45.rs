@@ -311,4 +311,21 @@ mod tests {
             assert_eq!(x.baselines, y.baselines);
         }
     }
+
+    /// Each series' four baseline scores are written as an array, in
+    /// the order of [`Baseline::ALL`].
+    #[test]
+    fn json_writes_each_series_baselines_as_an_array() {
+        let r = DatasetResult {
+            dataset: "Trace".to_string(),
+            per_series: vec![SeriesScores {
+                proposed: 0.5,
+                baselines: [0.25, 1.0, 0.0, 0.125],
+            }],
+        };
+        assert_eq!(
+            r.to_json().pretty(),
+            "{\n  \"dataset\": \"Trace\",\n  \"per_series\": [\n    {\n      \"proposed\": 0.5,\n      \"baselines\": [\n        0.25,\n        1.0,\n        0.0,\n        0.125\n      ]\n    }\n  ]\n}"
+        );
+    }
 }

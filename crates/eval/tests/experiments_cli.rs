@@ -73,6 +73,39 @@ fn an_unwritable_output_exits_1_with_one_line() {
     assert!(!stderr.contains("panicked"), "stderr {stderr:?}");
 }
 
+/// A write that fails after the output directory was made (here
+/// `fig1.json` is a directory) also exits 1, with the one error line
+/// naming the file, after the progress line.
+#[test]
+fn a_failed_write_inside_the_output_directory_exits_1_naming_the_file() {
+    let dir = std::env::temp_dir().join("egi_eval_cli_blocked_json");
+    std::fs::remove_dir_all(&dir).ok();
+    let json = dir.join("fig1.json");
+    std::fs::create_dir_all(&json).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--quick", "--out"])
+        .arg(&dir)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .unwrap();
+    let wrote_markdown = dir.join("fig1.md").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr:?}");
+    assert!(!stderr.contains("panicked"), "stderr {stderr:?}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("experiments: "))
+        .collect();
+    assert_eq!(errors.len(), 1, "stderr {stderr:?}");
+    assert!(
+        errors[0].starts_with(&format!("experiments: cannot write {}: ", json.display())),
+        "stderr {stderr:?}"
+    );
+    assert_eq!(stderr.lines().last(), Some(errors[0]), "stderr {stderr:?}");
+    assert!(wrote_markdown, "fig1.md precedes fig1.json");
+}
+
 /// `experiments fig1 --quick` writes `fig1.json` byte for byte as the
 /// committed fixture.
 #[test]

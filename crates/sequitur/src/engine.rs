@@ -1020,6 +1020,62 @@ mod tests {
         assert!(reused.slab_capacity() >= reused.slab_len());
     }
 
+    #[test]
+    fn a_released_slot_is_reused_before_the_slab_grows() {
+        let mut s = Sequitur::new();
+        for t in [1u32, 2, 3] {
+            s.push(t);
+        }
+        let len = s.slab_len();
+        let a = s.alloc(Kind::Sym(Sym::T(7)));
+        assert_eq!(s.slab_len(), len + 1);
+        s.release(a);
+        assert!(matches!(s.nodes[a as usize].kind, Kind::Free));
+        let b = s.alloc(Kind::Sym(Sym::T(8)));
+        assert_eq!(b, a);
+        assert_eq!(s.slab_len(), len + 1);
+        assert!(matches!(s.nodes[b as usize].kind, Kind::Sym(Sym::T(8))));
+    }
+
+    /// Rule churn frees slots (a repeated digram's nodes give way to
+    /// one rule reference; an under-used rule's guard is released), and
+    /// they are taken back before the slab grows: over a long periodic
+    /// stream the slab tracks the live grammar, not the token count.
+    #[test]
+    fn rule_churn_recycles_freed_slots() {
+        let inputs: [Vec<u32>; 3] = [
+            vec![9; 4096],
+            (0..4095).map(|i| (i % 3) as u32).collect(),
+            (0..240).map(|i| ((i * 13) % 9) as u32).collect(),
+        ];
+        for input in inputs {
+            let mut s = Sequitur::new();
+            let mut peak_live = 0;
+            for &t in &input {
+                s.push(t);
+                let live = s
+                    .nodes
+                    .iter()
+                    .filter(|n| !matches!(n.kind, Kind::Free))
+                    .count();
+                // The free list names exactly the holes.
+                assert_eq!(s.free.len(), s.slab_len() - live);
+                peak_live = peak_live.max(live);
+                assert!(
+                    s.slab_len() <= 2 * peak_live,
+                    "{} slots for a peak of {peak_live} live nodes",
+                    s.slab_len()
+                );
+            }
+            assert!(
+                s.slab_len() <= 64,
+                "{} slots after {} tokens",
+                s.slab_len(),
+                input.len()
+            );
+        }
+    }
+
     /// Folds a batch of deltas into a span-count multiset, panicking on
     /// a destroy without a matching create.
     fn fold_deltas(

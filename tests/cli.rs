@@ -257,3 +257,69 @@ fn valid_flags_still_detect() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("rank,start,"), "{stdout}");
 }
+
+/// Each of `detect`'s eight flags is taken and applied: `--k` sets the
+/// rows, `--n` and `--tau` show in the summary line, and `--curve`
+/// writes one density value per point.
+#[test]
+fn detect_applies_each_of_its_eight_flags() {
+    let path = series_csv("all_flags.csv", None);
+    let csv = path.to_str().unwrap();
+    let curve = path.with_file_name("all_flags_curve.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_egi"))
+        .args(["detect", csv, "--window", "32", "--k", "2", "--seed", "5"])
+        .args(["--n", "6", "--wmax", "6", "--amax", "5", "--tau", "1"])
+        .args(["--curve", curve.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let written = std::fs::read_to_string(&curve);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&curve).ok();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(starts(&out.stdout).len(), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("N=6, τ=100%"), "stderr {stderr:?}");
+    assert_eq!(written.unwrap().lines().count(), 300);
+}
+
+/// The command line is checked before the series is read: a flag the
+/// command does not take, or a second positional argument, exits 2
+/// even when the series file does not exist (which would exit 1).
+#[test]
+fn a_bad_command_line_is_rejected_before_the_series_is_read() {
+    let missing = std::env::temp_dir().join("egi_cli_test_never_written.csv");
+    let csv = missing.to_str().unwrap();
+    assert_fails_cleanly(&["detect", csv, "--window", "32", "--tua", "0.1"], 2);
+    assert_fails_cleanly(&["discord", csv, "--window", "32", "--seed", "3"], 2);
+    assert_fails_cleanly(&["discord", csv, csv, "--window", "32"], 2);
+}
+
+#[test]
+fn generate_rejects_an_unknown_generator_and_writes_nothing() {
+    let out = std::env::temp_dir().join("egi_cli_test_unknown_generator.csv");
+    std::fs::remove_file(&out).ok();
+    let out_arg = out.to_str().unwrap();
+    assert_fails_cleanly(
+        &["generate", "sawtooth", "--len", "100", "--out", out_arg],
+        2,
+    );
+    assert!(!out.exists(), "a rejected generate wrote {out_arg}");
+}
+
+#[test]
+fn generate_to_an_unwritable_path_exits_1_with_one_line() {
+    let file = series_csv("generate_blocker.csv", None);
+    let under_file = file.join("series.csv");
+    assert_fails_cleanly(
+        &[
+            "generate",
+            "walk",
+            "--len",
+            "100",
+            "--out",
+            under_file.to_str().unwrap(),
+        ],
+        1,
+    );
+    std::fs::remove_file(&file).ok();
+}
