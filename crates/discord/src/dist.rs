@@ -141,27 +141,15 @@ impl WindowStats {
     /// from ranking as either perfect matches or extreme discords.
     #[inline]
     pub fn dist(&self, i: usize, j: usize, cov: f64) -> f64 {
-        distance(
-            self.m,
-            (self.flat[i], self.flat[j]),
-            (self.inv_norm[i], self.inv_norm[j]),
-            cov,
-        )
-    }
-}
-
-/// [`WindowStats::dist`] on the two windows' flat flags and inverse
-/// norms, for loops that read them from pre-sliced arrays.
-#[inline]
-pub(crate) fn distance(m: usize, flat: (bool, bool), inv_norm: (f64, f64), cov: f64) -> f64 {
-    let two_m = 2.0 * m as f64;
-    match flat {
-        (true, true) => 0.0,
-        (true, false) | (false, true) => two_m.sqrt(),
-        (false, false) => {
-            let corr = cov * inv_norm.0 * inv_norm.1;
-            // Clamp: |corr| can exceed 1 by float error.
-            (two_m * (1.0 - corr.clamp(-1.0, 1.0))).sqrt()
+        let two_m = 2.0 * self.m as f64;
+        match (self.flat[i], self.flat[j]) {
+            (true, true) => 0.0,
+            (true, false) | (false, true) => two_m.sqrt(),
+            (false, false) => {
+                let corr = cov * self.inv_norm[i] * self.inv_norm[j];
+                // Clamp: |corr| can exceed 1 by float error.
+                (two_m * (1.0 - corr.clamp(-1.0, 1.0))).sqrt()
+            }
         }
     }
 }

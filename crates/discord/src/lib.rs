@@ -12,7 +12,11 @@
 //!   diagonal-parallel batch form: each diagonal is seeded with a direct
 //!   centered dot product and walked with MPX's centered covariance
 //!   update; bit-identical for every worker count. The implementation
-//!   the paper benchmarks against (Fig. 8).
+//!   the paper benchmarks against (Fig. 8). Every cell is walked, but
+//!   only a cell whose correlation reaches the lower of its two ends'
+//!   limits (`1 − p²/(2m) − δ`, stored beside each profile entry) pays
+//!   the distance and the fold; the bound is exact, so the profile is
+//!   bit for bit the fold of every cell.
 //! * [`mod@stamp`] — `stamp` and `stamp_with_exclusion`, aliases of
 //!   the batch kernel under STAMP's \[21\] name.
 //! * [`profile`] — the matrix profile type plus discord extraction.

@@ -1,6 +1,9 @@
 //! The matrix profile type, discord extraction, and the shared
 //! `(distance, index)` tie-break rule.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use egi_tskit::window::intervals_overlap;
 
 /// `(distance, index)` lexicographic improvement: `(d, idx)` beats
@@ -95,37 +98,66 @@ impl MatrixProfile {
     /// largest nearest-neighbor distance, greedily filtered so no two
     /// reported windows overlap.
     ///
-    /// Windows whose neighborhood was entirely excluded (profile still at
-    /// `+∞`) are skipped — they carry no evidence.
+    /// Candidates are taken by distance, largest first, and then by
+    /// start, smallest first. Windows whose neighborhood was entirely
+    /// excluded (profile still at `+∞`) are skipped — they carry no
+    /// evidence. The candidates sit in a heap built in `O(n)` and popped
+    /// only until `k` picks are made, so `k = 1` costs `O(n)` and no `k`
+    /// costs more than a full sort.
     pub fn discords(&self, k: usize) -> Vec<Discord> {
-        let mut order: Vec<usize> = (0..self.profile.len())
-            .filter(|&i| self.profile[i].is_finite())
+        let mut candidates: BinaryHeap<Candidate> = self
+            .profile
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_finite())
+            .map(|(start, &distance)| Candidate { distance, start })
             .collect();
-        order.sort_by(|&x, &y| {
-            self.profile[y]
-                .partial_cmp(&self.profile[x])
-                .expect("profile distances are finite")
-                .then(x.cmp(&y))
-        });
-        let mut picked: Vec<Discord> = Vec::with_capacity(k);
-        for i in order {
-            if picked.len() == k {
+        let mut picked: Vec<Discord> = Vec::with_capacity(k.min(candidates.len()));
+        while picked.len() < k {
+            let Some(Candidate { distance, start }) = candidates.pop() else {
                 break;
-            }
+            };
             if picked
                 .iter()
-                .all(|d| !intervals_overlap(d.start, d.len, i, self.m))
+                .all(|d| !intervals_overlap(d.start, d.len, start, self.m))
             {
                 picked.push(Discord {
-                    start: i,
+                    start,
                     len: self.m,
-                    distance: self.profile[i],
+                    distance,
                 });
             }
         }
         picked
     }
 }
+
+/// A finite profile entry as a discord candidate, ordered so the heap's
+/// maximum is the largest distance and, among equal distances, the
+/// smallest start.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Candidate {
+    distance: f64,
+    start: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.distance
+            .partial_cmp(&other.distance)
+            .expect("candidate distances are finite")
+            .then(other.start.cmp(&self.start))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Candidate distances are finite, so `==` is an equivalence.
+impl Eq for Candidate {}
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,17 @@
 //!   it;
 //! * the **fold**: the partial matrix profile of every cell computed
 //!   since the last eviction, under the shared `(distance, index)` rule
-//!   of [`crate::profile::improves`]. A snapshot is the fold.
+//!   of [`crate::profile::improves`], with each entry's correlation
+//!   limit beside it. A snapshot is the fold's profile and index.
+//!
+//! A unit, an append's new cells and a restore's replay all walk cells
+//! with the kernel ([`mod@crate::stomp`]): each walked cell pays one
+//! covariance update, one correlation and one compare, and only a cell
+//! whose correlation reaches the lower of its two ends' limits pays the
+//! distance and the fold. The bound is exact, so the fold is bit for bit
+//! the fold of every walked cell. The limits are derived state: an
+//! eviction drops them with the fold, and a restore rebuilds them as it
+//! replays, so no checkpoint holds them.
 //!
 //! Every cell is a function of the live window's points alone, so once
 //! every cell is computed the fold is bit-identical to batch
@@ -113,7 +123,7 @@ pub use egi_tskit::session::StreamSession;
 
 use crate::dist::WindowStats;
 use crate::profile::{Discord, MatrixProfile};
-use crate::stomp::{default_exclusion, walk, walk_all, Diagonal};
+use crate::stomp::{default_exclusion, walk, walk_all, Diagonal, Fold};
 
 /// Seed used by [`StreamingDiscordMonitor::new`] when the caller does
 /// not pick one.
@@ -196,8 +206,7 @@ pub struct StreamingDiscordMonitor {
     /// Units run since the last append or eviction.
     processed: usize,
     /// The fold of every cell computed since the last eviction.
-    fold_profile: Vec<f64>,
-    fold_index: Vec<usize>,
+    fold: Fold,
     /// Lifetime telemetry (appends, units served, staleness) — pure
     /// `u64` bookkeeping, deliberately outside the checkpoint payload
     /// and every parity contract.
@@ -236,8 +245,7 @@ impl StreamingDiscordMonitor {
             pending: VecDeque::new(),
             units: VecDeque::new(),
             processed: 0,
-            fold_profile: Vec::new(),
-            fold_index: Vec::new(),
+            fold: Fold::default(),
             stats: SessionStats::default(),
         }
     }
@@ -332,8 +340,7 @@ impl StreamingDiscordMonitor {
     fn start_epoch(&mut self) {
         self.windows.extend(&self.series);
         let (count, first) = (self.window_count(), self.first_diagonal());
-        self.fold_profile.resize(count, f64::INFINITY);
-        self.fold_index.resize(count, usize::MAX);
+        self.fold.resize(count);
         self.diagonals
             .resize(count.saturating_sub(first), Diagonal::default());
         let salt = self
@@ -457,8 +464,7 @@ impl StreamingDiscordMonitor {
         self.clock.record_evict(count);
         self.series.drain(..count);
         self.windows.evict_front(count);
-        self.fold_profile.clear();
-        self.fold_index.clear();
+        self.fold.resize(0);
         self.diagonals.clear();
         self.start_epoch();
         self.stats.record_evict(count as u64, self.is_current());
@@ -530,8 +536,7 @@ impl StreamingDiscordMonitor {
                 k,
                 &mut self.diagonals[k - first],
                 count - k,
-                &mut self.fold_profile,
-                &mut self.fold_index,
+                &mut self.fold,
             );
         }
         self.processed += 1;
@@ -547,8 +552,8 @@ impl StreamingDiscordMonitor {
         MatrixProfile {
             m: self.m,
             exclusion: self.exclusion,
-            profile: self.fold_profile.clone(),
-            index: self.fold_index.clone(),
+            profile: self.fold.profile.clone(),
+            index: self.fold.index.clone(),
         }
     }
 
@@ -565,10 +570,11 @@ impl StreamingDiscordMonitor {
     ///
     /// When more than one diagonal is pending and rayon has more than
     /// one worker, the pending diagonals are split into one chunk per
-    /// worker of about equal cells. Each worker folds its chunk into a
-    /// thread-local partial profile, and the partials merge under
+    /// worker of about equal cells. Each worker folds its chunk into its
+    /// own copy of the fold so far, whose limits prune its cells as the
+    /// fold's would, and the copies merge back under
     /// [`merge_min_into`](crate::profile::merge_min_into). That merge is
-    /// commutative and associative, so the result, the diagonal state
+    /// commutative, associative and idempotent, so the result, the diagonal state
     /// and the metrics are bit-identical to stepping every unit in
     /// turn, which is what `finish` does otherwise. The worker count
     /// follows rayon's current configuration.
@@ -597,13 +603,7 @@ impl StreamingDiscordMonitor {
             .drain(..)
             .map(|k| (k, self.diagonals[k - first]))
             .collect();
-        let walked = walk_all(
-            &self.series,
-            &self.windows,
-            diagonals,
-            &mut self.fold_profile,
-            &mut self.fold_index,
-        );
+        let walked = walk_all(&self.series, &self.windows, diagonals, &mut self.fold);
         for (k, diagonal) in walked {
             self.diagonals[k - first] = diagonal;
         }
@@ -757,8 +757,7 @@ impl Checkpoint for StreamingDiscordMonitor {
         }
 
         // Replay every computed cell.
-        monitor.fold_profile = vec![f64::INFINITY; count];
-        monitor.fold_index = vec![usize::MAX; count];
+        monitor.fold = Fold::new(count);
         monitor.diagonals = vec![Diagonal::default(); progress.len()];
         for (d, &next) in progress.iter().enumerate() {
             walk(
@@ -767,8 +766,7 @@ impl Checkpoint for StreamingDiscordMonitor {
                 first + d,
                 &mut monitor.diagonals[d],
                 next,
-                &mut monitor.fold_profile,
-                &mut monitor.fold_index,
+                &mut monitor.fold,
             );
         }
         monitor.pending = pending.into();
@@ -804,21 +802,12 @@ mod tests {
     fn fold_of(series: &[f64], m: usize, diagonals: &[usize]) -> (Vec<f64>, Vec<usize>) {
         let ws = WindowStats::new(series, m);
         let count = ws.count();
-        let mut profile = vec![f64::INFINITY; count];
-        let mut index = vec![usize::MAX; count];
+        let mut fold = Fold::new(count);
         for &k in diagonals {
             let mut diagonal = Diagonal::default();
-            walk(
-                series,
-                &ws,
-                k,
-                &mut diagonal,
-                count - k,
-                &mut profile,
-                &mut index,
-            );
+            walk(series, &ws, k, &mut diagonal, count - k, &mut fold);
         }
-        (profile, index)
+        (fold.profile, fold.index)
     }
 
     #[test]
@@ -2325,21 +2314,12 @@ mod tests {
         let progress: Vec<usize> = restored.diagonals.iter().map(|d| d.next).collect();
         assert_eq!(progress, frame.progress);
         let ws = WindowStats::new(&frame.series, 8);
-        let (mut profile, mut index) = (vec![f64::INFINITY; 9], vec![usize::MAX; 9]);
+        let mut fold = Fold::new(9);
         for (d, &next) in frame.progress.iter().enumerate() {
             let mut diagonal = Diagonal::default();
-            walk(
-                &frame.series,
-                &ws,
-                5 + d,
-                &mut diagonal,
-                next,
-                &mut profile,
-                &mut index,
-            );
+            walk(&frame.series, &ws, 5 + d, &mut diagonal, next, &mut fold);
         }
-        assert_eq!(restored.snapshot().profile, profile);
-        assert_eq!(restored.snapshot().index, index);
+        assert_eq!(restored.fold, fold);
         assert_eq!((restored.pending(), restored.processed()), (1, 1));
         let reference = stomp_with_exclusion(&frame.series, 8, 4);
         assert_eq!(restored.finish(), reference);

@@ -1,23 +1,36 @@
 //! Cell accounting of the matrix-profile kernel.
 //!
-//! Every cell the kernel computes — in batch STOMP, in the streaming
+//! Every cell the kernel walks — in batch STOMP, in the streaming
 //! monitor's units and finish, and when a restore replays a checkpoint
-//! — is counted in `egi_discord_cells_total`. The count pins the cost
-//! model: a batch profile and a re-seed walk every cell once, and an
-//! append walks only the cells its points created. The counter is
+//! — is counted in `egi_discord_cells_total`, and each walked cell whose
+//! correlation reaches its ends' limits, so that it pays the distance
+//! and the fold, also in `egi_discord_cells_admitted_total`. The counts
+//! pin the cost model: a batch profile and a re-seed walk every cell
+//! once, an append walks only the cells its points created, no
+//! operation admits more cells than it walks, and a series whose
+//! windows are all flat admits every cell. The counters are
 //! process-wide, so this file holds a single test: nothing else in this
-//! binary runs the kernel while it reads the count.
+//! binary runs the kernel while it reads the counts.
 
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{Checkpoint, StreamingDiscordMonitor};
 use egi_testkit::PointGen;
 
-/// The cells `op` makes the kernel compute.
+/// The cells `op` makes the kernel walk, after checking that it
+/// admitted no more of them than that.
 fn cells(op: impl FnOnce()) -> u64 {
-    let counter = egi_obs::counter!("egi_discord_cells_total");
-    let before = counter.get();
+    let (walked, admitted) = walked_and_admitted(op);
+    assert!(admitted <= walked, "{admitted} admitted of {walked} walked");
+    walked
+}
+
+/// The cells `op` makes the kernel walk and admit.
+fn walked_and_admitted(op: impl FnOnce()) -> (u64, u64) {
+    let walked = egi_obs::counter!("egi_discord_cells_total");
+    let admitted = egi_obs::counter!("egi_discord_cells_admitted_total");
+    let before = (walked.get(), admitted.get());
     op();
-    counter.get() - before
+    (walked.get() - before.0, admitted.get() - before.1)
 }
 
 /// Cells of every admissible diagonal over `windows` windows.
@@ -64,4 +77,20 @@ fn the_kernel_computes_each_cell_once() {
     let total = all_cells(199, exc);
     let replayed = cells(|| drop(StreamingDiscordMonitor::from_checkpoint_bytes(&bytes).unwrap()));
     assert_eq!(replayed, total - left);
+
+    // Every window of a constant series is flat, so every cell is
+    // admitted, in batch and in the monitor.
+    let constant = vec![2.5; 120];
+    let (walked, admitted) = walked_and_admitted(|| drop(stomp_with_exclusion(&constant, m, exc)));
+    assert_eq!(
+        (walked, admitted),
+        (all_cells(109, exc), all_cells(109, exc))
+    );
+    let mut flat = StreamingDiscordMonitor::with_exclusion(m, exc);
+    flat.append(&constant);
+    let (walked, admitted) = walked_and_admitted(|| drop(flat.finish()));
+    assert_eq!(
+        (walked, admitted),
+        (all_cells(109, exc), all_cells(109, exc))
+    );
 }

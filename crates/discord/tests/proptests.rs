@@ -2,13 +2,19 @@
 //!
 //! STOMP, the `stamp` aliases and the streaming monitor all run one
 //! kernel, so agreement among them is a contract, checked bit for bit.
-//! The independent evidence is [`brute_force`], which computes every
-//! pair's z-normalized distance from the definition and shares no
-//! arithmetic with the kernel.
+//! The kernel folds only the cells its correlation bound admits; the
+//! fold of every cell, written here from public API, is the bit-for-bit
+//! reference for that bound. The independent evidence is
+//! [`brute_force`], which computes every pair's z-normalized distance
+//! from the definition and shares no arithmetic with the kernel.
 
 use egi_discord::brute::{brute_force, znormalized_distance};
+use egi_discord::dist::WindowStats;
+use egi_discord::profile::improves;
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
+use egi_discord::{Discord, MatrixProfile};
+use egi_tskit::window::intervals_overlap;
 use proptest::prelude::*;
 
 fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -42,6 +48,71 @@ fn close(a: f64, b: f64, tol: f64) -> bool {
 /// distance: a margin no rounding within tolerance can close.
 fn clearly_above(b: f64, a: f64, gap: f64) -> bool {
     b - a > gap && b * b - a * a > gap
+}
+
+/// The kernel's fold without the correlation bound, from public API:
+/// every diagonal seeded with [`WindowStats::centered_dot`] and walked
+/// with the `df`/`dg` slide, every cell's [`WindowStats::dist`] folded
+/// into both ends under [`improves`].
+fn fold_every_cell(series: &[f64], m: usize, exclusion: usize) -> MatrixProfile {
+    let ws = WindowStats::new(series, m);
+    let count = ws.count();
+    let mut profile = vec![f64::INFINITY; count];
+    let mut index = vec![usize::MAX; count];
+    for k in exclusion.saturating_add(1)..count {
+        let mut cov = ws.centered_dot(series, 0, k);
+        for i in 0..count - k {
+            let j = i + k;
+            if i > 0 {
+                cov += ws.df[i - 1] * ws.dg[j - 1] + ws.df[j - 1] * ws.dg[i - 1];
+            }
+            let d = ws.dist(i, j, cov);
+            for (end, neighbor) in [(i, j), (j, i)] {
+                if improves(d, neighbor, profile[end], index[end]) {
+                    profile[end] = d;
+                    index[end] = neighbor;
+                }
+            }
+        }
+    }
+    MatrixProfile {
+        m,
+        exclusion,
+        profile,
+        index,
+    }
+}
+
+/// Top-`k` discords the way they were first extracted: sort every
+/// finite entry by distance descending, then start ascending, and take
+/// each that overlaps no earlier pick.
+fn sorted_discords(mp: &MatrixProfile, k: usize) -> Vec<Discord> {
+    let mut order: Vec<usize> = (0..mp.len())
+        .filter(|&i| mp.profile[i].is_finite())
+        .collect();
+    order.sort_by(|&x, &y| {
+        mp.profile[y]
+            .partial_cmp(&mp.profile[x])
+            .unwrap()
+            .then(x.cmp(&y))
+    });
+    let mut picked: Vec<Discord> = Vec::new();
+    for i in order {
+        if picked.len() == k {
+            break;
+        }
+        if picked
+            .iter()
+            .all(|d| !intervals_overlap(d.start, d.len, i, mp.m))
+        {
+            picked.push(Discord {
+                start: i,
+                len: mp.m,
+                distance: mp.profile[i],
+            });
+        }
+    }
+    picked
 }
 
 proptest! {
@@ -129,7 +200,7 @@ proptest! {
         }
         let top = a.discords(1)[0];
         let runner_up = (0..a.len())
-            .filter(|&j| !egi_tskit::window::intervals_overlap(top.start, m, j, m))
+            .filter(|&j| !intervals_overlap(top.start, m, j, m))
             .map(|j| a.profile[j])
             .filter(|d| d.is_finite())
             .fold(f64::NEG_INFINITY, f64::max);
@@ -350,6 +421,53 @@ proptest! {
                 (a.profile[i] - b.profile[i]).abs() < 1e-4,
                 "i={}: {} vs {}", i, a.profile[i], b.profile[i]
             );
+        }
+    }
+
+    /// The correlation bound skips cells without changing a bit: STOMP
+    /// at 1, 2 and 3 workers equals the fold of every cell, profile and
+    /// index, on series with flat runs.
+    #[test]
+    fn stomp_equals_the_fold_of_every_cell_bit_for_bit(
+        series in series_strategy(),
+        runs in prop::collection::vec((0usize..1_000, 1usize..24, -100.0f64..100.0), 0..4),
+        m in 4usize..16,
+        strict in 0usize..2,
+    ) {
+        let series = with_flat_runs(series, &runs);
+        prop_assume!(series.len() >= 2 * m);
+        let exc = if strict == 1 { m - 1 } else { m / 2 };
+        let reference = fold_every_cell(&series, m, exc);
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for threads in 1..=3 {
+            let kernel = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| stomp_with_exclusion(&series, m, exc));
+            prop_assert_eq!(bits(&kernel.profile), bits(&reference.profile), "{} workers", threads);
+            prop_assert_eq!(&kernel.index, &reference.index, "{} workers", threads);
+        }
+    }
+
+    /// The heap-based top-`k` picks exactly what sorting every entry
+    /// picks, in the same order, on profiles drawn from a few values
+    /// (so ties are common) with some `+∞` entries.
+    #[test]
+    fn discords_match_the_sort_then_greedy_reference(
+        picks in prop::collection::vec(0usize..5, 0..60),
+        m in 1usize..6,
+    ) {
+        let values = [0.5, 1.0, 1.0 + 1e-12, 2.5, f64::INFINITY];
+        let profile: Vec<f64> = picks.iter().map(|&v| values[v]).collect();
+        let mp = MatrixProfile {
+            m,
+            exclusion: m,
+            index: vec![0; profile.len()],
+            profile,
+        };
+        for k in [0, 1, 3, mp.len(), mp.len() + 5] {
+            prop_assert_eq!(mp.discords(k), sorted_discords(&mp, k), "k = {}", k);
         }
     }
 }

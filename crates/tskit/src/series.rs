@@ -133,7 +133,9 @@ impl TimeSeries {
 
     /// Returns a z-normalized copy (mean 0, stddev 1).
     ///
-    /// Near-constant series (stddev below [`crate::stats::FLAT_EPSILON`])
+    /// Flat series — mean and sample variance satisfying
+    /// [`crate::stats::is_flat`], i.e. variance below
+    /// [`FLAT_VAR_RTOL`](crate::stats::FLAT_VAR_RTOL)` × (mean² + 1)` —
     /// are mapped to all-zeros rather than amplifying noise, matching the
     /// convention used by SAX implementations.
     pub fn znormalized(&self) -> TimeSeries {

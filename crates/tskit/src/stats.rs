@@ -7,15 +7,6 @@
 //! multi-resolution discretization of Section 6.2 linear in the series
 //! length instead of quadratic.
 
-/// Standard deviations below this threshold are treated as zero.
-///
-/// Subsequences that are (numerically) constant carry no shape information;
-/// z-normalizing them would divide by ~0 and amplify floating-point noise
-/// into arbitrary shapes. Every consumer in the workspace (SAX and the
-/// matrix profile) applies one flatness rule, [`is_flat`], so that flat
-/// regions are handled consistently.
-pub const FLAT_EPSILON: f64 = 1e-10;
-
 /// Relative variance tolerance for flatness detection.
 ///
 /// A window is *flat* when its sample variance is below
@@ -26,7 +17,14 @@ pub const FLAT_EPSILON: f64 = 1e-10;
 /// fast paths.
 pub const FLAT_VAR_RTOL: f64 = 1e-12;
 
-/// Shared flatness criterion (see [`FLAT_VAR_RTOL`]).
+/// Shared flatness criterion: `variance` is not finite, or below
+/// [`FLAT_VAR_RTOL`]` × (mean² + 1)`.
+///
+/// Subsequences that are (numerically) constant carry no shape information;
+/// z-normalizing them would divide by ~0 and amplify floating-point noise
+/// into arbitrary shapes. Every consumer in the workspace (SAX and the
+/// matrix profile) applies this one rule, so that flat regions are handled
+/// consistently.
 #[inline]
 pub fn is_flat(mean: f64, variance: f64) -> bool {
     !variance.is_finite() || variance < FLAT_VAR_RTOL * (mean * mean + 1.0)
@@ -62,7 +60,8 @@ pub fn stddev_population(values: &[f64]) -> f64 {
 
 /// Z-normalizes `values` in place (mean 0, sample stddev 1).
 ///
-/// Near-flat inputs (stddev < [`FLAT_EPSILON`]) become all-zeros.
+/// Flat inputs, whose mean and sample variance satisfy [`is_flat`]
+/// (variance below [`FLAT_VAR_RTOL`]` × (mean² + 1)`), become all-zeros.
 pub fn znormalize(values: &mut [f64]) {
     let n = values.len();
     if n == 0 {

@@ -112,11 +112,11 @@ fn main() {
 
 fn load_series(path: &str) -> Vec<f64> {
     let series = io::read_series(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
+        eprintln!("egi: cannot read {path}: {e}");
         exit(1);
     });
     if series.is_empty() {
-        eprintln!("{path}: no data points");
+        eprintln!("egi: {path}: no data points");
         exit(1);
     }
     series.into_vec()
@@ -158,7 +158,7 @@ fn cmd_detect(args: &[String]) {
     }
     if let Some(curve_path) = flags.get("curve") {
         io::write_series(curve_path, &report.curve).unwrap_or_else(|e| {
-            eprintln!("cannot write {curve_path}: {e}");
+            eprintln!("egi: cannot write {curve_path}: {e}");
             exit(1);
         });
         eprintln!("wrote ensemble rule density curve to {curve_path}");
@@ -240,7 +240,7 @@ fn cmd_generate(args: &[String]) {
         },
     };
     io::write_series(&out, &series).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
+        eprintln!("egi: cannot write {out}: {e}");
         exit(1);
     });
     eprintln!("wrote {} points to {out}", series.len());

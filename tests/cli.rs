@@ -25,8 +25,8 @@ fn series_csv(name: &str, poison: Option<&str>) -> PathBuf {
 }
 
 /// Runs `egi` and asserts it exits with `code` after printing exactly
-/// one line to stderr, none of it a panic. A rejected command line
-/// (code 2) names its fault and the usage: `egi: …; usage: …`.
+/// one `egi: ` line to stderr, none of it a panic. A rejected command
+/// line (code 2) names its fault and the usage: `egi: …; usage: …`.
 fn assert_fails_cleanly(args: &[&str], code: i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_egi"))
         .args(args)
@@ -37,9 +37,10 @@ fn assert_fails_cleanly(args: &[&str], code: i32) {
     assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr:?}");
+    assert!(stderr.starts_with("egi: "), "{args:?}: stderr {stderr:?}");
     if code == 2 {
         assert!(
-            stderr.starts_with("egi: ") && stderr.contains("; usage: egi detect"),
+            stderr.contains("; usage: egi detect"),
             "{args:?}: stderr {stderr:?}"
         );
     }
@@ -128,6 +129,16 @@ fn missing_file_exits_1_with_one_line() {
     let csv = path.to_str().unwrap();
     assert_fails_cleanly(&["detect", csv, "--window", "32"], 1);
     assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
+}
+
+#[test]
+fn empty_csv_exits_1_with_one_line() {
+    let path = series_csv("empty.csv", None);
+    std::fs::write(&path, "").unwrap();
+    let csv = path.to_str().unwrap();
+    assert_fails_cleanly(&["detect", csv, "--window", "32"], 1);
+    assert_fails_cleanly(&["discord", csv, "--window", "32"], 1);
+    std::fs::remove_file(&path).ok();
 }
 
 /// Runs `egi` on `threads` rayon workers, asserts it succeeds, and
