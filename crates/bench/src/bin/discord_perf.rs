@@ -1,7 +1,8 @@
-//! Perf baseline for the matrix-profile discord baseline and the
-//! streaming ensemble detector: the rows no other harness measures.
+//! Perf baseline for the matrix-profile discord baseline, the
+//! streaming ensemble detector and the paper's ablations: the rows no
+//! other harness measures.
 //!
-//! Times, on deterministic fixtures:
+//! Times, on one deterministic ECG fixture:
 //!
 //! * **STOMP** — the matrix-profile kernel's diagonal-parallel batch
 //!   form across worker counts; its one-worker profile is the
@@ -22,7 +23,10 @@
 //!   min-of-N with alternating arm order, gated at < 3%
 //!   sustained-throughput overhead with both
 //!   arms bit-identical to batch STOMP; the suite-wide `egi-obs`
-//!   registry dump is embedded under the `"obs"` key.
+//!   registry dump is embedded under the `"obs"` key;
+//! * **Ablations** — the paper's FastPAA, multi-resolution SAX and
+//!   numerosity reduction, each against the path it replaces (answers
+//!   asserted alike), interleaved min-of-N with no timing gate.
 //!
 //! The served fleets, eviction and checkpoints are timed by perfbench's
 //! `discord-fleet` and `ensemble-fleet` workloads, and their parity is
@@ -32,14 +36,25 @@
 //! the first CLI argument), replacing any earlier file. Pass `--quick`
 //! for a fast smoke run at reduced sizes. Any other flag is rejected
 //! with one usage line on stderr and exit status 2, before any work or
-//! file write.
+//! file write. An output path whose parent is not a directory, and a
+//! failed final write, exit 1 with one `discord-perf: cannot write …`
+//! line; the first is caught before any work.
 
+use std::path::Path;
 use std::time::Instant;
 
-use egi_bench::fixture_ecg;
-use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
+use egi_core::{
+    intern_tokens, EnsembleConfig, EnsembleDetector, OnlineInterner, StreamingEnsembleDetector,
+};
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
+use egi_sax::{
+    discretize_series, discretize_series_naive, numerosity_reduce, sax_word, BreakpointTable,
+    FastSax, MultiResBreakpoints, SaxConfig, SaxWord,
+};
+use egi_sequitur::Sequitur;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
@@ -47,11 +62,51 @@ fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), out)
 }
 
+/// Runs two self-timed arms `reps` times each, interleaved with the
+/// first arm alternating (rep 0: `a` then `b`; rep 1: `b` then `a`; …):
+/// a fixed order would let any sustained slowdown across a rep
+/// (shared-host load, frequency decay) land on the second arm. Returns
+/// each arm's minimum seconds and its last answer.
+fn interleaved_min<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> (f64, A),
+    mut b: impl FnMut() -> (f64, B),
+) -> (f64, A, f64, B) {
+    let (mut a_min, mut b_min) = (f64::INFINITY, f64::INFINITY);
+    let (mut a_out, mut b_out) = (None, None);
+    for rep in 0..reps {
+        for arm in 0..2 {
+            if (rep + arm) % 2 == 0 {
+                let (secs, out) = a();
+                a_min = a_min.min(secs);
+                a_out = Some(out);
+            } else {
+                let (secs, out) = b();
+                b_min = b_min.min(secs);
+                b_out = Some(out);
+            }
+        }
+    }
+    (
+        a_min,
+        a_out.expect("reps > 0"),
+        b_min,
+        b_out.expect("reps > 0"),
+    )
+}
+
 /// Rejects the command line: one line naming the fault and the usage
 /// on stderr, then exit status 2.
 fn usage_error(fault: &str) -> ! {
     eprintln!("discord-perf: {fault}; usage: discord-perf [--quick] [OUT.json]");
     std::process::exit(2);
+}
+
+/// Gives up on the output file: one line naming it and the fault on
+/// stderr, then exit status 1.
+fn cannot_write(path: &str, fault: impl std::fmt::Display) -> ! {
+    eprintln!("discord-perf: cannot write {path}: {fault}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -66,9 +121,16 @@ fn main() {
         }
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_discord.json".to_string());
+    let out_dir = Path::new(&out_path).parent();
+    if let Some(dir) = out_dir.filter(|dir| !dir.as_os_str().is_empty() && !dir.is_dir()) {
+        cannot_write(
+            &out_path,
+            format_args!("{} is not a directory", dir.display()),
+        );
+    }
 
     let (series_len, m) = if quick { (4_000, 64) } else { (20_000, 256) };
-    let series = fixture_ecg(series_len, 8);
+    let series = egi_tskit::gen::ecg_series(series_len, 256, 0.02, &mut StdRng::seed_from_u64(8));
     let exclusion = m / 2;
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -159,11 +221,9 @@ fn main() {
     // observability disabled via `egi_obs::set_enabled(false)` (bare —
     // span timers stop reading the clock, which is the only per-unit
     // cost the instrumentation adds) and enabled (instrumented, the
-    // default every other section runs under). Interleaved min-of-N
-    // per arm with the arm order alternating each rep — a fixed order
-    // would let any sustained slowdown across a rep (shared-box load,
-    // frequency decay) land entirely on the second arm and read as
-    // fake overhead. The gate asserts the sustained-throughput
+    // default every other section runs under), interleaved min-of-N
+    // per arm (`interleaved_min`), so host drift across a rep never
+    // reads as fake overhead. The gate asserts the sustained-throughput
     // overhead stays under 3% and both arms' finished profiles are
     // bit-identical to batch STOMP — instrumentation never touches
     // the f64 path, so parity must hold by construction.
@@ -180,26 +240,18 @@ fn main() {
         }
         (start.elapsed().as_secs_f64(), monitor.finish())
     };
-    let (mut bare_min, mut instr_min) = (f64::INFINITY, f64::INFINITY);
-    let (mut bare_finish, mut instr_finish) = (None, None);
-    for rep in 0..obs_reps {
-        for arm in 0..2 {
-            // rep 0: bare, instrumented; rep 1: instrumented, bare; …
-            if (rep + arm) % 2 == 0 {
-                egi_obs::set_enabled(false);
-                let (secs, finished) = run_streaming_schedule(obs_chunk);
-                bare_min = bare_min.min(secs);
-                bare_finish = Some(finished);
-            } else {
-                egi_obs::set_enabled(true);
-                let (secs, finished) = run_streaming_schedule(obs_chunk);
-                instr_min = instr_min.min(secs);
-                instr_finish = Some(finished);
-            }
-        }
-    }
+    let (bare_min, bare_finish, instr_min, instr_finish) = interleaved_min(
+        obs_reps,
+        || {
+            egi_obs::set_enabled(false);
+            run_streaming_schedule(obs_chunk)
+        },
+        || {
+            egi_obs::set_enabled(true);
+            run_streaming_schedule(obs_chunk)
+        },
+    );
     egi_obs::set_enabled(true);
-    let (bare_finish, instr_finish) = (bare_finish.unwrap(), instr_finish.unwrap());
     assert_eq!(
         instr_finish.profile, bare_finish.profile,
         "instrumented and bare runs must be bit-identical"
@@ -331,6 +383,8 @@ fn main() {
         ));
     }
 
+    let ablations_json = ablations(&series, m);
+
     // The process-wide registry, as accumulated by every instrumented
     // tier across the whole suite, embedded verbatim (compact JSON).
     let obs_json = egi_obs::global().render_json();
@@ -347,11 +401,133 @@ fn main() {
          \"obs_overhead\": {{\n    \"chunk\": {obs_chunk},\n    \"reps\": {obs_reps},\n    \
          \"bare_secs\": {bare_min:.6},\n    \"instrumented_secs\": {instr_min:.6},\n    \
          \"overhead_frac\": {obs_overhead_frac:.6}\n  }},\n  \
+         \"ablations\": {ablations_json},\n  \
          \"obs\": {obs_json}\n}}\n",
         stomp_rows = stomp_rows.join(",\n"),
         anytime_rows = anytime_rows.join(",\n"),
         es_rows = es_rows.join(",\n"),
     );
-    std::fs::write(&out_path, json).expect("write bench json");
+    std::fs::write(&out_path, json).unwrap_or_else(|e| cannot_write(&out_path, e));
     eprintln!("wrote {out_path}");
+}
+
+/// The paper's three speed-ups, each timed against the path it replaces
+/// over every window of length `n` of `series`, and their JSON object.
+/// Each row asserts that its two arms answer alike; the times carry no
+/// gate.
+fn ablations(series: &[f64], n: usize) -> String {
+    let windows = series.len() - n + 1;
+    let reps = 7;
+    let fast = FastSax::new(series);
+
+    // FastPAA (Algorithm 2): prefix sums, built inside the timed arm,
+    // make each window's PAA O(w), where the naive path z-normalizes
+    // and averages its n points.
+    let paa = SaxConfig::new(8, 6);
+    let (fast_secs, fast_tokens, naive_secs, naive_tokens) = interleaved_min(
+        reps,
+        || seconds(|| discretize_series(&FastSax::new(series), n, paa, MultiResBreakpoints::all())),
+        || seconds(|| discretize_series_naive(series, n, paa)),
+    );
+    assert_eq!(
+        fast_tokens, naive_tokens,
+        "FastPAA tokens deviate from the naive path"
+    );
+    let tokens = fast_tokens.len();
+    eprintln!("ABLATE FastPAA: fast {fast_secs:.4}s, naive {naive_secs:.4}s ({tokens} tokens)");
+
+    // Multi-resolution SAX (Section 6.2): one search of the merged
+    // breakpoints finds the cell that fixes a coefficient's symbol
+    // under every alphabet 2..=amax, against one search of each
+    // alphabet's own table. Both arms resolve the same precomputed
+    // PAA coefficients.
+    let (mr_w, amax) = (6, 10);
+    let mut coeffs = vec![0.0; windows * mr_w];
+    for (start, out) in coeffs.chunks_exact_mut(mr_w).enumerate() {
+        fast.paa_znorm_into(start, n, out);
+    }
+    let merged = MultiResBreakpoints::new(amax);
+    let lookups: Vec<&[u8]> = (2..=amax).map(|a| merged.lookup(a)).collect();
+    let tables: Vec<BreakpointTable> = (2..=amax).map(BreakpointTable::new).collect();
+    let symbols = coeffs.len() * tables.len();
+    let (merged_secs, merged_symbols, per_table_secs, per_table_symbols) = interleaved_min(
+        reps,
+        || {
+            seconds(|| {
+                let mut out = Vec::with_capacity(symbols);
+                for &c in &coeffs {
+                    let cell = usize::from(merged.cell(c));
+                    out.extend(lookups.iter().map(|lookup| lookup[cell]));
+                }
+                out
+            })
+        },
+        || {
+            seconds(|| {
+                let mut out = Vec::with_capacity(symbols);
+                for &c in &coeffs {
+                    out.extend(tables.iter().map(|table| table.symbol(c)));
+                }
+                out
+            })
+        },
+    );
+    assert_eq!(
+        merged_symbols, per_table_symbols,
+        "merged-table symbols deviate from the per-alphabet tables"
+    );
+    eprintln!(
+        "ABLATE multires: merged {merged_secs:.4}s, per-table {per_table_secs:.4}s \
+         ({symbols} symbols)"
+    );
+
+    // Numerosity reduction (Section 4.2): Sequitur on the raw stream,
+    // one word per window, against the reduced stream the detectors
+    // feed it, whose tokens must be `discretize_series`' own.
+    let nr = SaxConfig::new(6, 5);
+    let nr_table = BreakpointTable::new(nr.a);
+    let raw_words: Vec<SaxWord> = (0..windows)
+        .map(|start| sax_word(&series[start..start + n], nr, &nr_table))
+        .collect();
+    let mut interner = OnlineInterner::new();
+    let raw_ids: Vec<u32> = raw_words.iter().map(|&w| interner.intern(w)).collect();
+    let reduced = numerosity_reduce(raw_words, n);
+    assert_eq!(
+        reduced,
+        discretize_series(&fast, n, nr, MultiResBreakpoints::all()),
+        "the reduced raw stream deviates from discretize_series"
+    );
+    let reduced_ids = intern_tokens(&reduced);
+    let induce = |ids: &[u32]| {
+        seconds(|| {
+            let mut grammar = Sequitur::new();
+            for &id in ids {
+                grammar.push(id);
+            }
+            std::hint::black_box(grammar)
+        })
+    };
+    let (reduced_secs, _, raw_secs, _) =
+        interleaved_min(reps, || induce(&reduced_ids), || induce(&raw_ids));
+    let (raw_tokens, reduced_tokens) = (raw_ids.len(), reduced_ids.len());
+    eprintln!(
+        "ABLATE numerosity: reduced {reduced_secs:.4}s ({reduced_tokens} tokens), \
+         raw {raw_secs:.4}s ({raw_tokens} tokens)"
+    );
+
+    format!(
+        "{{\n    \"series_len\": {},\n    \"n\": {n},\n    \"reps\": {reps},\n    \
+         \"fastpaa\": {{ \"w\": {}, \"a\": {}, \"tokens\": {tokens}, \
+         \"fast_secs\": {fast_secs:.6}, \"naive_secs\": {naive_secs:.6} }},\n    \
+         \"multires\": {{ \"w\": {mr_w}, \"amax\": {amax}, \"symbols\": {symbols}, \
+         \"merged_secs\": {merged_secs:.6}, \"per_table_secs\": {per_table_secs:.6} }},\n    \
+         \"numerosity\": {{ \"w\": {}, \"a\": {}, \"raw_tokens\": {raw_tokens}, \
+         \"reduced_tokens\": {reduced_tokens}, \"raw_secs\": {raw_secs:.6}, \
+         \"reduced_secs\": {reduced_secs:.6} }}\n  }}",
+        series.len(),
+        paa.w,
+        paa.a,
+        nr.w,
+        nr.a,
+    )
 }

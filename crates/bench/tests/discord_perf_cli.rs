@@ -1,6 +1,7 @@
 //! The `discord-perf` binary's boundary: an unknown flag exits with
-//! status 2 after one usage line on stderr, before any work and before
-//! any file is written.
+//! status 2 after one usage line on stderr, and an output path whose
+//! parent is not a directory with status 1 after one `cannot write`
+//! line, both before any work and before any file is written.
 
 use std::process::Command;
 
@@ -60,4 +61,29 @@ fn a_second_output_path_exits_2_before_any_write() {
     );
     assert!(std::fs::read_dir(&cwd).unwrap().next().is_none());
     std::fs::remove_dir_all(&cwd).ok();
+}
+
+/// An output path under a regular file is rejected before any work:
+/// exit 1, nothing on stdout and one stderr line naming the path.
+#[test]
+fn an_output_path_under_a_regular_file_exits_1_before_any_work() {
+    let file = std::env::temp_dir().join("egi_bench_cli_blocker");
+    std::fs::write(&file, "").unwrap();
+    let out_path = file.join("out.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_discord-perf"))
+        .arg("--quick")
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&file).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "discord-perf: cannot write {}: {} is not a directory\n",
+            out_path.display(),
+            file.display()
+        )
+    );
 }

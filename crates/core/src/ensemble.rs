@@ -27,7 +27,7 @@ use crate::streaming::{distinct_ws, member_curve};
 /// How the kept, normalized curves are merged into one.
 ///
 /// The paper uses the median; mean, min and max are ablations of that
-/// choice, which egi-bench's `ablation_combiner` bench compares.
+/// choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Combiner {
     /// Point-wise median (the paper's choice, robust to outlier members):

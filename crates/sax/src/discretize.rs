@@ -15,12 +15,12 @@ use crate::multires::MultiResBreakpoints;
 use crate::numerosity::{numerosity_reduce, NumerosityReduced};
 use crate::paa::segment_bound;
 use crate::stream::{discretize_from_stream, PaaStream};
-use crate::word::{sax_word, SaxConfig, SaxWord, MAX_WORD_LEN};
+use crate::word::{sax_word, SaxConfig};
 
 /// Prefix-sum-accelerated SAX over one series (paper Algorithm 2).
 ///
-/// Construction is `O(N)`; each subsequent word extraction is
-/// `O(w log a)`, independent of the window length `n`.
+/// Construction is `O(N)`; each window's z-normalized PAA is then
+/// `O(w)`, independent of the window length `n`.
 #[derive(Debug, Clone)]
 pub struct FastSax<'a> {
     data: &'a [f64],
@@ -34,11 +34,6 @@ impl<'a> FastSax<'a> {
             data,
             stats: PrefixStats::new(data),
         }
-    }
-
-    /// The underlying series.
-    pub fn data(&self) -> &'a [f64] {
-        self.data
     }
 
     /// The precomputed prefix-sum statistics (`ESum_x` / `ESum_xx`).
@@ -74,36 +69,6 @@ impl<'a> FastSax<'a> {
     /// Panics if the window is out of bounds or `out.len() > n`.
     pub fn paa_znorm_into(&self, start: usize, n: usize, out: &mut [f64]) {
         paa_znorm_from_stats(&self.stats, start, n, out);
-    }
-
-    /// SAX word of window `[start, start + n)` under a single-resolution
-    /// breakpoint table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is out of bounds, `w > n` or
-    /// `w > MAX_WORD_LEN`.
-    pub fn word(&self, start: usize, n: usize, w: usize, table: &BreakpointTable) -> SaxWord {
-        let mut coeffs = [0.0; MAX_WORD_LEN];
-        let coeffs = &mut coeffs[..w];
-        self.paa_znorm_into(start, n, coeffs);
-        SaxWord::pack(coeffs.iter().map(|&c| table.symbol(c)))
-    }
-
-    /// SAX word of window `[start, start + n)` under alphabet `a`, using a
-    /// shared multi-resolution table (one binary search per coefficient).
-    pub fn word_multires(
-        &self,
-        start: usize,
-        n: usize,
-        cfg: SaxConfig,
-        multi: &MultiResBreakpoints,
-        scratch: &mut Vec<f64>,
-    ) -> SaxWord {
-        scratch.clear();
-        scratch.resize(cfg.w, 0.0);
-        self.paa_znorm_into(start, n, scratch);
-        SaxWord::pack(scratch.iter().map(|&c| multi.symbol(c, cfg.a)))
     }
 }
 
@@ -171,7 +136,8 @@ pub fn discretize_series(
 }
 
 /// Reference implementation: per-window copy, z-normalize, PAA, per-`a`
-/// breakpoint table. `O(N·n)` — for tests and the FastPAA ablation bench.
+/// breakpoint table. `O(N·n)` — for tests and `discord-perf`'s FastPAA
+/// ablation row.
 pub fn discretize_series_naive(data: &[f64], n: usize, cfg: SaxConfig) -> NumerosityReduced {
     let table = BreakpointTable::new(cfg.a);
     let count = window_count(data.len(), n);
@@ -263,22 +229,6 @@ mod tests {
         let nr = discretize_series(&fast, 25, SaxConfig::new(5, 5), &multi);
         for pair in nr.tokens.windows(2) {
             assert!(pair[0].offset < pair[1].offset);
-        }
-    }
-
-    #[test]
-    fn word_multires_equals_word_single() {
-        let data = wave(200);
-        let fast = FastSax::new(&data);
-        let multi = MultiResBreakpoints::new(12);
-        let mut scratch = Vec::new();
-        for a in 2..=12 {
-            let table = BreakpointTable::new(a);
-            for start in [0usize, 50, 150] {
-                let w1 = fast.word(start, 40, 8, &table);
-                let w2 = fast.word_multires(start, 40, SaxConfig::new(8, a), &multi, &mut scratch);
-                assert_eq!(w1, w2, "a={a} start={start}");
-            }
         }
     }
 

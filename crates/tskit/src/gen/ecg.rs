@@ -165,6 +165,16 @@ mod tests {
     }
 
     #[test]
+    fn seeded_series_is_deterministic() {
+        let bits = |seed| {
+            let s = ecg_series(1_000, 256, 0.02, &mut StdRng::seed_from_u64(seed));
+            s.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(2), bits(2));
+        assert_ne!(bits(2), bits(3));
+    }
+
+    #[test]
     #[should_panic(expected = "beat_len")]
     fn tiny_beat_len_panics() {
         let mut rng = StdRng::seed_from_u64(0);

@@ -145,23 +145,25 @@ fn cmd_detect(args: &[String]) {
     let detector = EnsembleDetector::new(config);
     let t0 = std::time::Instant::now();
     let report = detector.detect(&series, k, seed);
-    eprintln!(
-        "{} points, window {window}, N={}, τ={:.0}% → {:.2}s",
-        series.len(),
-        config.ensemble_size,
-        config.selectivity * 100.0,
-        t0.elapsed().as_secs_f64()
-    );
-    println!("rank,start,end,mean_density");
-    for (i, c) in report.anomalies.iter().enumerate() {
-        println!("{},{},{},{:.6}", i + 1, c.start, c.start + c.len, c.score);
-    }
+    let secs = t0.elapsed().as_secs_f64();
+    // The curve is written before anything else is printed, so a
+    // failed write leaves stdout empty and stderr with its one line.
     if let Some(curve_path) = flags.get("curve") {
         io::write_series(curve_path, &report.curve).unwrap_or_else(|e| {
             eprintln!("egi: cannot write {curve_path}: {e}");
             exit(1);
         });
         eprintln!("wrote ensemble rule density curve to {curve_path}");
+    }
+    eprintln!(
+        "{} points, window {window}, N={}, τ={:.0}% → {secs:.2}s",
+        series.len(),
+        config.ensemble_size,
+        config.selectivity * 100.0,
+    );
+    println!("rank,start,end,mean_density");
+    for (i, c) in report.anomalies.iter().enumerate() {
+        println!("{},{},{},{:.6}", i + 1, c.start, c.start + c.len, c.score);
     }
 }
 

@@ -24,17 +24,19 @@ fn series_csv(name: &str, poison: Option<&str>) -> PathBuf {
     path
 }
 
-/// Runs `egi` and asserts it exits with `code` after printing exactly
-/// one `egi: ` line to stderr, none of it a panic. A rejected command
-/// line (code 2) names its fault and the usage: `egi: …; usage: …`.
-fn assert_fails_cleanly(args: &[&str], code: i32) {
+/// Runs `egi` and asserts it exits with `code` after printing nothing
+/// to stdout and exactly one `egi: ` line to stderr, none of it a
+/// panic, and returns that line. A rejected command line (code 2)
+/// names its fault and the usage: `egi: …; usage: …`.
+fn assert_fails_cleanly(args: &[&str], code: i32) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_egi"))
         .args(args)
         .env("RUST_BACKTRACE", "1")
         .output()
         .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(code), "{args:?}: stderr {stderr:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: stdout {:?}", out.stdout);
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr:?}");
     assert!(stderr.starts_with("egi: "), "{args:?}: stderr {stderr:?}");
@@ -44,6 +46,7 @@ fn assert_fails_cleanly(args: &[&str], code: i32) {
             "{args:?}: stderr {stderr:?}"
         );
     }
+    stderr
 }
 
 #[test]
@@ -333,4 +336,21 @@ fn generate_to_an_unwritable_path_exits_1_with_one_line() {
         1,
     );
     std::fs::remove_file(&file).ok();
+}
+
+/// A `--curve` path that cannot be written fails the run before any
+/// answer is printed: stdout stays empty and stderr holds the one line
+/// naming the path.
+#[test]
+fn detect_with_an_unwritable_curve_exits_1_before_printing_an_answer() {
+    let path = series_csv("curve_blocker.csv", None);
+    let csv = path.to_str().unwrap();
+    let curve = path.join("curve.csv");
+    let curve = curve.to_str().unwrap();
+    let stderr = assert_fails_cleanly(&["detect", csv, "--window", "32", "--curve", curve], 1);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        stderr.starts_with(&format!("egi: cannot write {curve}: ")),
+        "stderr {stderr:?}"
+    );
 }
